@@ -2,7 +2,7 @@ package tcpsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"spdier/internal/netem"
@@ -163,7 +163,7 @@ func (n *Network) ReleaseRuntime() {
 }
 
 func (c *Conn) releaseRuntime() {
-	c.inflight, c.inflHead = nil, 0
+	c.inflight, c.inflHead, c.inflCount = nil, 0, 0
 	c.ooo = nil
 	c.sackScratch = nil
 	c.onEstablished, c.onDeliver, c.onClose = nil, nil, nil
@@ -302,9 +302,15 @@ type Conn struct {
 	sendQueue int
 	// inflight is a head-indexed deque: acked segments advance inflHead
 	// instead of reslicing away front capacity, so the backing array is
-	// reused for the whole connection lifetime.
+	// reused for the whole connection lifetime. inflCount is
+	// pktsInFlight maintained: the number of deque records neither lost
+	// nor sacked. It changes only in pushInflight, popInflightFront and
+	// the mark helpers below them, so no site that moves a record or
+	// flips a mark can forget it; the invariant checker recounts the
+	// deque against it.
 	inflight     []sentSeg
 	inflHead     int
+	inflCount    int
 	dupAcks      int
 	recoverPoint uint64
 	caState      int
@@ -617,10 +623,16 @@ func (c *Conn) pushInflight(s sentSeg) {
 		c.inflHead = 0
 	}
 	c.inflight = append(c.inflight, s)
+	if s.counted() {
+		c.inflCount++
+	}
 }
 
 // popInflightFront drops the oldest in-flight segment (it was acked).
 func (c *Conn) popInflightFront() {
+	if c.inflight[c.inflHead].counted() {
+		c.inflCount--
+	}
 	c.inflHead++
 	if c.inflHead == len(c.inflight) {
 		c.inflight = c.inflight[:0]
@@ -628,18 +640,47 @@ func (c *Conn) popInflightFront() {
 	}
 }
 
-// pktsInFlight counts outstanding segments not currently marked lost —
-// the quantity congestion control paces against during loss recovery.
-func (c *Conn) pktsInFlight() int {
-	n := 0
+// markLost flags an in-flight record lost by the given cause.
+func (c *Conn) markLost(s *sentSeg, cause uint8) {
+	if s.counted() {
+		c.inflCount--
+	}
+	s.lost = true
+	s.lostBy = cause
+}
+
+// clearLost takes the lost mark off an in-flight record: it is about to
+// be retransmitted, or the loss declaration was withdrawn.
+func (c *Conn) clearLost(s *sentSeg) {
+	if s.lost && !s.sacked {
+		c.inflCount++
+	}
+	s.lost = false
+}
+
+// markSacked records that the receiver holds an in-flight record, which
+// also withdraws any lost mark.
+func (c *Conn) markSacked(s *sentSeg) {
+	if s.counted() {
+		c.inflCount--
+	}
+	s.sacked = true
+	s.lost = false
+}
+
+// clearLostMarks withdraws every lost mark in the flight: the episode
+// that made them was spurious.
+func (c *Conn) clearLostMarks() {
 	fl := c.infl()
 	for i := range fl {
-		if !fl[i].lost && !fl[i].sacked {
-			n++
-		}
+		c.clearLost(&fl[i])
 	}
-	return n
 }
+
+// pktsInFlight is the number of outstanding segments not currently
+// marked lost or sacked — the quantity congestion control paces against
+// during loss recovery.
+func (c *Conn) pktsInFlight() int { return c.inflCount }
 
 // trySend transmits as much queued data as the congestion and receive
 // windows allow. Segments marked lost by a timeout are retransmitted
@@ -663,7 +704,7 @@ func (c *Conn) trySend() {
 				continue
 			}
 			cause := fl[i].lostBy
-			fl[i].lost = false
+			c.clearLost(&fl[i])
 			fl[i].retx = true
 			fl[i].sentAt = c.loop.Now()
 			c.retransmitSeg(&fl[i])
@@ -770,12 +811,11 @@ func (c *Conn) onRTO() {
 	fl := c.infl()
 	for i := range fl {
 		if !fl[i].sacked {
-			fl[i].lost = true
-			fl[i].lostBy = causeRTO
+			c.markLost(&fl[i], causeRTO)
 		}
 	}
 	first := &fl[0]
-	first.lost = false
+	c.clearLost(first)
 	first.retx = true
 	first.sentAt = c.loop.Now()
 	c.retransmitSeg(first)
@@ -1088,7 +1128,7 @@ func (c *Conn) appendSackBlocks(dst [][2]uint64) [][2]uint64 {
 		seqs = append(seqs, seq)
 	}
 	c.sackScratch = seqs
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	blocks := dst[:0]
 	for _, seq := range seqs {
 		end := seq + uint64(c.ooo[seq])
@@ -1182,10 +1222,7 @@ func (c *Conn) processNewAck(ack uint64, seg *Segment) {
 	}
 	if spuriousTimeout {
 		// Stop the go-back-N: nothing was actually lost.
-		fl := c.infl()
-		for i := range fl {
-			fl[i].lost = false
-		}
+		c.clearLostMarks()
 		if c.frtoEligible() {
 			c.frtoUndo()
 		}
@@ -1277,8 +1314,7 @@ func (c *Conn) applySack(ack *Segment) {
 		for i := range fl {
 			sg := &fl[i]
 			if !sg.sacked && sg.seq >= b[0] && sg.seq+uint64(sg.len) <= b[1] {
-				sg.sacked = true
-				sg.lost = false
+				c.markSacked(sg)
 				// RACK delivery watermark: originals always advance it.
 				// A SACKed retransmission is ambiguous under Karn's rule
 				// — the SACK may be for the original — so it advances
@@ -1305,8 +1341,7 @@ func (c *Conn) applySack(ack *Segment) {
 	for i := range fl {
 		sg := &fl[i]
 		if !sg.sacked && !sg.retx && sg.seq+uint64(sg.len) <= highest {
-			sg.lost = true
-			sg.lostBy = causeRTO
+			c.markLost(sg, causeRTO)
 		}
 	}
 }
@@ -1320,10 +1355,7 @@ func (c *Conn) applySack(ack *Segment) {
 // damage is exactly what the §6.2.1 RTT-reset fix removes.
 func (c *Conn) performUndo() {
 	c.undoActive = false
-	fl := c.infl()
-	for i := range fl {
-		fl[i].lost = false
-	}
+	c.clearLostMarks()
 	if c.cwnd < c.undoCwnd {
 		c.cwnd = c.undoCwnd
 	}
@@ -1417,7 +1449,7 @@ func (c *Conn) processDupAck(seg *Segment) {
 				rtt = c.cfg.MinRTO
 			}
 			if !first.retx || c.loop.Now().Sub(first.sentAt) > rtt {
-				first.lost = false
+				c.clearLost(first)
 				first.retx = true
 				first.sentAt = c.loop.Now()
 				c.retransmitSeg(first)

@@ -108,15 +108,18 @@ func (c *Conn) checkSender(where string) {
 			c.violateConn("inflight-tail", "%s: inflight ends at %d, sndNxt=%d", where, next, c.sndNxt)
 		}
 	}
-	// RFC 5681 legality: cwnd is at least one segment (the restart
-	// window after an RTO), ssthresh never collapses below two segments.
-	// The negated comparisons also catch NaN.
-	if !(c.cwnd >= 1) || c.cwnd > 1<<24 {
-		c.violateConn("cwnd-range", "%s: cwnd=%v", where, c.cwnd)
+	// The maintained in-flight count against the walk it replaced. The
+	// walk lives on here, and only here, as the reference.
+	walked := 0
+	for i := range fl {
+		if fl[i].counted() {
+			walked++
+		}
 	}
-	if !(c.ssthresh >= 2) {
-		c.violateConn("ssthresh-min", "%s: ssthresh=%v", where, c.ssthresh)
+	if c.inflCount != walked {
+		c.violateConn("inflight-count", "%s: maintained count %d, deque holds %d unmarked segments", where, c.inflCount, walked)
 	}
+	checkWindows(c, where, c.cwnd, c.ssthresh)
 	if c.sendQueue < 0 {
 		c.violateConn("sendq-negative", "%s: sendQueue=%d", where, c.sendQueue)
 	}
@@ -144,6 +147,70 @@ func (c *Conn) checkSender(where string) {
 		}
 	}
 	checkRTT(c, &c.rtt, where)
+}
+
+// checkWindows audits RFC 5681 legality, for either transport: cwnd is at
+// least one segment (the restart window after an RTO), ssthresh never
+// collapses below two segments. The negated comparisons also catch NaN.
+func checkWindows(v violator, where string, cwnd, ssthresh float64) {
+	if !(cwnd >= 1) || cwnd > 1<<24 {
+		v.violateConn("cwnd-range", "%s: cwnd=%v", where, cwnd)
+	}
+	if !(ssthresh >= 2) {
+		v.violateConn("ssthresh-min", "%s: ssthresh=%v", where, ssthresh)
+	}
+}
+
+// violator is the endpoint a shared rule reports against: a Conn or a
+// QUICConn.
+type violator interface {
+	violateConn(rule, format string, args ...any)
+}
+
+// checkSender audits the QUIC sender's bookkeeping against a walk of
+// the sent-packet deque: the byte count in flight, the copy count, and
+// the ordering the ACK merge-walk and the PN searches rely on.
+func (q *QUICConn) checkSender(where string) {
+	fl := q.flight()
+	bytes, copies := 0, 0
+	for i := range fl {
+		if i > 0 && fl[i].pn <= fl[i-1].pn {
+			q.violateConn("sent-order", "%s: record %d has pn=%d after pn=%d", where, i, fl[i].pn, fl[i-1].pn)
+		}
+		if !fl[i].acked && !fl[i].lost {
+			bytes += fl[i].length
+		}
+		if fl[i].hasOrig {
+			copies++
+		}
+	}
+	if q.bytesInFlight+q.lostMarkDrift != bytes {
+		q.violateConn("bytes-in-flight", "%s: bytesInFlight=%d (+%d drift) but the deque holds %d unresolved bytes",
+			where, q.bytesInFlight, q.lostMarkDrift, bytes)
+	}
+	if q.sentCopies != copies {
+		q.violateConn("copy-count", "%s: maintained count %d, deque holds %d copies", where, q.sentCopies, copies)
+	}
+	checkWindows(q, where, q.cwnd, q.ssthresh)
+}
+
+// checkAckRanges audits what the ACK merge-walk assumes of its input:
+// closed intervals, ascending and disjoint.
+func (q *QUICConn) checkAckRanges(p *QUICPacket) {
+	for i, r := range p.AckRanges {
+		if r[0] > r[1] || (i > 0 && r[0] <= p.AckRanges[i-1][1]) {
+			q.violateConn("ack-ranges", "range %d of %v is empty or not above its predecessor", i, p.AckRanges)
+		}
+	}
+}
+
+func (q *QUICConn) violateConn(rule, format string, args ...any) {
+	violate(InvariantViolation{
+		Conn:   q.id,
+		Rule:   rule,
+		Detail: fmt.Sprintf(format, args...),
+		At:     q.loop.Now(),
+	})
 }
 
 // checkNotCoalesced asserts that a loss-repair path is not being entered

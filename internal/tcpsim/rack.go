@@ -63,8 +63,7 @@ func (c *Conn) rackDetectLoss() bool {
 			continue
 		}
 		if c.rack.xmitTime.Sub(s.sentAt) > reo {
-			s.lost = true
-			s.lostBy = causeRACK
+			c.markLost(s, causeRACK)
 			marked = true
 		}
 	}

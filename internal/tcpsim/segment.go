@@ -104,6 +104,11 @@ type sentSeg struct {
 	lostBy uint8 // cause of the lost mark (causeRTO / causeRACK)
 }
 
+// counted reports whether the record is part of pktsInFlight: on the
+// wire as far as the sender knows, neither declared lost nor held by the
+// receiver.
+func (s *sentSeg) counted() bool { return !s.lost && !s.sacked }
+
 // StreamAssembler converts the in-order byte arrivals reported by a Conn
 // back into application message completions. Messages complete strictly
 // in the order they were expected, mirroring the FIFO byte stream.
