@@ -131,6 +131,13 @@ type Browser struct {
 	poolOrder  []*domainPool
 	totalConns int
 	connSeq    int
+	// Counts over the handles in the pools, kept at the four transitions
+	// (established, dispatch 0→1, response 1→0, closeConn) so that neither
+	// a telemetry sample nor a full global pool walks every connection:
+	// establishedConns have finished their handshake, idleConns of those
+	// have no request outstanding. checkPools holds both to the walk.
+	establishedConns int
+	idleConns        int
 
 	// SPDY state. group is non-nil in late-binding mode.
 	sessions []*spdyHandle
@@ -179,14 +186,7 @@ func (b *Browser) H2Session() *proxy.H2Session {
 // ActiveConns counts currently established HTTP connections plus SPDY
 // sessions (the paper's "42.6 concurrent TCP connections" statistic).
 func (b *Browser) ActiveConns() int {
-	n := 0
-	for _, p := range b.pools {
-		for _, h := range p.conns {
-			if h.established {
-				n++
-			}
-		}
-	}
+	n := b.establishedConns
 	for _, s := range b.sessions {
 		if s.established {
 			n++
@@ -340,6 +340,10 @@ type connHandle struct {
 	idleTimer   sim.Timer
 }
 
+// idle reports whether the connection could take a request right now
+// and has none: what the global pool may reclaim.
+func (h *connHandle) idle() bool { return h.established && h.outstanding == 0 && !h.closed }
+
 func (b *Browser) pool(domain string) *domainPool {
 	p, ok := b.pools[domain]
 	if !ok {
@@ -352,10 +356,13 @@ func (b *Browser) pool(domain string) *domainPool {
 
 // pumpAll services every waiting pool in deterministic order. Needed
 // whenever a global connection slot frees up: the unblocked request may
-// live in any domain's queue.
+// live in any domain's queue. A pool with nothing waiting has nothing to
+// dispatch and no connection to open.
 func (b *Browser) pumpAll() {
 	for _, p := range b.poolOrder {
-		b.pumpPool(p)
+		if len(p.waiting) > 0 {
+			b.pumpPool(p)
+		}
 	}
 }
 
@@ -402,12 +409,15 @@ func (b *Browser) pumpPool(p *domainPool) {
 // pool with no queued work, freeing a global slot. Returns false if no
 // connection is reclaimable.
 func (b *Browser) reclaimIdleConn(needy *domainPool) bool {
+	if b.idleConns == 0 {
+		return false
+	}
 	for _, p := range b.poolOrder {
 		if p == needy || len(p.waiting) > 0 {
 			continue
 		}
 		for _, h := range p.conns {
-			if h.established && h.outstanding == 0 && !h.closed {
+			if h.idle() {
 				b.closeConn(p, h)
 				return true
 			}
@@ -452,13 +462,21 @@ func (b *Browser) openConn(p *domainPool) {
 	p.conns = append(p.conns, h)
 	client.OnEstablished(func() {
 		h.established = true
+		b.establishedConns++
+		b.idleConns++
 		b.armIdle(p, h)
 		b.pumpPool(p)
+		if invOn {
+			b.checkPools("established")
+		}
 	})
 	client.Connect()
 }
 
 func (b *Browser) dispatch(p *domainPool, h *connHandle, req *pendingReq) {
+	if h.outstanding == 0 {
+		b.idleConns--
+	}
 	h.outstanding++
 	h.idleTimer.Stop()
 	req.or.Requested = b.loop.Now()
@@ -471,13 +489,20 @@ func (b *Browser) dispatch(p *domainPool, h *connHandle, req *pendingReq) {
 			or.Done = b.loop.Now()
 			h.outstanding--
 			if h.outstanding == 0 {
+				b.idleConns++
 				b.armIdle(p, h)
 			}
 			req.onDone()
 			b.pumpAll()
+			if invOn {
+				b.checkPools("response")
+			}
 		},
 	})
 	h.client.Write(reqSize)
+	if invOn {
+		b.checkPools("dispatch")
+	}
 }
 
 func (b *Browser) armIdle(p *domainPool, h *connHandle) {
@@ -491,16 +516,23 @@ func (b *Browser) armIdle(p *domainPool, h *connHandle) {
 	})
 }
 
+// closeConn retires an idle connection; both callers (the idle timer and
+// reclaimIdleConn) have checked that it is.
 func (b *Browser) closeConn(p *domainPool, h *connHandle) {
 	h.closed = true
 	h.client.Close()
 	h.hc.Conn().Close()
 	b.totalConns--
+	b.establishedConns--
+	b.idleConns--
 	for i, c := range p.conns {
 		if c == h {
 			p.conns = append(p.conns[:i], p.conns[i+1:]...)
 			break
 		}
+	}
+	if invOn {
+		b.checkPools("close")
 	}
 }
 

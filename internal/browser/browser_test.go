@@ -234,13 +234,25 @@ func TestIdleConnectionsClose(t *testing.T) {
 	cfg.IdleConnTimeout = 2 * time.Second
 	cfg.Beacons = false
 	b := w.browser(cfg, 3)
-	loadOnce(t, w, b, webpage.Generate(webpage.Table1()[0], sim.NewRNG(5)))
+	// 323 objects over 85 domains: more connections than the global
+	// budget, so sockets are both stolen while the page loads and timed
+	// out afterwards.
+	loadOnce(t, w, b, webpage.Generate(webpage.Table1()[14], sim.NewRNG(5)))
+	if b.connSeq <= cfg.MaxTotalConns || len(b.poolOrder) <= cfg.MaxConnsPerDomain {
+		t.Fatalf("load too small to fill the pools: %d connections over %d domains", b.connSeq, len(b.poolOrder))
+	}
 	w.loop.Run(w.loop.Now().Add(10 * time.Second))
 	if got := b.ActiveConns(); got != 0 {
 		t.Fatalf("%d connections survive idle timeout", got)
 	}
-	if b.totalConns != 0 {
-		t.Fatalf("budget accounting leaked: %d", b.totalConns)
+	if b.totalConns != 0 || b.establishedConns != 0 || b.idleConns != 0 {
+		t.Fatalf("budget accounting leaked: total %d, established %d, idle %d",
+			b.totalConns, b.establishedConns, b.idleConns)
+	}
+	for _, c := range b.ProxyConns() {
+		if !c.Drained() {
+			t.Fatalf("%s closed but not drained: %v", c.ID(), c)
+		}
 	}
 }
 
@@ -265,25 +277,145 @@ func TestBeaconsGenerateBackgroundTraffic(t *testing.T) {
 }
 
 func TestSocketStealingUnblocksNewDomains(t *testing.T) {
-	w := newWorld(11, false)
-	cfg := DefaultConfig(ModeHTTP)
-	cfg.MaxTotalConns = 4 // force contention
-	b := w.browser(cfg, 3)
-	page := webpage.TestPage(false) // 50 distinct domains
-	rec := loadOnce(t, w, b, page)
-	if rec.Aborted {
-		t.Fatal("load starved under tight global budget")
+	// In both, domains beyond the budget wait while every socket is busy
+	// (reclaimIdleConn finds nothing idle) and are served on sockets
+	// stolen once one is.
+	cases := []struct {
+		name     string
+		totalCap int
+		page     *webpage.Page
+		nDomains int
+	}{
+		{"4 sockets, 51 single-object domains", 4, webpage.TestPage(false), 51},
+		{"Chrome's 32 sockets, 323 objects over 85 domains", 32, webpage.Generate(webpage.Table1()[14], sim.NewRNG(5)), 85},
 	}
-	domains := map[string]bool{}
-	for _, or := range rec.Objects {
-		if or.Done == 0 {
-			t.Fatalf("object %d starved", or.Obj.ID)
-		}
-		if or.ConnID != "" {
-			domains[strings.SplitN(or.ConnID, ".", 2)[1]] = true
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(11, false)
+			cfg := DefaultConfig(ModeHTTP)
+			cfg.MaxTotalConns = tc.totalCap
+			cfg.Beacons = false
+			b := w.browser(cfg, 3)
+
+			// starved: the pool is full, nothing in it is idle, and a
+			// domain with room for another connection has requests
+			// queued — pumpPool asked reclaimIdleConn and got false.
+			starved := false
+			var watch func()
+			watch = func() {
+				if b.totalConns == cfg.MaxTotalConns && b.idleConns == 0 {
+					for _, p := range b.poolOrder {
+						if len(p.waiting) > 0 && len(p.conns) < cfg.MaxConnsPerDomain {
+							starved = true
+						}
+					}
+				}
+				if w.loop.Pending() > 0 {
+					w.loop.After(time.Millisecond, watch)
+				}
+			}
+			w.loop.After(time.Millisecond, watch)
+
+			rec := loadOnce(t, w, b, tc.page)
+			if rec.Aborted {
+				t.Fatal("load starved under tight global budget")
+			}
+			domains := map[string]bool{}
+			for _, or := range rec.Objects {
+				if or.Done == 0 {
+					t.Fatalf("object %d starved", or.Obj.ID)
+				}
+				if or.ConnID != "" {
+					domains[strings.SplitN(or.ConnID, ".", 2)[1]] = true
+				}
+			}
+			if len(domains) != tc.nDomains {
+				t.Fatalf("served %d domains, want %d", len(domains), tc.nDomains)
+			}
+			// The load ends long before the idle timeout, so every
+			// connection beyond the budget was opened on a stolen socket.
+			if rec.PLT() >= cfg.IdleConnTimeout || b.connSeq <= cfg.MaxTotalConns {
+				t.Fatalf("no socket was stolen: %d connections in %v", b.connSeq, rec.PLT())
+			}
+			if !starved {
+				t.Fatal("the pool was never full of busy sockets with a domain waiting")
+			}
+		})
 	}
-	if len(domains) != 51 {
-		t.Fatalf("served %d domains", len(domains))
+}
+
+// TestInvariantCatchesPoolCountDrift corrupts each maintained count in
+// the middle of a load and expects the checker to stop the run.
+func TestInvariantCatchesPoolCountDrift(t *testing.T) {
+	corrupt := []struct {
+		name    string
+		breakIt func(*Browser)
+	}{
+		{"total", func(b *Browser) { b.totalConns-- }},
+		{"established", func(b *Browser) { b.establishedConns++ }},
+		{"idle", func(b *Browser) { b.idleConns++ }},
+	}
+	for _, c := range corrupt {
+		name, breakIt := c.name, c.breakIt
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(12, false)
+			b := w.browser(DefaultConfig(ModeHTTP), 3)
+			b.LoadPage(webpage.TestPage(true), func(*trace.PageRecord) {})
+			w.loop.After(300*time.Millisecond, func() { breakIt(b) })
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "pool-counts") {
+					t.Fatalf("drift in the %s count went unnoticed (recovered %q)", name, msg)
+				}
+			}()
+			w.loop.Run(w.loop.Now().Add(60 * time.Second))
+		})
+	}
+}
+
+// TestActiveConnsAcrossModes loads one page per protocol mode and checks
+// the statistic the telemetry sampler reads: many sockets for HTTP (the
+// count the checker holds to the pool walk), exactly one session for the
+// multiplexed modes, and none once QUIC's idle timeout has closed it.
+func TestActiveConnsAcrossModes(t *testing.T) {
+	page := webpage.Generate(webpage.Table1()[6], sim.NewRNG(5))
+	for _, mode := range []Mode{ModeHTTP, ModeSPDY, ModeH2, ModeQUIC} {
+		t.Run(string(mode), func(t *testing.T) {
+			w := newWorld(13, true)
+			cfg := DefaultConfig(mode)
+			cfg.Beacons = false
+			cfg.IdleConnTimeout = 200 * time.Second // outlives loadOnce's 120 s
+			b := w.browser(cfg, 3)
+			rec := loadOnce(t, w, b, page)
+			if rec.Aborted || len(rec.Objects) != len(page.Objects) {
+				t.Fatalf("loaded %d of %d objects, aborted=%t", len(rec.Objects), len(page.Objects), rec.Aborted)
+			}
+			got := b.ActiveConns()
+			switch mode {
+			case ModeHTTP:
+				if got < 2 || got != b.totalConns || len(b.ProxyConns()) != b.connSeq {
+					t.Fatalf("%d active of %d open, %d of %d endpoints listed", got, b.totalConns, len(b.ProxyConns()), b.connSeq)
+				}
+			case ModeQUIC:
+				if got != 1 || len(b.ProxyQUICConns()) != 1 || len(b.ProxyConns()) != 0 {
+					t.Fatalf("%d active, %d QUIC and %d TCP endpoints", got, len(b.ProxyQUICConns()), len(b.ProxyConns()))
+				}
+			default:
+				if got != 1 || len(b.ProxyConns()) != 1 {
+					t.Fatalf("%d active over %d TCP endpoints", got, len(b.ProxyConns()))
+				}
+			}
+			if (b.H2Session() != nil) != (mode == ModeH2) {
+				t.Fatalf("H2Session() = %v in mode %s", b.H2Session(), mode)
+			}
+			w.loop.Run(w.loop.Now().Add(100 * time.Second))
+			want := 1
+			if mode == ModeHTTP || mode == ModeQUIC {
+				want = 0 // both close idle connections; SPDY and h2 sessions persist
+			}
+			if got := b.ActiveConns(); got != want {
+				t.Fatalf("%d active after the idle timeout, want %d", got, want)
+			}
+		})
 	}
 }

@@ -1,0 +1,38 @@
+package browser
+
+import "fmt"
+
+// Pool-accounting checker, after tcpsim's: the package's tests switch it
+// on in TestMain and every HTTP establish, dispatch, response and close
+// then holds the maintained connection counts to the walks they
+// replaced. The checks are pure reads; enabling them cannot perturb a
+// simulation, only observe it.
+//
+// invOn is written only from EnableInvariants, which must not race with
+// a running simulation (tests call it before any run starts).
+var invOn bool
+
+// EnableInvariants turns the checker on for the rest of the process; a
+// violation panics, since any drift is a simulator bug.
+func EnableInvariants() { invOn = true }
+
+// checkPools recounts, over every pool and handle, what ActiveConns and
+// reclaimIdleConn used to walk for on every call, and compares.
+func (b *Browser) checkPools(where string) {
+	total, established, idle := 0, 0, 0
+	for _, p := range b.poolOrder {
+		total += len(p.conns)
+		for _, h := range p.conns {
+			if h.established {
+				established++
+			}
+			if h.idle() {
+				idle++
+			}
+		}
+	}
+	if total != b.totalConns || established != b.establishedConns || idle != b.idleConns {
+		panic(fmt.Sprintf("browser invariant pool-counts violated at %v after %s: maintained total/established/idle %d/%d/%d, pools hold %d/%d/%d",
+			b.loop.Now(), where, b.totalConns, b.establishedConns, b.idleConns, total, established, idle))
+	}
+}

@@ -85,37 +85,71 @@ func (r *Response) Marshal() []byte {
 	return out
 }
 
-// HeadSize returns the serialized size of the response head alone.
+// HeadSize returns the serialized size of the response head alone:
+// len(Marshal()) less the body, summed line by line without building it.
 func (r *Response) HeadSize() int {
-	body := r.Body
-	r.Body = nil
-	n := len(r.Marshal())
-	r.Body = body
-	return n
+	reason := r.Reason
+	if reason == "" {
+		reason = StatusText(r.Status)
+	}
+	n := len("HTTP/1.1 ") + decimalLen(r.Status) + len(" ") + len(reason) + len("\r\n")
+	for k, v := range r.Headers {
+		n += len(k) + len(": ") + len(v) + len("\r\n")
+	}
+	return n + len("\r\n")
 }
 
-// RequestSize returns the wire size of a standard proxied GET for the
-// given absolute URL — the per-request HTTP overhead in the simulator.
-func RequestSize(absURL, host string) int {
-	req := Request{Method: "GET", Target: absURL, Headers: DefaultRequestHeaders(host)}
-	return len(req.Marshal())
+// defaultResponseHeaders returns the header set of a typical 200 response
+// relayed by the proxy.
+func defaultResponseHeaders(contentType string, contentLength int) map[string]string {
+	return map[string]string{
+		"Content-Type":   contentType,
+		"Content-Length": strconv.Itoa(contentLength),
+		"Date":           "Thu, 18 Apr 2013 01:02:03 GMT",
+		"Server":         "Apache/2.2.22",
+		"Cache-Control":  "max-age=3600",
+		"Via":            "1.1 proxy.cell.example (squid/3.1)",
+		"Connection":     "keep-alive",
+	}
+}
+
+// The simulator sizes two heads per object, so RequestSize and
+// ResponseHeadSize do not serialize anything: each is the size of the
+// default head with its variable fields empty, taken once from Marshal,
+// plus the lengths of those fields.
+var (
+	requestFixed = len((&Request{
+		Method: "GET", Target: "http://", Headers: DefaultRequestHeaders(""),
+	}).Marshal())
+	responseHeadFixed = len((&Response{
+		Status: 200, Headers: defaultResponseHeaders("", 0),
+	}).Marshal()) - decimalLen(0)
+)
+
+// RequestSize returns the wire size of a standard proxied GET for
+// http://host+path (absolute-form target, host repeated in the Host
+// header) — the per-request HTTP overhead in the simulator.
+func RequestSize(host, path string) int {
+	return requestFixed + 2*len(host) + len(path)
 }
 
 // ResponseHeadSize returns the wire size of a typical 200 response head.
+// A negative contentLength is sized as Marshal would print it, sign
+// included.
 func ResponseHeadSize(contentType string, contentLength int) int {
-	resp := Response{
-		Status: 200,
-		Headers: map[string]string{
-			"Content-Type":   contentType,
-			"Content-Length": strconv.Itoa(contentLength),
-			"Date":           "Thu, 18 Apr 2013 01:02:03 GMT",
-			"Server":         "Apache/2.2.22",
-			"Cache-Control":  "max-age=3600",
-			"Via":            "1.1 proxy.cell.example (squid/3.1)",
-			"Connection":     "keep-alive",
-		},
+	return responseHeadFixed + len(contentType) + decimalLen(contentLength)
+}
+
+// decimalLen returns len(strconv.Itoa(n)).
+func decimalLen(n int) int {
+	d, u := 1, uint(n)
+	if n < 0 {
+		d, u = 2, -u
 	}
-	return resp.HeadSize()
+	for ; u >= 10; u /= 10 {
+		d++
+	}
+	return d
 }
 
 // StatusText returns the reason phrase for the handful of codes used.

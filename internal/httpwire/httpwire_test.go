@@ -130,7 +130,7 @@ func TestHeaderLineLimit(t *testing.T) {
 }
 
 func TestRequestSizeRealistic(t *testing.T) {
-	n := RequestSize("http://www.example.com/some/path.html", "www.example.com")
+	n := RequestSize("www.example.com", "/some/path.html")
 	// A Chrome-like proxied GET with cookies is a few hundred bytes and
 	// must fit one TCP packet — the paper notes all requests did.
 	if n < 300 || n > 1380 {

@@ -12,7 +12,7 @@ import (
 // cookies. This is the several-hundred-byte per-request overhead SPDY's
 // header compression removes.
 func HTTPReqSize(obj *webpage.Object) int {
-	return httpwire.RequestSize("http://"+obj.Domain+obj.Path, obj.Domain)
+	return httpwire.RequestSize(obj.Domain, obj.Path)
 }
 
 // HTTPRespHeadSize returns the wire size of the response head for obj.
@@ -48,7 +48,9 @@ type HTTPConn struct {
 	reqAsm    tcpsim.StreamAssembler  // reassembles inbound request bytes
 
 	// Pipelined response ordering: responses must leave in request
-	// order, so finished fetches wait for their turn.
+	// order, so a fetch that finishes ahead of an earlier one waits in
+	// ready for its turn. Without pipelining no fetch ever does, and the
+	// map is never allocated.
 	reqSeq   int
 	nextSend int
 	ready    map[int]*pipelinedResp
@@ -64,7 +66,7 @@ type pipelinedResp struct {
 // connection. clientAsm is the assembler observing in-order delivery at
 // the browser end, through which response hooks are fired.
 func NewHTTPConn(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) *HTTPConn {
-	h := &HTTPConn{proxy: p, conn: serverConn, clientAsm: clientAsm, ready: make(map[int]*pipelinedResp)}
+	h := &HTTPConn{proxy: p, conn: serverConn, clientAsm: clientAsm}
 	serverConn.OnDeliver(h.reqAsm.Deliver)
 	return h
 }
@@ -86,14 +88,22 @@ func (h *HTTPConn) ExpectRequest(obj *webpage.Object, reqSize int, hooks Respons
 			func() { rec.OriginFirstByte = h.proxy.Loop.Now() },
 			func() {
 				rec.OriginDone = h.proxy.Loop.Now()
-				h.ready[idx] = &pipelinedResp{obj: obj, rec: rec, hooks: hooks}
+				if idx != h.nextSend {
+					if h.ready == nil {
+						h.ready = make(map[int]*pipelinedResp)
+					}
+					h.ready[idx] = &pipelinedResp{obj: obj, rec: rec, hooks: hooks}
+					return
+				}
+				h.nextSend++
+				h.respond(obj, rec, hooks)
 				h.flush()
 			})
 	})
 }
 
-// flush writes every consecutively-ready response, preserving request
-// order (HTTP/1.1 §8.1.2.2).
+// flush writes the parked responses whose turn has come, preserving
+// request order (HTTP/1.1 §8.1.2.2).
 func (h *HTTPConn) flush() {
 	for {
 		r, ok := h.ready[h.nextSend]

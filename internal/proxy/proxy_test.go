@@ -113,6 +113,9 @@ func TestHTTPConnServesRequest(t *testing.T) {
 	if len(w.prox.Records) != 1 || w.prox.Records[0].SendDone == 0 {
 		t.Fatalf("proxy record missing: %+v", w.prox.Records)
 	}
+	if hc.ready != nil {
+		t.Fatal("a response that was next in line was parked in the pipelining map")
+	}
 }
 
 func TestHTTPPipelinedResponsesKeepRequestOrder(t *testing.T) {
@@ -129,6 +132,9 @@ func TestHTTPPipelinedResponsesKeepRequestOrder(t *testing.T) {
 	w.loop.Run(w.loop.Now().Add(60 * time.Second))
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("HOL order violated: %v", order)
+	}
+	if hc.ready == nil || len(hc.ready) != 0 {
+		t.Fatalf("the early response should have been parked, then flushed: ready=%v", hc.ready)
 	}
 }
 
@@ -258,5 +264,19 @@ func TestReqAndRespSizeHelpers(t *testing.T) {
 	}
 	if contentType(webpage.KindHTML) != "text/html; charset=utf-8" || contentType(webpage.KindImg) != "image/jpeg" {
 		t.Fatal("content types")
+	}
+}
+
+// TestHTTPSizersDoNotAllocate holds the two per-object sizers to what
+// they are: arithmetic over string lengths. They run twice per object in
+// every HTTP session, and used to make over half of its garbage.
+func TestHTTPSizersDoNotAllocate(t *testing.T) {
+	o := &webpage.Object{ID: 7, Kind: webpage.KindJS, Size: 48213, Domain: "cdn3.site-09.example", Path: "/js/app.min.js"}
+	sink := 0
+	if n := testing.AllocsPerRun(100, func() { sink += HTTPReqSize(o) + HTTPRespHeadSize(o) }); n != 0 {
+		t.Fatalf("sizing one request and response head allocates %v objects", n)
+	}
+	if sink == 0 {
+		t.Fatal("sizers returned nothing")
 	}
 }

@@ -464,6 +464,14 @@ func (c *Conn) RTO() time.Duration { return c.rtt.current() }
 // InFlightBytes returns unacknowledged bytes (Figure 10's metric).
 func (c *Conn) InFlightBytes() int { return int(c.sndNxt - c.sndUna) }
 
+// Drained reports whether the endpoint has been closed with nothing
+// queued and nothing unacknowledged. Nothing but a further Write can
+// change that, so InFlightBytes stays zero for good on a connection its
+// application has finished with.
+func (c *Conn) Drained() bool {
+	return c.state == stClosing && c.sendQueue == 0 && c.sndNxt == c.sndUna
+}
+
 // BufferedBytes returns bytes written but not yet transmitted — the
 // proxy-side response queue of Figure 8.
 func (c *Conn) BufferedBytes() int { return c.sendQueue }

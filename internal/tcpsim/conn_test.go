@@ -83,6 +83,41 @@ func TestBulkDeliveryExactBytes(t *testing.T) {
 	}
 }
 
+// TestDrainedOnlyAfterCloseAndLastAck: a sender closed with data still
+// queued and in flight keeps delivering, and reports Drained only once
+// every byte has been acknowledged.
+func TestDrainedOnlyAfterCloseAndLastAck(t *testing.T) {
+	w := newWorld(cleanPath(), 2)
+	client, server := w.net.NewConnPair(DefaultConfig(), DefaultConfig(), "dr", "d")
+	got := 0
+	client.OnDeliver(func(n int) { got += n })
+	client.OnEstablished(func() { client.Write(400) })
+	server.OnDeliver(func(int) { server.Write(300_000) })
+	client.Connect()
+	w.loop.Run(100 * sim.Millisecond)
+	if server.Drained() {
+		t.Fatal("drained while open")
+	}
+	server.Close()
+	if server.Drained() || server.InFlightBytes() == 0 || server.BufferedBytes() == 0 {
+		t.Fatalf("closed mid-transfer: drained=%t inflight=%d buffered=%d",
+			server.Drained(), server.InFlightBytes(), server.BufferedBytes())
+	}
+	for !server.Drained() && w.loop.Now() < 60*sim.Second {
+		if server.Established() {
+			t.Fatal("still established after Close")
+		}
+		w.loop.Run(w.loop.Now() + 10*sim.Millisecond)
+	}
+	if got != 300_000 || server.InFlightBytes() != 0 || server.BufferedBytes() != 0 {
+		t.Fatalf("drained=%t with %d delivered, inflight=%d buffered=%d",
+			server.Drained(), got, server.InFlightBytes(), server.BufferedBytes())
+	}
+	if client.Drained() {
+		t.Fatal("the open peer reports drained")
+	}
+}
+
 func TestBidirectionalTransfer(t *testing.T) {
 	w := newWorld(cleanPath(), 3)
 	client, server := w.net.NewConnPair(DefaultConfig(), DefaultConfig(), "bi", "d")
