@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fixture-check
+.PHONY: all build test race lint fmt fixture-check loc
 
 all: build lint test
 
@@ -37,3 +37,10 @@ fixture-check:
 
 fmt:
 	gofmt -w .
+
+# Non-test lines of Go per package, smallest first (ROADMAP aim 2: "a
+# tracked number"). CI prints it; nothing gates on it.
+loc:
+	@git ls-files 'internal/**.go' 'cmd/**.go' | grep -v _test.go | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -n

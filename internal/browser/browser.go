@@ -4,12 +4,15 @@
 // (6 per domain, 32 total, one outstanding request per connection, no
 // pipelining) and a SPDY mode with one TLS session carrying prioritized
 // concurrent streams — optionally striped over N sessions for the §6.1
-// multi-connection experiment. It produces the per-object timelines the
-// authors collected over Chrome's remote debugging interface.
+// multi-connection experiment. The h2 and QUIC modes are that same
+// multiplexed path with a different row of choices (muxMode). It
+// produces the per-object timelines the authors collected over Chrome's
+// remote debugging interface.
 package browser
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"spdier/internal/h2"
@@ -139,14 +142,11 @@ type Browser struct {
 	establishedConns int
 	idleConns        int
 
-	// SPDY state. group is non-nil in late-binding mode.
-	sessions []*spdyHandle
-	group    *proxy.SPDYGroup
-	reqSeq   int
-
-	// h2 and QUIC state: one session each, created on first use.
-	h2sess   *h2Handle
-	quicSess *quicHandle
+	// Multiplexed-mode state: the open connections, created on first
+	// use, and the round-robin cursor over them.
+	muxMode muxMode
+	mux     []*muxHandle
+	reqSeq  int
 
 	// All proxy-side endpoints ever created, for fleet-wide metrics
 	// (bytes in flight, concurrent connection counts).
@@ -159,12 +159,13 @@ type Browser struct {
 // New creates a browser bound to a network and proxy host.
 func New(loop *sim.Loop, net *tcpsim.Network, prox *proxy.Proxy, cfg Config, rng *sim.RNG) *Browser {
 	return &Browser{
-		loop:  loop,
-		net:   net,
-		prox:  prox,
-		cfg:   cfg,
-		rng:   rng,
-		pools: make(map[string]*domainPool),
+		loop:    loop,
+		net:     net,
+		prox:    prox,
+		cfg:     cfg,
+		rng:     rng,
+		pools:   make(map[string]*domainPool),
+		muxMode: cfg.muxMode(),
 	}
 }
 
@@ -174,29 +175,15 @@ func (b *Browser) ProxyConns() []*tcpsim.Conn { return b.proxyConns }
 // ProxyQUICConns returns every proxy-side QUIC endpoint created so far.
 func (b *Browser) ProxyQUICConns() []*tcpsim.QUICConn { return b.proxyQUIC }
 
-// H2Session returns the h2 proxy session, if the browser has opened one
-// (for flow-conservation audits).
-func (b *Browser) H2Session() *proxy.H2Session {
-	if b.h2sess == nil {
-		return nil
-	}
-	return b.h2sess.sess
-}
-
-// ActiveConns counts currently established HTTP connections plus SPDY
-// sessions (the paper's "42.6 concurrent TCP connections" statistic).
+// ActiveConns counts currently established HTTP connections plus
+// multiplexed sessions (the paper's "42.6 concurrent TCP connections"
+// statistic).
 func (b *Browser) ActiveConns() int {
 	n := b.establishedConns
-	for _, s := range b.sessions {
-		if s.established {
+	for _, h := range b.mux {
+		if h.established {
 			n++
 		}
-	}
-	if b.h2sess != nil && b.h2sess.established {
-		n++
-	}
-	if b.quicSess != nil && b.quicSess.established {
-		n++
 	}
 	return n
 }
@@ -247,12 +234,8 @@ func (b *Browser) discover(pl *pageLoad, obj *webpage.Object) {
 // request dispatches one object fetch to the mode's protocol machinery.
 func (b *Browser) request(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
 	switch b.cfg.Mode {
-	case ModeSPDY:
-		b.requestSPDY(obj, or, onDone)
-	case ModeH2:
-		b.requestH2(obj, or, onDone)
-	case ModeQUIC:
-		b.requestQUIC(obj, or, onDone)
+	case ModeSPDY, ModeH2, ModeQUIC:
+		b.requestMux(obj, or, onDone)
 	default:
 		b.requestHTTP(obj, or, onDone)
 	}
@@ -285,6 +268,9 @@ func (b *Browser) checkDone(pl *pageLoad) {
 }
 
 func (b *Browser) afterPage(pl *pageLoad) {
+	if invOn {
+		b.checkFlow("page end")
+	}
 	if b.cfg.Beacons {
 		b.scheduleBeacons(pl.page)
 	}
@@ -536,318 +522,231 @@ func (b *Browser) closeConn(p *domainPool, h *connHandle) {
 	}
 }
 
-// --- SPDY mode ---
-
-type spdyHandle struct {
-	id          string
-	client      *tcpsim.Conn
-	asm         *tcpsim.StreamAssembler
-	sess        *proxy.SPDYSession // exclusive with groupIdx
-	groupIdx    int                // valid when the browser runs late-binding
-	oracle      *spdy.SizeOracle
-	established bool
-	streamSeq   uint32
-	backlog     []*pendingReq
-}
-
-func (b *Browser) requestSPDY(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
-	if len(b.sessions) == 0 {
-		n := b.cfg.SPDYSessions
-		if n < 1 {
-			n = 1
-		}
-		if b.cfg.SPDYLateBinding && n > 1 {
-			b.group = proxy.NewSPDYGroup(b.prox)
-		}
-		for i := 0; i < n; i++ {
-			b.sessions = append(b.sessions, b.openSession(i))
-		}
-	}
-	// Early binding: round-robin at request-issue time (§6.1).
-	s := b.sessions[b.reqSeq%len(b.sessions)]
-	b.reqSeq++
-	req := &pendingReq{obj: obj, or: or, onDone: onDone}
-	if !s.established {
-		s.backlog = append(s.backlog, req)
-		return
-	}
-	b.sendSPDY(s, req)
-}
-
-func (b *Browser) openSession(i int) *spdyHandle {
-	id := fmt.Sprintf("spdy%02d", i)
-	client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, id, "device")
-	asm := &tcpsim.StreamAssembler{}
-	client.OnDeliver(asm.Deliver)
-	s := &spdyHandle{
-		id:     id,
-		client: client,
-		asm:    asm,
-		oracle: spdy.NewSizeOracle(),
-	}
-	if b.group != nil {
-		s.groupIdx = b.group.AddSession(server, asm)
-	} else {
-		s.sess = proxy.NewSPDYSession(b.prox, server, asm)
-	}
-	b.proxyConns = append(b.proxyConns, server)
-	client.OnEstablished(func() {
-		s.established = true
-		backlog := s.backlog
-		s.backlog = nil
-		for _, req := range backlog {
-			b.sendSPDY(s, req)
-		}
-	})
-	client.Connect()
-	return s
-}
-
-func (b *Browser) sendSPDY(s *spdyHandle, req *pendingReq) {
-	req.or.Requested = b.loop.Now()
-	req.or.ConnID = s.id
-	s.streamSeq += 2
-	prio := spdy.PriorityForType(string(req.obj.Kind))
-	size := s.oracle.FrameSize(spdy.SynStream{
-		StreamID: s.streamSeq + 1,
-		Priority: prio,
-		Fin:      true,
-		Headers: spdy.RequestHeaders("GET", "http", req.obj.Domain, req.obj.Path,
-			"Mozilla/5.0 (Windows NT 6.1) Chrome/23.0"),
-	})
-	or := req.or
-	onDone := req.onDone
-	hooks := proxy.ResponseHooks{
-		OnFirstByte: func() { or.FirstByte = b.loop.Now() },
-		OnDone: func() {
-			or.Done = b.loop.Now()
-			onDone()
-		},
-	}
-	if b.group != nil {
-		b.group.ExpectRequest(s.groupIdx, req.obj, size, prio, hooks)
-	} else {
-		s.sess.ExpectRequest(req.obj, size, prio, hooks)
-	}
-	s.client.Write(size)
-}
-
-// --- HTTP/2 mode ---
+// --- multiplexed modes (SPDY, h2, QUIC) ---
 
 // userAgent is the Chrome 23 UA string every protocol mode sends.
 const userAgent = "Mozilla/5.0 (Windows NT 6.1) Chrome/23.0"
 
-type h2Handle struct {
-	id          string
-	client      *tcpsim.Conn
-	asm         *tcpsim.StreamAssembler
-	sess        *proxy.H2Session
-	reqSizer    *h2.HeaderSizer  // HPACK request pricing
-	reqOracle   *spdy.SizeOracle // equal-framing mode: SPDY-identical requests
+// muxMode is what tells the multiplexed modes apart on the browser
+// side. Everything else — opening, backlog while connecting, request
+// dispatch, response hooks — is one path.
+type muxMode struct {
+	// newSession creates the proxy side of one session.
+	newSession func(*proxy.Proxy) *proxy.Session
+	// connID formats the i-th connection's id; it names the connection
+	// in probe traces and in ObjectRecord.ConnID.
+	connID string
+	// conns is how many connections the mode opens. With shared they
+	// are links of one proxy session (late binding); otherwise each is a
+	// session of its own and a response returns on the connection that
+	// carried its request (early binding, §6.1).
+	conns  int
+	shared bool
+	// zlibRequests prices a request as a SYN_STREAM on the connection's
+	// zlib context, numbered streamSeq+=2; +1 in issue order. Otherwise
+	// requests are HPACK-priced HEADERS.
+	zlibRequests bool
+	// quic rides a QUICConn: each request is written on its own
+	// transport stream, proxy.StreamID(obj).
+	quic bool
+	// idleClose closes a connection left idle for IdleConnTimeout; the
+	// next request opens a fresh one.
+	idleClose bool
+	// windowUpdates re-credits the proxy's flow-control windows as
+	// response bytes land.
+	windowUpdates bool
+}
+
+func (cfg Config) muxMode() muxMode {
+	switch cfg.Mode {
+	case ModeH2:
+		// Equal-framing oracle mode: the request bytes must match SPDY's
+		// exactly, SYN_STREAM framing included, and flow control never
+		// binds, so there is nothing to re-credit.
+		return muxMode{
+			newSession:    func(p *proxy.Proxy) *proxy.Session { return proxy.NewH2(p, cfg.H2EqualFraming) },
+			connID:        "h2s%02d",
+			conns:         1,
+			zlibRequests:  cfg.H2EqualFraming,
+			windowUpdates: !cfg.H2EqualFraming,
+		}
+	case ModeQUIC:
+		return muxMode{newSession: proxy.NewQUIC, connID: "quic%02d", conns: 1, quic: true, idleClose: true}
+	default:
+		n := max(cfg.SPDYSessions, 1)
+		return muxMode{newSession: proxy.NewSPDY, connID: "spdy%02d", conns: n,
+			shared: cfg.SPDYLateBinding && n > 1, zlibRequests: true}
+	}
+}
+
+// muxHandle is the browser end of one multiplexed connection.
+type muxHandle struct {
+	id   string
+	sess *proxy.Session
+	link int // this connection's index in sess
+	// client is the device end of the connection, server the proxy's,
+	// and write sends n bytes from the device. The stream id matters on
+	// QUIC only, where each request/response pair rides its own
+	// transport stream.
+	client interface {
+		OnEstablished(func())
+		Connect()
+		Close()
+	}
+	server interface{ Close() }
+	write  func(streamID uint32, n int)
+	// reqSize prices the request for obj on this connection, advancing
+	// its header-compression context.
+	reqSize     func(obj *webpage.Object, prio spdy.Priority) int
 	established bool
-	streamSeq   uint32
 	backlog     []*pendingReq
+	outstanding int // requests awaiting their response
+	idleTimer   sim.Timer
 
 	// WINDOW_UPDATE bookkeeping: response bytes delivered client-side
-	// but not yet re-credited to the proxy. Lookup-only maps.
+	// but not yet re-credited to the proxy. Lookup-only map.
 	pendingStream map[uint32]int64
 	pendingConn   int64
 }
 
-func (b *Browser) requestH2(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
-	if b.h2sess == nil {
-		b.h2sess = b.openH2()
+func (b *Browser) requestMux(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
+	if len(b.mux) == 0 {
+		b.openMux()
 	}
-	h := b.h2sess
+	// Early binding: round-robin at request-issue time (§6.1).
+	h := b.mux[b.reqSeq%len(b.mux)]
+	b.reqSeq++
+	h.outstanding++
+	h.idleTimer.Stop()
 	req := &pendingReq{obj: obj, or: or, onDone: onDone}
 	if !h.established {
 		h.backlog = append(h.backlog, req)
 		return
 	}
-	b.sendH2(h, req)
+	b.sendMux(h, req)
 }
 
-func (b *Browser) openH2() *h2Handle {
-	id := "h2s00"
-	client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, id, "device")
-	asm := &tcpsim.StreamAssembler{}
-	client.OnDeliver(asm.Deliver)
-	h := &h2Handle{
-		id:            id,
-		client:        client,
-		asm:           asm,
-		pendingStream: make(map[uint32]int64),
+// openMux opens the mode's connections and starts their handshakes;
+// requests issued meanwhile wait in each handle's backlog.
+func (b *Browser) openMux() {
+	m := b.muxMode
+	var shared *proxy.Session
+	if m.shared {
+		shared = m.newSession(b.prox)
 	}
-	if b.cfg.H2EqualFraming {
-		h.reqOracle = spdy.NewSizeOracle()
-	} else {
-		h.reqSizer = h2.NewHeaderSizer()
-	}
-	h.sess = proxy.NewH2Session(b.prox, server, asm, b.cfg.H2EqualFraming)
-	if h.sess.NeedsWindowUpdates() {
-		h.sess.OnClientChunk(func(sid uint32, payload int) { b.h2Consumed(h, sid, payload) })
-	}
-	b.proxyConns = append(b.proxyConns, server)
-	client.OnEstablished(func() {
-		h.established = true
-		backlog := h.backlog
-		h.backlog = nil
-		for _, req := range backlog {
-			b.sendH2(h, req)
+	for i := 0; i < m.conns; i++ {
+		h := &muxHandle{id: fmt.Sprintf(m.connID, i), sess: shared}
+		if h.sess == nil {
+			h.sess = m.newSession(b.prox)
 		}
-	})
-	client.Connect()
-	return h
+		if m.quic {
+			ccfg := b.cfg.ClientTCP
+			ccfg.ZeroRTT = b.cfg.QUICZeroRTT
+			client, server := b.net.NewQUICPair(ccfg, b.cfg.ProxyTCP, h.id, "device")
+			streams := proxy.NewQUICStreams()
+			client.OnStreamDeliver(streams.Deliver)
+			h.client, h.server, h.write = client, server, client.WriteStream
+			h.link = h.sess.AddQUICLink(server, streams)
+			b.proxyQUIC = append(b.proxyQUIC, server)
+		} else {
+			client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, h.id, "device")
+			asm := &tcpsim.StreamAssembler{}
+			client.OnDeliver(asm.Deliver)
+			h.client, h.server, h.write = client, server, func(_ uint32, n int) { client.Write(n) }
+			h.link = h.sess.AddLink(server, asm)
+			b.proxyConns = append(b.proxyConns, server)
+		}
+		if m.zlibRequests {
+			oracle := spdy.NewSizeOracle()
+			var streamSeq uint32
+			h.reqSize = func(obj *webpage.Object, prio spdy.Priority) int {
+				streamSeq += 2
+				return oracle.FrameSize(spdy.SynStream{
+					StreamID: streamSeq + 1,
+					Priority: prio,
+					Fin:      true,
+					Headers:  spdy.RequestHeaders("GET", "http", obj.Domain, obj.Path, userAgent),
+				})
+			}
+		} else {
+			sizer := h2.NewHeaderSizer()
+			h.reqSize = func(obj *webpage.Object, _ spdy.Priority) int {
+				return sizer.RequestSize("GET", "http", obj.Domain, obj.Path, userAgent)
+			}
+		}
+		if m.windowUpdates {
+			h.pendingStream = make(map[uint32]int64)
+			h.sess.OnClientChunk = func(sid uint32, payload int) { b.muxConsumed(h, sid, payload) }
+		}
+		b.mux = append(b.mux, h)
+		h.client.OnEstablished(func() {
+			h.established = true
+			backlog := h.backlog
+			h.backlog = nil
+			for _, req := range backlog {
+				b.sendMux(h, req)
+			}
+		})
+		h.client.Connect()
+	}
 }
 
-func (b *Browser) sendH2(h *h2Handle, req *pendingReq) {
+func (b *Browser) sendMux(h *muxHandle, req *pendingReq) {
 	req.or.Requested = b.loop.Now()
 	req.or.ConnID = h.id
 	prio := spdy.PriorityForType(string(req.obj.Kind))
-	var size int
-	if h.reqOracle != nil {
-		// Equal-framing oracle mode: the request bytes must match SPDY's
-		// exactly, SYN_STREAM framing included.
-		h.streamSeq += 2
-		size = h.reqOracle.FrameSize(spdy.SynStream{
-			StreamID: h.streamSeq + 1,
-			Priority: prio,
-			Fin:      true,
-			Headers: spdy.RequestHeaders("GET", "http", req.obj.Domain, req.obj.Path,
-				userAgent),
-		})
-	} else {
-		size = h.reqSizer.RequestSize("GET", "http", req.obj.Domain, req.obj.Path, userAgent)
-	}
+	size := h.reqSize(req.obj, prio)
 	or := req.or
 	onDone := req.onDone
-	hooks := proxy.ResponseHooks{
+	h.sess.ExpectRequest(h.link, req.obj, size, prio, proxy.ResponseHooks{
 		OnFirstByte: func() { or.FirstByte = b.loop.Now() },
 		OnDone: func() {
 			or.Done = b.loop.Now()
+			h.outstanding--
+			if h.outstanding == 0 && b.muxMode.idleClose {
+				b.armMuxIdle(h)
+			}
 			onDone()
 		},
-	}
-	h.sess.ExpectRequest(req.obj, size, prio, hooks)
-	h.client.Write(size)
+	})
+	h.write(proxy.StreamID(req.obj), size)
 }
 
-// h2Consumed drives WINDOW_UPDATE generation: once half a stream's (or
+// armMuxIdle closes the connection after the browser's idle timeout,
+// flushing transport metrics to the shared cache. The next page then
+// opens a fresh connection that — with QUICZeroRTT — resumes without a
+// handshake round trip: the transfer rides the very radio promotion
+// the handshake used to wait out.
+func (b *Browser) armMuxIdle(h *muxHandle) {
+	h.idleTimer.Stop()
+	h.idleTimer = b.loop.After(b.cfg.IdleConnTimeout, func() {
+		if h.outstanding > 0 {
+			return
+		}
+		if invOn {
+			b.checkFlow("session close")
+		}
+		h.client.Close()
+		h.server.Close()
+		b.mux = slices.DeleteFunc(b.mux, func(x *muxHandle) bool { return x == h })
+	})
+}
+
+// muxConsumed drives WINDOW_UPDATE generation: once half a stream's (or
 // the connection's) window worth of DATA has landed, the browser
 // re-credits the proxy with exactly the delivered bytes — the
-// conservation the fuzz target and end-of-run audit check.
-func (b *Browser) h2Consumed(h *h2Handle, sid uint32, n int) {
+// conservation the fuzz target and the page-end audit check.
+func (b *Browser) muxConsumed(h *muxHandle, sid uint32, n int) {
 	h.pendingStream[sid] += int64(n)
 	h.pendingConn += int64(n)
 	if p := h.pendingStream[sid]; p >= h2.DefaultInitialWindow/2 {
 		h.pendingStream[sid] = 0
-		h.sess.ExpectWindowUpdate(sid, p, false)
-		h.client.Write(h2.WindowUpdateFrameSize)
+		h.sess.ExpectWindowUpdate(h.link, sid, p, false)
+		h.write(0, h2.WindowUpdateFrameSize)
 	}
 	if p := h.pendingConn; p >= proxy.H2ConnWindow/2 {
 		h.pendingConn = 0
-		h.sess.ExpectWindowUpdate(0, p, true)
-		h.client.Write(h2.WindowUpdateFrameSize)
+		h.sess.ExpectWindowUpdate(h.link, 0, p, true)
+		h.write(0, h2.WindowUpdateFrameSize)
 	}
-}
-
-// --- QUIC mode ---
-
-type quicHandle struct {
-	id          string
-	client      *tcpsim.QUICConn
-	streams     *proxy.QUICClientStreams
-	sess        *proxy.QUICSession
-	sizer       *h2.HeaderSizer
-	established bool
-	backlog     []*pendingReq
-	outstanding int
-	idleTimer   sim.Timer
-	closed      bool
-}
-
-func (b *Browser) requestQUIC(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
-	if b.quicSess == nil {
-		b.quicSess = b.openQUIC()
-	}
-	q := b.quicSess
-	q.outstanding++
-	q.idleTimer.Stop()
-	req := &pendingReq{obj: obj, or: or, onDone: onDone}
-	if !q.established {
-		q.backlog = append(q.backlog, req)
-		return
-	}
-	b.sendQUIC(q, req)
-}
-
-// armQUICIdle closes the QUIC connection after the browser's idle
-// timeout, flushing transport metrics to the shared cache. The next
-// page then opens a fresh connection that — with QUICZeroRTT — resumes
-// without a handshake round trip: the transfer rides the very radio
-// promotion the handshake used to wait out.
-func (b *Browser) armQUICIdle(q *quicHandle) {
-	q.idleTimer.Stop()
-	q.idleTimer = b.loop.After(b.cfg.IdleConnTimeout, func() {
-		if q.outstanding > 0 || q.closed {
-			return
-		}
-		q.closed = true
-		q.client.Close()
-		q.sess.Conn().Close()
-		if b.quicSess == q {
-			b.quicSess = nil
-		}
-	})
-}
-
-func (b *Browser) openQUIC() *quicHandle {
-	id := "quic00"
-	ccfg := b.cfg.ClientTCP
-	ccfg.ZeroRTT = b.cfg.QUICZeroRTT
-	client, server := b.net.NewQUICPair(ccfg, b.cfg.ProxyTCP, id, "device")
-	streams := proxy.NewQUICClientStreams()
-	client.OnStreamDeliver(streams.Deliver)
-	q := &quicHandle{
-		id:      id,
-		client:  client,
-		streams: streams,
-		sizer:   h2.NewHeaderSizer(),
-	}
-	q.sess = proxy.NewQUICSession(b.prox, server, streams)
-	b.proxyQUIC = append(b.proxyQUIC, server)
-	client.OnEstablished(func() {
-		q.established = true
-		backlog := q.backlog
-		q.backlog = nil
-		for _, req := range backlog {
-			b.sendQUIC(q, req)
-		}
-	})
-	client.Connect()
-	return q
-}
-
-func (b *Browser) sendQUIC(q *quicHandle, req *pendingReq) {
-	req.or.Requested = b.loop.Now()
-	req.or.ConnID = q.id
-	prio := spdy.PriorityForType(string(req.obj.Kind))
-	// Each request/response pair rides its own transport stream.
-	sid := uint32(req.obj.ID*2 + 1)
-	size := q.sizer.RequestSize("GET", "http", req.obj.Domain, req.obj.Path, userAgent)
-	or := req.or
-	onDone := req.onDone
-	hooks := proxy.ResponseHooks{
-		OnFirstByte: func() { or.FirstByte = b.loop.Now() },
-		OnDone: func() {
-			or.Done = b.loop.Now()
-			q.outstanding--
-			if q.outstanding == 0 {
-				b.armQUICIdle(q)
-			}
-			onDone()
-		},
-	}
-	q.sess.ExpectRequest(req.obj, sid, size, prio, hooks)
-	q.client.WriteStream(sid, size)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"spdier/internal/h2"
 	"spdier/internal/netem"
 	"spdier/internal/proxy"
 	"spdier/internal/rrc"
@@ -121,8 +122,8 @@ func TestSPDYUsesSingleSessionAcrossPages(t *testing.T) {
 			}
 		}
 	}
-	if len(b.sessions) != 1 {
-		t.Fatalf("%d sessions", len(b.sessions))
+	if len(b.mux) != 1 {
+		t.Fatalf("%d sessions", len(b.mux))
 	}
 	if got := len(b.ProxyConns()); got != 1 {
 		t.Fatalf("%d proxy conns", got)
@@ -373,6 +374,43 @@ func TestInvariantCatchesPoolCountDrift(t *testing.T) {
 	}
 }
 
+// TestInvariantCatchesFlowCreditDrift forges, in the middle of an h2
+// load, a WINDOW_UPDATE that no delivered byte backs — on the connection,
+// then on a stream — and expects the page-end audit to stop the run: the
+// credit is in the proxy's books, so they balance, but the window now
+// stands above its initial size.
+func TestInvariantCatchesFlowCreditDrift(t *testing.T) {
+	page := webpage.TestPage(true)
+	forge := []struct {
+		name      string
+		sid       uint32
+		n         int64
+		connLevel bool
+	}{
+		{"connection", 0, proxy.H2ConnWindow, true},
+		{"stream", proxy.StreamID(page.Main()), h2.DefaultInitialWindow, false},
+	}
+	for _, f := range forge {
+		t.Run(f.name, func(t *testing.T) {
+			w := newWorld(12, false)
+			b := w.browser(DefaultConfig(ModeH2), 3)
+			b.LoadPage(page, func(*trace.PageRecord) {})
+			w.loop.After(300*time.Millisecond, func() {
+				h := b.mux[0]
+				h.sess.ExpectWindowUpdate(h.link, f.sid, f.n, f.connLevel)
+				h.write(0, h2.WindowUpdateFrameSize)
+			})
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "flow-credit") {
+					t.Fatalf("an un-granted %s credit went unnoticed (recovered %q)", f.name, msg)
+				}
+			}()
+			w.loop.Run(w.loop.Now().Add(60 * time.Second))
+		})
+	}
+}
+
 // TestActiveConnsAcrossModes loads one page per protocol mode and checks
 // the statistic the telemetry sampler reads: many sockets for HTTP (the
 // count the checker holds to the pool walk), exactly one session for the
@@ -405,8 +443,10 @@ func TestActiveConnsAcrossModes(t *testing.T) {
 					t.Fatalf("%d active over %d TCP endpoints", got, len(b.ProxyConns()))
 				}
 			}
-			if (b.H2Session() != nil) != (mode == ModeH2) {
-				t.Fatalf("H2Session() = %v in mode %s", b.H2Session(), mode)
+			for _, h := range b.mux {
+				if (h.pendingStream != nil) != (mode == ModeH2) {
+					t.Fatalf("window-update books kept = %t in mode %s", h.pendingStream != nil, mode)
+				}
 			}
 			w.loop.Run(w.loop.Now().Add(100 * time.Second))
 			want := 1

@@ -36,3 +36,14 @@ func (b *Browser) checkPools(where string) {
 			b.loop.Now(), where, b.totalConns, b.establishedConns, b.idleConns, total, established, idle))
 	}
 }
+
+// checkFlow audits the flow-control books of every open multiplexed
+// session: credit is conserved and no window stands above its initial
+// size (proxy.Session.CheckFlowConservation).
+func (b *Browser) checkFlow(where string) {
+	for _, h := range b.mux {
+		if err := h.sess.CheckFlowConservation(); err != nil {
+			panic(fmt.Sprintf("browser invariant flow-credit violated at %v at %s on %s: %v", b.loop.Now(), where, h.id, err))
+		}
+	}
+}

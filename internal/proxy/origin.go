@@ -1,7 +1,8 @@
 // Package proxy implements the cloud-hosted intermediaries of the paper's
 // test setup (Figure 2): an HTTP proxy with persistent connections
 // (Squid-like) and a SPDY proxy multiplexing all traffic onto one
-// prioritized session (Chromium flip-server-like). Both share one origin
+// prioritized session (Chromium flip-server-like) — the Session of
+// mux.go, which the h2 and QUIC arms also run on. All share one origin
 // fetch model, so protocol comparisons isolate the client↔proxy leg —
 // the same reason the authors ran both proxies on the same VM.
 package proxy

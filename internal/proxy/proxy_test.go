@@ -6,7 +6,6 @@ import (
 
 	"spdier/internal/netem"
 	"spdier/internal/sim"
-	"spdier/internal/spdy"
 	"spdier/internal/tcpsim"
 	"spdier/internal/webpage"
 )
@@ -135,122 +134,6 @@ func TestHTTPPipelinedResponsesKeepRequestOrder(t *testing.T) {
 	}
 	if hc.ready == nil || len(hc.ready) != 0 {
 		t.Fatalf("the early response should have been parked, then flushed: ready=%v", hc.ready)
-	}
-}
-
-// dialSPDY builds an established SPDY session pair.
-func dialSPDY(t *testing.T, w *world, id string) (*tcpsim.Conn, *SPDYSession) {
-	t.Helper()
-	client, server := w.net.NewConnPair(tcpsim.DefaultConfig(), tcpsim.DefaultConfig(), id, "dev")
-	asm := &tcpsim.StreamAssembler{}
-	client.OnDeliver(asm.Deliver)
-	sess := NewSPDYSession(w.prox, server, asm)
-	client.Connect()
-	w.loop.Run(w.loop.Now().Add(time.Second))
-	return client, sess
-}
-
-func TestSPDYSessionPriorityOrdering(t *testing.T) {
-	// On a slow downlink, a high-priority response requested after three
-	// bulk ones must still finish first.
-	w := newWorld(3, 1_000_000)
-	client, sess := dialSPDY(t, w, "s1")
-	var order []int
-	request := func(o *webpage.Object, prio spdy.Priority) {
-		id := o.ID
-		sess.ExpectRequest(o, 100, prio, ResponseHooks{OnDone: func() { order = append(order, id) }})
-		client.Write(100)
-	}
-	for i := 1; i <= 3; i++ {
-		request(obj(i, 300_000, webpage.KindImg), 5)
-	}
-	w.loop.Run(w.loop.Now().Add(500 * time.Millisecond))
-	request(obj(99, 4_000, webpage.KindHTML), 0)
-	w.loop.Run(w.loop.Now().Add(60 * time.Second))
-	if len(order) != 4 {
-		t.Fatalf("completions %v", order)
-	}
-	if order[0] != 99 {
-		t.Fatalf("priority 0 did not preempt bulk: %v", order)
-	}
-}
-
-func TestSPDYSessionInterleavesEqualPriority(t *testing.T) {
-	// Two equal-priority objects requested together should finish close
-	// to each other (round-robin), not strictly one after the other.
-	w := newWorld(4, 2_000_000)
-	client, sess := dialSPDY(t, w, "s2")
-	var done []sim.Time
-	for i := 1; i <= 2; i++ {
-		o := obj(i, 200_000, webpage.KindImg)
-		sess.ExpectRequest(o, 100, 4, ResponseHooks{OnDone: func() { done = append(done, w.loop.Now()) }})
-		client.Write(100)
-	}
-	w.loop.Run(w.loop.Now().Add(60 * time.Second))
-	if len(done) != 2 {
-		t.Fatalf("completions %d", len(done))
-	}
-	gap := done[1].Sub(done[0])
-	// Serialized service would separate them by a full object time
-	// (200KB at 2Mbit/s ≈ 800ms); interleave keeps the gap small.
-	if gap > 300*time.Millisecond {
-		t.Fatalf("no interleave: gap %v", gap)
-	}
-}
-
-func TestSPDYQueueGauge(t *testing.T) {
-	w := newWorld(5, 500_000) // very slow downlink
-	client, sess := dialSPDY(t, w, "s3")
-	for i := 1; i <= 5; i++ {
-		o := obj(i, 100_000, webpage.KindImg)
-		sess.ExpectRequest(o, 100, 4, ResponseHooks{})
-		client.Write(100)
-	}
-	w.loop.Run(w.loop.Now().Add(2 * time.Second))
-	if sess.QueuedResponses < 2 {
-		t.Fatalf("no proxy-side queueing on a slow link: %d", sess.QueuedResponses)
-	}
-	w.loop.Run(w.loop.Now().Add(60 * time.Second))
-	if sess.QueuedResponses != 0 {
-		t.Fatalf("queue did not drain: %d", sess.QueuedResponses)
-	}
-}
-
-func TestSPDYGroupLateBindingSpreadsChunks(t *testing.T) {
-	w := newWorld(6, 4_000_000)
-	group := NewSPDYGroup(w.prox)
-	var clients []*tcpsim.Conn
-	var asms []*tcpsim.StreamAssembler
-	for i := 0; i < 3; i++ {
-		client, server := w.net.NewConnPair(tcpsim.DefaultConfig(), tcpsim.DefaultConfig(), "g"+string(rune('0'+i)), "dev")
-		asm := &tcpsim.StreamAssembler{}
-		client.OnDeliver(asm.Deliver)
-		group.AddSession(server, asm)
-		client.Connect()
-		clients = append(clients, client)
-		asms = append(asms, asm)
-	}
-	w.loop.Run(w.loop.Now().Add(time.Second))
-
-	completed := 0
-	for i := 1; i <= 6; i++ {
-		o := obj(i, 150_000, webpage.KindImg)
-		group.ExpectRequest(i%3, o, 100, 4, ResponseHooks{OnDone: func() { completed++ }})
-		clients[i%3].Write(100)
-	}
-	w.loop.Run(w.loop.Now().Add(60 * time.Second))
-	if completed != 6 {
-		t.Fatalf("completed %d of 6", completed)
-	}
-	// Late binding must have used more than one downstream connection.
-	used := 0
-	for _, c := range clients {
-		if c.BytesRcvdApp > 0 {
-			used++
-		}
-	}
-	if used < 2 {
-		t.Fatalf("responses pinned to %d connection(s)", used)
 	}
 }
 
