@@ -44,13 +44,14 @@ var sessionDigestConfigs = []struct {
 func sessionDigest(res *Result) string {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, p := range res.PLTSeconds() {
+	plts := res.PLTSeconds()
+	for _, p := range plts {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
 		h.Write(buf[:])
 	}
 	return fmt.Sprintf("seed=%d fired=%d retx=%d spurious=%d incomplete=%d radio_mj=%016x plts=%d:%016x",
 		res.Opts.Seed, res.Fired, res.Retransmissions(), res.Recorder.SpuriousRetransmissions(),
-		res.Incomplete, math.Float64bits(res.RadioMJ), len(res.PLTSeconds()), h.Sum64())
+		res.Incomplete, math.Float64bits(res.RadioMJ), len(plts), h.Sum64())
 }
 
 // TestSessionDigests holds every multiplexed-session configuration to

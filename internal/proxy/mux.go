@@ -363,8 +363,8 @@ func (s *Session) pump() {
 				}
 			})
 		}
-		n, ok := s.admit(t)
-		if !ok {
+		n, admitted := s.admit(t)
+		if !admitted {
 			s.blocked = append(s.blocked, t)
 			continue
 		}
