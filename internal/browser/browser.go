@@ -563,12 +563,13 @@ func (cfg Config) muxMode() muxMode {
 		// Equal-framing oracle mode: the request bytes must match SPDY's
 		// exactly, SYN_STREAM framing included, and flow control never
 		// binds, so there is nothing to re-credit.
+		equal := cfg.H2EqualFraming // captured alone: cfg itself must not escape on every mode's path
 		return muxMode{
-			newSession:    func(p *proxy.Proxy) *proxy.Session { return proxy.NewH2(p, cfg.H2EqualFraming) },
+			newSession:    func(p *proxy.Proxy) *proxy.Session { return proxy.NewH2(p, equal) },
 			connID:        "h2s%02d",
 			conns:         1,
-			zlibRequests:  cfg.H2EqualFraming,
-			windowUpdates: !cfg.H2EqualFraming,
+			zlibRequests:  equal,
+			windowUpdates: !equal,
 		}
 	case ModeQUIC:
 		return muxMode{newSession: proxy.NewQUIC, connID: "quic%02d", conns: 1, quic: true, idleClose: true}
