@@ -1,10 +1,11 @@
 // Package poolbalance enforces pool discipline on the hot-path object
-// pools: tcpsim's segment pool (getSeg/putSeg, audited dynamically by
-// Network.segsLive), sim's event-slot pool (allocSlot/freeSlot, the
-// arena behind every Timer), and the sync.Pool recycling in spdy/stats.
+// pools: tcpsim's segment and packet pool (an endpoint's newSeg/newPkt,
+// audited dynamically by Network.LiveSegments), sim's event-slot pool
+// (allocSlot/freeSlot, the arena behind every Timer), and the sync.Pool
+// recycling in spdy/stats.
 // Two static checks complement the runtime audit:
 //
-//  1. An acquired pooled object must be consumed: a getSeg() or
+//  1. An acquired pooled object must be consumed: a newSeg() or
 //     pool.Get() whose result is discarded, or bound to a variable that
 //     is never used again, can never be released — the leak exists at
 //     the acquisition site, before any test runs.
@@ -15,7 +16,7 @@
 //
 // These are deliberately acquisition-site heuristics, not an escape
 // analysis: a conditional path that drops a consumed segment is caught
-// by the segsLive invariant checker at run time, not here.
+// by the LiveSegments audit at run time, not here.
 package poolbalance
 
 import (
@@ -93,7 +94,7 @@ func checkFile(pass *analysis.Pass, file *ast.File, pools map[types.Object]*pool
 	})
 }
 
-// checkAssignedAcquisition handles `v := pool.Get()` / `seg := n.getSeg()`:
+// checkAssignedAcquisition handles `v := pool.Get()` / `seg := c.newSeg()`:
 // v must be mentioned again after the acquisition.
 func checkAssignedAcquisition(pass *analysis.Pass, file *ast.File, stmt *ast.AssignStmt, i int, call *ast.CallExpr, pools map[types.Object]*poolUse) {
 	name, poolObj, isAcq := acquisition(pass, call)
@@ -124,8 +125,8 @@ func checkAssignedAcquisition(pass *analysis.Pass, file *ast.File, stmt *ast.Ass
 }
 
 // acquisition reports whether call acquires a pooled object — a method
-// or function named getSeg or allocSlot (the segment and event-slot
-// pools), or Get on a sync.Pool. For sync.Pool Get calls on a plain
+// or function named newSeg, newPkt or allocSlot (the segment, packet
+// and event-slot pools), or Get on a sync.Pool. For sync.Pool Get calls on a plain
 // identifier it also returns the pool variable.
 func acquisition(pass *analysis.Pass, call *ast.CallExpr) (name string, pool types.Object, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -133,7 +134,7 @@ func acquisition(pass *analysis.Pass, call *ast.CallExpr) (name string, pool typ
 		return "", nil, false
 	}
 	switch sel.Sel.Name {
-	case "getSeg", "allocSlot":
+	case "newSeg", "newPkt", "allocSlot":
 		return types.ExprString(sel), nil, true
 	case "Get":
 		recv := pass.TypesInfo.Types[sel.X].Type

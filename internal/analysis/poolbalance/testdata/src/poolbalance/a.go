@@ -10,7 +10,7 @@ type network struct {
 	free []*segment
 }
 
-func (n *network) getSeg() *segment {
+func (n *network) newSeg() *segment {
 	if ln := len(n.free); ln > 0 {
 		s := n.free[ln-1]
 		n.free = n.free[:ln-1]
@@ -23,27 +23,27 @@ func (n *network) putSeg(s *segment) { n.free = append(n.free, s) }
 
 // discard: the classic leak — acquire and drop on the floor.
 func discard(n *network) {
-	n.getSeg() // want `result of n\.getSeg discarded`
+	n.newSeg() // want `result of n\.newSeg discarded`
 }
 
 // reacquireLeak: the second acquisition overwrites s and is never
 // consumed; the first segment was released, the second cannot be.
 func reacquireLeak(n *network) {
-	s := n.getSeg()
+	s := n.newSeg()
 	n.putSeg(s)
-	s = n.getSeg() // want `s acquired from n\.getSeg is never used afterwards`
+	s = n.newSeg() // want `s acquired from n\.newSeg is never used afterwards`
 }
 
 // balanced: one acquire, one release — silent.
 func balanced(n *network) {
-	s := n.getSeg()
+	s := n.newSeg()
 	n.putSeg(s)
 }
 
 // passedOn: handing the segment to any call counts as consumption; the
 // release path is the callee's concern (and the runtime audit's).
 func passedOn(n *network, deliver func(*segment)) {
-	s := n.getSeg()
+	s := n.newSeg()
 	deliver(s)
 }
 

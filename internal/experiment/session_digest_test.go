@@ -93,7 +93,9 @@ func sessionDigest(res *Result) string {
 // one sender core. Fired is in every
 // digest, so an added, dropped or reordered timer moves it even when no
 // PLT does. The file is rewritten only by
-// `go test -run TestSessionDigests -update-session-digests ./internal/experiment/`.
+// `go test -run TestSessionDigests ./internal/experiment/ -update-session-digests`
+// (the flag after the package: go test stops reading packages at a flag
+// it does not know).
 func TestSessionDigests(t *testing.T) {
 	got := make(map[string]string)
 	for _, c := range append(sessionDigestConfigs, senderPolicyConfigs()...) {

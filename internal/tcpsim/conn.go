@@ -123,25 +123,18 @@ const (
 // of many connections over the same emulated links — exactly how many
 // browser connections share one radio bearer.
 type Network struct {
-	loop     *sim.Loop
-	path     *netem.Path
-	conns    []*Conn
-	qconns   []*QUICConn
-	segFree  []*Segment
-	qpktFree []*QUICPacket
-	// segsLive counts segments and QUIC packets handed out by
-	// getSeg/getQPkt and not yet retired through putSeg/putQPkt. Every
-	// unit retires exactly once — delivered, dropped at the
-	// queue/loss/burst stage, or duplicated-and-delivered — so a
-	// quiesced network must read zero; anything else is a pool leak or
-	// a double free.
-	segsLive int
+	loop   *sim.Loop
+	path   *netem.Path
+	conns  []*Conn
+	qconns []*QUICConn
+	segs   freeList[Segment, *Segment]
+	qpkts  freeList[QUICPacket, *QUICPacket]
 }
 
-// LiveSegments returns the number of outstanding pool segments. After
-// the loop runs idle it must be zero (negative values indicate a
-// double free).
-func (n *Network) LiveSegments() int { return n.segsLive }
+// LiveSegments returns the number of outstanding pool segments and QUIC
+// packets together. After the loop runs idle it must be zero (negative
+// values indicate a double free).
+func (n *Network) LiveSegments() int { return n.segs.live + n.qpkts.live }
 
 // Conns returns every connection endpoint created through this network.
 func (n *Network) Conns() []*Conn { return n.conns }
@@ -152,8 +145,8 @@ func (n *Network) Conns() []*Conn { return n.conns }
 // results read (Conns, Path, Retransmits, String). A memoized Result
 // then retains statistics, not the closure graph of the whole run.
 func (n *Network) ReleaseRuntime() {
-	n.segFree = nil
-	n.qpktFree = nil
+	n.segs.free = nil
+	n.qpkts.free = nil
 	for _, c := range n.conns {
 		c.releaseRuntime()
 	}
@@ -163,7 +156,7 @@ func (n *Network) ReleaseRuntime() {
 }
 
 func (c *Conn) releaseRuntime() {
-	c.inflight, c.inflHead, c.inflCount = nil, 0, 0
+	c.inflight, c.inflCount = deque[sentSeg]{}, 0
 	c.ooo = nil
 	c.sackScratch = nil
 	c.onEstablished, c.onDeliver, c.onClose = nil, nil, nil
@@ -185,68 +178,16 @@ func NewNetwork(loop *sim.Loop, path *netem.Path) *Network {
 		case *Segment:
 			to := v.to
 			to.handleSegment(v)
-			n.putSeg(v)
+			n.segs.put(v)
 		case *QUICPacket:
 			to := v.to
 			to.handlePacket(v)
-			n.putQPkt(v)
+			n.qpkts.put(v)
 		}
 	}
 	path.AtoB.SetReceiver(deliver)
 	path.BtoA.SetReceiver(deliver)
 	return n
-}
-
-// getSeg returns a zeroed segment, recycled from the pool when possible.
-// Segments live exactly one send→link→deliver cycle: transmit hands them
-// to the link, the network demuxer returns them after handleSegment, so
-// steady-state traffic allocates no segments at all.
-func (n *Network) getSeg() *Segment {
-	n.segsLive++
-	if ln := len(n.segFree); segPooling && ln > 0 {
-		s := n.segFree[ln-1]
-		n.segFree = n.segFree[:ln-1]
-		return s
-	}
-	return &Segment{}
-}
-
-// putSeg zeroes a delivered segment and returns it to the pool, keeping
-// the Sack backing array so later ACKs reuse it.
-func (n *Network) putSeg(s *Segment) {
-	n.segsLive--
-	if !segPooling {
-		return
-	}
-	sack := s.Sack[:0]
-	*s = Segment{}
-	s.Sack = sack
-	n.segFree = append(n.segFree, s)
-}
-
-// getQPkt / putQPkt mirror getSeg / putSeg for QUIC packets, sharing the
-// segsLive balance so LiveSegments covers both transports.
-func (n *Network) getQPkt() *QUICPacket {
-	n.segsLive++
-	if ln := len(n.qpktFree); segPooling && ln > 0 {
-		p := n.qpktFree[ln-1]
-		n.qpktFree = n.qpktFree[:ln-1]
-		return p
-	}
-	return &QUICPacket{}
-}
-
-// putQPkt zeroes a delivered packet and returns it to the pool, keeping
-// the AckRanges backing array so later ACKs reuse it.
-func (n *Network) putQPkt(p *QUICPacket) {
-	n.segsLive--
-	if !segPooling {
-		return
-	}
-	ranges := p.AckRanges[:0]
-	*p = QUICPacket{}
-	p.AckRanges = ranges
-	n.qpktFree = append(n.qpktFree, p)
 }
 
 // Loop returns the simulation loop.
@@ -276,10 +217,7 @@ func (c *Conn) PeerWnd() int { return c.peerWnd }
 
 // Conn is one endpoint of a simulated TCP connection.
 type Conn struct {
-	loop *sim.Loop
-	cfg  Config
-	id   string
-	dest string
+	sender
 
 	isClient bool
 	peer     *Conn
@@ -292,24 +230,17 @@ type Conn struct {
 	onClose       func()
 	tlsStep       int
 
-	// --- sender half ---
-	cc        CongestionControl
-	rtt       rttEstimator
-	cwnd      float64
-	ssthresh  float64
+	// --- sender half (window, estimator and policies are in sender) ---
 	sndUna    uint64
 	sndNxt    uint64
 	sendQueue int
-	// inflight is a head-indexed deque: acked segments advance inflHead
-	// instead of reslicing away front capacity, so the backing array is
-	// reused for the whole connection lifetime. inflCount is
-	// pktsInFlight maintained: the number of deque records neither lost
-	// nor sacked. It changes only in pushInflight, popInflightFront and
-	// the mark helpers below them, so no site that moves a record or
+	// inflight holds the unacknowledged segments, oldest first. inflCount
+	// is pktsInFlight maintained: the number of deque records neither
+	// lost nor sacked. It changes only in pushInflight, popInflightFront
+	// and the mark helpers below them, so no site that moves a record or
 	// flips a mark can forget it; the invariant checker recounts the
 	// deque against it.
-	inflight     []sentSeg
-	inflHead     int
+	inflight     deque[sentSeg]
 	inflCount    int
 	dupAcks      int
 	recoverPoint uint64
@@ -323,8 +254,6 @@ type Conn struct {
 	// was cut short by the congestion window (RFC 7661 validation).
 	wasCwndLimited bool
 	rtoTimer       sim.Timer
-	lastDataSend   sim.Time
-	everSent       bool
 	peerWnd        int
 	finSent        bool
 
@@ -332,13 +261,12 @@ type Conn struct {
 	// retransmission of a loss episode is reported back as a duplicate,
 	// the episode was spurious and the pre-collapse cwnd/ssthresh are
 	// restored. This is what lets ssthresh "grow back quickly" in
-	// Figure 12 after a promotion-delay timeout.
-	undoActive   bool
-	undoCwnd     float64
-	undoSsthresh float64
-	undoRetrans  int
-	undoEpisode  int // total retransmissions in the episode
-	Undos        int
+	// Figure 12 after a promotion-delay timeout. The snapshot itself
+	// (undoCwnd/undoSsthresh) is in sender.
+	undoActive  bool
+	undoRetrans int
+	undoEpisode int // total retransmissions in the episode
+	Undos       int
 
 	// --- loss-recovery fix-arm state (inert unless the arm is on) ---
 	tlp  tlpState
@@ -361,13 +289,6 @@ type Conn struct {
 	tsRecent sim.Time
 	finRcvd  bool
 
-	// writable hook: invoked when the send queue drains to or below the
-	// threshold, letting an application (the SPDY proxy pump) keep the
-	// socket fed without deep buffering.
-	writableThresh int
-	writableHook   func()
-	inWritableHook bool
-
 	// Prebound timer callbacks: method values allocate a closure per use,
 	// so the RTO and delayed-ACK callbacks — re-armed on nearly every
 	// ACK — are bound once at construction.
@@ -382,8 +303,6 @@ type Conn struct {
 	TLPProbes        int // tail loss probes fired (retransmitted tail or new data)
 	FrtoUndos        int // F-RTO spurious verdicts with full Eifel undo
 	SpuriousArrivals int // duplicate data received (peer retransmitted needlessly)
-	IdleRestarts     int
-	BytesSentApp     int64
 	BytesRcvdApp     int64
 
 	// tlpNewData counts TLP probes that carried new data rather than a
@@ -397,21 +316,8 @@ type Conn struct {
 }
 
 func newConn(loop *sim.Loop, cfg Config, id, dest string, isClient bool) *Conn {
-	if cfg.MSS <= 0 {
-		cfg = DefaultConfig()
-	}
-	c := &Conn{
-		loop:     loop,
-		cfg:      cfg,
-		id:       id,
-		dest:     dest,
-		isClient: isClient,
-		cc:       NewCC(cfg.CC),
-		rtt:      newRTTEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO),
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: 1 << 20, // "infinite" until first loss
-		peerWnd:  64 << 10,
-	}
+	c := &Conn{isClient: isClient, peerWnd: 64 << 10}
+	c.sender.init(loop, cfg, id, dest)
 	c.onRTOFn = c.onRTO
 	c.onTLPFn = c.onTLP
 	c.delayedAckFn = func() {
@@ -419,21 +325,8 @@ func newConn(loop *sim.Loop, cfg Config, id, dest string, isClient bool) *Conn {
 			c.sendAck(true)
 		}
 	}
-	if invOn {
-		c.cc = checkedCC{c.cc}
-	}
-	if e := cfg.Metrics.Lookup(dest); e != nil {
-		// Linux tcp_metrics: seed ssthresh and RTT state from the cache.
-		if e.Ssthresh > 0 {
-			c.ssthresh = e.Ssthresh
-		}
-		c.rtt.seed(e.SRTT, e.RTTVar)
-	}
 	return c
 }
-
-// ID returns the connection identifier used in traces.
-func (c *Conn) ID() string { return c.id }
 
 // OnEstablished registers the callback fired when the handshake (and TLS
 // exchange, if configured) completes at this endpoint.
@@ -448,18 +341,6 @@ func (c *Conn) OnClose(fn func()) { c.onClose = fn }
 
 // Established reports whether the connection is fully set up.
 func (c *Conn) Established() bool { return c.state == stEstablished }
-
-// Cwnd returns the congestion window in segments.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
-
-// Ssthresh returns the slow-start threshold in segments.
-func (c *Conn) Ssthresh() float64 { return c.ssthresh }
-
-// SRTT returns the smoothed RTT estimate (zero if no sample yet).
-func (c *Conn) SRTT() time.Duration { return c.rtt.srtt }
-
-// RTO returns the current retransmission timeout.
-func (c *Conn) RTO() time.Duration { return c.rtt.current() }
 
 // InFlightBytes returns unacknowledged bytes (Figure 10's metric).
 func (c *Conn) InFlightBytes() int { return int(c.sndNxt - c.sndUna) }
@@ -476,30 +357,6 @@ func (c *Conn) Drained() bool {
 // proxy-side response queue of Figure 8.
 func (c *Conn) BufferedBytes() int { return c.sendQueue }
 
-// InSlowStart reports whether the sender is below ssthresh.
-func (c *Conn) InSlowStart() bool { return c.cwnd < c.ssthresh }
-
-// SetWritableHook registers fn to be called whenever, after transmission
-// opportunities are exhausted, the unsent backlog is at or below
-// threshold bytes. The hook may call Write; re-entrant invocations are
-// suppressed.
-func (c *Conn) SetWritableHook(threshold int, fn func()) {
-	c.writableThresh = threshold
-	c.writableHook = fn
-}
-
-func (c *Conn) fireWritable() {
-	if c.writableHook == nil || c.inWritableHook {
-		return
-	}
-	if c.sendQueue > c.writableThresh {
-		return
-	}
-	c.inWritableHook = true
-	c.writableHook()
-	c.inWritableHook = false
-}
-
 // Connect starts the client-side handshake.
 func (c *Conn) Connect() {
 	if !c.isClient {
@@ -509,20 +366,18 @@ func (c *Conn) Connect() {
 		return
 	}
 	c.state = stSynSent
+	c.sendSYN()
+}
+
+// sendSYN transmits a SYN and re-sends it every InitialRTO until the
+// SYN-ACK arrives.
+func (c *Conn) sendSYN() {
 	syn := c.newSeg()
 	syn.Flags = flagSYN
 	c.transmit(syn)
-	c.armHandshakeRetry()
-}
-
-func (c *Conn) armHandshakeRetry() {
-	deadline := c.cfg.InitialRTO
-	c.loop.After(deadline, func() {
+	c.loop.After(c.cfg.InitialRTO, func() {
 		if c.state == stSynSent {
-			syn := c.newSeg()
-			syn.Flags = flagSYN
-			c.transmit(syn)
-			c.armHandshakeRetry()
+			c.sendSYN()
 		}
 	})
 }
@@ -536,7 +391,7 @@ func (c *Conn) Write(n int) {
 		c.Connect()
 	}
 	c.BytesSentApp += int64(n)
-	c.maybeIdleRestart()
+	c.maybeIdleRestart(c.inflight.size() == 0 && c.sendQueue == 0, c.InFlightBytes())
 	c.sendQueue += n
 	c.trySend()
 }
@@ -558,79 +413,12 @@ func (c *Conn) Close() {
 	}
 }
 
-func (c *Conn) storeMetrics() {
-	if c.cfg.Metrics == nil {
-		return
-	}
-	e := MetricsEntry{SRTT: c.rtt.srtt, RTTVar: c.rtt.rttvar}
-	if c.ssthresh < 1<<20 {
-		e.Ssthresh = c.ssthresh
-	}
-	if e.SRTT > 0 || e.Ssthresh > 0 {
-		c.cfg.Metrics.Store(c.dest, e)
-	}
-}
-
-// maybeIdleRestart applies Linux congestion-window validation: if the
-// connection has been idle (no data sent) for longer than one RTO, the
-// cwnd snaps back to the initial window. With ResetRTTAfterIdle the RTT
-// estimate is also discarded — the paper's fix.
-func (c *Conn) maybeIdleRestart() {
-	if c.cfg.NoIdleDemotion || !c.everSent || len(c.infl()) > 0 || c.sendQueue > 0 {
-		return
-	}
-	idle := c.loop.Now().Sub(c.lastDataSend)
-	// Compare against the un-backed-off timeout: whether the connection
-	// went idle is a property of the path's RTT, not of how many times a
-	// timer fired. Using the backed-off RTO here let a connection that
-	// had just suffered (possibly spurious) timeouts dodge window
-	// validation entirely, because its inflated RTO out-waited the idle
-	// gap.
-	if idle <= c.rtt.base() {
-		return
-	}
-	if c.cfg.SlowStartAfterIdle {
-		if c.cwnd > c.cfg.InitialCwnd {
-			c.cwnd = c.cfg.InitialCwnd
-		}
-		c.cc.Reset()
-		c.IdleRestarts++
-		c.probe(EvIdleRestart)
-	}
-	if c.cfg.ResetRTTAfterIdle {
-		c.rtt.reset()
-		c.probe(EvRTTReset)
-	}
-}
-
-func (c *Conn) probe(ev ProbeEvent) {
-	if c.cfg.Probe == nil {
-		return
-	}
-	c.cfg.Probe.Sample(ProbeSample{
-		At:       c.loop.Now(),
-		ConnID:   c.id,
-		Event:    ev,
-		Cwnd:     c.cwnd,
-		Ssthresh: c.ssthresh,
-		InFlight: c.InFlightBytes(),
-		RTOms:    float64(c.rtt.current()) / float64(time.Millisecond),
-		SRTTms:   float64(c.rtt.srtt) / float64(time.Millisecond),
-	})
-}
-
 // infl returns the live window of the inflight deque.
-func (c *Conn) infl() []sentSeg { return c.inflight[c.inflHead:] }
+func (c *Conn) infl() []sentSeg { return c.inflight.live() }
 
-// pushInflight appends a segment record, compacting the deque in place
-// before the backing array would have to grow.
+// pushInflight appends a segment record.
 func (c *Conn) pushInflight(s sentSeg) {
-	if len(c.inflight) == cap(c.inflight) && c.inflHead > 0 {
-		n := copy(c.inflight, c.inflight[c.inflHead:])
-		c.inflight = c.inflight[:n]
-		c.inflHead = 0
-	}
-	c.inflight = append(c.inflight, s)
+	c.inflight.push(s)
 	if s.counted() {
 		c.inflCount++
 	}
@@ -638,14 +426,10 @@ func (c *Conn) pushInflight(s sentSeg) {
 
 // popInflightFront drops the oldest in-flight segment (it was acked).
 func (c *Conn) popInflightFront() {
-	if c.inflight[c.inflHead].counted() {
+	if c.infl()[0].counted() {
 		c.inflCount--
 	}
-	c.inflHead++
-	if c.inflHead == len(c.inflight) {
-		c.inflight = c.inflight[:0]
-		c.inflHead = 0
-	}
+	c.inflight.popFront()
 }
 
 // markLost flags an in-flight record lost by the given cause.
@@ -713,8 +497,6 @@ func (c *Conn) trySend() {
 			}
 			cause := fl[i].lostBy
 			c.clearLost(&fl[i])
-			fl[i].retx = true
-			fl[i].sentAt = c.loop.Now()
 			c.retransmitSeg(&fl[i])
 			c.noteRetransmit(cause)
 		}
@@ -725,41 +507,24 @@ func (c *Conn) trySend() {
 			c.wasCwndLimited = true
 			break
 		}
-		payload := c.cfg.MSS
-		if payload > c.sendQueue {
-			payload = c.sendQueue
-		}
+		payload := min(c.cfg.MSS, c.sendQueue)
 		if c.InFlightBytes()+payload > c.peerWnd {
 			break
 		}
-		seg := c.newSeg()
-		seg.Flags = flagACK
-		seg.Seq = c.sndNxt
-		seg.Len = payload
-		seg.Ack = c.rcvNxt
-		seg.Wnd = c.recvWindow()
-		seg.TSVal = c.loop.Now()
-		seg.TSEcr = c.tsRecent
-		c.sndNxt += uint64(payload)
-		c.sendQueue -= payload
-		c.pushInflight(sentSeg{seq: seg.Seq, len: payload, sentAt: c.loop.Now()})
-		c.ackPiggybacked()
-		c.transmit(seg)
-		c.lastDataSend = c.loop.Now()
-		c.everSent = true
-		c.probe(EvSend)
+		c.sendNew(payload)
+		c.probe(EvSend, c.InFlightBytes())
 		if !c.rtoTimer.Pending() {
 			c.armRTO()
 		}
 	}
 	c.maybeArmTLP()
-	c.fireWritable()
+	c.fireWritable(c.sendQueue)
 }
 
 // newSeg allocates or recycles a segment for transmission.
 func (c *Conn) newSeg() *Segment {
 	if c.net != nil {
-		return c.net.getSeg()
+		return c.net.segs.get()
 	}
 	return &Segment{}
 }
@@ -771,7 +536,7 @@ func (c *Conn) transmit(seg *Segment) {
 		debugLog(fmt.Sprintf("%v %s tx seq=%d len=%d ack=%d flags=%d", c.loop.Now(), c.id, seg.Seq, seg.Len, seg.Ack, seg.Flags))
 	}
 	if !c.out.Send(seg, seg.wireSize()) && c.net != nil {
-		c.net.putSeg(seg)
+		c.net.segs.put(seg)
 	}
 }
 
@@ -795,17 +560,7 @@ func (c *Conn) onRTO() {
 	}
 	c.abortTLP() // conventional timeout recovery owns the flight now
 	if c.caState != caLoss {
-		// Entering loss: snapshot for a possible DSACK undo, then
-		// collapse ssthresh based on the current cwnd.
-		c.undoActive = true
-		c.undoCwnd = c.cwnd
-		c.undoSsthresh = c.ssthresh
-		c.undoRetrans = 0
-		c.undoEpisode = 0
-
-		c.ssthresh = c.cc.SsthreshAfterLoss(c.cwnd)
-		c.cc.OnLoss(c.loop.Now(), c.cwnd)
-		c.recoverPoint = c.sndNxt
+		c.openLossEpisode()
 	}
 	c.caState = caLoss
 	c.cwnd = 1
@@ -824,10 +579,8 @@ func (c *Conn) onRTO() {
 	}
 	first := &fl[0]
 	c.clearLost(first)
-	first.retx = true
-	first.sentAt = c.loop.Now()
 	c.retransmitSeg(first)
-	c.probe(EvRetransmit)
+	c.probe(EvRetransmit, c.InFlightBytes())
 
 	c.rtt.backoff()
 	c.armRTO()
@@ -836,23 +589,62 @@ func (c *Conn) onRTO() {
 	}
 }
 
+// openLossEpisode is the entry to every loss episode — timeout, fast
+// retransmit or RACK: snapshot for a possible DSACK (or F-RTO) undo,
+// then collapse ssthresh based on the current cwnd. The episode ends
+// when the cumulative ACK passes everything sent before it.
+func (c *Conn) openLossEpisode() {
+	c.undoActive = true
+	c.saveUndo()
+	c.undoRetrans = 0
+	c.undoEpisode = 0
+	c.enterLoss()
+	c.recoverPoint = c.sndNxt
+}
+
+// retransmitSeg puts a fresh copy of an in-flight record on the wire and
+// stamps the record as retransmitted now (Karn: it can no longer yield
+// an RTT sample by itself).
 func (c *Conn) retransmitSeg(s *sentSeg) {
+	s.retx = true
+	s.sentAt = c.loop.Now()
 	c.retxWire++
 	if c.undoActive {
 		c.undoRetrans++
 		c.undoEpisode++
 	}
-	seg := c.newSeg()
-	seg.Flags = flagACK
-	seg.Seq = s.seq
-	seg.Len = s.len
-	seg.Ack = c.rcvNxt
-	seg.Wnd = c.recvWindow()
+	seg := c.dataSeg(s.seq, s.len)
 	seg.Retx = true
-	seg.TSVal = c.loop.Now()
-	seg.TSEcr = c.tsRecent
 	c.transmit(seg)
 	c.lastDataSend = c.loop.Now()
+}
+
+// dataSeg builds a segment carrying payload bytes [seq, seq+n), with the
+// piggybacked ACK, the window and the timestamps every data segment has.
+func (c *Conn) dataSeg(seq uint64, n int) *Segment {
+	seg := c.newSeg()
+	seg.Flags = flagACK
+	seg.Seq = seq
+	seg.Len = n
+	seg.Ack = c.rcvNxt
+	seg.Wnd = c.recvWindow()
+	seg.TSVal = c.loop.Now()
+	seg.TSEcr = c.tsRecent
+	return seg
+}
+
+// sendNew transmits the next n queued bytes as one new segment. Whether
+// the windows allow it is the caller's to have checked: trySend does,
+// a tail loss probe may exceed cwnd by this one segment.
+func (c *Conn) sendNew(n int) {
+	seg := c.dataSeg(c.sndNxt, n)
+	c.sndNxt += uint64(n)
+	c.sendQueue -= n
+	c.pushInflight(sentSeg{seq: seg.Seq, len: n, sentAt: c.loop.Now()})
+	c.ackPiggybacked()
+	c.transmit(seg)
+	c.lastDataSend = c.loop.Now()
+	c.everSent = true
 }
 
 // handleSegment is the demuxed receive entry point.
@@ -964,7 +756,7 @@ func (c *Conn) becomeEstablished() {
 }
 
 func (c *Conn) finishEstablish() {
-	c.probe(EvEstablished)
+	c.probe(EvEstablished, c.InFlightBytes())
 	if c.onEstablished != nil {
 		fn := c.onEstablished
 		c.onEstablished = nil
@@ -1028,7 +820,7 @@ func (c *Conn) receiveData(seg *Segment) {
 		// have. This is the observable signature of a spurious
 		// retransmission; report it back as a DSACK.
 		c.SpuriousArrivals++
-		c.probe(EvSpurious)
+		c.probe(EvSpurious, c.InFlightBytes())
 		c.pendingDsack = true
 		c.sendAckNow()
 		return
@@ -1273,11 +1065,9 @@ func (c *Conn) processNewAck(ack uint64, seg *Segment) {
 			// gap-fill immediately) flood the bad state of a bursty link
 			// with unpaced copies.
 			if fl := c.infl(); len(fl) > 0 && !fl[0].retx && !fl[0].lost {
-				fl[0].retx = true
-				fl[0].sentAt = c.loop.Now()
 				c.retransmitSeg(&fl[0])
 				c.FastRetransmits++
-				c.probe(EvFastRetx)
+				c.probe(EvFastRetx, c.InFlightBytes())
 			}
 			c.cwnd -= float64(ackedSegs)
 			if c.cwnd < 1 {
@@ -1294,7 +1084,7 @@ func (c *Conn) processNewAck(ack uint64, seg *Segment) {
 		}
 	}
 
-	c.probe(EvAck)
+	c.probe(EvAck, c.InFlightBytes())
 	if len(c.infl()) == 0 {
 		c.stopRTO()
 		c.abortTLP()
@@ -1378,7 +1168,7 @@ func (c *Conn) performUndo() {
 	c.caState = caOpen
 	c.dupAcks = 0
 	c.Undos++
-	c.probe(EvUndo)
+	c.probe(EvUndo, c.InFlightBytes())
 	c.trySend()
 }
 
@@ -1417,24 +1207,14 @@ func (c *Conn) processDupAck(seg *Segment) {
 		if c.dupAcks >= 3 {
 			c.checkNotCoalesced(seg, "fast-retransmit")
 			// Fast retransmit + fast recovery.
-			c.undoActive = true
-			c.undoCwnd = c.cwnd
-			c.undoSsthresh = c.ssthresh
-			c.undoRetrans = 0
-			c.undoEpisode = 0
-
-			c.ssthresh = c.cc.SsthreshAfterLoss(c.cwnd)
-			c.cc.OnLoss(c.loop.Now(), c.cwnd)
-			c.recoverPoint = c.sndNxt
+			c.openLossEpisode()
 			c.caState = caRecovery
 			c.cwnd = c.ssthresh + 3
 			if fl := c.infl(); len(fl) > 0 {
-				fl[0].retx = true
-				fl[0].sentAt = c.loop.Now()
 				c.retransmitSeg(&fl[0])
 			}
 			c.FastRetransmits++
-			c.probe(EvFastRetx)
+			c.probe(EvFastRetx, c.InFlightBytes())
 			c.armRTO()
 		}
 	case caRecovery:
@@ -1458,11 +1238,9 @@ func (c *Conn) processDupAck(seg *Segment) {
 			}
 			if !first.retx || c.loop.Now().Sub(first.sentAt) > rtt {
 				c.clearLost(first)
-				first.retx = true
-				first.sentAt = c.loop.Now()
 				c.retransmitSeg(first)
 				c.FastRetransmits++
-				c.probe(EvFastRetx)
+				c.probe(EvFastRetx, c.InFlightBytes())
 				c.armRTO()
 			}
 		}

@@ -198,79 +198,6 @@ func TestFastRetransmitRepairsSingleLoss(t *testing.T) {
 	}
 }
 
-func TestIdleRestartResetsCwndNotSsthresh(t *testing.T) {
-	w := newWorld(cleanPath(), 7)
-	client, server := w.net.NewConnPair(DefaultConfig(), DefaultConfig(), "ir", "d")
-	client.OnDeliver(func(int) {})
-	client.OnEstablished(func() { server.Write(2_000_000) })
-	client.Connect()
-	w.loop.Run(30 * sim.Second)
-	grown := server.Cwnd()
-	if grown < 50 {
-		t.Fatalf("precondition: cwnd %v too small", grown)
-	}
-	ssBefore := server.Ssthresh()
-	// Go idle well past the RTO, then write again.
-	at := w.loop.Now().Add(10 * time.Second)
-	w.loop.At(at, func() { server.Write(10_000) })
-	w.loop.RunUntilIdle()
-	if server.IdleRestarts != 1 {
-		t.Fatalf("idle restarts %d", server.IdleRestarts)
-	}
-	if server.Ssthresh() != ssBefore {
-		t.Fatalf("idle restart touched ssthresh: %v → %v", ssBefore, server.Ssthresh())
-	}
-}
-
-func TestIdleRestartDisabled(t *testing.T) {
-	w := newWorld(cleanPath(), 8)
-	scfg := DefaultConfig()
-	scfg.SlowStartAfterIdle = false
-	client, server := w.net.NewConnPair(DefaultConfig(), scfg, "ird", "d")
-	client.OnDeliver(func(int) {})
-	client.OnEstablished(func() { server.Write(2_000_000) })
-	client.Connect()
-	w.loop.Run(30 * sim.Second)
-	grown := server.Cwnd()
-	at := w.loop.Now().Add(10 * time.Second)
-	w.loop.At(at, func() { server.Write(10_000) })
-	w.loop.RunUntilIdle()
-	if server.IdleRestarts != 0 {
-		t.Fatalf("idle restart fired despite being disabled")
-	}
-	if server.Cwnd() < grown {
-		t.Fatalf("cwnd collapsed with slow-start-after-idle off: %v → %v", grown, server.Cwnd())
-	}
-}
-
-func TestMetricsCacheSeedsNewConnections(t *testing.T) {
-	w := newWorld(cleanPath(), 9)
-	cache := NewMetricsCache()
-	scfg := DefaultConfig()
-	scfg.Metrics = cache
-
-	c1, s1 := w.net.NewConnPair(DefaultConfig(), scfg, "m1", "device")
-	c1.OnDeliver(func(int) {})
-	c1.OnEstablished(func() { s1.Write(300_000) })
-	c1.Connect()
-	w.loop.Run(20 * sim.Second)
-	s1.Close()
-	if cache.Stores == 0 {
-		t.Fatal("close did not store metrics")
-	}
-
-	_, s2 := w.net.NewConnPair(DefaultConfig(), scfg, "m2", "device")
-	if s2.SRTT() == 0 {
-		t.Fatal("second connection not seeded with cached RTT")
-	}
-	if cache.Hits == 0 {
-		t.Fatal("lookup not counted")
-	}
-	if s2.RTO() < 3*s2.SRTT() {
-		t.Fatalf("seeded RTO %v not conservative vs srtt %v", s2.RTO(), s2.SRTT())
-	}
-}
-
 func TestStreamAssemblerFIFO(t *testing.T) {
 	var a StreamAssembler
 	var done []int

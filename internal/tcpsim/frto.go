@@ -45,5 +45,5 @@ func (c *Conn) frtoUndo() {
 	// retransmissions must not replay the partial DSACK undo.
 	c.undoActive = false
 	c.FrtoUndos++
-	c.probe(EvFRTOUndo)
+	c.probe(EvFRTOUndo, c.InFlightBytes())
 }

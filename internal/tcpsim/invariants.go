@@ -62,12 +62,14 @@ func violate(v InvariantViolation) {
 	panic(v)
 }
 
-func (c *Conn) violateConn(rule, format string, args ...any) {
+// violateConn reports a violation against this endpoint, of either
+// transport.
+func (s *sender) violateConn(rule, format string, args ...any) {
 	violate(InvariantViolation{
-		Conn:   c.id,
+		Conn:   s.id,
 		Rule:   rule,
 		Detail: fmt.Sprintf(format, args...),
-		At:     c.loop.Now(),
+		At:     s.loop.Now(),
 	})
 }
 
@@ -119,7 +121,7 @@ func (c *Conn) checkSender(where string) {
 	if c.inflCount != walked {
 		c.violateConn("inflight-count", "%s: maintained count %d, deque holds %d unmarked segments", where, c.inflCount, walked)
 	}
-	checkWindows(c, where, c.cwnd, c.ssthresh)
+	c.checkWindows(where)
 	if c.sendQueue < 0 {
 		c.violateConn("sendq-negative", "%s: sendQueue=%d", where, c.sendQueue)
 	}
@@ -146,25 +148,19 @@ func (c *Conn) checkSender(where string) {
 			c.violateConn("rack-gated", "%s: RACK loss mark with the arm off", where)
 		}
 	}
-	checkRTT(c, &c.rtt, where)
+	c.checkRTT(where)
 }
 
 // checkWindows audits RFC 5681 legality, for either transport: cwnd is at
 // least one segment (the restart window after an RTO), ssthresh never
 // collapses below two segments. The negated comparisons also catch NaN.
-func checkWindows(v violator, where string, cwnd, ssthresh float64) {
-	if !(cwnd >= 1) || cwnd > 1<<24 {
-		v.violateConn("cwnd-range", "%s: cwnd=%v", where, cwnd)
+func (s *sender) checkWindows(where string) {
+	if !(s.cwnd >= 1) || s.cwnd > 1<<24 {
+		s.violateConn("cwnd-range", "%s: cwnd=%v", where, s.cwnd)
 	}
-	if !(ssthresh >= 2) {
-		v.violateConn("ssthresh-min", "%s: ssthresh=%v", where, ssthresh)
+	if !(s.ssthresh >= 2) {
+		s.violateConn("ssthresh-min", "%s: ssthresh=%v", where, s.ssthresh)
 	}
-}
-
-// violator is the endpoint a shared rule reports against: a Conn or a
-// QUICConn.
-type violator interface {
-	violateConn(rule, format string, args ...any)
 }
 
 // checkSender audits the QUIC sender's bookkeeping against a walk of
@@ -191,7 +187,8 @@ func (q *QUICConn) checkSender(where string) {
 	if q.sentCopies != copies {
 		q.violateConn("copy-count", "%s: maintained count %d, deque holds %d copies", where, q.sentCopies, copies)
 	}
-	checkWindows(q, where, q.cwnd, q.ssthresh)
+	q.checkWindows(where)
+	q.checkRTT(where)
 }
 
 // checkAckRanges audits what the ACK merge-walk assumes of its input:
@@ -202,15 +199,6 @@ func (q *QUICConn) checkAckRanges(p *QUICPacket) {
 			q.violateConn("ack-ranges", "range %d of %v is empty or not above its predecessor", i, p.AckRanges)
 		}
 	}
-}
-
-func (q *QUICConn) violateConn(rule, format string, args ...any) {
-	violate(InvariantViolation{
-		Conn:   q.id,
-		Rule:   rule,
-		Detail: fmt.Sprintf(format, args...),
-		At:     q.loop.Now(),
-	})
 }
 
 // checkNotCoalesced asserts that a loss-repair path is not being entered
@@ -251,16 +239,18 @@ func (c *Conn) checkReceiver(where string) {
 	}
 }
 
-// checkRTT audits RFC 6298 clamping of the RTO estimator.
-func checkRTT(c *Conn, e *rttEstimator, where string) {
+// checkRTT audits RFC 6298 clamping of the estimator behind the RTO, or
+// behind QUIC's PTO.
+func (s *sender) checkRTT(where string) {
+	e := &s.rtt
 	if e.rto < e.minRTO || e.rto > e.maxRTO {
-		c.violateConn("rto-clamp", "%s: base rto=%v outside [%v,%v]", where, e.rto, e.minRTO, e.maxRTO)
+		s.violateConn("rto-clamp", "%s: base rto=%v outside [%v,%v]", where, e.rto, e.minRTO, e.maxRTO)
 	}
 	if cur := e.current(); cur < e.rto && cur < e.maxRTO {
-		c.violateConn("rto-backoff", "%s: backed-off rto=%v below base %v", where, cur, e.rto)
+		s.violateConn("rto-backoff", "%s: backed-off rto=%v below base %v", where, cur, e.rto)
 	}
 	if e.valid && e.srtt <= 0 {
-		c.violateConn("srtt-positive", "%s: srtt=%v with valid estimate", where, e.srtt)
+		s.violateConn("srtt-positive", "%s: srtt=%v with valid estimate", where, e.srtt)
 	}
 }
 

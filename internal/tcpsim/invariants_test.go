@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -242,4 +243,55 @@ func TestSegmentPoolNoLeakUnderDropsAndImpairments(t *testing.T) {
 		}
 	}
 	SetSegmentPooling(true)
+}
+
+// brokenCC is Reno with the two outputs checkedCC audits made illegal: a
+// negative congestion-avoidance increment and an ssthresh after loss
+// below the two-segment floor.
+type brokenCC struct{ Reno }
+
+func (*brokenCC) OnAckCA(sim.Time, float64, int, time.Duration) float64 { return -0.01 }
+func (*brokenCC) SsthreshAfterLoss(float64) float64                     { return 1 }
+
+// TestInvariantCatchesBrokenCCOnBothTransports: a controller reaches a
+// QUICConn through the same constructor as a Conn, so the same audit
+// wraps it. One dropped data packet forces the loss response, a low
+// ssthresh forces congestion avoidance; both illegal outputs must be
+// reported on either transport.
+func TestInvariantCatchesBrokenCCOnBothTransports(t *testing.T) {
+	RegisterCC("broken", func() CongestionControl { return &brokenCC{} })
+	for _, tr := range senderTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			got := captureViolations(t)
+			w := newWorld(cleanPath(), 3)
+			data := 0
+			w.net.Path().BtoA.SetFilter(func(p netem.Payload, _ int) bool {
+				switch v := p.(type) {
+				case *Segment:
+					if v.Len == 0 {
+						return true
+					}
+				case *QUICPacket:
+					if v.Ack || v.Hs != 0 {
+						return true
+					}
+				}
+				data++
+				return data != 5 // drop the fifth data packet, once
+			})
+			cfg := DefaultConfig()
+			cfg.CC = "broken"
+			s := tr.open(w, cfg, "bad", "d")
+			w.loop.Run(sim.Second)
+			s.ssthresh = 12 // congestion avoidance from the second round trip on
+			s.write(200_000)
+			w.loop.Run(w.loop.Now().Add(30 * time.Second))
+
+			for _, rule := range []string{"cc-increment", "cc-ssthresh"} {
+				if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == rule }) {
+					t.Errorf("%s not reported; violations: %s", rule, rules(*got))
+				}
+			}
+		})
+	}
 }

@@ -26,9 +26,9 @@ import (
 //     handshake round trips entirely, the QUIC answer to §6.2.4's
 //     "cache more aggressively" direction.
 //
-// The sender reuses rttEstimator and CongestionControl verbatim — the
-// composability the transport refactor is for: loss recovery and window
-// growth are layers, not properties of TCP.
+// The sender half — window, controller, estimator, idle restart, metrics
+// cache, undo snapshot, probe — is the same sender struct Conn embeds:
+// those are layers, not properties of TCP. What is QUIC's own is below.
 
 // quicHeaderBytes models the short-header QUIC packet overhead
 // (flags + CID + PN) plus the UDP/IP headers — comparable to TCP's 40
@@ -83,8 +83,8 @@ func (p *QUICPacket) wireSize() int {
 // backing array, because delivered packets are recycled.
 func (p *QUICPacket) DupPayload() netem.Payload {
 	var cp *QUICPacket
-	if p.to != nil && p.to.net != nil {
-		cp = p.to.net.getQPkt()
+	if p.to != nil {
+		cp = p.to.newPkt()
 	} else {
 		cp = &QUICPacket{}
 	}
@@ -92,6 +92,14 @@ func (p *QUICPacket) DupPayload() netem.Payload {
 	*cp = *p
 	cp.AckRanges = ranges
 	return cp
+}
+
+// recycle zeroes a delivered packet, keeping the AckRanges backing array
+// so later ACKs reuse it.
+func (p *QUICPacket) recycle() {
+	ranges := p.AckRanges[:0]
+	*p = QUICPacket{}
+	p.AckRanges = ranges
 }
 
 // qSent is the sender's record of one in-flight (or resolved) packet.
@@ -132,10 +140,7 @@ type qRecvStream struct {
 
 // QUICConn is one endpoint of a simulated QUIC-style connection.
 type QUICConn struct {
-	loop *sim.Loop
-	cfg  Config
-	id   string
-	dest string
+	sender
 
 	isClient bool
 	peer     *QUICConn
@@ -148,23 +153,15 @@ type QUICConn struct {
 	hsRetry       sim.Timer
 	hsSentAt      sim.Time
 
-	// --- sender half (shared layers: rttEstimator + CongestionControl) ---
-	cc            CongestionControl
-	rtt           rttEstimator
-	cwnd          float64
-	ssthresh      float64
+	// --- sender half (window, estimator and policies are in sender) ---
 	nextPN        uint64
 	largestAcked  uint64
 	ackedAny      bool
-	sent          []qSent
-	sentHead      int
+	sent          deque[qSent] // strictly ascending in packet number
 	bytesInFlight int
-	sendq         []qChunk
-	sendqHead     int
+	sendq         deque[qChunk]
 	queuedBytes   int
 	streamOffs    map[uint32]uint64
-	everSent      bool
-	lastDataSend  sim.Time
 
 	// sentCopies counts the deque records that re-send an earlier
 	// packet's data (hasOrig). While it is zero — no loss or probe still
@@ -174,19 +171,14 @@ type QUICConn struct {
 
 	// Loss episodes mirror the TCP stack's once-per-window reduction:
 	// losses of packets below recoveryEnd belong to the episode that
-	// already reduced the window.
-	inRecovery   bool
-	recoveryEnd  uint64
-	undoValid    bool
-	undoCwnd     float64
-	undoSsthresh float64
+	// already reduced the window. undoValid says sender's snapshot is
+	// this episode's.
+	inRecovery  bool
+	recoveryEnd uint64
+	undoValid   bool
 
 	ptoTimer sim.Timer
 	ptoFn    func()
-
-	writableThresh int
-	writableHook   func()
-	inWritableHook bool
 
 	// --- receiver half ---
 	rcvRanges    [][2]uint64 // received PNs, merged, ascending
@@ -201,11 +193,10 @@ type QUICConn struct {
 	// without the lost mark reaching the live record (see detectLosses).
 	lostMarkDrift int
 
-	// --- counters (mirror Conn's public ledger) ---
-	BytesSentApp   int64
+	// --- counters (mirror Conn's public ledger; IdleRestarts and
+	// BytesSentApp are sender's) ---
 	Retransmits    int
 	SpuriousRetx   int
-	IdleRestarts   int
 	ZeroRTTResumed bool
 }
 
@@ -227,40 +218,24 @@ func (n *Network) NewQUICPair(clientCfg, serverCfg Config, id, dest string) (cli
 func (n *Network) QUICConns() []*QUICConn { return n.qconns }
 
 func newQUICConn(loop *sim.Loop, cfg Config, id, dest string, isClient bool) *QUICConn {
-	if cfg.MSS <= 0 {
-		cfg = DefaultConfig()
-	}
 	q := &QUICConn{
-		loop:       loop,
-		cfg:        cfg,
-		id:         id,
-		dest:       dest,
 		isClient:   isClient,
-		cc:         NewCC(cfg.CC),
-		rtt:        newRTTEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO),
-		cwnd:       cfg.InitialCwnd,
-		ssthresh:   1 << 20,
 		streamOffs: map[uint32]uint64{},
 		streams:    map[uint32]*qRecvStream{},
 	}
+	q.sender.init(loop, cfg, id, dest)
 	q.ptoFn = q.onPTO
 	q.delayedAckFn = func() {
 		if q.pktsSinceAck > 0 {
 			q.sendAckNow()
 		}
 	}
-	if e := cfg.Metrics.Lookup(dest); e != nil {
-		if e.Ssthresh > 0 {
-			q.ssthresh = e.Ssthresh
-		}
-		q.rtt.seed(e.SRTT, e.RTTVar)
-	}
 	return q
 }
 
 func (q *QUICConn) releaseRuntime() {
-	q.sent, q.sentHead, q.sentCopies = nil, 0, 0
-	q.sendq, q.sendqHead = nil, 0
+	q.sent, q.sentCopies = deque[qSent]{}, 0
+	q.sendq = deque[qChunk]{}
 	q.streamOffs, q.streams = nil, nil
 	q.rcvRanges = nil
 	q.onEstablished, q.onStreamDel, q.writableHook = nil, nil, nil
@@ -285,24 +260,6 @@ func (q *QUICConn) InFlightBytes() int { return q.bytesInFlight }
 // BufferedBytes returns bytes written but not yet packetized.
 func (q *QUICConn) BufferedBytes() int { return q.queuedBytes }
 
-// SetWritableHook mirrors Conn.SetWritableHook for the proxy pump.
-func (q *QUICConn) SetWritableHook(threshold int, fn func()) {
-	q.writableThresh = threshold
-	q.writableHook = fn
-}
-
-func (q *QUICConn) fireWritable() {
-	if q.writableHook == nil || q.inWritableHook {
-		return
-	}
-	if q.queuedBytes > q.writableThresh {
-		return
-	}
-	q.inWritableHook = true
-	q.writableHook()
-	q.inWritableHook = false
-}
-
 // Connect starts the handshake. With ZeroRTT and cached metrics for the
 // destination, the connection is usable immediately (resumption); the
 // Initial still travels to wake the server side.
@@ -316,11 +273,8 @@ func (q *QUICConn) Connect() {
 	if q.cfg.ZeroRTT && q.cfg.Metrics.Lookup(q.dest) != nil {
 		q.ZeroRTTResumed = true
 		q.state = stEstablished
-		init := q.newPkt()
-		init.Hs = 1
-		init.CtrlLen = quicZeroRTTLen
-		q.transmit(init)
-		q.probe(EvEstablished)
+		q.transmitHs(1, quicZeroRTTLen)
+		q.probe(EvEstablished, q.bytesInFlight)
 		if q.onEstablished != nil {
 			q.onEstablished()
 		}
@@ -328,11 +282,16 @@ func (q *QUICConn) Connect() {
 	}
 	q.state = stSynSent
 	q.hsSentAt = q.loop.Now()
-	init := q.newPkt()
-	init.Hs = 1
-	init.CtrlLen = quicInitialPad
-	q.transmit(init)
+	q.transmitHs(1, quicInitialPad)
 	q.armHandshakeRetry(q.cfg.InitialRTO)
+}
+
+// transmitHs sends one handshake leg (QUICPacket.Hs) of n modeled bytes.
+func (q *QUICConn) transmitHs(leg, n int) {
+	p := q.newPkt()
+	p.Hs = leg
+	p.CtrlLen = n
+	q.transmit(p)
 }
 
 func (q *QUICConn) armHandshakeRetry(d time.Duration) {
@@ -341,10 +300,7 @@ func (q *QUICConn) armHandshakeRetry(d time.Duration) {
 		if q.state != stSynSent {
 			return
 		}
-		init := q.newPkt()
-		init.Hs = 1
-		init.CtrlLen = quicInitialPad
-		q.transmit(init)
+		q.transmitHs(1, quicInitialPad)
 		q.armHandshakeRetry(2 * d)
 	})
 }
@@ -358,13 +314,16 @@ func (q *QUICConn) WriteStream(streamID uint32, n int) {
 		q.Connect()
 	}
 	q.BytesSentApp += int64(n)
-	q.maybeIdleRestart()
+	// "<= 0", not "== 0": the detectLosses defect can take a packet's
+	// bytes out of the count twice, and the committed digests have the
+	// restarts in them that a count below zero lets through.
+	q.maybeIdleRestart(q.bytesInFlight <= 0 && q.queuedBytes == 0, q.bytesInFlight)
 	off := q.streamOffs[streamID]
 	q.streamOffs[streamID] = off + uint64(n)
 	// Coalesce with the tail chunk when contiguous on the same stream,
 	// so chatty writers don't grow the queue one entry per call.
-	if ln := len(q.sendq); ln > q.sendqHead {
-		t := &q.sendq[ln-1]
+	if chunks := q.sendq.live(); len(chunks) > 0 {
+		t := &chunks[len(chunks)-1]
 		if t.streamID == streamID && t.offset+uint64(t.remaining) == off {
 			t.remaining += n
 			q.queuedBytes += n
@@ -372,7 +331,7 @@ func (q *QUICConn) WriteStream(streamID uint32, n int) {
 			return
 		}
 	}
-	q.sendq = append(q.sendq, qChunk{streamID: streamID, offset: off, remaining: n})
+	q.sendq.push(qChunk{streamID: streamID, offset: off, remaining: n})
 	q.queuedBytes += n
 	q.trySend()
 }
@@ -387,63 +346,9 @@ func (q *QUICConn) Close() {
 	q.state = stClosing
 }
 
-func (q *QUICConn) storeMetrics() {
-	if q.cfg.Metrics == nil {
-		return
-	}
-	e := MetricsEntry{SRTT: q.rtt.srtt, RTTVar: q.rtt.rttvar}
-	if q.ssthresh < 1<<20 {
-		e.Ssthresh = q.ssthresh
-	}
-	if e.SRTT > 0 || e.Ssthresh > 0 {
-		q.cfg.Metrics.Store(q.dest, e)
-	}
-}
-
-// maybeIdleRestart applies the same congestion-window validation policy
-// as the TCP stack — the layer composes unchanged onto a different
-// transport, which is the refactor's point.
-func (q *QUICConn) maybeIdleRestart() {
-	if q.cfg.NoIdleDemotion || !q.everSent || q.bytesInFlight > 0 || q.queuedBytes > 0 {
-		return
-	}
-	idle := q.loop.Now().Sub(q.lastDataSend)
-	if idle <= q.rtt.base() {
-		return
-	}
-	if q.cfg.SlowStartAfterIdle {
-		if q.cwnd > q.cfg.InitialCwnd {
-			q.cwnd = q.cfg.InitialCwnd
-		}
-		q.cc.Reset()
-		q.IdleRestarts++
-		q.probe(EvIdleRestart)
-	}
-	if q.cfg.ResetRTTAfterIdle {
-		q.rtt.reset()
-		q.probe(EvRTTReset)
-	}
-}
-
-func (q *QUICConn) probe(ev ProbeEvent) {
-	if q.cfg.Probe == nil {
-		return
-	}
-	q.cfg.Probe.Sample(ProbeSample{
-		At:       q.loop.Now(),
-		ConnID:   q.id,
-		Event:    ev,
-		Cwnd:     q.cwnd,
-		Ssthresh: q.ssthresh,
-		InFlight: q.bytesInFlight,
-		RTOms:    float64(q.rtt.current()) / float64(time.Millisecond),
-		SRTTms:   float64(q.rtt.srtt) / float64(time.Millisecond),
-	})
-}
-
 func (q *QUICConn) newPkt() *QUICPacket {
 	if q.net != nil {
-		return q.net.getQPkt()
+		return q.net.qpkts.get()
 	}
 	return &QUICPacket{}
 }
@@ -452,7 +357,7 @@ func (q *QUICConn) transmit(p *QUICPacket) {
 	p.From = q.id
 	p.to = q.peer
 	if !q.out.Send(p, p.wireSize()) && q.net != nil {
-		q.net.putQPkt(p)
+		q.net.qpkts.put(p)
 	}
 }
 
@@ -463,8 +368,8 @@ func (q *QUICConn) trySend() {
 		return
 	}
 	cwndBytes := int(q.cwnd) * q.cfg.MSS
-	for q.sendqHead < len(q.sendq) && q.bytesInFlight < cwndBytes {
-		ch := &q.sendq[q.sendqHead]
+	for q.sendq.size() > 0 && q.bytesInFlight < cwndBytes {
+		ch := &q.sendq.live()[0]
 		n := ch.remaining
 		if n > q.cfg.MSS {
 			n = q.cfg.MSS
@@ -474,14 +379,10 @@ func (q *QUICConn) trySend() {
 		ch.remaining -= n
 		q.queuedBytes -= n
 		if ch.remaining == 0 {
-			q.sendqHead++
-			if q.sendqHead == len(q.sendq) {
-				q.sendq = q.sendq[:0]
-				q.sendqHead = 0
-			}
+			q.sendq.popFront()
 		}
 	}
-	q.fireWritable()
+	q.fireWritable(q.queuedBytes)
 }
 
 // sendData emits one stream-frame packet with a fresh packet number and
@@ -503,17 +404,12 @@ func (q *QUICConn) sendData(sid uint32, off uint64, n int, hasOrig bool, origPN 
 	q.everSent = true
 	q.lastDataSend = q.loop.Now()
 	q.transmit(p)
-	q.probe(EvSend)
+	q.probe(EvSend, q.bytesInFlight)
 	q.armPTO()
 }
 
 func (q *QUICConn) pushSent(s qSent) {
-	if len(q.sent) == cap(q.sent) && q.sentHead > 0 {
-		n := copy(q.sent, q.sent[q.sentHead:])
-		q.sent = q.sent[:n]
-		q.sentHead = 0
-	}
-	q.sent = append(q.sent, s)
+	q.sent.push(s)
 	if s.hasOrig {
 		q.sentCopies++
 	}
@@ -521,7 +417,7 @@ func (q *QUICConn) pushSent(s qSent) {
 
 // flight returns the live window of the sent-packet deque, strictly
 // ascending in packet number.
-func (q *QUICConn) flight() []qSent { return q.sent[q.sentHead:] }
+func (q *QUICConn) flight() []qSent { return q.sent.live() }
 
 // searchPN returns the index of the first record of fl whose packet
 // number is at least pn (len(fl) if there is none).
@@ -531,15 +427,11 @@ func searchPN(fl []qSent, pn uint64) int {
 
 // compactFlight retires resolved records from the front.
 func (q *QUICConn) compactFlight() {
-	for q.sentHead < len(q.sent) && q.sent[q.sentHead].acked {
-		if q.sent[q.sentHead].hasOrig {
+	for q.sent.size() > 0 && q.flight()[0].acked {
+		if q.flight()[0].hasOrig {
 			q.sentCopies--
 		}
-		q.sentHead++
-	}
-	if q.sentHead == len(q.sent) {
-		q.sent = q.sent[:0]
-		q.sentHead = 0
+		q.sent.popFront()
 	}
 }
 
@@ -574,7 +466,7 @@ func (q *QUICConn) onPTO() {
 	// A probe of a probe tracks the nearest copy: spuriousness is a
 	// per-declaration question, not a per-datum one.
 	orig := tgt.pn
-	q.probe(EvRetransmit)
+	q.probe(EvRetransmit, q.bytesInFlight)
 	q.sendData(tgt.streamID, tgt.offset, tgt.length, true, orig, tgt.fin)
 	q.rtt.backoff()
 	// Persistent congestion: two consecutive fruitless probe timeouts
@@ -600,9 +492,8 @@ func (q *QUICConn) congestionEvent(pn uint64) {
 		return
 	}
 	q.undoValid = true
-	q.undoCwnd, q.undoSsthresh = q.cwnd, q.ssthresh
-	q.cc.OnLoss(q.loop.Now(), q.cwnd)
-	q.ssthresh = q.cc.SsthreshAfterLoss(q.cwnd)
+	q.saveUndo()
+	q.enterLoss()
 	if q.ssthresh < 2 {
 		q.ssthresh = 2
 	}
@@ -620,7 +511,7 @@ func (q *QUICConn) undoCongestionEvent() {
 	q.cwnd, q.ssthresh = q.undoCwnd, q.undoSsthresh
 	q.cc.OnUndo(q.loop.Now(), q.cwnd)
 	q.undoValid = false
-	q.probe(EvUndo)
+	q.probe(EvUndo, q.bytesInFlight)
 }
 
 // handlePacket is the receive demultiplexer for one endpoint.
@@ -660,10 +551,7 @@ func (q *QUICConn) handleInitial() {
 	}
 	// Always (re-)send the reply: a duplicate Initial means the client
 	// retried, so the previous reply was likely lost.
-	rep := q.newPkt()
-	rep.Hs = 2
-	rep.CtrlLen = quicInitialPad
-	q.transmit(rep)
+	q.transmitHs(2, quicInitialPad)
 }
 
 func (q *QUICConn) handleHandshakeReply() {
@@ -680,7 +568,7 @@ func (q *QUICConn) becomeEstablished() {
 		return
 	}
 	q.state = stEstablished
-	q.probe(EvEstablished)
+	q.probe(EvEstablished, q.bytesInFlight)
 	if q.onEstablished != nil {
 		q.onEstablished()
 	}
@@ -727,7 +615,7 @@ func (q *QUICConn) handleAck(p *QUICPacket) {
 			q.cwnd += q.cc.OnAckCA(q.loop.Now(), q.cwnd, newlyAcked, q.rtt.srtt)
 		}
 	}
-	q.probe(EvAck)
+	q.probe(EvAck, q.bytesInFlight)
 	q.detectLosses()
 	q.compactFlight()
 	q.armPTO()
@@ -767,7 +655,7 @@ func (q *QUICConn) resolveAck(p *QUICPacket) (newlyAcked int, largestNew *qSent)
 				// acknowledgment after all: the declaration was spurious.
 				e.acked = true
 				q.SpuriousRetx++
-				q.probe(EvSpurious)
+				q.probe(EvSpurious, q.bytesInFlight)
 				q.undoCongestionEvent()
 				continue
 			}
@@ -825,7 +713,7 @@ func (q *QUICConn) checkSpuriousProbe(pn uint64, after []qSent) {
 		r := &after[i]
 		if r.hasOrig && r.origPN == pn && !r.acked {
 			q.SpuriousRetx++
-			q.probe(EvSpurious)
+			q.probe(EvSpurious, q.bytesInFlight)
 			q.undoCongestionEvent()
 			return
 		}
@@ -851,10 +739,10 @@ func (q *QUICConn) detectLosses() {
 		return
 	}
 	fl := q.flight()
-	head := q.sentHead
+	head := q.sent.head
 	var backing *qSent
 	if len(fl) > 0 {
-		backing = &q.sent[0]
+		backing = &q.sent.buf[0]
 	}
 	for i := range fl {
 		e := &fl[i]
@@ -864,7 +752,7 @@ func (q *QUICConn) detectLosses() {
 		if e.pn+quicPacketThreshold > q.largestAcked {
 			break // deque is PN-ordered; nothing further qualifies
 		}
-		if invOn && (&q.sent[0] != backing || head+i >= len(q.sent)) {
+		if invOn && (&q.sent.buf[0] != backing || head+i >= len(q.sent.buf)) {
 			q.lostMarkDrift += e.length
 		}
 		e.lost = true
@@ -877,7 +765,7 @@ func (q *QUICConn) detectLosses() {
 			continue
 		}
 		q.Retransmits++
-		q.probe(EvFastRetx)
+		q.probe(EvFastRetx, q.bytesInFlight)
 		q.congestionEvent(e.pn)
 		q.sendData(e.streamID, e.offset, e.length, true, e.pn, e.fin)
 	}

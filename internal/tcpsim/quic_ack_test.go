@@ -35,7 +35,7 @@ func (q *QUICConn) refResolveAck(p *QUICPacket) (newlyAcked int, largestNew *qSe
 		if e.lost {
 			e.acked = true
 			q.SpuriousRetx++
-			q.probe(EvSpurious)
+			q.probe(EvSpurious, q.bytesInFlight)
 			q.undoCongestionEvent()
 			continue
 		}
@@ -83,7 +83,7 @@ func (q *QUICConn) refCheckSpuriousProbe(pn uint64, fl []qSent) {
 		r := &fl[i]
 		if r.hasOrig && r.origPN == pn && !r.acked {
 			q.SpuriousRetx++
-			q.probe(EvSpurious)
+			q.probe(EvSpurious, q.bytesInFlight)
 			q.undoCongestionEvent()
 			return
 		}
@@ -110,9 +110,9 @@ func (l *sampleLog) Sample(s ProbeSample) { *l = append(*l, s) }
 // every state handleAck can meet: in flight, declared lost, resolved but
 // not yet retired, and copies whose originals are in the deque, retired,
 // or themselves copies. Packet numbers ascend with gaps (ACK packets
-// consume numbers too) and a retired prefix leaves sentHead above zero.
-// The same seed gives the same sender, so a pair can be resolved by the
-// merge-walk and by the oracle and then compared.
+// consume numbers too) and a retired prefix leaves the deque's head
+// above zero. The same seed gives the same sender, so a pair can be
+// resolved by the merge-walk and by the oracle and then compared.
 func randomFlight(seed uint64, maxLen int) (*QUICConn, *sampleLog) {
 	rng := sim.NewRNG(seed)
 	log := &sampleLog{}

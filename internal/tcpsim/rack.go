@@ -75,15 +75,7 @@ func (c *Conn) rackDetectLoss() bool {
 // and let the trySend recovery loop drain the marked backlog paced by
 // the window — no triple-dupACK threshold involved.
 func (c *Conn) rackEnterRecovery() {
-	c.undoActive = true
-	c.undoCwnd = c.cwnd
-	c.undoSsthresh = c.ssthresh
-	c.undoRetrans = 0
-	c.undoEpisode = 0
-
-	c.ssthresh = c.cc.SsthreshAfterLoss(c.cwnd)
-	c.cc.OnLoss(c.loop.Now(), c.cwnd)
-	c.recoverPoint = c.sndNxt
+	c.openLossEpisode()
 	c.caState = caRecovery
 	c.cwnd = c.ssthresh
 	c.abortTLP()

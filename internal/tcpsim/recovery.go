@@ -95,24 +95,7 @@ func (c *Conn) onTLP() {
 	}
 	now := c.loop.Now()
 	if c.sendQueue > 0 && c.InFlightBytes()+c.cfg.MSS <= c.peerWnd {
-		payload := c.cfg.MSS
-		if payload > c.sendQueue {
-			payload = c.sendQueue
-		}
-		seg := c.newSeg()
-		seg.Flags = flagACK
-		seg.Seq = c.sndNxt
-		seg.Len = payload
-		seg.Ack = c.rcvNxt
-		seg.Wnd = c.recvWindow()
-		seg.TSVal = now
-		seg.TSEcr = c.tsRecent
-		c.sndNxt += uint64(payload)
-		c.sendQueue -= payload
-		c.pushInflight(sentSeg{seq: seg.Seq, len: payload, sentAt: now})
-		c.ackPiggybacked()
-		c.transmit(seg)
-		c.lastDataSend = now
+		c.sendNew(min(c.cfg.MSS, c.sendQueue))
 		c.tlp.newData = true
 		c.tlpNewData++
 	} else {
@@ -127,13 +110,11 @@ func (c *Conn) onTLP() {
 		if probe == nil {
 			return
 		}
-		probe.retx = true
-		probe.sentAt = now
 		c.retransmitSeg(probe)
 		c.tlp.newData = false
 	}
 	c.TLPProbes++
-	c.probe(EvTLPProbe)
+	c.probe(EvTLPProbe, c.InFlightBytes())
 	c.tlp.probing = true
 	c.tlp.highSeq = c.sndNxt
 	c.tlp.sentAt = now
@@ -168,8 +149,7 @@ func (c *Conn) resolveTLP(ack uint64, seg *Segment) {
 		// the same holes); it already took the congestion response.
 		return
 	}
-	c.ssthresh = c.cc.SsthreshAfterLoss(c.cwnd)
-	c.cc.OnLoss(c.loop.Now(), c.cwnd)
+	c.enterLoss() // no snapshot: the probe opened no episode to undo
 	if c.cwnd > c.ssthresh {
 		c.cwnd = c.ssthresh
 	}
@@ -193,9 +173,9 @@ func (c *Conn) abortTLP() {
 func (c *Conn) noteRetransmit(cause uint8) {
 	if cause == causeRACK {
 		c.RACKRetransmits++
-		c.probe(EvRACKRetx)
+		c.probe(EvRACKRetx, c.InFlightBytes())
 		return
 	}
 	c.Retransmits++
-	c.probe(EvRetransmit)
+	c.probe(EvRetransmit, c.InFlightBytes())
 }

@@ -68,8 +68,8 @@ func (s *Segment) wireSize() int { return headerBytes + s.Len + s.CtrlLen }
 // array.
 func (s *Segment) DupPayload() netem.Payload {
 	var cp *Segment
-	if s.to != nil && s.to.net != nil {
-		cp = s.to.net.getSeg()
+	if s.to != nil {
+		cp = s.to.newSeg()
 	} else {
 		cp = &Segment{}
 	}
@@ -81,6 +81,14 @@ func (s *Segment) DupPayload() netem.Payload {
 	// is the network's doing and must not carry that evidence.
 	cp.Delayed = false
 	return cp
+}
+
+// recycle zeroes a delivered segment, keeping the Sack backing array so
+// later ACKs reuse it.
+func (s *Segment) recycle() {
+	sack := s.Sack[:0]
+	*s = Segment{}
+	s.Sack = sack
 }
 
 // Retransmit-cause tags recorded on sentSeg.lostBy. A segment marked
