@@ -391,7 +391,7 @@ func (c *Conn) Write(n int) {
 		c.Connect()
 	}
 	c.BytesSentApp += int64(n)
-	c.maybeIdleRestart(c.inflight.size() == 0 && c.sendQueue == 0, c.InFlightBytes())
+	c.maybeIdleRestart(len(c.infl()) == 0 && c.sendQueue == 0, c.InFlightBytes())
 	c.sendQueue += n
 	c.trySend()
 }
