@@ -598,7 +598,7 @@ type muxHandle struct {
 	write  func(streamID uint32, n int)
 	// reqSize prices the request for obj on this connection, advancing
 	// its header-compression context.
-	reqSize     func(obj *webpage.Object, prio spdy.Priority) int
+	reqSize     func(obj *webpage.Object) int
 	established bool
 	backlog     []*pendingReq
 	outstanding int // requests awaiting their response
@@ -659,19 +659,12 @@ func (b *Browser) openMux() {
 		}
 		if m.zlibRequests {
 			oracle := spdy.NewSizeOracle()
-			var streamSeq uint32
-			h.reqSize = func(obj *webpage.Object, prio spdy.Priority) int {
-				streamSeq += 2
-				return oracle.FrameSize(spdy.SynStream{
-					StreamID: streamSeq + 1,
-					Priority: prio,
-					Fin:      true,
-					Headers:  spdy.RequestHeaders("GET", "http", obj.Domain, obj.Path, userAgent),
-				})
+			h.reqSize = func(obj *webpage.Object) int {
+				return oracle.RequestSize("GET", "http", obj.Domain, obj.Path, userAgent)
 			}
 		} else {
 			sizer := h2.NewHeaderSizer()
-			h.reqSize = func(obj *webpage.Object, _ spdy.Priority) int {
+			h.reqSize = func(obj *webpage.Object) int {
 				return sizer.RequestSize("GET", "http", obj.Domain, obj.Path, userAgent)
 			}
 		}
@@ -696,7 +689,7 @@ func (b *Browser) sendMux(h *muxHandle, req *pendingReq) {
 	req.or.Requested = b.loop.Now()
 	req.or.ConnID = h.id
 	prio := spdy.PriorityForType(string(req.obj.Kind))
-	size := h.reqSize(req.obj, prio)
+	size := h.reqSize(req.obj)
 	or := req.or
 	onDone := req.onDone
 	h.sess.ExpectRequest(h.link, req.obj, size, prio, proxy.ResponseHooks{

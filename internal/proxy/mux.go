@@ -91,15 +91,13 @@ type Session struct {
 // one link, advancing that link's header-compression context.
 type headSizer func(obj *webpage.Object) int
 
-// zlibHead prices heads as SPDY does: a SYN_REPLY through a real framer
-// whose zlib context is shared by every header block on the connection.
+// zlibHead prices heads as SPDY does: a SYN_REPLY whose header block is
+// deflated in the zlib context every header block on the connection
+// shares.
 func zlibHead() headSizer {
 	oracle := spdy.NewSizeOracle()
 	return func(obj *webpage.Object) int {
-		return oracle.FrameSize(spdy.SynReply{
-			StreamID: StreamID(obj),
-			Headers:  spdy.ResponseHeaders("200 OK", contentType(obj.Kind), int64(obj.Size)),
-		})
+		return oracle.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
 	}
 }
 

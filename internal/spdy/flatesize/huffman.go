@@ -1,0 +1,534 @@
+// Copyright 2009 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+package flatesize
+
+import (
+	"math"
+	"slices"
+)
+
+const (
+	// The largest offset code.
+	offsetCodeCount = 30
+
+	// The special code used to mark the end of a block.
+	endBlockMarker = 256
+
+	// The first length code.
+	lengthCodesStart = 257
+
+	// The number of codegen codes.
+	codegenCodeCount = 19
+	badCode          = 255
+
+	maxNumLit = 286
+)
+
+// The number of extra bits needed by length code X - LENGTH_CODES_START.
+var lengthExtraBits = [...]int8{
+	/* 257 */ 0, 0, 0,
+	/* 260 */ 0, 0, 0, 0, 0, 1, 1, 1, 1, 2,
+	/* 270 */ 2, 2, 2, 3, 3, 3, 3, 4, 4, 4,
+	/* 280 */ 4, 5, 5, 5, 5, 0,
+}
+
+// offset code word extra bits.
+var offsetExtraBits = [...]int8{
+	0, 0, 0, 0, 1, 1, 2, 2, 3, 3,
+	4, 4, 5, 5, 6, 6, 7, 7, 8, 8,
+	9, 9, 10, 10, 11, 11, 12, 12, 13, 13,
+}
+
+// The odd order in which the codegen code sizes are written.
+var codegenOrder = [...]uint32{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
+
+// The length code for length X (MIN_MATCH_LENGTH <= X <= MAX_MATCH_LENGTH)
+// is lengthCodes[length - MIN_MATCH_LENGTH]
+var lengthCodes = [...]uint8{
+	0, 1, 2, 3, 4, 5, 6, 7, 8, 8,
+	9, 9, 10, 10, 11, 11, 12, 12, 12, 12,
+	13, 13, 13, 13, 14, 14, 14, 14, 15, 15,
+	15, 15, 16, 16, 16, 16, 16, 16, 16, 16,
+	17, 17, 17, 17, 17, 17, 17, 17, 18, 18,
+	18, 18, 18, 18, 18, 18, 19, 19, 19, 19,
+	19, 19, 19, 19, 20, 20, 20, 20, 20, 20,
+	20, 20, 20, 20, 20, 20, 20, 20, 20, 20,
+	21, 21, 21, 21, 21, 21, 21, 21, 21, 21,
+	21, 21, 21, 21, 21, 21, 22, 22, 22, 22,
+	22, 22, 22, 22, 22, 22, 22, 22, 22, 22,
+	22, 22, 23, 23, 23, 23, 23, 23, 23, 23,
+	23, 23, 23, 23, 23, 23, 23, 23, 24, 24,
+	24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+	24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+	24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+	25, 25, 25, 25, 25, 25, 25, 25, 25, 25,
+	25, 25, 25, 25, 25, 25, 25, 25, 25, 25,
+	25, 25, 25, 25, 25, 25, 25, 25, 25, 25,
+	25, 25, 26, 26, 26, 26, 26, 26, 26, 26,
+	26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+	26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+	26, 26, 26, 26, 27, 27, 27, 27, 27, 27,
+	27, 27, 27, 27, 27, 27, 27, 27, 27, 27,
+	27, 27, 27, 27, 27, 27, 27, 27, 27, 27,
+	27, 27, 27, 27, 27, 28,
+}
+
+var offsetCodes = [...]uint8{
+	0, 1, 2, 3, 4, 4, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7,
+	8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 9, 9,
+	10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10,
+	11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11,
+	12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12,
+	12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12,
+	13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13,
+	13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13,
+	14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14,
+	14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14,
+	14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14,
+	14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14,
+	15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15,
+	15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15,
+	15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15,
+	15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15,
+}
+
+// Returns the offset code corresponding to a specific offset. No offset
+// reaches past the 32 KiB window, so the stdlib's third tier (off>>14)
+// is not needed.
+func offsetCode(off uint32) uint8 {
+	if off < uint32(len(offsetCodes)) {
+		return offsetCodes[off]
+	}
+	return offsetCodes[off>>7] + 14
+}
+
+// fixedLiteralLen is the code length RFC 1951 3.2.6 fixes for each
+// literal/length symbol; every fixed offset code is 5 bits.
+func fixedLiteralLen(ch int) int {
+	switch {
+	case ch < 144:
+		return 8
+	case ch < 256:
+		return 9
+	case ch < 280:
+		return 7
+	default:
+		return 8
+	}
+}
+
+const fixedOffsetLen = 5
+
+// blockSizer stands where the stdlib has a token slice and a
+// huffmanBitWriter: it keeps the histogram indexTokens would build from
+// the tokens, and prices the block the way writeBlock chooses to write
+// it.
+type blockSizer struct {
+	tokens      int
+	extraBits   int
+	literalFreq [maxNumLit]int32
+	offsetFreq  [offsetCodeCount]int32
+	codegenFreq [codegenCodeCount]int32
+	codegen     [maxNumLit + offsetCodeCount + 1]uint8
+
+	literalEncoding huffmanEncoder
+	offsetEncoding  huffmanEncoder
+	codegenEncoding huffmanEncoder
+}
+
+func (w *blockSizer) literal(b byte) {
+	w.literalFreq[b]++
+	w.tokens++
+}
+
+func (w *blockSizer) match(length, offset int) {
+	lc := lengthCodes[length-baseMatchLength]
+	oc := offsetCode(uint32(offset - baseMatchOffset))
+	w.literalFreq[lengthCodesStart+int(lc)]++
+	w.offsetFreq[oc]++
+	w.extraBits += int(lengthExtraBits[lc]) + int(offsetExtraBits[oc])
+	w.tokens++
+}
+
+// RFC 1951 3.2.7 specifies a special run-length encoding for specifying
+// the literal and offset lengths arrays (which are concatenated into a single
+// array).  This method generates that run-length encoding.
+//
+// Only the frequencies of each code, written into the codegenFreq
+// array, decide the size; the codegen array is the scratch copy of the
+// concatenated code sizes the run-length pass reads.
+func (w *blockSizer) generateCodegen(numLiterals int, numOffsets int) {
+	clear(w.codegenFreq[:])
+	codegen := w.codegen[:numLiterals+numOffsets+1]
+	copy(codegen, w.literalEncoding.lens[:numLiterals])
+	copy(codegen[numLiterals:], w.offsetEncoding.lens[:numOffsets])
+	codegen[numLiterals+numOffsets] = badCode
+
+	size := codegen[0]
+	count := 1
+	for inIndex := 1; size != badCode; inIndex++ {
+		// INVARIANT: We have seen "count" copies of size that have not yet
+		// had output generated for them.
+		nextSize := codegen[inIndex]
+		if nextSize == size {
+			count++
+			continue
+		}
+		// We need to generate codegen indicating "count" of size.
+		if size != 0 {
+			w.codegenFreq[size]++
+			count--
+			for count >= 3 {
+				n := 6
+				if n > count {
+					n = count
+				}
+				w.codegenFreq[16]++
+				count -= n
+			}
+		} else {
+			for count >= 11 {
+				n := 138
+				if n > count {
+					n = count
+				}
+				w.codegenFreq[18]++
+				count -= n
+			}
+			if count >= 3 {
+				// count >= 3 && count <= 10
+				w.codegenFreq[17]++
+				count = 0
+			}
+		}
+		if count > 0 {
+			w.codegenFreq[size] += int32(count)
+		}
+		// Set up invariant for next time through the loop.
+		size = nextSize
+		count = 1
+	}
+}
+
+// dynamicSize returns the size of dynamically encoded data in bits.
+func (w *blockSizer) dynamicSize() int {
+	numCodegens := len(w.codegenFreq)
+	for numCodegens > 4 && w.codegenFreq[codegenOrder[numCodegens-1]] == 0 {
+		numCodegens--
+	}
+	header := 3 + 5 + 5 + 4 + (3 * numCodegens) +
+		w.codegenEncoding.bitLength(w.codegenFreq[:]) +
+		int(w.codegenFreq[16])*2 +
+		int(w.codegenFreq[17])*3 +
+		int(w.codegenFreq[18])*7
+	return header +
+		w.literalEncoding.bitLength(w.literalFreq[:]) +
+		w.offsetEncoding.bitLength(w.offsetFreq[:]) +
+		w.extraBits
+}
+
+// fixedSize returns the size of data encoded with the fixed tables, in
+// bits.
+func (w *blockSizer) fixedSize() int {
+	size := 3 + w.extraBits
+	for i, f := range w.literalFreq {
+		if f != 0 {
+			size += int(f) * fixedLiteralLen(i)
+		}
+	}
+	for _, f := range w.offsetFreq {
+		size += int(f) * fixedOffsetLen
+	}
+	return size
+}
+
+// size closes the block: it returns the number of bits writeBlock would
+// spend on the gathered tokens as a Huffman block, or false when it
+// would store the stored input bytes instead (stored < 0: the input has
+// left the window and cannot be stored). The histogram is left clear
+// for the next block.
+func (w *blockSizer) size(stored int) (int, bool) {
+	w.literalFreq[endBlockMarker]++
+
+	// get the number of literals
+	numLiterals := len(w.literalFreq)
+	for w.literalFreq[numLiterals-1] == 0 {
+		numLiterals--
+	}
+	// get the number of offsets
+	numOffsets := len(w.offsetFreq)
+	for numOffsets > 0 && w.offsetFreq[numOffsets-1] == 0 {
+		numOffsets--
+	}
+	// We haven't found a single match. If we want to go with the dynamic encoding,
+	// we should count at least one offset to be sure that the offset huffman tree could be encoded.
+	// writeBlock's estimates then price that offset although no token
+	// spends it; the bits written do not include it.
+	noMatch := numOffsets == 0
+	if noMatch {
+		w.offsetFreq[0] = 1
+		numOffsets = 1
+	}
+	w.literalEncoding.generate(w.literalFreq[:], 15)
+	w.offsetEncoding.generate(w.offsetFreq[:], 15)
+
+	// Figure out smallest code.
+	// Fixed Huffman baseline.
+	size, unspent := w.fixedSize(), fixedOffsetLen
+
+	// Generate codegen and codegenFrequencies, which indicates how to encode
+	// the literalEncoding and the offsetEncoding.
+	w.generateCodegen(numLiterals, numOffsets)
+	w.codegenEncoding.generate(w.codegenFreq[:], 7)
+	if dynamicSize := w.dynamicSize(); dynamicSize < size {
+		size, unspent = dynamicSize, int(w.offsetEncoding.lens[0])
+	}
+
+	clear(w.literalFreq[:])
+	clear(w.offsetFreq[:])
+	w.tokens, w.extraBits = 0, 0
+
+	// Stored bytes? writeBlock compares two estimates: the stored size
+	// with its header rounded up to five whole bytes, and the Huffman
+	// size with the offset nobody spends still in it.
+	if stored >= 0 && stored <= maxStoreBlockSize && (stored+5)*8 < size {
+		return 0, false
+	}
+	if noMatch {
+		size -= unspent
+	}
+	return size, true
+}
+
+type huffmanEncoder struct {
+	lens      [maxNumLit]uint8
+	freqcache [maxNumLit + 1]literalNode
+	bitCount  [17]int32
+}
+
+type literalNode struct {
+	literal uint16
+	freq    int32
+}
+
+// A levelInfo describes the state of the constructed tree for a given depth.
+type levelInfo struct {
+	// Our level.  for better printing
+	level int32
+
+	// The frequency of the last node at this level
+	lastFreq int32
+
+	// The frequency of the next character to add to this level
+	nextCharFreq int32
+
+	// The frequency of the next pair (from level below) to add to this level.
+	// Only valid if the "needed" value of the next lower level is 0.
+	nextPairFreq int32
+
+	// The number of chains remaining to generate for this level before moving
+	// up to the next level
+	needed int32
+}
+
+func maxNode() literalNode { return literalNode{math.MaxUint16, math.MaxInt32} }
+
+func (h *huffmanEncoder) bitLength(freq []int32) int {
+	var total int
+	for i, f := range freq {
+		if f != 0 {
+			total += int(f) * int(h.lens[i])
+		}
+	}
+	return total
+}
+
+const maxBitsLimit = 16
+
+// bitCounts computes the number of literals assigned to each bit size in the Huffman encoding.
+// It is only called when list.length >= 3.
+// The cases of 0, 1, and 2 literals are handled by special case code.
+//
+// list is an array of the literals with non-zero frequencies
+// and their associated frequencies. The array is in order of increasing
+// frequency and has as its last element a special element with frequency
+// MaxInt32.
+//
+// maxBits is the maximum number of bits that should be used to encode any literal.
+// It must be less than 16.
+//
+// bitCounts returns an integer slice in which slice[i] indicates the number of literals
+// that should be encoded in i bits.
+func (h *huffmanEncoder) bitCounts(list []literalNode, maxBits int32) []int32 {
+	if maxBits >= maxBitsLimit {
+		panic("flate: maxBits too large")
+	}
+	n := int32(len(list))
+	list = list[0 : n+1]
+	list[n] = maxNode()
+
+	// The tree can't have greater depth than n - 1, no matter what. This
+	// saves a little bit of work in some small cases
+	if maxBits > n-1 {
+		maxBits = n - 1
+	}
+
+	// Create information about each of the levels.
+	// A bogus "Level 0" whose sole purpose is so that
+	// level1.prev.needed==0.  This makes level1.nextPairFreq
+	// be a legitimate value that never gets chosen.
+	var levels [maxBitsLimit]levelInfo
+	// leafCounts[i] counts the number of literals at the left
+	// of ancestors of the rightmost node at level i.
+	// leafCounts[i][j] is the number of literals at the left
+	// of the level j ancestor.
+	var leafCounts [maxBitsLimit][maxBitsLimit]int32
+
+	for level := int32(1); level <= maxBits; level++ {
+		// For every level, the first two items are the first two characters.
+		// We initialize the levels as if we had already figured this out.
+		levels[level] = levelInfo{
+			level:        level,
+			lastFreq:     list[1].freq,
+			nextCharFreq: list[2].freq,
+			nextPairFreq: list[0].freq + list[1].freq,
+		}
+		leafCounts[level][level] = 2
+		if level == 1 {
+			levels[level].nextPairFreq = math.MaxInt32
+		}
+	}
+
+	// We need a total of 2*n - 2 items at top level and have already generated 2.
+	levels[maxBits].needed = 2*n - 4
+
+	level := maxBits
+	for {
+		l := &levels[level]
+		if l.nextPairFreq == math.MaxInt32 && l.nextCharFreq == math.MaxInt32 {
+			// We've run out of both leaves and pairs.
+			// End all calculations for this level.
+			// To make sure we never come back to this level or any lower level,
+			// set nextPairFreq impossibly large.
+			l.needed = 0
+			levels[level+1].nextPairFreq = math.MaxInt32
+			level++
+			continue
+		}
+
+		prevFreq := l.lastFreq
+		if l.nextCharFreq < l.nextPairFreq {
+			// The next item on this row is a leaf node.
+			leaves := leafCounts[level][level] + 1
+			l.lastFreq = l.nextCharFreq
+			// Lower leafCounts are the same of the previous node.
+			leafCounts[level][level] = leaves
+			l.nextCharFreq = list[leaves].freq
+		} else {
+			// The next item on this row is a pair from the previous row.
+			// nextPairFreq isn't valid until we generate two
+			// more values in the level below
+			l.lastFreq = l.nextPairFreq
+			// Take leaf counts from the lower level, except counts[level] remains the same.
+			copy(leafCounts[level][:level], leafCounts[level-1][:level])
+			levels[l.level-1].needed = 2
+		}
+
+		if l.needed--; l.needed == 0 {
+			// We've done everything we need to do for this level.
+			// Continue calculating one level up. Fill in nextPairFreq
+			// of that level with the sum of the two nodes we've just calculated on
+			// this level.
+			if l.level == maxBits {
+				// All done!
+				break
+			}
+			levels[l.level+1].nextPairFreq = prevFreq + l.lastFreq
+			level++
+		} else {
+			// If we stole from below, move down temporarily to replenish it.
+			for levels[level-1].needed > 0 {
+				level--
+			}
+		}
+	}
+
+	// Somethings is wrong if at the end, the top level is null or hasn't used
+	// all of the leaves.
+	if leafCounts[maxBits][maxBits] != n {
+		panic("leafCounts[maxBits][maxBits] != n")
+	}
+
+	bitCount := h.bitCount[:maxBits+1]
+	bits := 1
+	counts := &leafCounts[maxBits]
+	for level := maxBits; level > 0; level-- {
+		// chain.leafCount gives the number of literals requiring at least "bits"
+		// bits to encode.
+		bitCount[bits] = counts[level] - counts[level-1]
+		bits++
+	}
+	return bitCount
+}
+
+// Look at the leaves and assign them a bit count. The stdlib goes on to
+// sort each chunk by literal and hand out code values; a size needs
+// only the lengths.
+func (h *huffmanEncoder) assignSize(bitCount []int32, list []literalNode) {
+	for n, bits := range bitCount {
+		if n == 0 || bits == 0 {
+			continue
+		}
+		// The literals list[len(list)-bits] .. list[len(list)-bits]
+		// are encoded using "bits" bits.
+		chunk := list[len(list)-int(bits):]
+		for _, node := range chunk {
+			h.lens[node.literal] = uint8(n)
+		}
+		list = list[0 : len(list)-int(bits)]
+	}
+}
+
+// Update this Huffman Code object to be the minimum code for the specified frequency count.
+//
+// freq is an array of frequencies, in which freq[i] gives the frequency of literal i.
+// maxBits  The maximum number of bits to use for any literal.
+func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
+	list := h.freqcache[:len(freq)+1]
+	// Number of non-zero literals
+	count := 0
+	// Set list to be the set of all non-zero literals and their frequencies
+	for i, f := range freq {
+		if f != 0 {
+			list[count] = literalNode{uint16(i), f}
+			count++
+		} else {
+			h.lens[i] = 0
+		}
+	}
+
+	list = list[:count]
+	if count <= 2 {
+		// Handle the small cases here, because they are awkward for the general case code. With
+		// two or fewer literals, everything has bit length 1.
+		for _, node := range list {
+			h.lens[node.literal] = 1
+		}
+		return
+	}
+	// (freq, literal) is a total order, so the stdlib's sort.Sort and
+	// this one agree on the result.
+	slices.SortFunc(list, func(a, b literalNode) int {
+		if a.freq != b.freq {
+			return int(a.freq) - int(b.freq)
+		}
+		return int(a.literal) - int(b.literal)
+	})
+
+	// Get the number of literals for each bit count
+	bitCount := h.bitCounts(list, maxBits)
+	// And do the assignment
+	h.assignSize(bitCount, list)
+}

@@ -182,15 +182,70 @@ func (f *Framer) writeAll(b []byte) error {
 	return err
 }
 
-func controlHeader(frameType int, flags uint8, length int) []byte {
-	var h [8]byte
-	binary.BigEndian.PutUint16(h[0:2], 0x8000|Version)
-	binary.BigEndian.PutUint16(h[2:4], uint16(frameType))
-	h[4] = flags
-	h[5] = byte(length >> 16)
-	h[6] = byte(length >> 8)
-	h[7] = byte(length)
-	return h[:]
+// wire is a frame laid out for transmission: the first four header
+// bytes, the flags, and the body — up to the compressed name/value block
+// of headers when block is set. WriteFrame sends it and SizeOracle
+// measures it, so the two cannot disagree about a frame's layout.
+type wire struct {
+	head    uint32
+	flags   uint8
+	body    []byte
+	headers Headers
+	block   bool
+}
+
+// streamID32 is a stream ID as the first field of a control frame body.
+func streamID32(id uint32) []byte {
+	return binary.BigEndian.AppendUint32(nil, id&0x7fffffff)
+}
+
+func layout(fr Frame) (w wire, err error) {
+	fin := false
+	switch fr := fr.(type) {
+	case *DataFrame:
+		return layout(*fr)
+	case *SynStream:
+		return layout(*fr)
+	case *SynReply:
+		return layout(*fr)
+	case DataFrame:
+		if len(fr.Data) > maxFrameLen {
+			return w, ErrFrameTooLarge
+		}
+		w, fin = wire{head: fr.StreamID & 0x7fffffff, body: fr.Data}, fr.Fin
+	case SynStream:
+		w, fin = wire{body: make([]byte, 10), headers: fr.Headers, block: true}, fr.Fin
+		binary.BigEndian.PutUint32(w.body[0:4], fr.StreamID&0x7fffffff)
+		binary.BigEndian.PutUint32(w.body[4:8], fr.AssocID&0x7fffffff)
+		w.body[8] = byte(fr.Priority) << 5 // body[9] is the credential slot
+	case SynReply:
+		w, fin = wire{body: streamID32(fr.StreamID), headers: fr.Headers, block: true}, fr.Fin
+	case HeadersFrame:
+		w, fin = wire{body: streamID32(fr.StreamID), headers: fr.Headers, block: true}, fr.Fin
+	case RstStream:
+		w.body = binary.BigEndian.AppendUint32(streamID32(fr.StreamID), fr.Status)
+	case SettingsFrame:
+		w.body = binary.BigEndian.AppendUint32(nil, uint32(len(fr.Settings)))
+		for _, s := range fr.Settings {
+			w.body = binary.BigEndian.AppendUint32(w.body, uint32(s.Flags)<<24|s.ID&0xffffff)
+			w.body = binary.BigEndian.AppendUint32(w.body, s.Value)
+		}
+	case Ping:
+		w.body = binary.BigEndian.AppendUint32(nil, fr.ID)
+	case Goaway:
+		w.body = binary.BigEndian.AppendUint32(streamID32(fr.LastStreamID), fr.Status)
+	case WindowUpdate:
+		w.body = binary.BigEndian.AppendUint32(streamID32(fr.StreamID), fr.Delta&0x7fffffff)
+	default:
+		return w, fmt.Errorf("spdy: cannot write frame type %T", fr)
+	}
+	if typ := fr.frameType(); typ >= 0 {
+		w.head = (0x8000|Version)<<16 | uint32(typ)
+	}
+	if fin {
+		w.flags = FlagFin
+	}
+	return w, nil
 }
 
 // WriteFrame serializes one frame.
@@ -198,133 +253,29 @@ func (f *Framer) WriteFrame(fr Frame) error {
 	if f.compressTx == nil {
 		return ErrFramerReleased
 	}
-	switch fr := fr.(type) {
-	case DataFrame:
-		return f.writeData(fr)
-	case *DataFrame:
-		return f.writeData(*fr)
-	case SynStream:
-		return f.writeSynStream(fr)
-	case *SynStream:
-		return f.writeSynStream(*fr)
-	case SynReply:
-		return f.writeSynReply(fr)
-	case *SynReply:
-		return f.writeSynReply(*fr)
-	case RstStream:
-		body := make([]byte, 8)
-		binary.BigEndian.PutUint32(body[0:4], fr.StreamID&0x7fffffff)
-		binary.BigEndian.PutUint32(body[4:8], fr.Status)
-		if err := f.writeAll(controlHeader(TypeRstStream, 0, len(body))); err != nil {
-			return err
-		}
-		return f.writeAll(body)
-	case SettingsFrame:
-		body := make([]byte, 4+8*len(fr.Settings))
-		binary.BigEndian.PutUint32(body[0:4], uint32(len(fr.Settings)))
-		for i, s := range fr.Settings {
-			off := 4 + 8*i
-			body[off] = s.Flags
-			body[off+1] = byte(s.ID >> 16)
-			body[off+2] = byte(s.ID >> 8)
-			body[off+3] = byte(s.ID)
-			binary.BigEndian.PutUint32(body[off+4:off+8], s.Value)
-		}
-		if err := f.writeAll(controlHeader(TypeSettings, 0, len(body))); err != nil {
-			return err
-		}
-		return f.writeAll(body)
-	case Ping:
-		body := make([]byte, 4)
-		binary.BigEndian.PutUint32(body, fr.ID)
-		if err := f.writeAll(controlHeader(TypePing, 0, len(body))); err != nil {
-			return err
-		}
-		return f.writeAll(body)
-	case Goaway:
-		body := make([]byte, 8)
-		binary.BigEndian.PutUint32(body[0:4], fr.LastStreamID&0x7fffffff)
-		binary.BigEndian.PutUint32(body[4:8], fr.Status)
-		if err := f.writeAll(controlHeader(TypeGoaway, 0, len(body))); err != nil {
-			return err
-		}
-		return f.writeAll(body)
-	case HeadersFrame:
-		block := f.compressTx.Compress(fr.Headers)
-		body := make([]byte, 4, 4+len(block))
-		binary.BigEndian.PutUint32(body[0:4], fr.StreamID&0x7fffffff)
-		body = append(body, block...)
-		var flags uint8
-		if fr.Fin {
-			flags |= FlagFin
-		}
-		if err := f.writeAll(controlHeader(TypeHeaders, flags, len(body))); err != nil {
-			return err
-		}
-		return f.writeAll(body)
-	case WindowUpdate:
-		body := make([]byte, 8)
-		binary.BigEndian.PutUint32(body[0:4], fr.StreamID&0x7fffffff)
-		binary.BigEndian.PutUint32(body[4:8], fr.Delta&0x7fffffff)
-		if err := f.writeAll(controlHeader(TypeWindowUpdate, 0, len(body))); err != nil {
-			return err
-		}
-		return f.writeAll(body)
-	default:
-		return fmt.Errorf("spdy: cannot write frame type %T", fr)
+	w, err := layout(fr)
+	if err != nil {
+		return err
 	}
-}
-
-func (f *Framer) writeData(fr DataFrame) error {
-	if len(fr.Data) > maxFrameLen {
-		return ErrFrameTooLarge
+	if w.block {
+		w.body = append(w.body, f.compressTx.Compress(w.headers)...)
 	}
 	var h [8]byte
-	binary.BigEndian.PutUint32(h[0:4], fr.StreamID&0x7fffffff)
-	if fr.Fin {
-		h[4] = FlagFin
-	}
-	h[5] = byte(len(fr.Data) >> 16)
-	h[6] = byte(len(fr.Data) >> 8)
-	h[7] = byte(len(fr.Data))
+	binary.BigEndian.PutUint32(h[0:4], w.head)
+	h[4] = w.flags
+	h[5] = byte(len(w.body) >> 16)
+	h[6] = byte(len(w.body) >> 8)
+	h[7] = byte(len(w.body))
 	if err := f.writeAll(h[:]); err != nil {
 		return err
 	}
-	return f.writeAll(fr.Data)
+	return f.writeAll(w.body)
 }
 
-func (f *Framer) writeSynStream(fr SynStream) error {
-	block := f.compressTx.Compress(fr.Headers)
-	body := make([]byte, 10, 10+len(block))
-	binary.BigEndian.PutUint32(body[0:4], fr.StreamID&0x7fffffff)
-	binary.BigEndian.PutUint32(body[4:8], fr.AssocID&0x7fffffff)
-	body[8] = byte(fr.Priority) << 5
-	body[9] = 0 // credential slot
-	body = append(body, block...)
-	var flags uint8
-	if fr.Fin {
-		flags |= FlagFin
-	}
-	if err := f.writeAll(controlHeader(TypeSynStream, flags, len(body))); err != nil {
-		return err
-	}
-	return f.writeAll(body)
-}
-
-func (f *Framer) writeSynReply(fr SynReply) error {
-	block := f.compressTx.Compress(fr.Headers)
-	body := make([]byte, 4, 4+len(block))
-	binary.BigEndian.PutUint32(body[0:4], fr.StreamID&0x7fffffff)
-	body = append(body, block...)
-	var flags uint8
-	if fr.Fin {
-		flags |= FlagFin
-	}
-	if err := f.writeAll(controlHeader(TypeSynReply, flags, len(body))); err != nil {
-		return err
-	}
-	return f.writeAll(body)
-}
+// fixedLen is the length of each control frame's body before its header
+// block or SETTINGS entries: the shortest payload ReadFrame accepts.
+var fixedLen = [...]int{TypeSynStream: 10, TypeSynReply: 4, TypeRstStream: 8, TypeSettings: 4,
+	TypePing: 4, TypeGoaway: 8, TypeHeaders: 4, TypeWindowUpdate: 8}
 
 // ReadFrame reads and parses the next frame from the stream.
 func (f *Framer) ReadFrame() (Frame, error) {
@@ -345,12 +296,12 @@ func (f *Framer) ReadFrame() (Frame, error) {
 		return nil, fmt.Errorf("spdy: short frame payload: %w", err)
 	}
 	f.BytesRead += int64(length)
-	flags := head[4]
+	fin := head[4]&FlagFin != 0
 
 	if head[0]&0x80 == 0 {
 		// Data frame.
 		streamID := binary.BigEndian.Uint32(head[0:4]) & 0x7fffffff
-		return DataFrame{StreamID: streamID, Fin: flags&FlagFin != 0, Data: payload}, nil
+		return DataFrame{StreamID: streamID, Fin: fin, Data: payload}, nil
 	}
 
 	version := binary.BigEndian.Uint16(head[0:2]) & 0x7fff
@@ -358,97 +309,55 @@ func (f *Framer) ReadFrame() (Frame, error) {
 		return nil, fmt.Errorf("spdy: unsupported version %d", version)
 	}
 	frameType := int(binary.BigEndian.Uint16(head[2:4]))
+	if frameType >= len(fixedLen) || fixedLen[frameType] == 0 {
+		return nil, fmt.Errorf("spdy: unknown control frame type %d", frameType)
+	}
+	if len(payload) < fixedLen[frameType] {
+		return nil, fmt.Errorf("spdy: short control frame type %d: %d bytes", frameType, len(payload))
+	}
+	first := binary.BigEndian.Uint32(payload[0:4])
+	id := first & 0x7fffffff // most frames start with a stream ID
 
 	switch frameType {
-	case TypeSynStream:
-		if len(payload) < 10 {
-			return nil, errors.New("spdy: short SYN_STREAM")
-		}
-		h, err := f.decompressRx.Decompress(payload[10:])
+	case TypeSynStream, TypeSynReply, TypeHeaders:
+		h, err := f.decompressRx.Decompress(payload[fixedLen[frameType]:])
 		if err != nil {
 			return nil, err
+		}
+		switch frameType {
+		case TypeSynReply:
+			return SynReply{StreamID: id, Fin: fin, Headers: h}, nil
+		case TypeHeaders:
+			return HeadersFrame{StreamID: id, Fin: fin, Headers: h}, nil
 		}
 		return SynStream{
-			StreamID: binary.BigEndian.Uint32(payload[0:4]) & 0x7fffffff,
+			StreamID: id,
 			AssocID:  binary.BigEndian.Uint32(payload[4:8]) & 0x7fffffff,
 			Priority: Priority(payload[8] >> 5),
-			Fin:      flags&FlagFin != 0,
-			Headers:  h,
-		}, nil
-	case TypeSynReply:
-		if len(payload) < 4 {
-			return nil, errors.New("spdy: short SYN_REPLY")
-		}
-		h, err := f.decompressRx.Decompress(payload[4:])
-		if err != nil {
-			return nil, err
-		}
-		return SynReply{
-			StreamID: binary.BigEndian.Uint32(payload[0:4]) & 0x7fffffff,
-			Fin:      flags&FlagFin != 0,
+			Fin:      fin,
 			Headers:  h,
 		}, nil
 	case TypeRstStream:
-		if len(payload) < 8 {
-			return nil, errors.New("spdy: short RST_STREAM")
-		}
-		return RstStream{
-			StreamID: binary.BigEndian.Uint32(payload[0:4]) & 0x7fffffff,
-			Status:   binary.BigEndian.Uint32(payload[4:8]),
-		}, nil
+		return RstStream{StreamID: id, Status: binary.BigEndian.Uint32(payload[4:8])}, nil
 	case TypeSettings:
-		if len(payload) < 4 {
-			return nil, errors.New("spdy: short SETTINGS")
-		}
-		n := binary.BigEndian.Uint32(payload[0:4])
-		if int(n)*8+4 > len(payload) {
+		if int(first)*8+4 > len(payload) {
 			return nil, errors.New("spdy: SETTINGS count overruns payload")
 		}
-		sf := SettingsFrame{Settings: make([]Setting, n)}
-		for i := 0; i < int(n); i++ {
-			off := 4 + 8*i
+		sf := SettingsFrame{Settings: make([]Setting, first)}
+		for i := range sf.Settings {
+			entry := payload[4+8*i:]
 			sf.Settings[i] = Setting{
-				Flags: payload[off],
-				ID:    uint32(payload[off+1])<<16 | uint32(payload[off+2])<<8 | uint32(payload[off+3]),
-				Value: binary.BigEndian.Uint32(payload[off+4 : off+8]),
+				Flags: entry[0],
+				ID:    binary.BigEndian.Uint32(entry[0:4]) & 0xffffff,
+				Value: binary.BigEndian.Uint32(entry[4:8]),
 			}
 		}
 		return sf, nil
 	case TypePing:
-		if len(payload) < 4 {
-			return nil, errors.New("spdy: short PING")
-		}
-		return Ping{ID: binary.BigEndian.Uint32(payload[0:4])}, nil
+		return Ping{ID: first}, nil
 	case TypeGoaway:
-		if len(payload) < 8 {
-			return nil, errors.New("spdy: short GOAWAY")
-		}
-		return Goaway{
-			LastStreamID: binary.BigEndian.Uint32(payload[0:4]) & 0x7fffffff,
-			Status:       binary.BigEndian.Uint32(payload[4:8]),
-		}, nil
-	case TypeHeaders:
-		if len(payload) < 4 {
-			return nil, errors.New("spdy: short HEADERS")
-		}
-		h, err := f.decompressRx.Decompress(payload[4:])
-		if err != nil {
-			return nil, err
-		}
-		return HeadersFrame{
-			StreamID: binary.BigEndian.Uint32(payload[0:4]) & 0x7fffffff,
-			Fin:      flags&FlagFin != 0,
-			Headers:  h,
-		}, nil
-	case TypeWindowUpdate:
-		if len(payload) < 8 {
-			return nil, errors.New("spdy: short WINDOW_UPDATE")
-		}
-		return WindowUpdate{
-			StreamID: binary.BigEndian.Uint32(payload[0:4]) & 0x7fffffff,
-			Delta:    binary.BigEndian.Uint32(payload[4:8]) & 0x7fffffff,
-		}, nil
-	default:
-		return nil, fmt.Errorf("spdy: unknown control frame type %d", frameType)
+		return Goaway{LastStreamID: id, Status: binary.BigEndian.Uint32(payload[4:8])}, nil
+	default: // TypeWindowUpdate
+		return WindowUpdate{StreamID: id, Delta: binary.BigEndian.Uint32(payload[4:8]) & 0x7fffffff}, nil
 	}
 }

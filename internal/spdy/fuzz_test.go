@@ -2,7 +2,14 @@ package spdy
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+
+	"spdier/internal/spdy/flatesize"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame parser: it must never
@@ -62,8 +69,117 @@ func FuzzHeaderDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := newHeaderDecompressor()
 		h, err := d.Decompress(data)
-		if err == nil && h == nil {
+		if err != nil {
+			return
+		}
+		if h == nil {
 			t.Fatal("nil headers without error")
 		}
+		// Whatever decoded must survive the encoder: appendPlain and the
+		// compressor's reused buffers against a fresh decompressor.
+		c := newHeaderCompressor()
+		back, err := newHeaderDecompressor().Decompress(c.Compress(h))
+		if err != nil || !reflect.DeepEqual(back, h) {
+			t.Fatalf("round trip of %q: %q, %v", h, back, err)
+		}
 	})
+}
+
+// FuzzSizeOnlyDeflate cuts the input into a session of blocks and holds
+// the size-only deflater to the live compressor on every one of them:
+// flatesize's size == len(zlib level 9 Write+Flush) on the same
+// history. The first byte picks how the rest is cut and stretched, so
+// that short inputs still reach window shifts, stored blocks and values
+// longer than the window.
+func FuzzSizeOnlyDeflate(f *testing.F) {
+	f.Add([]byte{})
+	// The checked-in header-block corpus, each way of cutting it.
+	corpus, err := filepath.Glob("testdata/fuzz/FuzzHeaderDecompress/*")
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("header-block corpus: %v, %d files", err, len(corpus))
+	}
+	for _, name := range corpus {
+		data := readCorpusFile(f, name)
+		for mode := byte(0); mode < 4; mode++ {
+			f.Add(append([]byte{mode}, data...))
+		}
+	}
+	// Table 1 sessions: the request blocks of the first 40 objects of a
+	// session, as the simulator compresses them, 0xff between blocks.
+	for seed := uint64(1); seed <= 3; seed++ {
+		session := []byte{0}
+		for _, obj := range table1Session(seed)[:40] {
+			session = appendPlain(append(session, 0xff), RequestHeaders("GET", "http", obj.Domain, obj.Path, chromeUA))
+		}
+		f.Add(session)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sizer, ref := flatesize.New(headerDictionary), newHeaderCompressor()
+		defer ref.release()
+		for i, block := range fuzzSession(data) {
+			ref.buf.Reset()
+			if _, err := ref.zw.Write(block); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.zw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sizer.BlockSize(block), ref.buf.Len(); got != want {
+				t.Fatalf("block %d (%d bytes): size-only %d, zlib %d", i, len(block), got, want)
+			}
+		}
+	})
+}
+
+// readCorpusFile decodes a "go test fuzz v1" file holding one []byte.
+func readCorpusFile(f *testing.F, name string) []byte {
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	if !ok {
+		f.Fatalf("%s: not a []byte corpus file", name)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		f.Fatalf("%s: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// fuzzSession turns fuzz input into blocks: mode 0 cuts at every 0xff
+// byte, mode 1 into pieces whose lengths the data itself names, mode 2
+// repeats the whole input until the 32 KiB window has shifted, and mode
+// 3 blows every third block up past the 64 KiB the compressor buffers.
+func fuzzSession(data []byte) [][]byte {
+	if len(data) == 0 {
+		return [][]byte{nil}
+	}
+	const window = 32 << 10
+	mode, data := data[0]%4, data[1:]
+	var blocks [][]byte
+	switch mode {
+	case 0:
+		blocks = bytes.Split(data, []byte{0xff})
+	case 1:
+		for len(data) > 0 {
+			n := 1 + int(data[0])
+			if n > len(data) {
+				n = len(data)
+			}
+			blocks = append(blocks, data[:n])
+			data = data[n:]
+		}
+	case 2:
+		for n := 0; n < 1500 && n*len(data) < 3*window; n++ {
+			blocks = append(blocks, data)
+		}
+	case 3:
+		for i, p := range bytes.Split(data, []byte{0xff}) {
+			blocks = append(blocks, bytes.Repeat(p, 1+(i%3)*(2*window/(len(p)+1))))
+		}
+	}
+	return blocks
 }

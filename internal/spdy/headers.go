@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -33,33 +33,32 @@ func (h Headers) Get(name string) string { return h[strings.ToLower(name)] }
 // Set assigns value to the lowercased name.
 func (h Headers) Set(name, value string) { h[strings.ToLower(name)] = value }
 
-// sortedNames returns deterministic iteration order for serialization.
-func (h Headers) sortedNames() []string {
-	names := make([]string, 0, len(h))
-	for k := range h {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+// appendString appends s in the name/value block's encoding: a 32-bit
+// length, then the bytes.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
 }
 
-// marshalPlain serializes the uncompressed SPDY/3 name/value block:
-// a 32-bit pair count, then length-prefixed name and value per pair.
-func (h Headers) marshalPlain() []byte {
-	var buf bytes.Buffer
-	var u32 [4]byte
-	put := func(s string) {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(s)))
-		buf.Write(u32[:])
-		buf.WriteString(s)
+// appendPlain appends the uncompressed SPDY/3 name/value block of h to
+// dst: a 32-bit pair count, then length-prefixed name and value per
+// pair, names in sorted order so that the encoding is deterministic.
+func appendPlain(dst []byte, h Headers) []byte {
+	var stack [16]string // a request carries 9 names: sorted without a heap slice
+	names := stack[:0]
+	for name := range h {
+		i := len(names)
+		names = append(names, name)
+		for ; i > 0 && names[i-1] > name; i-- {
+			names[i] = names[i-1]
+		}
+		names[i] = name
 	}
-	binary.BigEndian.PutUint32(u32[:], uint32(len(h)))
-	buf.Write(u32[:])
-	for _, name := range h.sortedNames() {
-		put(name)
-		put(h[name])
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(h)))
+	for _, name := range names {
+		dst = appendString(appendString(dst, name), h[name])
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // errHeaderBlock reports malformed name/value blocks.
@@ -109,8 +108,9 @@ func unmarshalPlain(r io.Reader) (Headers, error) {
 // context, which is why the *second* request's headers shrink to a few
 // dozen bytes — the redundancy the paper credits SPDY for removing.
 type headerCompressor struct {
-	buf bytes.Buffer
-	zw  *zlib.Writer
+	plain []byte // reused uncompressed block
+	buf   bytes.Buffer
+	zw    *zlib.Writer
 }
 
 // compressorPool recycles zlib compression contexts across sessions.
@@ -139,19 +139,18 @@ func newHeaderCompressor() *headerCompressor {
 func (c *headerCompressor) release() { compressorPool.Put(c) }
 
 // Compress returns the compressed encoding of h, flushed at a sync point
-// so the receiver can decode the block without further input.
+// so the receiver can decode the block without further input. The
+// result is valid until the next Compress.
 func (c *headerCompressor) Compress(h Headers) []byte {
-	plain := h.marshalPlain()
+	c.plain = appendPlain(c.plain[:0], h)
 	c.buf.Reset()
-	if _, err := c.zw.Write(plain); err != nil {
+	if _, err := c.zw.Write(c.plain); err != nil {
 		panic("spdy: zlib write: " + err.Error())
 	}
 	if err := c.zw.Flush(); err != nil {
 		panic("spdy: zlib flush: " + err.Error())
 	}
-	out := make([]byte, c.buf.Len())
-	copy(out, c.buf.Bytes())
-	return out
+	return c.buf.Bytes()
 }
 
 // headerDecompressor is the receive-side shared context.
@@ -203,17 +202,28 @@ func (d *headerDecompressor) Decompress(block []byte) (Headers, error) {
 	return h, nil
 }
 
+// The fields every proxied GET carries besides its own URL, and every
+// response besides its own type and length.
+const (
+	httpVersion    = "HTTP/1.1"
+	acceptAny      = "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8"
+	acceptEncoding = "gzip,deflate,sdch"
+	acceptLanguage = "en-US,en;q=0.8"
+	serverName     = "spdier-origin/1.0"
+)
+
 // RequestHeaders builds the SPDY/3 pseudo-header set for a proxied GET.
+// SizeOracle.RequestSize prices the same set without building it.
 func RequestHeaders(method, scheme, host, path, userAgent string) Headers {
 	h := Headers{
 		":method":         method,
 		":scheme":         scheme,
 		":host":           host,
 		":path":           path,
-		":version":        "HTTP/1.1",
-		"accept":          "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8",
-		"accept-encoding": "gzip,deflate,sdch",
-		"accept-language": "en-US,en;q=0.8",
+		":version":        httpVersion,
+		"accept":          acceptAny,
+		"accept-encoding": acceptEncoding,
+		"accept-language": acceptLanguage,
 	}
 	if userAgent != "" {
 		h["user-agent"] = userAgent
@@ -222,12 +232,13 @@ func RequestHeaders(method, scheme, host, path, userAgent string) Headers {
 }
 
 // ResponseHeaders builds the SPDY/3 pseudo-header set for a response.
+// SizeOracle.ResponseSize prices the same set without building it.
 func ResponseHeaders(status string, contentType string, contentLength int64) Headers {
 	return Headers{
 		":status":        status,
-		":version":       "HTTP/1.1",
+		":version":       httpVersion,
 		"content-type":   contentType,
-		"content-length": fmt.Sprintf("%d", contentLength),
-		"server":         "spdier-origin/1.0",
+		"content-length": strconv.FormatInt(contentLength, 10),
+		"server":         serverName,
 	}
 }

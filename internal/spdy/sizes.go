@@ -1,43 +1,97 @@
 package spdy
 
-import "io"
+import (
+	"encoding/binary"
+	"strconv"
+
+	"spdier/internal/spdy/flatesize"
+)
 
 // SizeOracle measures the real wire size of SPDY frames for the
-// simulator: it runs an actual Framer (with its stateful compression
-// context) against a counting sink, so the first request on a session
-// costs its full compressed header block and subsequent ones shrink as
-// the shared zlib context warms — the behaviour that lets almost every
-// SPDY request fit in a single TCP packet (Section 5.1).
+// simulator. It holds a session's header-compression context as a
+// size-only deflater (flatesize: the stdlib's level-9 match finder and
+// block chooser, counting bits instead of writing them), so the first
+// request on a session costs its full compressed header block and
+// subsequent ones shrink as the shared zlib context warms — the
+// behaviour that lets almost every SPDY request fit in a single TCP
+// packet (Section 5.1). Every size equals what a Framer would have
+// written (TestSizeOracleMatchesRealFramer, FuzzSizeOnlyDeflate).
 type SizeOracle struct {
-	framer *Framer
-	sink   countWriter
+	z     *flatesize.Sizer
+	plain []byte // reused uncompressed block
 }
-
-type countWriter struct{ n *int64 }
-
-func (w countWriter) Write(p []byte) (int, error) { *w.n += int64(len(p)); return len(p), nil }
-func (countWriter) Read([]byte) (int, error)      { return 0, io.EOF }
-
-type oracleRW struct{ countWriter }
 
 // NewSizeOracle returns a fresh per-session size oracle.
 func NewSizeOracle() *SizeOracle {
-	o := &SizeOracle{}
-	n := new(int64)
-	o.sink = countWriter{n: n}
-	o.framer = NewFramer(oracleRW{o.sink})
-	return o
+	return &SizeOracle{z: flatesize.New(headerDictionary)}
 }
+
+// Frame sizes before the compressed header block: the 8-byte frame
+// header, then what layout puts in a SYN_STREAM's or a SYN_REPLY's body.
+const (
+	frameHeaderSize = 8
+	synStreamFixed  = frameHeaderSize + 10
+	synReplyFixed   = frameHeaderSize + 4
+)
+
+// DataFrameOverhead is the fixed header cost of a DATA frame.
+const DataFrameOverhead = frameHeaderSize
 
 // FrameSize returns the serialized size of fr on this session, advancing
 // the compression context exactly as a real transmission would.
 func (o *SizeOracle) FrameSize(fr Frame) int {
-	before := *o.sink.n
-	if err := o.framer.WriteFrame(fr); err != nil {
-		panic("spdy: size oracle write: " + err.Error())
+	w, err := layout(fr)
+	if err != nil {
+		panic("spdy: size oracle: " + err.Error())
 	}
-	return int(*o.sink.n - before)
+	n := frameHeaderSize + len(w.body)
+	if w.block {
+		n += o.blockSize(w.headers)
+	}
+	return n
 }
 
-// DataFrameOverhead is the fixed header cost of a DATA frame.
-const DataFrameOverhead = 8
+func (o *SizeOracle) blockSize(h Headers) int {
+	o.plain = appendPlain(o.plain[:0], h)
+	return o.z.BlockSize(o.plain)
+}
+
+// RequestSize is FrameSize of a SYN_STREAM carrying RequestHeaders of
+// the same arguments, without the map: the set's names are fixed, so
+// the block is appended in sorted order directly.
+func (o *SizeOracle) RequestSize(method, scheme, host, path, userAgent string) int {
+	pairs := uint32(8)
+	if userAgent != "" {
+		pairs++
+	}
+	p := binary.BigEndian.AppendUint32(o.plain[:0], pairs)
+	p = appendString(appendString(p, ":host"), host)
+	p = appendString(appendString(p, ":method"), method)
+	p = appendString(appendString(p, ":path"), path)
+	p = appendString(appendString(p, ":scheme"), scheme)
+	p = appendString(appendString(p, ":version"), httpVersion)
+	p = appendString(appendString(p, "accept"), acceptAny)
+	p = appendString(appendString(p, "accept-encoding"), acceptEncoding)
+	p = appendString(appendString(p, "accept-language"), acceptLanguage)
+	if userAgent != "" {
+		p = appendString(appendString(p, "user-agent"), userAgent)
+	}
+	o.plain = p
+	return synStreamFixed + o.z.BlockSize(p)
+}
+
+// ResponseSize is FrameSize of a SYN_REPLY carrying ResponseHeaders of
+// the same arguments, without the map.
+func (o *SizeOracle) ResponseSize(status, contentType string, contentLength int64) int {
+	p := binary.BigEndian.AppendUint32(o.plain[:0], 5)
+	p = appendString(appendString(p, ":status"), status)
+	p = appendString(appendString(p, ":version"), httpVersion)
+	p = appendString(p, "content-length")
+	digits := len(p) + 4
+	p = strconv.AppendInt(append(p, 0, 0, 0, 0), contentLength, 10)
+	binary.BigEndian.PutUint32(p[digits-4:], uint32(len(p)-digits))
+	p = appendString(appendString(p, "content-type"), contentType)
+	p = appendString(appendString(p, "server"), serverName)
+	o.plain = p
+	return synReplyFixed + o.z.BlockSize(p)
+}

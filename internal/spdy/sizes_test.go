@@ -1,0 +1,164 @@
+package spdy
+
+import (
+	"bytes"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"spdier/internal/sim"
+	"spdier/internal/webpage"
+)
+
+const chromeUA = "Mozilla/5.0 (Windows NT 6.1) Chrome/23.0"
+
+// table1Session is every object of a full Table 1 session at seed, page
+// by page in request order: the blocks one SPDY connection compresses
+// in a run (experiment.GeneratePages draws the same pages).
+func table1Session(seed uint64) []*webpage.Object {
+	base := sim.NewRNG(seed)
+	var objs []*webpage.Object
+	for _, spec := range webpage.Table1() {
+		objs = append(objs, webpage.Generate(spec, base.Fork(uint64(spec.Index))).Objects...)
+	}
+	return objs
+}
+
+func contentType(k webpage.Kind) string {
+	switch k {
+	case webpage.KindHTML:
+		return "text/html; charset=utf-8"
+	case webpage.KindJS:
+		return "text/javascript"
+	case webpage.KindCSS:
+		return "text/css"
+	case webpage.KindImg:
+		return "image/jpeg"
+	}
+	return "text/plain"
+}
+
+// realFramer writes frames through a live Framer and reports the bytes
+// each one put on the wire.
+type realFramer struct {
+	buf bytes.Buffer
+	f   *Framer
+}
+
+func newRealFramer() *realFramer {
+	r := &realFramer{}
+	r.f = NewFramer(&r.buf)
+	return r
+}
+
+func (r *realFramer) size(t *testing.T, fr Frame) int {
+	t.Helper()
+	r.buf.Reset()
+	if err := r.f.WriteFrame(fr); err != nil {
+		t.Fatal(err)
+	}
+	return r.buf.Len()
+}
+
+// TestSizeOracleMatchesRealFramer holds every size the simulator
+// charges to the bytes a live Framer writes for the same frames on the
+// same session history.
+func TestSizeOracleMatchesRealFramer(t *testing.T) {
+	t.Run("every frame type", func(t *testing.T) {
+		o, real := NewSizeOracle(), newRealFramer()
+		for i, fr := range everyFrame() {
+			if got, want := o.FrameSize(fr), real.size(t, fr); got != want {
+				t.Fatalf("frame %d (%T): oracle %d, real %d", i, fr, got, want)
+			}
+		}
+	})
+
+	// All 20 Table 1 sites, both directions: the map-free sizers, the
+	// generic FrameSize over the header maps and the live Framer agree on
+	// every block of the session, across several 32 KiB window shifts.
+	session := func(t *testing.T, seed uint64, ua string) {
+		objs := table1Session(seed)
+		if len(objs) < 1300 {
+			t.Fatalf("session of %d blocks, want at least 1,300", len(objs))
+		}
+		fastReq, genericReq, realReq := NewSizeOracle(), NewSizeOracle(), newRealFramer()
+		fastResp, genericResp, realResp := NewSizeOracle(), NewSizeOracle(), newRealFramer()
+		plain := 0
+		for i, obj := range objs {
+			sid := uint32(2*i + 1)
+			req := SynStream{StreamID: sid, Priority: PriorityForType(string(obj.Kind)), Fin: true,
+				Headers: RequestHeaders("GET", "http", obj.Domain, obj.Path, ua)}
+			fast, generic, want := fastReq.RequestSize("GET", "http", obj.Domain, obj.Path, ua), genericReq.FrameSize(req), realReq.size(t, req)
+			if fast != want || generic != want {
+				t.Fatalf("request %d (%s%s): RequestSize %d, FrameSize %d, real %d", i, obj.Domain, obj.Path, fast, generic, want)
+			}
+			resp := SynReply{StreamID: sid, Headers: ResponseHeaders("200 OK", contentType(obj.Kind), int64(obj.Size))}
+			fast, generic, want = fastResp.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size)), genericResp.FrameSize(resp), realResp.size(t, resp)
+			if fast != want || generic != want {
+				t.Fatalf("response %d (%d bytes): ResponseSize %d, FrameSize %d, real %d", i, obj.Size, fast, generic, want)
+			}
+			plain += len(fastReq.plain)
+		}
+		if shifts := plain / (32 << 10); shifts < 3 {
+			t.Fatalf("request direction compressed %d bytes: %d window shifts, want several", plain, shifts)
+		}
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run("table 1 session/seed "+string(rune('0'+seed)), func(t *testing.T) { session(t, seed, chromeUA) })
+	}
+	t.Run("table 1 session/no user-agent", func(t *testing.T) { session(t, 1, "") })
+
+	// Blocks that leave the happy path of small, compressible heads.
+	rng := rand.New(rand.NewSource(1))
+	noise := func(n int) string {
+		p := make([]byte, n)
+		rng.Read(p)
+		return string(p)
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks []Headers
+	}{
+		{"empty header set", []Headers{{}, nil, {}}},
+		{"incompressible values: stored blocks", []Headers{{"x-nonce": noise(48)}, {"x-nonce": noise(900)}, {"etag": noise(20000), "x": "y"}}},
+		// Literals only, so the block's 16,384th token falls inside the value
+		// and the block that follows it starts off a byte boundary.
+		{"a block of more than 16,384 tokens", []Headers{{"cookie": noise(40000)}, RequestHeaders("GET", "http", "h.example", "/x", chromeUA)}},
+		{"a value longer than the 64 KiB window", []Headers{{"cookie": strings.Repeat("id=0123456789abcdef; ", 7000)}, {"cookie": noise(70000)}, {"x": "y"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o, real := NewSizeOracle(), newRealFramer()
+			for i, h := range tc.blocks {
+				fr := SynReply{StreamID: uint32(2*i + 1), Headers: h}
+				if got, want := o.FrameSize(fr), real.size(t, fr); got != want {
+					t.Fatalf("block %d: oracle %d, real %d", i, got, want)
+				}
+			}
+		})
+	}
+	t.Run("ResponseSize formats every content-length as ResponseHeaders does", func(t *testing.T) {
+		fast, generic := NewSizeOracle(), NewSizeOracle()
+		for _, n := range []int64{0, 9, 10, 12345, -1, -1 << 63, 1<<63 - 1} {
+			if got, want := fast.ResponseSize("200 OK", "text/css", n), generic.FrameSize(SynReply{Headers: ResponseHeaders("200 OK", "text/css", n)}); got != want {
+				t.Fatalf("content-length %d: ResponseSize %d, FrameSize %d", n, got, want)
+			}
+		}
+	})
+}
+
+// TestSizersDoNotAllocate: in steady state (plain buffer grown, first
+// block paid) pricing a request or a response allocates nothing.
+func TestSizersDoNotAllocate(t *testing.T) {
+	objs := table1Session(1)[:64]
+	req, resp := NewSizeOracle(), NewSizeOracle()
+	pass := func() {
+		for _, obj := range objs {
+			req.RequestSize("GET", "http", obj.Domain, obj.Path, chromeUA)
+			resp.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(10, pass); n != 0 {
+		t.Fatalf("RequestSize+ResponseSize allocate %v objects per %d objects", n, len(objs))
+	}
+}

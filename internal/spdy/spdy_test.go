@@ -217,27 +217,6 @@ func TestFramerByteAccounting(t *testing.T) {
 	}
 }
 
-func TestSizeOracleMatchesRealFramer(t *testing.T) {
-	o := NewSizeOracle()
-	var buf bytes.Buffer
-	real := NewFramer(&buf)
-	for i := 0; i < 10; i++ {
-		fr := SynStream{
-			StreamID: uint32(i*2 + 1),
-			Priority: Priority(i % 8),
-			Headers:  RequestHeaders("GET", "http", "h.example", "/x", "ua"),
-		}
-		predicted := o.FrameSize(fr)
-		before := buf.Len()
-		if err := real.WriteFrame(fr); err != nil {
-			t.Fatal(err)
-		}
-		if got := buf.Len() - before; got != predicted {
-			t.Fatalf("frame %d: oracle %d, real %d", i, predicted, got)
-		}
-	}
-}
-
 func TestMultiValueHeadersNulJoined(t *testing.T) {
 	h := Headers{"set-cookie": "a=1\x00b=2"}
 	comp := newHeaderCompressor()
@@ -254,7 +233,7 @@ func TestMultiValueHeadersNulJoined(t *testing.T) {
 func TestDictionaryHelpsCompression(t *testing.T) {
 	h := RequestHeaders("GET", "http", "www.example.com", "/index.html", "Mozilla/5.0")
 	withDict := newHeaderCompressor().Compress(h)
-	plain := h.marshalPlain()
+	plain := appendPlain(nil, h)
 	if len(withDict) >= len(plain) {
 		t.Fatalf("dictionary compression ineffective: %d vs %d plain", len(withDict), len(plain))
 	}
