@@ -125,28 +125,57 @@ const fixedOffsetLen = 5
 // huffmanBitWriter: it keeps the histogram indexTokens would build from
 // the tokens, and prices the block the way writeBlock chooses to write
 // it.
+//
+// The stdlib walks whole alphabets (286 + 30 + 19 entries) several times
+// a block. A SPDY header block after the session's first is a few dozen
+// tokens over a handful of symbols, so this keeps the symbols a block
+// has used and walks those: the same sums over the same non-zero
+// entries, and the code-length sequence rebuilt from the used symbols
+// and the gaps between them.
 type blockSizer struct {
 	tokens      int
 	extraBits   int
 	literalFreq [maxNumLit]int32
 	offsetFreq  [offsetCodeCount]int32
 	codegenFreq [codegenCodeCount]int32
-	codegen     [maxNumLit + offsetCodeCount + 1]uint8
+
+	// The symbols with a non-zero frequency, in order of first use until
+	// size sorts them.
+	usedLiterals [maxNumLit]uint16
+	usedOffsets  [offsetCodeCount]uint16
+	numLiterals  int
+	numOffsets   int
 
 	literalEncoding huffmanEncoder
 	offsetEncoding  huffmanEncoder
 	codegenEncoding huffmanEncoder
+
+	// The run of equal code lengths generateCodegen is gathering.
+	runSize  uint8
+	runCount int
+}
+
+func (w *blockSizer) countLiteral(sym int) {
+	if w.literalFreq[sym] == 0 {
+		w.usedLiterals[w.numLiterals] = uint16(sym)
+		w.numLiterals++
+	}
+	w.literalFreq[sym]++
 }
 
 func (w *blockSizer) literal(b byte) {
-	w.literalFreq[b]++
+	w.countLiteral(int(b))
 	w.tokens++
 }
 
 func (w *blockSizer) match(length, offset int) {
 	lc := lengthCodes[length-baseMatchLength]
 	oc := offsetCode(uint32(offset - baseMatchOffset))
-	w.literalFreq[lengthCodesStart+int(lc)]++
+	w.countLiteral(lengthCodesStart + int(lc))
+	if w.offsetFreq[oc] == 0 {
+		w.usedOffsets[w.numOffsets] = uint16(oc)
+		w.numOffsets++
+	}
 	w.offsetFreq[oc]++
 	w.extraBits += int(lengthExtraBits[lc]) + int(offsetExtraBits[oc])
 	w.tokens++
@@ -157,89 +186,108 @@ func (w *blockSizer) match(length, offset int) {
 // array).  This method generates that run-length encoding.
 //
 // Only the frequencies of each code, written into the codegenFreq
-// array, decide the size; the codegen array is the scratch copy of the
-// concatenated code sizes the run-length pass reads.
-func (w *blockSizer) generateCodegen(numLiterals int, numOffsets int) {
+// array, decide the size. The concatenated array is never built: it is
+// the used symbols' code lengths, in symbol order, with a run of zeros
+// wherever symbols between them went unused, and it ends at the last
+// used symbol of each alphabet.
+func (w *blockSizer) generateCodegen(literals, offsets []uint16) {
 	clear(w.codegenFreq[:])
-	codegen := w.codegen[:numLiterals+numOffsets+1]
-	copy(codegen, w.literalEncoding.lens[:numLiterals])
-	copy(codegen[numLiterals:], w.offsetEncoding.lens[:numOffsets])
-	codegen[numLiterals+numOffsets] = badCode
-
-	size := codegen[0]
-	count := 1
-	for inIndex := 1; size != badCode; inIndex++ {
-		// INVARIANT: We have seen "count" copies of size that have not yet
-		// had output generated for them.
-		nextSize := codegen[inIndex]
-		if nextSize == size {
-			count++
-			continue
-		}
-		// We need to generate codegen indicating "count" of size.
-		if size != 0 {
-			w.codegenFreq[size]++
-			count--
-			for count >= 3 {
-				n := 6
-				if n > count {
-					n = count
-				}
-				w.codegenFreq[16]++
-				count -= n
-			}
-		} else {
-			for count >= 11 {
-				n := 138
-				if n > count {
-					n = count
-				}
-				w.codegenFreq[18]++
-				count -= n
-			}
-			if count >= 3 {
-				// count >= 3 && count <= 10
-				w.codegenFreq[17]++
-				count = 0
-			}
-		}
-		if count > 0 {
-			w.codegenFreq[size] += int32(count)
-		}
-		// Set up invariant for next time through the loop.
-		size = nextSize
-		count = 1
+	w.runCount = 0
+	next := 0
+	for _, sym := range literals {
+		w.extendRun(0, int(sym)-next)
+		w.extendRun(w.literalEncoding.lens[sym], 1)
+		next = int(sym) + 1
 	}
+	next = 0
+	for _, sym := range offsets {
+		w.extendRun(0, int(sym)-next)
+		w.extendRun(w.offsetEncoding.lens[sym], 1)
+		next = int(sym) + 1
+	}
+	w.endRun()
 }
 
+// extendRun adds count more copies of size to the code-length sequence.
+func (w *blockSizer) extendRun(size uint8, count int) {
+	if count == 0 {
+		return
+	}
+	if size != w.runSize {
+		w.endRun()
+		w.runSize = size
+	}
+	w.runCount += count
+}
+
+// endRun is the body of the stdlib's generateCodegen loop: it counts
+// the codes that say "runCount copies of runSize".
+func (w *blockSizer) endRun() {
+	size, count := w.runSize, w.runCount
+	w.runCount = 0
+	if count == 0 {
+		return
+	}
+	// We need to generate codegen indicating "count" of size.
+	if size != 0 {
+		w.codegenFreq[size]++
+		count--
+		for count >= 3 {
+			n := 6
+			if n > count {
+				n = count
+			}
+			w.codegenFreq[16]++
+			count -= n
+		}
+	} else {
+		for count >= 11 {
+			n := 138
+			if n > count {
+				n = count
+			}
+			w.codegenFreq[18]++
+			count -= n
+		}
+		if count >= 3 {
+			// count >= 3 && count <= 10
+			w.codegenFreq[17]++
+			count = 0
+		}
+	}
+	w.codegenFreq[size] += int32(count)
+}
+
+// codegenSymbols is every symbol of the code-length alphabet: that one
+// is small enough to walk whole.
+var codegenSymbols = [codegenCodeCount]uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
+
 // dynamicSize returns the size of dynamically encoded data in bits.
-func (w *blockSizer) dynamicSize() int {
+func (w *blockSizer) dynamicSize(literals, offsets []uint16) int {
 	numCodegens := len(w.codegenFreq)
 	for numCodegens > 4 && w.codegenFreq[codegenOrder[numCodegens-1]] == 0 {
 		numCodegens--
 	}
 	header := 3 + 5 + 5 + 4 + (3 * numCodegens) +
-		w.codegenEncoding.bitLength(w.codegenFreq[:]) +
+		w.codegenEncoding.bitLength(w.codegenFreq[:], codegenSymbols[:]) +
 		int(w.codegenFreq[16])*2 +
 		int(w.codegenFreq[17])*3 +
 		int(w.codegenFreq[18])*7
 	return header +
-		w.literalEncoding.bitLength(w.literalFreq[:]) +
-		w.offsetEncoding.bitLength(w.offsetFreq[:]) +
+		w.literalEncoding.bitLength(w.literalFreq[:], literals) +
+		w.offsetEncoding.bitLength(w.offsetFreq[:], offsets) +
 		w.extraBits
 }
 
 // fixedSize returns the size of data encoded with the fixed tables, in
 // bits.
-func (w *blockSizer) fixedSize() int {
+func (w *blockSizer) fixedSize(literals, offsets []uint16) int {
 	size := 3 + w.extraBits
-	for i, f := range w.literalFreq {
-		if f != 0 {
-			size += int(f) * fixedLiteralLen(i)
-		}
+	for _, sym := range literals {
+		size += int(w.literalFreq[sym]) * fixedLiteralLen(int(sym))
 	}
-	for _, f := range w.offsetFreq {
-		size += int(f) * fixedOffsetLen
+	for _, sym := range offsets {
+		size += int(w.offsetFreq[sym]) * fixedOffsetLen
 	}
 	return size
 }
@@ -250,45 +298,42 @@ func (w *blockSizer) fixedSize() int {
 // left the window and cannot be stored). The histogram is left clear
 // for the next block.
 func (w *blockSizer) size(stored int) (int, bool) {
-	w.literalFreq[endBlockMarker]++
-
-	// get the number of literals
-	numLiterals := len(w.literalFreq)
-	for w.literalFreq[numLiterals-1] == 0 {
-		numLiterals--
-	}
-	// get the number of offsets
-	numOffsets := len(w.offsetFreq)
-	for numOffsets > 0 && w.offsetFreq[numOffsets-1] == 0 {
-		numOffsets--
-	}
+	w.countLiteral(endBlockMarker)
 	// We haven't found a single match. If we want to go with the dynamic encoding,
 	// we should count at least one offset to be sure that the offset huffman tree could be encoded.
 	// writeBlock's estimates then price that offset although no token
 	// spends it; the bits written do not include it.
-	noMatch := numOffsets == 0
+	noMatch := w.numOffsets == 0
 	if noMatch {
 		w.offsetFreq[0] = 1
-		numOffsets = 1
+		w.usedOffsets[0] = 0
+		w.numOffsets = 1
 	}
-	w.literalEncoding.generate(w.literalFreq[:], 15)
-	w.offsetEncoding.generate(w.offsetFreq[:], 15)
+	literals, offsets := w.usedLiterals[:w.numLiterals], w.usedOffsets[:w.numOffsets]
+	slices.Sort(literals)
+	slices.Sort(offsets)
+	w.literalEncoding.generate(w.literalFreq[:], literals, 15)
+	w.offsetEncoding.generate(w.offsetFreq[:], offsets, 15)
 
 	// Figure out smallest code.
 	// Fixed Huffman baseline.
-	size, unspent := w.fixedSize(), fixedOffsetLen
+	size, unspent := w.fixedSize(literals, offsets), fixedOffsetLen
 
 	// Generate codegen and codegenFrequencies, which indicates how to encode
 	// the literalEncoding and the offsetEncoding.
-	w.generateCodegen(numLiterals, numOffsets)
-	w.codegenEncoding.generate(w.codegenFreq[:], 7)
-	if dynamicSize := w.dynamicSize(); dynamicSize < size {
+	w.generateCodegen(literals, offsets)
+	w.codegenEncoding.generate(w.codegenFreq[:], codegenSymbols[:], 7)
+	if dynamicSize := w.dynamicSize(literals, offsets); dynamicSize < size {
 		size, unspent = dynamicSize, int(w.offsetEncoding.lens[0])
 	}
 
-	clear(w.literalFreq[:])
-	clear(w.offsetFreq[:])
-	w.tokens, w.extraBits = 0, 0
+	for _, sym := range literals {
+		w.literalFreq[sym] = 0
+	}
+	for _, sym := range offsets {
+		w.offsetFreq[sym] = 0
+	}
+	w.numLiterals, w.numOffsets, w.tokens, w.extraBits = 0, 0, 0, 0
 
 	// Stored bytes? writeBlock compares two estimates: the stored size
 	// with its header rounded up to five whole bytes, and the Huffman
@@ -335,12 +380,12 @@ type levelInfo struct {
 
 func maxNode() literalNode { return literalNode{math.MaxUint16, math.MaxInt32} }
 
-func (h *huffmanEncoder) bitLength(freq []int32) int {
+// bitLength sums freq × code length over symbols, which must include
+// every symbol with a non-zero frequency.
+func (h *huffmanEncoder) bitLength(freq []int32, symbols []uint16) int {
 	var total int
-	for i, f := range freq {
-		if f != 0 {
-			total += int(f) * int(h.lens[i])
-		}
+	for _, sym := range symbols {
+		total += int(freq[sym]) * int(h.lens[sym])
 	}
 	return total
 }
@@ -494,18 +539,20 @@ func (h *huffmanEncoder) assignSize(bitCount []int32, list []literalNode) {
 // Update this Huffman Code object to be the minimum code for the specified frequency count.
 //
 // freq is an array of frequencies, in which freq[i] gives the frequency of literal i.
+// symbols holds, in increasing order, every literal whose frequency is not zero;
+// the lengths of the others are left as they were and must not be read.
 // maxBits  The maximum number of bits to use for any literal.
-func (h *huffmanEncoder) generate(freq []int32, maxBits int32) {
-	list := h.freqcache[:len(freq)+1]
+func (h *huffmanEncoder) generate(freq []int32, symbols []uint16, maxBits int32) {
+	list := h.freqcache[:len(symbols)+1]
 	// Number of non-zero literals
 	count := 0
 	// Set list to be the set of all non-zero literals and their frequencies
-	for i, f := range freq {
-		if f != 0 {
-			list[count] = literalNode{uint16(i), f}
+	for _, sym := range symbols {
+		if f := freq[sym]; f != 0 {
+			list[count] = literalNode{sym, f}
 			count++
 		} else {
-			h.lens[i] = 0
+			h.lens[sym] = 0
 		}
 	}
 
