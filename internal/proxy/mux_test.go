@@ -396,13 +396,12 @@ func (c *sinkCarrier) send(uint32, int, func())          { c.sends++ }
 
 // TestMuxPumpAllocations holds the pump to its own allocations, on every
 // construction: a response costs one task and one closure per Expect
-// (one for the head, one per DATA chunk). The only other objects are the
-// priority queue's: spdy.PriorityQueue pops by re-slicing from the
-// front, so a class holding a lone task regrows on each of its pushes —
-// one per chunk here, and none of the pump's doing. Transport and header
-// pricing are stubbed out, since they allocate on their own account;
-// flow control is live, and its one window per new stream is kept out
-// of the count by reusing a stream the controller knows.
+// (one for the head, one per DATA chunk). The priority queue adds none:
+// a class holding a lone task, pushed back after every chunk, reuses its
+// slot. Transport and header pricing are stubbed out, since they
+// allocate on their own account; flow control is live, and its one
+// window per new stream is kept out of the count by reusing a stream the
+// controller knows.
 func TestMuxPumpAllocations(t *testing.T) {
 	const chunks = 4
 	o := obj(1, chunks*chunkSize, webpage.KindImg)
@@ -423,9 +422,9 @@ func TestMuxPumpAllocations(t *testing.T) {
 			rec := w.prox.record(o)
 			s.enqueue(o, rec, 4, ResponseHooks{}) // warm the queue and the stream's window
 			got := testing.AllocsPerRun(200, func() { s.enqueue(o, rec, 4, ResponseHooks{}) })
-			const pump, queue = 1 + 1 + chunks, chunks
+			const pump, queue = 1 + 1 + chunks, 0
 			if got != pump+queue {
-				t.Fatalf("a %d-chunk response allocates %v objects, want %d (task + one closure per Expect) + %d (queue regrowth)", chunks, got, pump, queue)
+				t.Fatalf("a %d-chunk response allocates %v objects, want %d (task + one closure per Expect) + %d (queue)", chunks, got, pump, queue)
 			}
 			if sink.sends != 202*(1+chunks) || s.QueuedResponses != 0 {
 				t.Fatalf("%d sends, %d queued", sink.sends, s.QueuedResponses)

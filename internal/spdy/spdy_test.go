@@ -3,6 +3,7 @@ package spdy
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,101 @@ func TestPriorityQueueProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPriorityQueueInterleaved drives Push, Pop and Peek in random
+// interleavings against the obvious model — one slice per class, popped
+// from the front — through phases that drain the queue (classes rewind)
+// and phases that keep it long (classes compact in place): strict order
+// across classes, FIFO within one, Len exact, nothing lost or repeated.
+func TestPriorityQueueInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q PriorityQueue[int]
+	var model [MaxPriority + 1][]int
+	modelLen, next := 0, 0
+	front := func() (class int, ok bool) {
+		for p := range model {
+			if len(model[p]) > 0 {
+				return p, true
+			}
+		}
+		return 0, false
+	}
+	for step := 0; step < 200000; step++ {
+		// Pushes outweigh pops in even 5,000-step phases and pops in odd ones.
+		pushBias := 6
+		if step/5000%2 == 1 {
+			pushBias = 3
+		}
+		switch op := rng.Intn(10); {
+		case op < pushBias:
+			p := rng.Intn(int(MaxPriority) + 3) // some beyond the range: clamped
+			q.Push(Priority(p), next)
+			if p > int(MaxPriority) {
+				p = int(MaxPriority)
+			}
+			model[p] = append(model[p], next)
+			modelLen++
+			next++
+		case op < 9:
+			got, ok := q.Pop()
+			p, want := front()
+			if ok != want || ok && got != model[p][0] {
+				t.Fatalf("step %d: Pop = %d, %v; model front %v", step, got, ok, model[p])
+			}
+			if ok {
+				model[p] = model[p][1:]
+				modelLen--
+			}
+		default:
+			got, ok := q.Peek()
+			p, want := front()
+			if ok != want || ok && got != model[p][0] {
+				t.Fatalf("step %d: Peek = %d, %v; model front %v", step, got, ok, model[p])
+			}
+		}
+		if q.Len() != modelLen {
+			t.Fatalf("step %d: Len %d, model %d", step, q.Len(), modelLen)
+		}
+	}
+}
+
+// TestPriorityQueueReusesPoppedSpace: a class that never empties (a
+// long-lived session's busiest priority) stays the size of what it
+// holds, not of everything that has passed through it.
+func TestPriorityQueueReusesPoppedSpace(t *testing.T) {
+	var q PriorityQueue[int]
+	for i := 0; i < 5; i++ {
+		q.Push(2, i)
+	}
+	for i := 5; i < 100000; i++ {
+		q.Push(2, i)
+		if got, _ := q.Pop(); got != i-5 {
+			t.Fatalf("pop %d, want %d", got, i-5)
+		}
+	}
+	if c := q.classes[2]; cap(c.items) > 32 || q.Len() != 5 {
+		t.Fatalf("a class holding 5 items has %d slots, Len %d", cap(c.items), q.Len())
+	}
+}
+
+// TestPriorityQueueLoneItemDoesNotRegrow is the multiplexed pump's
+// pattern: a class that holds one task at a time, pushed back after
+// every chunk.
+func TestPriorityQueueLoneItemDoesNotRegrow(t *testing.T) {
+	var q PriorityQueue[*int]
+	item := new(int)
+	q.Push(4, item)
+	q.Pop()
+	if n := testing.AllocsPerRun(100, func() {
+		q.Push(4, item)
+		q.Pop()
+	}); n != 0 {
+		t.Fatalf("push+pop of a lone item allocates %v objects", n)
+	}
+	if q.classes[4].items[:1][0] != nil {
+		t.Fatal("a popped slot still holds its item")
 	}
 }
 

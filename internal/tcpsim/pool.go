@@ -1,13 +1,5 @@
 package tcpsim
 
-// recyclable is a pooled wire unit, a *Segment or a *QUICPacket. recycle
-// returns it to the zero value, keeping only the backing array of its
-// SACK blocks or ACK ranges so later ACKs reuse it.
-type recyclable[T any] interface {
-	*T
-	recycle()
-}
-
 // freeList is the pool behind a Network's wire units. A unit lives
 // exactly one send→link→deliver cycle: the endpoint's transmit hands it
 // to the link, the network's demuxer puts it back after the handler
@@ -17,13 +9,19 @@ type recyclable[T any] interface {
 // Every unit retires exactly once — delivered, dropped at the
 // queue/loss/burst stage, or duplicated-and-delivered — so a quiesced
 // network must read zero; anything else is a pool leak or a double free.
-type freeList[T any, P recyclable[T]] struct {
-	free []P
+//
+// T is Segment or QUICPacket. A unit is recycled before it is put —
+// back to the zero value, keeping only the backing array of its SACK
+// blocks or ACK ranges so later ACKs reuse it — by Network.retireSeg and
+// retirePkt, not by put: a method called through a type parameter goes
+// through the dictionary and is never inlined.
+type freeList[T any] struct {
+	free []*T
 	live int
 }
 
 // get returns a zeroed unit, recycled when possible.
-func (f *freeList[T, P]) get() P {
+func (f *freeList[T]) get() *T {
 	f.live++
 	if ln := len(f.free); segPooling && ln > 0 {
 		p := f.free[ln-1]
@@ -33,12 +31,10 @@ func (f *freeList[T, P]) get() P {
 	return new(T)
 }
 
-// put retires a unit the link is done with and recycles it.
-func (f *freeList[T, P]) put(p P) {
+// put takes back a recycled unit.
+func (f *freeList[T]) put(p *T) {
 	f.live--
-	if !segPooling {
-		return
+	if segPooling {
+		f.free = append(f.free, p)
 	}
-	p.recycle()
-	f.free = append(f.free, p)
 }

@@ -39,15 +39,17 @@ func TestFreeListBalancesAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestRecycledUnitKeepsOnlyItsSliceCapacity: what comes back from the
-// free list is the unit that went in, zero in every field, with the
-// backing array of its SACK blocks or ACK ranges and nothing else.
+// TestRecycledUnitKeepsOnlyItsSliceCapacity: a unit recycled and retired
+// is the unit that comes back from the free list, zero in every field,
+// with the backing array of its SACK blocks or ACK ranges and nothing
+// else.
 func TestRecycledUnitKeepsOnlyItsSliceCapacity(t *testing.T) {
 	peer := &Conn{}
-	var segs freeList[Segment, *Segment]
+	var segs freeList[Segment]
 	s := segs.get()
 	*s = Segment{to: peer, From: "x", Flags: flagACK, Seq: 1, Len: 2, Ack: 3, Wnd: 4, Retx: true, Dsack: true,
 		Delayed: true, Sack: append(make([][2]uint64, 0, 4), [2]uint64{5, 6}), TSVal: 7, TSEcr: 8, CtrlLen: 9}
+	s.recycle()
 	segs.put(s)
 	if got := segs.get(); got != s || len(got.Sack) != 0 || cap(got.Sack) != 4 {
 		t.Fatalf("recycled segment: same=%v len(Sack)=%d cap(Sack)=%d, want true, 0, 4", got == s, len(got.Sack), cap(got.Sack))
@@ -58,10 +60,11 @@ func TestRecycledUnitKeepsOnlyItsSliceCapacity(t *testing.T) {
 	}
 
 	qpeer := &QUICConn{}
-	var pkts freeList[QUICPacket, *QUICPacket]
+	var pkts freeList[QUICPacket]
 	p := pkts.get()
 	*p = QUICPacket{to: qpeer, From: "x", PN: 1, StreamID: 2, Offset: 3, Len: 4, Fin: true, Hs: 1, CtrlLen: 5,
 		Ack: true, AckLargest: 6, AckRanges: append(make([][2]uint64, 0, 8), [2]uint64{7, 8})}
+	p.recycle()
 	pkts.put(p)
 	if got := pkts.get(); got != p || len(got.AckRanges) != 0 || cap(got.AckRanges) != 8 {
 		t.Fatalf("recycled packet: same=%v len=%d cap=%d, want true, 0, 8", got == p, len(got.AckRanges), cap(got.AckRanges))

@@ -357,7 +357,7 @@ func (q *QUICConn) transmit(p *QUICPacket) {
 	p.From = q.id
 	p.to = q.peer
 	if !q.out.Send(p, p.wireSize()) && q.net != nil {
-		q.net.qpkts.put(p)
+		q.net.retirePkt(p)
 	}
 }
 
