@@ -273,7 +273,8 @@ func (f *Framer) WriteFrame(fr Frame) error {
 }
 
 // fixedLen is the length of each control frame's body before its header
-// block or SETTINGS entries: the shortest payload ReadFrame accepts.
+// block or SETTINGS entries, as layout writes it: the shortest payload
+// ReadFrame accepts, and what SizeOracle adds to a compressed block.
 var fixedLen = [...]int{TypeSynStream: 10, TypeSynReply: 4, TypeRstStream: 8, TypeSettings: 4,
 	TypePing: 4, TypeGoaway: 8, TypeHeaders: 4, TypeWindowUpdate: 8}
 

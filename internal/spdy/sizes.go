@@ -26,13 +26,8 @@ func NewSizeOracle() *SizeOracle {
 	return &SizeOracle{z: flatesize.New(headerDictionary)}
 }
 
-// Frame sizes before the compressed header block: the 8-byte frame
-// header, then what layout puts in a SYN_STREAM's or a SYN_REPLY's body.
-const (
-	frameHeaderSize = 8
-	synStreamFixed  = frameHeaderSize + 10
-	synReplyFixed   = frameHeaderSize + 4
-)
+// frameHeaderSize is the 8-byte header every frame starts with.
+const frameHeaderSize = 8
 
 // DataFrameOverhead is the fixed header cost of a DATA frame.
 const DataFrameOverhead = frameHeaderSize
@@ -77,7 +72,7 @@ func (o *SizeOracle) RequestSize(method, scheme, host, path, userAgent string) i
 		p = appendString(appendString(p, "user-agent"), userAgent)
 	}
 	o.plain = p
-	return synStreamFixed + o.z.BlockSize(p)
+	return frameHeaderSize + fixedLen[TypeSynStream] + o.z.BlockSize(p)
 }
 
 // ResponseSize is FrameSize of a SYN_REPLY carrying ResponseHeaders of
@@ -93,5 +88,5 @@ func (o *SizeOracle) ResponseSize(status, contentType string, contentLength int6
 	p = appendString(appendString(p, "content-type"), contentType)
 	p = appendString(appendString(p, "server"), serverName)
 	o.plain = p
-	return synReplyFixed + o.z.BlockSize(p)
+	return frameHeaderSize + fixedLen[TypeSynReply] + o.z.BlockSize(p)
 }
