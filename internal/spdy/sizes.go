@@ -81,10 +81,10 @@ func (o *SizeOracle) ResponseSize(status, contentType string, contentLength int6
 	p := binary.BigEndian.AppendUint32(o.plain[:0], 5)
 	p = appendString(appendString(p, ":status"), status)
 	p = appendString(appendString(p, ":version"), httpVersion)
-	p = appendString(p, "content-length")
-	digits := len(p) + 4
-	p = strconv.AppendInt(append(p, 0, 0, 0, 0), contentLength, 10)
-	binary.BigEndian.PutUint32(p[digits-4:], uint32(len(p)-digits))
+	var num [20]byte // the longest int64 with its sign
+	digits := strconv.AppendInt(num[:0], contentLength, 10)
+	p = binary.BigEndian.AppendUint32(appendString(p, "content-length"), uint32(len(digits)))
+	p = append(p, digits...)
 	p = appendString(appendString(p, "content-type"), contentType)
 	p = appendString(appendString(p, "server"), serverName)
 	o.plain = p

@@ -134,9 +134,23 @@ type Network struct {
 // retireSeg and retirePkt take back a unit the link is done with:
 // delivered and handled, or refused. They recycle it here, on the
 // concrete type, where the compiler inlines the call; through freeList's
-// type parameter it was an indirect call per packet.
-func (n *Network) retireSeg(s *Segment)    { s.recycle(); n.segs.put(s) }
-func (n *Network) retirePkt(p *QUICPacket) { p.recycle(); n.qpkts.put(p) }
+// type parameter it was an indirect call per packet. With pooling off
+// the unit is left as it was, so a handler that kept a pointer past its
+// return reads different bytes pooled and unpooled, and the tests that
+// compare the two modes see it.
+func (n *Network) retireSeg(s *Segment) {
+	if segPooling {
+		s.recycle()
+	}
+	n.segs.put(s)
+}
+
+func (n *Network) retirePkt(p *QUICPacket) {
+	if segPooling {
+		p.recycle()
+	}
+	n.qpkts.put(p)
+}
 
 // LiveSegments returns the number of outstanding pool segments and QUIC
 // packets together. After the loop runs idle it must be zero (negative

@@ -77,3 +77,30 @@ func TestRecycledUnitKeepsOnlyItsSliceCapacity(t *testing.T) {
 		t.Fatalf("live counts %d/%d with one unit of each handed out", segs.live, pkts.live)
 	}
 }
+
+// TestUnpooledRetireLeavesTheUnitIntact: with pooling off a retired unit
+// is neither zeroed nor kept, so a pointer wrongly held past the handler
+// reads its own bytes there and recycled ones with pooling on — the
+// difference the pooled-versus-unpooled runs are compared for.
+func TestUnpooledRetireLeavesTheUnitIntact(t *testing.T) {
+	defer SetSegmentPooling(true)
+	SetSegmentPooling(false)
+	nw := &Network{}
+	s, p := nw.segs.get(), nw.qpkts.get()
+	s.Seq, p.PN = 7, 9
+	nw.retireSeg(s)
+	nw.retirePkt(p)
+	if s.Seq != 7 || p.PN != 9 {
+		t.Fatalf("unpooled retire rewrote the unit: Seq=%d PN=%d", s.Seq, p.PN)
+	}
+	if nw.LiveSegments() != 0 || len(nw.segs.free)+len(nw.qpkts.free) != 0 {
+		t.Fatalf("unpooled retire: %d live, %d+%d kept", nw.LiveSegments(), len(nw.segs.free), len(nw.qpkts.free))
+	}
+	SetSegmentPooling(true)
+	s = nw.segs.get()
+	s.Seq = 7
+	nw.retireSeg(s)
+	if s.Seq != 0 || len(nw.segs.free) != 1 {
+		t.Fatalf("pooled retire: Seq=%d, %d on the free list", s.Seq, len(nw.segs.free))
+	}
+}
