@@ -1,6 +1,7 @@
 package h2
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -123,7 +124,10 @@ func FuzzStreamFlowControl(f *testing.F) {
 
 // FuzzHeaderSizer feeds arbitrary header names/values through the HPACK
 // sizer: sizes must be positive, repeats never dearer than first
-// emissions, and an indexed hit always exactly one byte.
+// emissions, and an indexed hit always exactly one byte. Its
+// differential arm prices the same field, between and after enough
+// distinct fields to evict it, on the sizer and on the concat-keyed
+// reference (sizes_test.go): every price must agree.
 func FuzzHeaderSizer(f *testing.F) {
 	f.Add("x-custom", "value")
 	f.Add(":path", "/index.html")
@@ -142,5 +146,28 @@ func FuzzHeaderSizer(f *testing.F) {
 		if second > first {
 			t.Fatalf("repeat (%d) dearer than first (%d)", second, first)
 		}
+
+		if strings.IndexByte(name, 0) >= 0 || strings.IndexByte(value, 0) >= 0 {
+			return // the reference's concatenated key is ambiguous for a field holding a NUL
+		}
+		h, ref := NewHeaderSizer(), newRefSizer()
+		same := func(n, v string) {
+			t.Helper()
+			if got, want := h.FieldSize(n, v), ref.FieldSize(n, v); got != want {
+				t.Fatalf("FieldSize(%q, %q) = %d, reference %d", n, v, got, want)
+			}
+		}
+		// The field, then value-derived fillers with the field recurring
+		// among them: one more filler than the table holds passes it
+		// through eviction at least once, wherever the recurrences fall.
+		same(name, value)
+		for i := 0; i <= hpackDynamicEntries; i++ {
+			same(":path", value+"/"+strconv.Itoa(i))
+			if len(value) > 0 && i%(1+int(value[0])%37) == 0 {
+				same(name, value)
+			}
+		}
+		same(name, value)
+		same(value, name)
 	})
 }
