@@ -148,7 +148,7 @@ func FuzzHeaderSizer(f *testing.F) {
 		}
 
 		if strings.IndexByte(name, 0) >= 0 || strings.IndexByte(value, 0) >= 0 {
-			return // the reference's concatenated key is ambiguous for a field holding a NUL
+			return // the reference's joined key is ambiguous here (TestHeaderSizerKeepsNULFieldsApart)
 		}
 		h, ref := NewHeaderSizer(), newRefSizer()
 		same := func(n, v string) {

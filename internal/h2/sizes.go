@@ -7,7 +7,8 @@
 // Like internal/spdy, nothing here touches real sockets; the package
 // prices frames and enforces window arithmetic so the simulator charges
 // byte-accurate overheads. Everything is deterministic: map state is
-// only ever looked up by key, never iterated.
+// only ever looked up by key, never iterated (the HPACK dynamic table's
+// eviction order is a ring beside its map).
 package h2
 
 import "strconv"
@@ -45,14 +46,19 @@ var staticNames = map[string]bool{
 	"user-agent":      true,
 }
 
+// field is one header field, the key of both HPACK tables. Name and
+// value are kept apart: a joined key would have to copy both on every
+// lookup, and would conflate ("a\x00b", "c") with ("a", "b\x00c").
+type field struct{ name, value string }
+
 // staticPairs are full (name, value) entries of the static table: these
 // encode in a single indexed byte from the very first use.
-var staticPairs = map[string]bool{
-	":method\x00GET":                  true,
-	":scheme\x00http":                 true,
-	":scheme\x00https":                true,
-	":status\x00200":                  true,
-	"accept-encoding\x00gzip,deflate": true,
+var staticPairs = map[field]bool{
+	{":method", "GET"}:                  true,
+	{":scheme", "http"}:                 true,
+	{":scheme", "https"}:                true,
+	{":status", "200"}:                  true,
+	{"accept-encoding", "gzip,deflate"}: true,
 }
 
 // hpackDynamicEntries bounds the modeled dynamic table by entry count —
@@ -66,39 +72,45 @@ const hpackDynamicEntries = 128
 // spdy.SizeOracle models, without SPDY's cross-stream compression of
 // values it has never seen.
 type HeaderSizer struct {
-	dyn   map[string]bool
-	order []string // FIFO eviction order for the dynamic table
+	dyn map[field]struct{}
+	// ring holds the dynamic table's entries in insertion order for FIFO
+	// eviction; once the table is full, next is its oldest entry. The
+	// table never holds a pair twice, so len(dyn) counts the live slots.
+	ring [hpackDynamicEntries]field
+	next int
 }
 
 // NewHeaderSizer returns a sizer with an empty dynamic table.
 func NewHeaderSizer() *HeaderSizer {
-	return &HeaderSizer{dyn: make(map[string]bool)}
+	return &HeaderSizer{dyn: make(map[field]struct{}, hpackDynamicEntries)}
 }
 
 // FieldSize prices one header field and updates the dynamic table.
 func (h *HeaderSizer) FieldSize(name, value string) int {
-	key := name + "\x00" + value
-	if staticPairs[key] || h.dyn[key] {
+	f := field{name, value}
+	if _, ok := h.dyn[f]; ok || staticPairs[f] {
 		return 1 // indexed header field
 	}
-	// Literal with incremental indexing: prefix byte, then value (length
-	// prefix + octets), plus name octets when the name is not indexed.
-	n := 1 + 1 + len(value)
-	if !staticNames[name] {
-		n += 1 + len(name)
-	}
-	h.insert(key)
-	return n
+	return h.literal(f)
 }
 
-func (h *HeaderSizer) insert(key string) {
-	if len(h.order) >= hpackDynamicEntries {
-		evict := h.order[0]
-		h.order = h.order[1:]
-		delete(h.dyn, evict)
+// literal prices a field neither table holds — literal with incremental
+// indexing: prefix byte, then value (length prefix + octets), plus name
+// octets when the name is not indexed — and installs it, evicting the
+// oldest entry of a full table.
+func (h *HeaderSizer) literal(f field) int {
+	n := 1 + 1 + len(f.value)
+	if !staticNames[f.name] {
+		n += 1 + len(f.name)
 	}
-	h.dyn[key] = true
-	h.order = append(h.order, key)
+	slot := &h.ring[h.next]
+	if len(h.dyn) == hpackDynamicEntries {
+		delete(h.dyn, *slot)
+	}
+	*slot = f
+	h.dyn[f] = struct{}{}
+	h.next = (h.next + 1) % hpackDynamicEntries
+	return n
 }
 
 // RequestSize prices a HEADERS frame for a GET request carrying the
@@ -125,7 +137,16 @@ func (h *HeaderSizer) ResponseSize(status, contentType string, contentLength int
 	n := FrameHeaderSize
 	n += h.FieldSize(":status", statusCode(status))
 	n += h.FieldSize("content-type", contentType)
-	n += h.FieldSize("content-length", strconv.FormatInt(contentLength, 10))
+	// The length is formatted on the stack and looked up in place: only a
+	// length the table does not hold is copied to the heap, as the entry
+	// installed for it. No static pair has this name.
+	var buf [20]byte
+	length := strconv.AppendInt(buf[:0], contentLength, 10)
+	if _, ok := h.dyn[field{"content-length", string(length)}]; ok {
+		n++
+	} else {
+		n += h.literal(field{"content-length", string(length)})
+	}
 	n += h.FieldSize("server", "spdier-origin/1.0")
 	return n
 }

@@ -128,3 +128,91 @@ func TestHeaderSizerMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestHeaderSizerKeepsNULFieldsApart: two fields whose name and value
+// join to the same bytes around a NUL are different fields. The
+// reference's joined key took the second for a repeat of the first and
+// charged it one byte.
+func TestHeaderSizerKeepsNULFieldsApart(t *testing.T) {
+	h, ref := NewHeaderSizer(), newRefSizer()
+	h.FieldSize("a\x00b", "c")
+	ref.FieldSize("a\x00b", "c")
+	if got, want := h.FieldSize("a", "b\x00c"), 1+1+len("b\x00c")+1+len("a"); got != want {
+		t.Fatalf("FieldSize(a, b\\x00c) after (a\\x00b, c) = %d, want the literal cost %d", got, want)
+	}
+	if got := ref.FieldSize("a", "b\x00c"); got != 1 {
+		t.Fatalf("reference priced the colliding field at %d; it is kept because it conflates the two", got)
+	}
+	if got := h.FieldSize("a\x00b", "c"); got != 1 {
+		t.Fatalf("first field no longer indexed: %d", got)
+	}
+}
+
+// TestHeaderSizerDoesNotAllocate: a block whose fields the table holds
+// is priced without allocating, content-length included; a field it
+// does not hold costs at most the one copy installed for it.
+func TestHeaderSizerDoesNotAllocate(t *testing.T) {
+	objs := table1Session(1)[:40] // 40 paths and 40 lengths fit one table
+	req, resp := NewHeaderSizer(), NewHeaderSizer()
+	pass := func() {
+		for _, o := range objs {
+			req.RequestSize("GET", "http", o.Domain, o.Path, chromeUA)
+			resp.ResponseSize("200 OK", contentType(o.Kind), int64(o.Size))
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(10, pass); n != 0 {
+		t.Fatalf("a warm request+response pass over %d objects allocates %v objects, want 0", len(objs), n)
+	}
+	// Every block below installs one new field (a fresh length) and
+	// evicts as the table fills: one allocation a miss, none for the ring.
+	size := int64(1 << 40)
+	if n := testing.AllocsPerRun(4*hpackDynamicEntries, func() {
+		size++
+		resp.ResponseSize("200 OK", "image/jpeg", size)
+	}); n > 1 {
+		t.Fatalf("a response installing one field allocates %v objects, want at most 1", n)
+	}
+	// A field the caller already holds as a string is installed as is.
+	paths := make([]string, 4*hpackDynamicEntries+1)
+	for i := range paths {
+		paths[i] = "/img/" + strconv.Itoa(i)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(len(paths)-1, func() {
+		req.FieldSize(":path", paths[next])
+		next++
+	}); n != 0 {
+		t.Fatalf("installing a field the caller holds allocates %v objects, want 0 (no key is built, the ring does not grow)", n)
+	}
+}
+
+// BenchmarkHeaderSizer prices one direction of a full Table 1 session
+// (seed 1, request order) per iteration on a fresh sizer, as
+// browser.openMux and proxy.hpackHead make one per connection, and
+// reports the cost per block.
+func BenchmarkHeaderSizer(b *testing.B) {
+	objs := table1Session(1)
+	b.Run("request", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h := NewHeaderSizer()
+			for _, o := range objs {
+				sinkSize += h.RequestSize("GET", "http", o.Domain, o.Path, chromeUA)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(objs)), "ns/block")
+	})
+	b.Run("response", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h := NewHeaderSizer()
+			for _, o := range objs {
+				sinkSize += h.ResponseSize("200 OK", contentType(o.Kind), int64(o.Size))
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(objs)), "ns/block")
+	})
+}
+
+var sinkSize int
