@@ -33,7 +33,7 @@ func main() {
 		radio := rrc.NewMachine(loop, rrc.Profile3G())
 		path := netem.NewPath(loop, netem.Profile3G(), rng.Fork(1), radio)
 		network := tcpsim.NewNetwork(loop, path)
-		origin := proxy.NewOrigin(loop, proxy.DefaultOriginConfig(), rng.Fork(2))
+		origin := proxy.NewOrigin(proxy.DefaultOriginConfig(), rng.Fork(2))
 		prox := proxy.New(loop, origin)
 		br := browser.New(loop, network, prox, browser.DefaultConfig(mode), rng.Fork(3))
 

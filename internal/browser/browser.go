@@ -13,6 +13,7 @@ package browser
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"spdier/internal/h2"
@@ -198,16 +199,38 @@ type pageLoad struct {
 	finished       bool
 	done           func(*trace.PageRecord)
 	watchdog       sim.Timer
+	// One fetch and one record per object of the page, carved in
+	// discovery order: the page's requests cost two slabs, not a handful
+	// of objects each.
+	fetches []fetch
+	records []trace.ObjectRecord
+}
+
+// fetch is one object on its way to the browser: the exchange the proxy
+// drives, and the browser's own ends of it. It is its exchange's Client.
+type fetch struct {
+	proxy.Exchange
+	b  *Browser
+	pl *pageLoad // nil for a beacon: no page waits for it
+	or *trace.ObjectRecord
+	// The connection that carries it, by mode: bound when the request is
+	// issued (mux) or when a pooled connection takes it (conn).
+	mux  *muxHandle
+	conn *connHandle
 }
 
 // LoadPage begins loading page; done fires at onLoad (or watchdog abort).
 // Loads must not overlap: callers space them out (60 s in the paper).
 func (b *Browser) LoadPage(page *webpage.Page, done func(*trace.PageRecord)) {
+	n := len(page.Objects)
 	pl := &pageLoad{
-		page: page,
-		rec:  &trace.PageRecord{Page: page, Start: b.loop.Now()},
-		done: done,
+		page:    page,
+		rec:     &trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: make([]*trace.ObjectRecord, 0, n)},
+		done:    done,
+		fetches: make([]fetch, n),
+		records: make([]trace.ObjectRecord, n),
 	}
+	b.prox.ExpectPage(n)
 	b.cur = pl
 	pl.watchdog = b.loop.After(b.cfg.PageTimeout, func() {
 		if !pl.finished {
@@ -224,37 +247,101 @@ func (b *Browser) discover(pl *pageLoad, obj *webpage.Object) {
 	if pl.finished {
 		return
 	}
-	or := &trace.ObjectRecord{Obj: obj, Discovered: b.loop.Now()}
+	// An object is discovered once, so the slabs last the page; a page
+	// that reveals one twice gets the extra pair from the heap.
+	var f *fetch
+	var or *trace.ObjectRecord
+	if i := len(pl.rec.Objects); i < len(pl.fetches) {
+		f, or = &pl.fetches[i], &pl.records[i]
+	} else {
+		f, or = new(fetch), new(trace.ObjectRecord)
+	}
+	or.Obj, or.Discovered = obj, b.loop.Now()
 	pl.rec.Objects = append(pl.rec.Objects, or)
 	pl.outstanding++
-	onDone := func() { b.objectDone(pl, obj, or) }
-	b.request(obj, or, onDone)
+	f.Obj, f.Client, f.b, f.pl, f.or = obj, f, b, pl, or
+	b.request(f)
 }
 
 // request dispatches one object fetch to the mode's protocol machinery.
-func (b *Browser) request(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
+func (b *Browser) request(f *fetch) {
 	switch b.cfg.Mode {
 	case ModeSPDY, ModeH2, ModeQUIC:
-		b.requestMux(obj, or, onDone)
+		b.requestMux(f)
 	default:
-		b.requestHTTP(obj, or, onDone)
+		b.requestHTTP(f)
 	}
 }
 
-func (b *Browser) objectDone(pl *pageLoad, obj *webpage.Object, or *trace.ObjectRecord) {
+// FirstByte is the response head landing (proxy.Client).
+func (f *fetch) FirstByte() { f.or.FirstByte = f.b.loop.Now() }
+
+// Done is the last response byte landing (proxy.Client): the connection
+// is a request lighter, and the page an object nearer onLoad.
+func (f *fetch) Done() {
+	b := f.b
+	f.or.Done = b.loop.Now()
+	if h := f.mux; h != nil {
+		h.outstanding--
+		if h.outstanding == 0 && b.muxMode.idleClose {
+			b.armMuxIdle(h)
+		}
+		b.objectDone(f)
+		return
+	}
+	h := f.conn
+	h.outstanding--
+	if h.outstanding == 0 {
+		b.idleConns++
+		h.pool.idle++
+		b.armIdle(h)
+	}
+	b.objectDone(f)
+	b.pumpAll()
+	if invOn {
+		b.checkPools("response")
+	}
+}
+
+// objectDone counts f's object off its page and, if processing it
+// reveals others, schedules that.
+func (b *Browser) objectDone(f *fetch) {
+	pl := f.pl
+	if pl == nil {
+		return
+	}
 	pl.outstanding--
-	children := pl.page.Children(obj.ID)
-	if len(children) > 0 && !pl.finished {
+	if !pl.finished && hasChildren(pl.page, f.Obj.ID) {
 		pl.pendingReveals++
-		b.loop.After(time.Duration(obj.ProcessingDelay), func() {
-			pl.pendingReveals--
-			for _, c := range children {
-				b.discover(pl, c)
-			}
-			b.checkDone(pl)
-		})
+		b.loop.AfterCall(time.Duration(f.Obj.ProcessingDelay), (*reveal)(f))
 	}
 	b.checkDone(pl)
+}
+
+func hasChildren(page *webpage.Page, id int) bool {
+	for _, o := range page.Objects {
+		if o.Parent == id {
+			return true
+		}
+	}
+	return false
+}
+
+// reveal is a fetched object's processing delay running out: the
+// browser discovers the objects it references (webpage.Page.Children,
+// in page order).
+type reveal fetch
+
+func (r *reveal) Call() {
+	f := (*fetch)(r)
+	pl := f.pl
+	pl.pendingReveals--
+	for _, o := range pl.page.Objects {
+		if o.Parent == f.Obj.ID {
+			f.b.discover(pl, o)
+		}
+	}
+	f.b.checkDone(pl)
 }
 
 func (b *Browser) checkDone(pl *pageLoad) {
@@ -279,6 +366,19 @@ func (b *Browser) afterPage(pl *pageLoad) {
 	}
 }
 
+// beacon is one post-load transfer: a fetch no page waits for, with the
+// object and the record it is for. It is the handler of its own timer.
+type beacon struct {
+	fetch
+	obj webpage.Object
+	rec trace.ObjectRecord
+}
+
+func (bc *beacon) Call() {
+	bc.rec.Discovered = bc.b.loop.Now()
+	bc.b.request(&bc.fetch)
+}
+
 // scheduleBeacons models the periodic post-load transfers (analytics,
 // ad refreshes) that keep poking the radio during think time.
 func (b *Browser) scheduleBeacons(page *webpage.Page) {
@@ -286,17 +386,16 @@ func (b *Browser) scheduleBeacons(page *webpage.Page) {
 	at := b.loop.Now()
 	for i := 0; i < n; i++ {
 		at = at.Add(time.Duration(5+b.rng.Intn(14)) * time.Second)
-		beacon := &webpage.Object{
+		bc := &beacon{obj: webpage.Object{
 			ID:     10000 + i,
 			Kind:   webpage.KindText,
 			Size:   300 + b.rng.Intn(1200),
 			Domain: page.Main().Domain,
-			Path:   fmt.Sprintf("/beacon/%d", i),
-		}
-		b.loop.At(at, func() {
-			or := &trace.ObjectRecord{Obj: beacon, Discovered: b.loop.Now()}
-			b.request(beacon, or, func() {})
-		})
+			Path:   "/beacon/" + strconv.Itoa(i),
+		}}
+		bc.rec.Obj = &bc.obj
+		bc.Obj, bc.Client, bc.b, bc.or = &bc.obj, &bc.fetch, b, &bc.rec
+		b.loop.AtCall(at, bc)
 	}
 }
 
@@ -305,16 +404,16 @@ func (b *Browser) scheduleBeacons(page *webpage.Page) {
 type domainPool struct {
 	domain  string
 	conns   []*connHandle
-	waiting []*pendingReq
-}
-
-type pendingReq struct {
-	obj    *webpage.Object
-	or     *trace.ObjectRecord
-	onDone func()
+	waiting []*fetch
+	// idle counts the pool's share of Browser.idleConns, kept at the same
+	// transitions, so a full global pool looks for a socket to steal only
+	// where there is one.
+	idle int
 }
 
 type connHandle struct {
+	b           *Browser
+	pool        *domainPool
 	id          string
 	domain      string
 	client      *tcpsim.Conn
@@ -352,9 +451,9 @@ func (b *Browser) pumpAll() {
 	}
 }
 
-func (b *Browser) requestHTTP(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
-	p := b.pool(obj.Domain)
-	p.waiting = append(p.waiting, &pendingReq{obj: obj, or: or, onDone: onDone})
+func (b *Browser) requestHTTP(f *fetch) {
+	p := b.pool(f.Obj.Domain)
+	p.waiting = append(p.waiting, f)
 	b.pumpPool(p)
 }
 
@@ -399,7 +498,7 @@ func (b *Browser) reclaimIdleConn(needy *domainPool) bool {
 		return false
 	}
 	for _, p := range b.poolOrder {
-		if p == needy || len(p.waiting) > 0 {
+		if p == needy || p.idle == 0 || len(p.waiting) > 0 {
 			continue
 		}
 		for _, h := range p.conns {
@@ -442,7 +541,7 @@ func (b *Browser) openConn(p *domainPool) {
 	client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, id, "device")
 	asm := &tcpsim.StreamAssembler{}
 	client.OnDeliver(asm.Deliver)
-	h := &connHandle{id: id, domain: p.domain, client: client, asm: asm}
+	h := &connHandle{b: b, pool: p, id: id, domain: p.domain, client: client, asm: asm}
 	h.hc = proxy.NewHTTPConn(b.prox, server, asm)
 	b.proxyConns = append(b.proxyConns, server)
 	p.conns = append(p.conns, h)
@@ -450,7 +549,8 @@ func (b *Browser) openConn(p *domainPool) {
 		h.established = true
 		b.establishedConns++
 		b.idleConns++
-		b.armIdle(p, h)
+		p.idle++
+		b.armIdle(h)
 		b.pumpPool(p)
 		if invOn {
 			b.checkPools("established")
@@ -459,47 +559,39 @@ func (b *Browser) openConn(p *domainPool) {
 	client.Connect()
 }
 
-func (b *Browser) dispatch(p *domainPool, h *connHandle, req *pendingReq) {
+func (b *Browser) dispatch(p *domainPool, h *connHandle, f *fetch) {
 	if h.outstanding == 0 {
 		b.idleConns--
+		p.idle--
 	}
 	h.outstanding++
 	h.idleTimer.Stop()
-	req.or.Requested = b.loop.Now()
-	req.or.ConnID = h.id
-	reqSize := proxy.HTTPReqSize(req.obj)
-	or := req.or
-	h.hc.ExpectRequest(req.obj, reqSize, proxy.ResponseHooks{
-		OnFirstByte: func() { or.FirstByte = b.loop.Now() },
-		OnDone: func() {
-			or.Done = b.loop.Now()
-			h.outstanding--
-			if h.outstanding == 0 {
-				b.idleConns++
-				b.armIdle(p, h)
-			}
-			req.onDone()
-			b.pumpAll()
-			if invOn {
-				b.checkPools("response")
-			}
-		},
-	})
+	f.or.Requested = b.loop.Now()
+	f.or.ConnID = h.id
+	f.conn = h
+	reqSize := proxy.HTTPReqSize(f.Obj)
+	h.hc.ExpectRequest(&f.Exchange, reqSize)
 	h.client.Write(reqSize)
 	if invOn {
 		b.checkPools("dispatch")
 	}
 }
 
-func (b *Browser) armIdle(p *domainPool, h *connHandle) {
+func (b *Browser) armIdle(h *connHandle) {
 	h.idleTimer.Stop()
-	h.idleTimer = b.loop.After(b.cfg.IdleConnTimeout, func() {
-		if h.outstanding > 0 || h.closed {
-			return
-		}
-		b.closeConn(p, h)
-		b.pumpAll()
-	})
+	h.idleTimer = b.loop.AfterCall(b.cfg.IdleConnTimeout, (*connIdleTimeout)(h))
+}
+
+// connIdleTimeout is a pooled connection's idle timer running out.
+type connIdleTimeout connHandle
+
+func (t *connIdleTimeout) Call() {
+	h := (*connHandle)(t)
+	if h.outstanding > 0 || h.closed {
+		return
+	}
+	h.b.closeConn(h.pool, h)
+	h.b.pumpAll()
 }
 
 // closeConn retires an idle connection; both callers (the idle timer and
@@ -511,6 +603,7 @@ func (b *Browser) closeConn(p *domainPool, h *connHandle) {
 	b.totalConns--
 	b.establishedConns--
 	b.idleConns--
+	p.idle--
 	for i, c := range p.conns {
 		if c == h {
 			p.conns = append(p.conns[:i], p.conns[i+1:]...)
@@ -582,6 +675,7 @@ func (cfg Config) muxMode() muxMode {
 
 // muxHandle is the browser end of one multiplexed connection.
 type muxHandle struct {
+	b    *Browser
 	id   string
 	sess *proxy.Session
 	link int // this connection's index in sess
@@ -600,7 +694,7 @@ type muxHandle struct {
 	// its header-compression context.
 	reqSize     func(obj *webpage.Object) int
 	established bool
-	backlog     []*pendingReq
+	backlog     []*fetch
 	outstanding int // requests awaiting their response
 	idleTimer   sim.Timer
 
@@ -610,7 +704,7 @@ type muxHandle struct {
 	pendingConn   int64
 }
 
-func (b *Browser) requestMux(obj *webpage.Object, or *trace.ObjectRecord, onDone func()) {
+func (b *Browser) requestMux(f *fetch) {
 	if len(b.mux) == 0 {
 		b.openMux()
 	}
@@ -619,12 +713,12 @@ func (b *Browser) requestMux(obj *webpage.Object, or *trace.ObjectRecord, onDone
 	b.reqSeq++
 	h.outstanding++
 	h.idleTimer.Stop()
-	req := &pendingReq{obj: obj, or: or, onDone: onDone}
+	f.mux = h
 	if !h.established {
-		h.backlog = append(h.backlog, req)
+		h.backlog = append(h.backlog, f)
 		return
 	}
-	b.sendMux(h, req)
+	b.sendMux(h, f)
 }
 
 // openMux opens the mode's connections and starts their handshakes;
@@ -636,7 +730,7 @@ func (b *Browser) openMux() {
 		shared = m.newSession(b.prox)
 	}
 	for i := 0; i < m.conns; i++ {
-		h := &muxHandle{id: fmt.Sprintf(m.connID, i), sess: shared}
+		h := &muxHandle{b: b, id: fmt.Sprintf(m.connID, i), sess: shared}
 		if h.sess == nil {
 			h.sess = m.newSession(b.prox)
 		}
@@ -677,33 +771,21 @@ func (b *Browser) openMux() {
 			h.established = true
 			backlog := h.backlog
 			h.backlog = nil
-			for _, req := range backlog {
-				b.sendMux(h, req)
+			for _, f := range backlog {
+				b.sendMux(h, f)
 			}
 		})
 		h.client.Connect()
 	}
 }
 
-func (b *Browser) sendMux(h *muxHandle, req *pendingReq) {
-	req.or.Requested = b.loop.Now()
-	req.or.ConnID = h.id
-	prio := spdy.PriorityForType(string(req.obj.Kind))
-	size := h.reqSize(req.obj)
-	or := req.or
-	onDone := req.onDone
-	h.sess.ExpectRequest(h.link, req.obj, size, prio, proxy.ResponseHooks{
-		OnFirstByte: func() { or.FirstByte = b.loop.Now() },
-		OnDone: func() {
-			or.Done = b.loop.Now()
-			h.outstanding--
-			if h.outstanding == 0 && b.muxMode.idleClose {
-				b.armMuxIdle(h)
-			}
-			onDone()
-		},
-	})
-	h.write(proxy.StreamID(req.obj), size)
+func (b *Browser) sendMux(h *muxHandle, f *fetch) {
+	f.or.Requested = b.loop.Now()
+	f.or.ConnID = h.id
+	prio := spdy.PriorityForType(string(f.Obj.Kind))
+	size := h.reqSize(f.Obj)
+	h.sess.ExpectRequest(h.link, &f.Exchange, size, prio)
+	h.write(proxy.StreamID(f.Obj), size)
 }
 
 // armMuxIdle closes the connection after the browser's idle timeout,
@@ -713,17 +795,24 @@ func (b *Browser) sendMux(h *muxHandle, req *pendingReq) {
 // the handshake used to wait out.
 func (b *Browser) armMuxIdle(h *muxHandle) {
 	h.idleTimer.Stop()
-	h.idleTimer = b.loop.After(b.cfg.IdleConnTimeout, func() {
-		if h.outstanding > 0 {
-			return
-		}
-		if invOn {
-			b.checkFlow("session close")
-		}
-		h.client.Close()
-		h.server.Close()
-		b.mux = slices.DeleteFunc(b.mux, func(x *muxHandle) bool { return x == h })
-	})
+	h.idleTimer = b.loop.AfterCall(b.cfg.IdleConnTimeout, (*muxIdleTimeout)(h))
+}
+
+// muxIdleTimeout is a multiplexed connection's idle timer running out.
+type muxIdleTimeout muxHandle
+
+func (t *muxIdleTimeout) Call() {
+	h := (*muxHandle)(t)
+	b := h.b
+	if h.outstanding > 0 {
+		return
+	}
+	if invOn {
+		b.checkFlow("session close")
+	}
+	h.client.Close()
+	h.server.Close()
+	b.mux = slices.DeleteFunc(b.mux, func(x *muxHandle) bool { return x == h })
 }
 
 // muxConsumed drives WINDOW_UPDATE generation: once half a stream's (or

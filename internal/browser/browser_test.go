@@ -36,7 +36,7 @@ func newWorld(seed uint64, cellular bool) *world {
 	}
 	path := netem.NewPath(loop, pc, rng.Fork(1), radio)
 	network := tcpsim.NewNetwork(loop, path)
-	origin := proxy.NewOrigin(loop, proxy.DefaultOriginConfig(), rng.Fork(2))
+	origin := proxy.NewOrigin(proxy.DefaultOriginConfig(), rng.Fork(2))
 	return &world{loop: loop, net: network, prox: proxy.New(loop, origin), radio: radio}
 }
 

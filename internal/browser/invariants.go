@@ -22,14 +22,20 @@ func (b *Browser) checkPools(where string) {
 	total, established, idle := 0, 0, 0
 	for _, p := range b.poolOrder {
 		total += len(p.conns)
+		poolIdle := 0
 		for _, h := range p.conns {
 			if h.established {
 				established++
 			}
 			if h.idle() {
-				idle++
+				poolIdle++
 			}
 		}
+		if poolIdle != p.idle {
+			panic(fmt.Sprintf("browser invariant pool-counts violated at %v after %s: pool %s maintains %d idle, holds %d",
+				b.loop.Now(), where, p.domain, p.idle, poolIdle))
+		}
+		idle += poolIdle
 	}
 	if total != b.totalConns || established != b.establishedConns || idle != b.idleConns {
 		panic(fmt.Sprintf("browser invariant pool-counts violated at %v after %s: maintained total/established/idle %d/%d/%d, pools hold %d/%d/%d",

@@ -362,7 +362,7 @@ func Run(opts Options) *Result {
 	if opts.FastOrigin {
 		ocfg = proxy.FastOriginConfig()
 	}
-	origin := proxy.NewOrigin(loop, ocfg, rng.Fork(0x0417))
+	origin := proxy.NewOrigin(ocfg, rng.Fork(0x0417))
 	prox := proxy.New(loop, origin)
 
 	bcfg := browser.DefaultConfig(opts.Mode)

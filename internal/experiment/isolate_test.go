@@ -55,7 +55,7 @@ func isolateCleanHTTP(t *testing.T, traced bool) {
 	path := netem.NewPath(loop, pc, sim.NewRNG(3), radio)
 	net := tcpsim.NewNetwork(loop, path)
 	rec := tcpsim.NewRecorder()
-	origin := proxy.NewOrigin(loop, proxy.DefaultOriginConfig(), sim.NewRNG(4))
+	origin := proxy.NewOrigin(proxy.DefaultOriginConfig(), sim.NewRNG(4))
 	prox := proxy.New(loop, origin)
 	bcfg := browser.DefaultConfig(browser.ModeHTTP)
 	bcfg.ProxyTCP.Probe = rec

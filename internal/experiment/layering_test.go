@@ -36,7 +36,7 @@ func runMonolith(opts Options) *Result {
 	if opts.FastOrigin {
 		ocfg = proxy.FastOriginConfig()
 	}
-	origin := proxy.NewOrigin(loop, ocfg, rng.Fork(0x0417))
+	origin := proxy.NewOrigin(ocfg, rng.Fork(0x0417))
 	prox := proxy.New(loop, origin)
 
 	bcfg := browser.DefaultConfig(opts.Mode)

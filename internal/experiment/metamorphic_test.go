@@ -430,12 +430,12 @@ func runNoHoLOracle(t *testing.T) noHoLOutcome {
 		for i := 0; i < rounds; i++ {
 			for _, sid := range []uint32{1, 3, 5} {
 				sid := sid
-				asm.Expect(chunk, func() {
+				asm.Expect(chunk, sim.Func(func() {
 					got[sid] += chunk
 					if got[sid] == total {
 						done[sid] = loop.Now()
 					}
-				})
+				}))
 			}
 		}
 		client.OnEstablished(func() {

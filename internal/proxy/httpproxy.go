@@ -3,7 +3,6 @@ package proxy
 import (
 	"spdier/internal/httpwire"
 	"spdier/internal/tcpsim"
-	"spdier/internal/trace"
 	"spdier/internal/webpage"
 )
 
@@ -49,22 +48,16 @@ type HTTPConn struct {
 
 	// Pipelined response ordering: responses must leave in request
 	// order, so a fetch that finishes ahead of an earlier one waits in
-	// ready for its turn. Without pipelining no fetch ever does, and the
+	// parked for its turn. Without pipelining no fetch ever does, and the
 	// map is never allocated.
 	reqSeq   int
 	nextSend int
-	ready    map[int]*pipelinedResp
-}
-
-type pipelinedResp struct {
-	obj   *webpage.Object
-	rec   *trace.ProxyRecord
-	hooks ResponseHooks
+	parked   map[int]*Exchange
 }
 
 // NewHTTPConn attaches a proxy handler to the server-side endpoint of a
 // connection. clientAsm is the assembler observing in-order delivery at
-// the browser end, through which response hooks are fired.
+// the browser end, through which the exchange's Client is told.
 func NewHTTPConn(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) *HTTPConn {
 	h := &HTTPConn{proxy: p, conn: serverConn, clientAsm: clientAsm}
 	serverConn.OnDeliver(h.reqAsm.Deliver)
@@ -74,67 +67,50 @@ func NewHTTPConn(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAsse
 // Conn exposes the proxy-side TCP endpoint (for probes and tests).
 func (h *HTTPConn) Conn() *tcpsim.Conn { return h.conn }
 
-// ExpectRequest registers the next request on this connection: when
-// reqSize bytes arrive, the proxy fetches obj from the origin and writes
-// the response in request order. hooks fire at the client as the
-// response is delivered. The browser must call this immediately before
-// writing the request bytes, keeping the FIFO books consistent.
-func (h *HTTPConn) ExpectRequest(obj *webpage.Object, reqSize int, hooks ResponseHooks) {
-	idx := h.reqSeq
+// ExpectRequest registers e as the next request on this connection: when
+// reqSize bytes arrive, the proxy fetches e.Obj from the origin and
+// writes the response in request order. The browser must call this
+// immediately before writing the request bytes, keeping the FIFO books
+// consistent.
+func (h *HTTPConn) ExpectRequest(e *Exchange, reqSize int) {
+	e.p, e.hc = h.proxy, h
+	e.seq = h.reqSeq
 	h.reqSeq++
-	h.reqAsm.Expect(reqSize, func() {
-		rec := h.proxy.record(obj)
-		h.proxy.Origin.Fetch(obj,
-			func() { rec.OriginFirstByte = h.proxy.Loop.Now() },
-			func() {
-				rec.OriginDone = h.proxy.Loop.Now()
-				if idx != h.nextSend {
-					if h.ready == nil {
-						h.ready = make(map[int]*pipelinedResp)
-					}
-					h.ready[idx] = &pipelinedResp{obj: obj, rec: rec, hooks: hooks}
-					return
-				}
-				h.nextSend++
-				h.respond(obj, rec, hooks)
-				h.flush()
-			})
-	})
+	h.reqAsm.Expect(reqSize, (*requestArrived)(e))
 }
 
-// flush writes the parked responses whose turn has come, preserving
-// request order (HTTP/1.1 §8.1.2.2).
-func (h *HTTPConn) flush() {
+// ready takes a response complete at the proxy: it is written now if it
+// is the next in request order, with any parked behind it whose turn
+// that brings (HTTP/1.1 §8.1.2.2), and parked otherwise.
+func (h *HTTPConn) ready(e *Exchange) {
+	if e.seq != h.nextSend {
+		if h.parked == nil {
+			h.parked = make(map[int]*Exchange)
+		}
+		h.parked[e.seq] = e
+		return
+	}
 	for {
-		r, ok := h.ready[h.nextSend]
+		h.nextSend++
+		h.respond(e)
+		next, ok := h.parked[h.nextSend]
 		if !ok {
 			return
 		}
-		delete(h.ready, h.nextSend)
-		h.nextSend++
-		h.respond(r.obj, r.rec, r.hooks)
+		delete(h.parked, h.nextSend)
+		e = next
 	}
 }
 
 // respond writes head+body onto the proxy-side socket and registers the
 // matching client-side delivery expectations. The whole response is
-// committed to this connection at once: per-connection FIFO, no
-// cross-object interleaving.
-func (h *HTTPConn) respond(obj *webpage.Object, rec *trace.ProxyRecord, hooks ResponseHooks) {
-	now := h.proxy.Loop.Now()
-	rec.SendStart = now
-	head := HTTPRespHeadSize(obj)
-
-	h.clientAsm.Expect(head, func() {
-		if hooks.OnFirstByte != nil {
-			hooks.OnFirstByte()
-		}
-	})
-	h.clientAsm.Expect(obj.Size, func() {
-		rec.SendDone = h.proxy.Loop.Now()
-		if hooks.OnDone != nil {
-			hooks.OnDone()
-		}
-	})
-	h.conn.Write(head + obj.Size)
+// committed to this connection at once — one body write, nothing
+// remaining: per-connection FIFO, no cross-object interleaving.
+func (h *HTTPConn) respond(e *Exchange) {
+	e.rec.SendStart = h.proxy.Loop.Now()
+	head := HTTPRespHeadSize(e.Obj)
+	e.inflight = 1
+	h.clientAsm.Expect(head, (*headLanded)(e))
+	h.clientAsm.Expect(e.Obj.Size, (*bodyLanded)(e))
+	h.conn.Write(head + e.Obj.Size)
 }

@@ -5,9 +5,9 @@ import (
 	"slices"
 
 	"spdier/internal/h2"
+	"spdier/internal/sim"
 	"spdier/internal/spdy"
 	"spdier/internal/tcpsim"
-	"spdier/internal/trace"
 	"spdier/internal/webpage"
 )
 
@@ -66,13 +66,13 @@ func StreamID(obj *webpage.Object) uint32 { return uint32(obj.ID*2 + 1) }
 type Session struct {
 	proxy *Proxy
 	links []*link
-	queue spdy.PriorityQueue[*task]
+	queue spdy.PriorityQueue[*Exchange]
 
 	newHead      func() headSizer
 	dataOverhead int
 
 	fc      *h2.FlowController // nil: no flow control
-	blocked []*task            // tasks parked on an empty flow-control window
+	blocked []*Exchange        // responses parked on an empty flow-control window
 	// initConn and initStream are the windows fc started with; no
 	// window may ever stand above them (CheckFlowConservation).
 	initConn, initStream int64
@@ -80,8 +80,15 @@ type Session struct {
 	// conservation audit.
 	streamIDs []uint32
 	// OnClientChunk, when set, fires as each DATA payload lands at the
-	// client; the browser uses it to drive WINDOW_UPDATE generation.
+	// client; the browser uses it to drive WINDOW_UPDATE generation. It
+	// is for a session of one TCP link, set before the first request:
+	// flow control cuts chunks to the credit at hand, so a landing
+	// chunk's payload is known only from landing, the payloads written
+	// and not yet landed — in write order, which on one byte stream is
+	// landing order. (A priority queue of one class is a FIFO that does
+	// not regrow.)
 	OnClientChunk func(streamID uint32, payload int)
+	landing       spdy.PriorityQueue[int]
 
 	// QueuedResponses gauges the pump backlog for Figure 8 analysis.
 	QueuedResponses int
@@ -154,10 +161,10 @@ type carrier interface {
 	// that cannot transmit at all reports sendHighWater.
 	backlog() int
 	// expectRequest registers size inbound bytes on streamID.
-	expectRequest(streamID uint32, size int, arrived func())
+	expectRequest(streamID uint32, size int, arrived sim.Handler)
 	// send registers size bytes with the client-side assembler of
 	// streamID, then writes them.
-	send(streamID uint32, size int, delivered func())
+	send(streamID uint32, size int, delivered sim.Handler)
 }
 
 // tcpCarrier is a TCP connection: one in-order byte stream each way, so
@@ -174,10 +181,10 @@ func (c *tcpCarrier) backlog() int {
 	}
 	return c.conn.BufferedBytes()
 }
-func (c *tcpCarrier) expectRequest(_ uint32, size int, arrived func()) {
+func (c *tcpCarrier) expectRequest(_ uint32, size int, arrived sim.Handler) {
 	c.reqAsm.Expect(size, arrived)
 }
-func (c *tcpCarrier) send(_ uint32, size int, delivered func()) {
+func (c *tcpCarrier) send(_ uint32, size int, delivered sim.Handler) {
 	c.clientAsm.Expect(size, delivered)
 	c.conn.Write(size)
 }
@@ -191,10 +198,10 @@ type quicCarrier struct {
 }
 
 func (c *quicCarrier) backlog() int { return c.conn.BufferedBytes() }
-func (c *quicCarrier) expectRequest(streamID uint32, size int, arrived func()) {
+func (c *quicCarrier) expectRequest(streamID uint32, size int, arrived sim.Handler) {
 	c.reqs.Expect(streamID, size, arrived)
 }
-func (c *quicCarrier) send(streamID uint32, size int, delivered func()) {
+func (c *quicCarrier) send(streamID uint32, size int, delivered sim.Handler) {
 	c.streams.Expect(streamID, size, delivered)
 	c.conn.WriteStream(streamID, size)
 }
@@ -223,7 +230,7 @@ func (c *QUICStreams) asm(streamID uint32) *tcpsim.StreamAssembler {
 }
 
 // Expect registers the next size-byte message on one stream.
-func (c *QUICStreams) Expect(streamID uint32, size int, done func()) {
+func (c *QUICStreams) Expect(streamID uint32, size int, done sim.Handler) {
 	c.asm(streamID).Expect(size, done)
 }
 
@@ -257,63 +264,42 @@ func (s *Session) addLink(c carrier) int {
 	return len(s.links) - 1
 }
 
-// task is one response in flight through the pump.
-type task struct {
-	obj      *webpage.Object
-	rec      *trace.ProxyRecord
-	hooks    ResponseHooks
-	priority spdy.Priority
-	sid      uint32
-	headSize int // 0 until the head has been priced
-	// remaining counts bytes not yet written; deliveredLeft counts bytes
-	// not yet delivered at the client. They differ because chunks of one
-	// object may ride different connections and land out of order.
-	remaining     int
-	deliveredLeft int
-	started       bool
-}
-
-// priceHead prices t's head on l. A header-compression context is
+// priceHead prices e's head on l. A header-compression context is
 // per-link state — what a block costs depends on every block priced on
 // that link before it — so a head is priced exactly once, on the link
 // that will carry it, as soon as that link is known: at enqueue when
 // the session has one link (origin-completion order), otherwise when
-// the pump first binds the task (pump order).
-func (t *task) priceHead(l *link) {
-	if t.headSize == 0 {
-		t.headSize = l.headSize(t.obj)
+// the pump first binds the response (pump order).
+func (e *Exchange) priceHead(l *link) {
+	if e.headSize == 0 {
+		e.headSize = l.headSize(e.Obj)
 	}
 }
 
-// ExpectRequest registers an inbound request of reqSize bytes for obj on
-// the given link. The browser calls this immediately before writing the
+// ExpectRequest registers e's inbound request of reqSize bytes on the
+// given link. The browser calls this immediately before writing the
 // request bytes; many requests may be outstanding simultaneously. With
 // several links the response is *not* bound to the one named here.
-func (s *Session) ExpectRequest(linkIdx int, obj *webpage.Object, reqSize int, prio spdy.Priority, hooks ResponseHooks) {
-	s.links[linkIdx].expectRequest(StreamID(obj), reqSize, func() {
-		rec := s.proxy.record(obj)
-		s.proxy.Origin.Fetch(obj,
-			func() { rec.OriginFirstByte = s.proxy.Loop.Now() },
-			func() {
-				rec.OriginDone = s.proxy.Loop.Now()
-				s.enqueue(obj, rec, prio, hooks)
-			})
-	})
+func (s *Session) ExpectRequest(linkIdx int, e *Exchange, reqSize int, prio spdy.Priority) {
+	s.adopt(e, prio)
+	s.links[linkIdx].expectRequest(e.sid, reqSize, (*requestArrived)(e))
 }
 
-func (s *Session) enqueue(obj *webpage.Object, rec *trace.ProxyRecord, prio spdy.Priority, hooks ResponseHooks) {
-	t := &task{
-		obj: obj, rec: rec, hooks: hooks,
-		priority: prio, sid: StreamID(obj),
-		remaining: obj.Size, deliveredLeft: obj.Size,
-	}
+// adopt makes s the carrier of e.
+func (s *Session) adopt(e *Exchange, prio spdy.Priority) {
+	e.p, e.sess, e.priority, e.sid = s.proxy, s, prio, StreamID(e.Obj)
+}
+
+// enqueue takes a response complete at the proxy into the pump.
+func (s *Session) enqueue(e *Exchange) {
+	e.remaining = e.Obj.Size
 	if len(s.links) == 1 {
-		t.priceHead(s.links[0])
+		e.priceHead(s.links[0])
 	}
 	if s.fc != nil {
-		s.streamIDs = append(s.streamIDs, t.sid)
+		s.streamIDs = append(s.streamIDs, e.sid)
 	}
-	s.queue.Push(prio, t)
+	s.queue.Push(e.priority, e)
 	s.QueuedResponses++
 	s.pump()
 }
@@ -347,60 +333,49 @@ func (s *Session) pump() {
 		if l == nil {
 			return
 		}
-		t, ok := s.queue.Pop()
+		e, ok := s.queue.Pop()
 		if !ok {
 			return
 		}
-		if !t.started {
-			t.started = true
-			t.rec.SendStart = s.proxy.Loop.Now()
-			t.priceHead(l)
-			l.send(t.sid, t.headSize, func() {
-				if t.hooks.OnFirstByte != nil {
-					t.hooks.OnFirstByte()
-				}
-			})
+		if !e.started {
+			e.started = true
+			e.rec.SendStart = s.proxy.Loop.Now()
+			e.priceHead(l)
+			l.send(e.sid, e.headSize, (*headLanded)(e))
 		}
-		n, admitted := s.admit(t)
+		n, admitted := s.admit(e)
 		if !admitted {
-			s.blocked = append(s.blocked, t)
+			s.blocked = append(s.blocked, e)
 			continue
 		}
-		t.remaining -= n
-		l.send(t.sid, n+s.dataOverhead, func() {
-			if s.OnClientChunk != nil {
-				s.OnClientChunk(t.sid, n)
-			}
-			t.deliveredLeft -= n
-			if t.deliveredLeft == 0 {
-				t.rec.SendDone = s.proxy.Loop.Now()
-				if t.hooks.OnDone != nil {
-					t.hooks.OnDone()
-				}
-			}
-		})
-		if t.remaining == 0 {
+		e.remaining -= n
+		e.inflight++
+		if s.OnClientChunk != nil {
+			s.landing.Push(0, n)
+		}
+		l.send(e.sid, n+s.dataOverhead, (*bodyLanded)(e))
+		if e.remaining == 0 {
 			s.QueuedResponses--
 		} else {
-			s.queue.Push(t.priority, t)
+			s.queue.Push(e.priority, e)
 		}
 	}
 }
 
-// admit sizes t's next DATA payload — a chunk, or what flow control
+// admit sizes e's next DATA payload — a chunk, or what flow control
 // allows of it — and debits the credit. It reports false when the
 // stream's window is empty.
-func (s *Session) admit(t *task) (int, bool) {
-	n := min(t.remaining, chunkSize)
+func (s *Session) admit(e *Exchange) (int, bool) {
+	n := min(e.remaining, chunkSize)
 	if s.fc == nil {
 		return n, true
 	}
-	avail := s.fc.Avail(t.sid)
+	avail := s.fc.Avail(e.sid)
 	if avail <= 0 {
 		return 0, false
 	}
 	n = int(min(int64(n), avail))
-	if err := s.fc.Consume(t.sid, int64(n)); err != nil {
+	if err := s.fc.Consume(e.sid, int64(n)); err != nil {
 		panic(fmt.Sprintf("proxy: h2 pump overdraw: %v", err))
 	}
 	return n, true
@@ -412,7 +387,7 @@ func (s *Session) admit(t *task) (int, bool) {
 // the order they parked; the pump re-parks those still starved. The
 // browser calls this immediately before writing the frame bytes.
 func (s *Session) ExpectWindowUpdate(linkIdx int, streamID uint32, n int64, connLevel bool) {
-	s.links[linkIdx].expectRequest(0, h2.WindowUpdateFrameSize, func() {
+	s.links[linkIdx].expectRequest(0, h2.WindowUpdateFrameSize, sim.Func(func() {
 		var err error
 		if connLevel {
 			err = s.fc.GrantConn(n)
@@ -422,12 +397,12 @@ func (s *Session) ExpectWindowUpdate(linkIdx int, streamID uint32, n int64, conn
 		if err != nil {
 			panic(fmt.Sprintf("proxy: h2 window update rejected: %v", err))
 		}
-		for _, t := range s.blocked {
-			s.queue.Push(t.priority, t)
+		for _, e := range s.blocked {
+			s.queue.Push(e.priority, e)
 		}
 		s.blocked = s.blocked[:0]
 		s.pump()
-	})
+	}))
 }
 
 // CheckFlowConservation audits the credit books over every stream the

@@ -82,14 +82,15 @@ func dialMux(t *testing.T, w *world, c construction) *muxRig {
 	return r
 }
 
-// request issues a 100-byte request for o, round-robin over the links.
-func (r *muxRig) request(o *webpage.Object, prio spdy.Priority, hooks ResponseHooks) {
-	r.requestOn(r.reqs%len(r.write), o, prio, hooks)
+// request issues a 100-byte request for o, round-robin over the links;
+// c, if not nil, is told of the response.
+func (r *muxRig) request(o *webpage.Object, prio spdy.Priority, c Client) {
+	r.requestOn(r.reqs%len(r.write), o, prio, c)
 }
 
-func (r *muxRig) requestOn(link int, o *webpage.Object, prio spdy.Priority, hooks ResponseHooks) {
+func (r *muxRig) requestOn(link int, o *webpage.Object, prio spdy.Priority, c Client) {
 	r.reqs++
-	r.sess.ExpectRequest(link, o, 100, prio, hooks)
+	r.sess.ExpectRequest(link, &Exchange{Obj: o, Client: c}, 100, prio)
 	r.write[link](StreamID(o), 100)
 }
 
@@ -111,7 +112,7 @@ func TestMuxPriorityOrdering(t *testing.T) {
 	eachConstruction(t, 3, 1_000_000, func(t *testing.T, r *muxRig) {
 		var order []int
 		request := func(o *webpage.Object, prio spdy.Priority) {
-			r.request(o, prio, ResponseHooks{OnDone: func() { order = append(order, o.ID) }})
+			r.request(o, prio, hooks{done: func() { order = append(order, o.ID) }})
 		}
 		for i := 1; i <= 3; i++ {
 			request(obj(i, 300_000, webpage.KindImg), 5)
@@ -138,7 +139,7 @@ func TestMuxInterleavesEqualPriority(t *testing.T) {
 		var done []sim.Time
 		for i := 1; i <= 2; i++ {
 			r.request(obj(i, 200_000, webpage.KindImg), 4,
-				ResponseHooks{OnDone: func() { done = append(done, r.w.loop.Now()) }})
+				hooks{done: func() { done = append(done, r.w.loop.Now()) }})
 		}
 		r.run(60 * time.Second)
 		if len(done) != 2 {
@@ -158,7 +159,7 @@ func TestMuxInterleavesEqualPriority(t *testing.T) {
 func TestMuxQueueGauge(t *testing.T) {
 	eachConstruction(t, 5, 500_000, func(t *testing.T, r *muxRig) { // very slow downlink
 		for i := 1; i <= 5; i++ {
-			r.request(obj(i, 100_000, webpage.KindImg), 4, ResponseHooks{})
+			r.request(obj(i, 100_000, webpage.KindImg), 4, nil)
 		}
 		r.run(2 * time.Second)
 		if r.sess.QueuedResponses < 2 {
@@ -175,7 +176,7 @@ func TestLateBindingSpreadsChunks(t *testing.T) {
 	r := dialMux(t, newWorld(6, 4_000_000), constructions[1])
 	completed := 0
 	for i := 1; i <= 6; i++ {
-		r.request(obj(i, 150_000, webpage.KindImg), 4, ResponseHooks{OnDone: func() { completed++ }})
+		r.request(obj(i, 150_000, webpage.KindImg), 4, hooks{done: func() { completed++ }})
 	}
 	r.run(60 * time.Second)
 	if completed != 6 {
@@ -205,7 +206,7 @@ type loggingCarrier struct {
 	log *headLog
 }
 
-func (c loggingCarrier) send(streamID uint32, size int, delivered func()) {
+func (c loggingCarrier) send(streamID uint32, size int, delivered sim.Handler) {
 	id := int(streamID-1) / 2
 	if _, seen := c.log.sent[id]; !seen {
 		c.log.sent[id] = c.idx
@@ -233,7 +234,7 @@ func TestLateBindingPricesHeadOnBoundLink(t *testing.T) {
 	// Every request arrives on link 0; the first responses fill it.
 	const n = 8
 	for i := 1; i <= n; i++ {
-		r.requestOn(0, obj(i, 60_000, webpage.KindImg), 4, ResponseHooks{})
+		r.requestOn(0, obj(i, 60_000, webpage.KindImg), 4, nil)
 	}
 	r.run(60 * time.Second)
 	elsewhere := 0
@@ -264,7 +265,7 @@ func TestSingleLinkPricesHeadAtEnqueue(t *testing.T) {
 		return price(o)
 	}
 	for i := 1; i <= 3; i++ {
-		r.request(obj(i, 200_000, webpage.KindImg), 5, ResponseHooks{})
+		r.request(obj(i, 200_000, webpage.KindImg), 5, nil)
 	}
 	r.run(500 * time.Millisecond)
 	if r.sess.readyLink() != nil {
@@ -276,8 +277,9 @@ func TestSingleLinkPricesHeadAtEnqueue(t *testing.T) {
 		o    *webpage.Object
 		prio spdy.Priority
 	}{{obj(10, 2_000, webpage.KindImg), 4}, {obj(11, 2_000, webpage.KindHTML), 0}} {
-		r.sess.enqueue(c.o, r.w.prox.record(c.o), c.prio,
-			ResponseHooks{OnFirstByte: func() { started = append(started, c.o.ID) }})
+		e := &Exchange{Obj: c.o, Client: hooks{first: func() { started = append(started, c.o.ID) }}, rec: r.w.prox.record(c.o)}
+		r.sess.adopt(e, c.prio)
+		r.sess.enqueue(e)
 	}
 	r.run(60 * time.Second)
 	if len(priced) != 5 || priced[3] != 10 || priced[4] != 11 {
@@ -303,7 +305,7 @@ func TestH2WindowParksAndResumes(t *testing.T) {
 
 	a, b := obj(1, 3*win, webpage.KindImg), obj(2, 2*win, webpage.KindImg)
 	var firstA, doneA, doneB bool
-	r.request(a, 4, ResponseHooks{OnFirstByte: func() { firstA = true }, OnDone: func() { doneA = true }})
+	r.request(a, 4, hooks{first: func() { firstA = true }, done: func() { doneA = true }})
 	r.run(5 * time.Second)
 	if !firstA || doneA || payload[StreamID(a)] != win {
 		t.Fatalf("with the window spent: head delivered=%t done=%t payload=%d, want true false %d", firstA, doneA, payload[StreamID(a)], win)
@@ -316,9 +318,9 @@ func TestH2WindowParksAndResumes(t *testing.T) {
 	}
 
 	// A second response parks behind the first, its own head written.
-	r.request(b, 4, ResponseHooks{OnDone: func() { doneB = true }})
+	r.request(b, 4, hooks{done: func() { doneB = true }})
 	r.run(5 * time.Second)
-	if len(r.sess.blocked) != 2 || r.sess.blocked[0].obj != a || r.sess.blocked[1].obj != b {
+	if len(r.sess.blocked) != 2 || r.sess.blocked[0].Obj != a || r.sess.blocked[1].Obj != b {
 		t.Fatalf("park order: %d parked", len(r.sess.blocked))
 	}
 
@@ -332,7 +334,7 @@ func TestH2WindowParksAndResumes(t *testing.T) {
 	if payload[StreamID(b)] != 2*win || !doneB || doneA {
 		t.Fatalf("after crediting b: payload=%d doneB=%t doneA=%t", payload[StreamID(b)], doneB, doneA)
 	}
-	if len(r.sess.blocked) != 1 || r.sess.blocked[0].obj != a {
+	if len(r.sess.blocked) != 1 || r.sess.blocked[0].Obj != a {
 		t.Fatalf("a should be the one task still parked, have %d", len(r.sess.blocked))
 	}
 	grant(StreamID(a), 2*win, false)
@@ -369,7 +371,7 @@ func TestQUICResponsesRideOwnStreams(t *testing.T) {
 	objs := []*webpage.Object{obj(1, 70_000, webpage.KindImg), obj(2, 9_000, webpage.KindJS), obj(3, 25_000, webpage.KindCSS)}
 	done := 0
 	for _, o := range objs {
-		r.request(o, 3, ResponseHooks{OnDone: func() { done++ }})
+		r.request(o, 3, hooks{done: func() { done++ }})
 	}
 	r.run(30 * time.Second)
 	if done != len(objs) {
@@ -390,18 +392,18 @@ func TestQUICResponsesRideOwnStreams(t *testing.T) {
 // sinkCarrier is a link that is always writable and delivers nothing.
 type sinkCarrier struct{ sends int }
 
-func (c *sinkCarrier) backlog() int                      { return 0 }
-func (c *sinkCarrier) expectRequest(uint32, int, func()) {}
-func (c *sinkCarrier) send(uint32, int, func())          { c.sends++ }
+func (c *sinkCarrier) backlog() int                           { return 0 }
+func (c *sinkCarrier) expectRequest(uint32, int, sim.Handler) {}
+func (c *sinkCarrier) send(uint32, int, sim.Handler)          { c.sends++ }
 
 // TestMuxPumpAllocations holds the pump to its own allocations, on every
-// construction: a response costs one task and one closure per Expect
-// (one for the head, one per DATA chunk). The priority queue adds none:
-// a class holding a lone task, pushed back after every chunk, reuses its
-// slot. Transport and header pricing are stubbed out, since they
-// allocate on their own account; flow control is live, and its one
-// window per new stream is kept out of the count by reusing a stream the
-// controller knows.
+// construction: a response costs the exchange it was requested with and
+// nothing else — the head's and every DATA chunk's Expect take a handler
+// derived from it, and the priority queue reuses the slot of a class
+// holding a lone response, pushed back after every chunk. Transport and
+// header pricing are stubbed out, since they allocate on their own
+// account; flow control is live, and its one window per new stream is
+// kept out of the count by reusing a stream the controller knows.
 func TestMuxPumpAllocations(t *testing.T) {
 	const chunks = 4
 	o := obj(1, chunks*chunkSize, webpage.KindImg)
@@ -420,11 +422,14 @@ func TestMuxPumpAllocations(t *testing.T) {
 				s.links[i].headSize = func(*webpage.Object) int { return 40 }
 			}
 			rec := w.prox.record(o)
-			s.enqueue(o, rec, 4, ResponseHooks{}) // warm the queue and the stream's window
-			got := testing.AllocsPerRun(200, func() { s.enqueue(o, rec, 4, ResponseHooks{}) })
-			const pump = 1 + 1 + chunks
-			if got != pump {
-				t.Fatalf("a %d-chunk response allocates %v objects, want %d (task + one closure per Expect; none for the queue)", chunks, got, pump)
+			respond := func() {
+				e := &Exchange{Obj: o, rec: rec}
+				s.adopt(e, 4)
+				s.enqueue(e)
+			}
+			respond() // warm the queue and the stream's window
+			if got := testing.AllocsPerRun(200, respond); got != 1 {
+				t.Fatalf("a %d-chunk response allocates %v objects, want 1 (its exchange; none per Expect, none for the queue)", chunks, got)
 			}
 			if sink.sends != 202*(1+chunks) || s.QueuedResponses != 0 {
 				t.Fatalf("%d sends, %d queued", sink.sends, s.QueuedResponses)

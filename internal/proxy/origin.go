@@ -67,23 +67,22 @@ func FastOriginConfig() OriginConfig {
 	return cfg
 }
 
-// Origin simulates fetching objects from web servers over the proxy's
-// fat, low-latency cloud uplink.
+// Origin models fetching objects from web servers over the proxy's fat,
+// low-latency cloud uplink: a distribution of waits and downloads drawn
+// from its own RNG stream, one draw per request in arrival order.
 type Origin struct {
-	loop *sim.Loop
-	cfg  OriginConfig
-	rng  *sim.RNG
+	cfg OriginConfig
+	rng *sim.RNG
 }
 
 // NewOrigin creates an origin fetch model.
-func NewOrigin(loop *sim.Loop, cfg OriginConfig, rng *sim.RNG) *Origin {
-	return &Origin{loop: loop, cfg: cfg, rng: rng}
+func NewOrigin(cfg OriginConfig, rng *sim.RNG) *Origin {
+	return &Origin{cfg: cfg, rng: rng}
 }
 
-// Fetch retrieves obj: firstByte fires when the origin starts responding,
-// done fires when the full body is at the proxy.
-func (o *Origin) Fetch(obj *webpage.Object, firstByte, done func()) {
-	var wait time.Duration
+// Timing draws one fetch of obj: wait is request to first byte, download
+// first byte to the full body at the proxy.
+func (o *Origin) Timing(obj *webpage.Object) (wait, download time.Duration) {
 	if o.cfg.SlowFraction > 0 && o.rng.Bool(o.cfg.SlowFraction) {
 		wait = time.Duration(o.rng.LogNorm(float64(o.cfg.SlowMedian), o.cfg.SlowSigma))
 		if wait > o.cfg.SlowMax {
@@ -98,20 +97,11 @@ func (o *Origin) Fetch(obj *webpage.Object, firstByte, done func()) {
 	if wait < time.Millisecond {
 		wait = time.Millisecond
 	}
-	dl := o.cfg.DownloadFloor
+	download = o.cfg.DownloadFloor
 	if o.cfg.BandwidthBPS > 0 {
-		dl += time.Duration(float64(obj.Size*8) / float64(o.cfg.BandwidthBPS) * float64(time.Second))
+		download += time.Duration(float64(obj.Size*8) / float64(o.cfg.BandwidthBPS) * float64(time.Second))
 	}
-	o.loop.After(wait, func() {
-		if firstByte != nil {
-			firstByte()
-		}
-		o.loop.After(dl, func() {
-			if done != nil {
-				done()
-			}
-		})
-	})
+	return wait, download
 }
 
 // Proxy aggregates the shared origin model and the per-object proxy-side
@@ -120,6 +110,8 @@ type Proxy struct {
 	Loop    *sim.Loop
 	Origin  *Origin
 	Records []*trace.ProxyRecord
+	// slab is what is left of the records reserved by ExpectPage.
+	slab []trace.ProxyRecord
 }
 
 // New creates a proxy host with the given origin model.
@@ -127,18 +119,25 @@ func New(loop *sim.Loop, origin *Origin) *Proxy {
 	return &Proxy{Loop: loop, Origin: origin}
 }
 
-// record appends r to the proxy log and returns it.
-func (p *Proxy) record(obj *webpage.Object) *trace.ProxyRecord {
-	r := &trace.ProxyRecord{Obj: obj, ReqArrived: p.Loop.Now()}
-	p.Records = append(p.Records, r)
-	return r
+// ExpectPage reserves log entries for a page of n objects about to be
+// requested: their records come out of one slab. What an earlier page
+// left unused is dropped.
+func (p *Proxy) ExpectPage(n int) {
+	if len(p.slab) < n {
+		p.slab = make([]trace.ProxyRecord, n)
+	}
 }
 
-// ResponseHooks are the browser-side callbacks the proxy fires through
-// the client connection's stream assembler as response bytes land.
-type ResponseHooks struct {
-	// OnFirstByte fires when the response head is delivered client-side.
-	OnFirstByte func()
-	// OnDone fires when the final body byte is delivered client-side.
-	OnDone func()
+// record logs a request for obj arriving now and returns its entry. A
+// request nobody announced (a beacon, a test's) gets one of its own.
+func (p *Proxy) record(obj *webpage.Object) *trace.ProxyRecord {
+	var r *trace.ProxyRecord
+	if len(p.slab) > 0 {
+		r, p.slab = &p.slab[0], p.slab[1:]
+	} else {
+		r = new(trace.ProxyRecord)
+	}
+	r.Obj, r.ReqArrived = obj, p.Loop.Now()
+	p.Records = append(p.Records, r)
+	return r
 }

@@ -24,8 +24,23 @@ func newWorld(seed uint64, downBPS int64) *world {
 	}
 	path := netem.NewPath(loop, pc, sim.NewRNG(seed), nil)
 	network := tcpsim.NewNetwork(loop, path)
-	origin := NewOrigin(loop, FastOriginConfig(), sim.NewRNG(seed+1))
+	origin := NewOrigin(FastOriginConfig(), sim.NewRNG(seed+1))
 	return &world{loop: loop, net: network, prox: New(loop, origin)}
+}
+
+// hooks is an exchange's Client made of closures; either may be nil.
+type hooks struct{ first, done func() }
+
+func (h hooks) FirstByte() {
+	if h.first != nil {
+		h.first()
+	}
+}
+
+func (h hooks) Done() {
+	if h.done != nil {
+		h.done()
+	}
 }
 
 func obj(id, size int, kind webpage.Kind) *webpage.Object {
@@ -33,15 +48,11 @@ func obj(id, size int, kind webpage.Kind) *webpage.Object {
 }
 
 func TestOriginFetchDistribution(t *testing.T) {
-	loop := sim.NewLoop()
-	o := NewOrigin(loop, FastOriginConfig(), sim.NewRNG(1))
+	o := NewOrigin(FastOriginConfig(), sim.NewRNG(1))
 	var waits []time.Duration
 	for i := 0; i < 500; i++ {
-		start := loop.Now()
-		var fb sim.Time
-		o.Fetch(obj(i, 10_000, webpage.KindImg), func() { fb = loop.Now() }, nil)
-		loop.RunUntilIdle()
-		waits = append(waits, fb.Sub(start))
+		wait, _ := o.Timing(obj(i, 10_000, webpage.KindImg))
+		waits = append(waits, wait)
 	}
 	var sum time.Duration
 	maxW := time.Duration(0)
@@ -62,16 +73,11 @@ func TestOriginFetchDistribution(t *testing.T) {
 }
 
 func TestOriginSlowTailMixture(t *testing.T) {
-	loop := sim.NewLoop()
-	o := NewOrigin(loop, DefaultOriginConfig(), sim.NewRNG(2))
+	o := NewOrigin(DefaultOriginConfig(), sim.NewRNG(2))
 	slow := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
-		start := loop.Now()
-		var fb sim.Time
-		o.Fetch(obj(i, 1000, webpage.KindText), func() { fb = loop.Now() }, nil)
-		loop.RunUntilIdle()
-		if fb.Sub(start) > 100*time.Millisecond {
+		if wait, _ := o.Timing(obj(i, 1000, webpage.KindText)); wait > 100*time.Millisecond {
 			slow++
 		}
 	}
@@ -100,10 +106,10 @@ func TestHTTPConnServesRequest(t *testing.T) {
 	client, hc, _ := dialHTTP(t, w, "h1")
 	o := obj(1, 50_000, webpage.KindImg)
 	var first, done sim.Time
-	hc.ExpectRequest(o, HTTPReqSize(o), ResponseHooks{
-		OnFirstByte: func() { first = w.loop.Now() },
-		OnDone:      func() { done = w.loop.Now() },
-	})
+	hc.ExpectRequest(&Exchange{Obj: o, Client: hooks{
+		first: func() { first = w.loop.Now() },
+		done:  func() { done = w.loop.Now() },
+	}}, HTTPReqSize(o))
 	client.Write(HTTPReqSize(o))
 	w.loop.Run(w.loop.Now().Add(30 * time.Second))
 	if first == 0 || done <= first {
@@ -112,7 +118,7 @@ func TestHTTPConnServesRequest(t *testing.T) {
 	if len(w.prox.Records) != 1 || w.prox.Records[0].SendDone == 0 {
 		t.Fatalf("proxy record missing: %+v", w.prox.Records)
 	}
-	if hc.ready != nil {
+	if hc.parked != nil {
 		t.Fatal("a response that was next in line was parked in the pipelining map")
 	}
 }
@@ -124,16 +130,16 @@ func TestHTTPPipelinedResponsesKeepRequestOrder(t *testing.T) {
 	// fetch finishes first but HTTP must answer in request order.
 	big, small := obj(1, 400_000, webpage.KindImg), obj(2, 500, webpage.KindText)
 	var order []int
-	hc.ExpectRequest(big, HTTPReqSize(big), ResponseHooks{OnDone: func() { order = append(order, 1) }})
-	hc.ExpectRequest(small, HTTPReqSize(small), ResponseHooks{OnDone: func() { order = append(order, 2) }})
+	hc.ExpectRequest(&Exchange{Obj: big, Client: hooks{done: func() { order = append(order, 1) }}}, HTTPReqSize(big))
+	hc.ExpectRequest(&Exchange{Obj: small, Client: hooks{done: func() { order = append(order, 2) }}}, HTTPReqSize(small))
 	client.Write(HTTPReqSize(big))
 	client.Write(HTTPReqSize(small))
 	w.loop.Run(w.loop.Now().Add(60 * time.Second))
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("HOL order violated: %v", order)
 	}
-	if hc.ready == nil || len(hc.ready) != 0 {
-		t.Fatalf("the early response should have been parked, then flushed: ready=%v", hc.ready)
+	if hc.parked == nil || len(hc.parked) != 0 {
+		t.Fatalf("the early response should have been parked, then flushed: parked=%v", hc.parked)
 	}
 }
 

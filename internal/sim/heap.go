@@ -49,14 +49,14 @@ func (h *heapSched) run(deadline Time) Time {
 			l.now = deadline
 			return l.now
 		}
-		fn := l.slots[e.id].fn
+		call := l.slots[e.id].h
 		h.remove(0)
 		l.freeSlot(e.id)
 		if e.at > l.now {
 			l.now = e.at
 		}
 		l.fired++
-		fn()
+		call.Call()
 	}
 	if deadline != Forever && l.now < deadline && len(h.heap) == 0 {
 		l.now = deadline

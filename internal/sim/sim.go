@@ -132,11 +132,29 @@ const (
 	posQueued   = 0  // wheel only: queued in some bucket
 )
 
+// Handler is what the loop fires: one method, no arguments. It is the
+// one callback seam of the simulator — the loop's slots, the stream
+// assemblers of tcpsim and the proxy's carriers all hold a Handler — so
+// that a caller with a record per unit of work (a request, say) can
+// schedule that record's next step without building a closure for it: a
+// pointer type derived from the record, with Call dispatching to the
+// step, converts to Handler for free. A plain function is a Handler
+// through Func.
+type Handler interface{ Call() }
+
+// Func adapts a function to Handler. Func values are pointer-shaped, so
+// the conversion stores the function in the interface word itself and
+// allocates nothing.
+type Func func()
+
+// Call runs f.
+func (f Func) Call() { f() }
+
 // eventSlot is pooled storage for one scheduled callback. Slots are
 // addressed by index so the pool can grow without invalidating handles;
 // gen disambiguates reuse so stale Timer values are inert.
 type eventSlot struct {
-	fn  func()
+	h   Handler
 	at  Time
 	gen uint32
 	pos int32 // scheduler position state (see posFree/posInFlight/posQueued)
@@ -269,7 +287,7 @@ func (l *Loop) allocSlot() int32 {
 // every outstanding Timer for this slot inert.
 func (l *Loop) freeSlot(id int32) {
 	s := &l.slots[id]
-	s.fn = nil
+	s.h = nil
 	s.gen++
 	s.pos = posFree
 	if recycleEvents {
@@ -279,25 +297,31 @@ func (l *Loop) freeSlot(id int32) {
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past panics: it always indicates a logic bug in a discrete-event model.
-func (l *Loop) At(at Time, fn func()) Timer {
+func (l *Loop) At(at Time, fn func()) Timer { return l.AtCall(at, Func(fn)) }
+
+// After schedules fn to run d from now. Negative d is clamped to zero.
+func (l *Loop) After(d time.Duration, fn func()) Timer { return l.AfterCall(d, Func(fn)) }
+
+// AtCall is At for a Handler: the slot every event waits in.
+func (l *Loop) AtCall(at Time, h Handler) Timer {
 	if at < l.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, l.now))
 	}
 	l.seq++
 	id := l.allocSlot()
 	s := &l.slots[id]
-	s.fn = fn
+	s.h = h
 	s.at = at
 	l.sched.schedule(at, l.seq, id)
 	return Timer{loop: l, id: id, gen: l.slots[id].gen, epoch: l.epoch}
 }
 
-// After schedules fn to run d from now. Negative d is clamped to zero.
-func (l *Loop) After(d time.Duration, fn func()) Timer {
+// AfterCall is After for a Handler.
+func (l *Loop) AfterCall(d time.Duration, h Handler) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return l.At(l.now.Add(d), fn)
+	return l.AtCall(l.now.Add(d), h)
 }
 
 // Stop halts the loop after the current event finishes.

@@ -343,11 +343,11 @@ func (w *wheelSched) drainTick(t Time) {
 		if len(w.scratch) == 1 {
 			e := w.scratch[0]
 			s := &l.slots[e.id]
-			fn := s.fn
+			call := s.h
 			w.count--
 			l.freeSlot(e.id)
 			l.fired++
-			fn()
+			call.Call()
 		} else if !w.fireBatch(slot, bit) {
 			return
 		}
@@ -366,13 +366,13 @@ func (w *wheelSched) drainTick(t Time) {
 			// arbitrate, so fire directly without the scratch detach.
 			e := bk[0]
 			s := &l.slots[e.id]
-			fn := s.fn
+			call := s.h
 			w.buckets[slot] = bk[:0]
 			w.occ[0] &^= bit
 			w.count--
 			l.freeSlot(e.id)
 			l.fired++
-			fn()
+			call.Call()
 			continue
 		}
 		w.scratch = w.scratch[:0]
@@ -405,11 +405,11 @@ func (w *wheelSched) fireBatch(slot int, bit uint64) bool {
 		if s.gen != e.gen {
 			continue // stopped by an earlier callback in this batch
 		}
-		fn := s.fn
+		call := s.h
 		w.count--
 		l.freeSlot(e.id)
 		l.fired++
-		fn()
+		call.Call()
 	}
 	return true
 }

@@ -82,3 +82,26 @@ func TestSegmentPoolingToggle(t *testing.T) {
 		t.Fatalf("pooled %+v != unpooled %+v", pooled, unpooled)
 	}
 }
+
+// TestAssemblerQueueDoesNotRegrow: an assembler with messages always
+// outstanding — a multiplexed connection's steady state, where the next
+// chunk is expected before the last one has landed — reuses its array.
+// Re-slicing from the front instead gave the array away message by
+// message and grew a new one every few appends.
+func TestAssemblerQueueDoesNotRegrow(t *testing.T) {
+	var a StreamAssembler
+	landed := 0
+	done := sim.Func(func() { landed++ })
+	for i := 0; i < 8; i++ {
+		a.Expect(1000, done)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		a.Expect(1000, done)
+		a.Deliver(1000)
+	}); n != 0 {
+		t.Fatalf("Expect+Deliver with 8 messages outstanding allocates %v objects, want 0", n)
+	}
+	if landed != 1001 || a.PendingMessages() != 8 {
+		t.Fatalf("%d messages landed, %d pending, want 1001 and 8", landed, a.PendingMessages())
+	}
+}

@@ -201,8 +201,8 @@ func TestFastRetransmitRepairsSingleLoss(t *testing.T) {
 func TestStreamAssemblerFIFO(t *testing.T) {
 	var a StreamAssembler
 	var done []int
-	a.Expect(100, func() { done = append(done, 1) })
-	a.Expect(50, func() { done = append(done, 2) })
+	a.Expect(100, sim.Func(func() { done = append(done, 1) }))
+	a.Expect(50, sim.Func(func() { done = append(done, 2) }))
 	a.Deliver(99)
 	if len(done) != 0 {
 		t.Fatal("early completion")
@@ -216,7 +216,7 @@ func TestStreamAssemblerFIFO(t *testing.T) {
 		t.Fatalf("second message: %v", done)
 	}
 	// Zero-size messages complete immediately.
-	a.Expect(0, func() { done = append(done, 3) })
+	a.Expect(0, sim.Func(func() { done = append(done, 3) }))
 	if len(done) != 3 {
 		t.Fatal("zero-size message did not complete")
 	}
@@ -233,7 +233,7 @@ func TestStreamAssemblerProperty(t *testing.T) {
 			i := i
 			size := int(s % 5000)
 			total += size
-			a.Expect(size, func() {
+			a.Expect(size, sim.Func(func() {
 				if completed[i] {
 					panic("double completion")
 				}
@@ -244,7 +244,7 @@ func TestStreamAssemblerProperty(t *testing.T) {
 					}
 				}
 				completed[i] = true
-			})
+			}))
 		}
 		delivered := 0
 		for _, c := range chunks {

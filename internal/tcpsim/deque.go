@@ -5,9 +5,10 @@ package tcpsim
 // the array full slides the live window back to the start before it
 // would have to grow. A warm deque therefore never allocates, which is
 // what keeps the steady-state segment path allocation-free. It carries a
-// TCP flight (sentSeg), a QUIC flight (qSent) and QUIC's unsent chunks
-// (qChunk); the counters those keep beside it (inflCount, sentCopies)
-// live in the wrappers that own them.
+// TCP flight (sentSeg), a QUIC flight (qSent), QUIC's unsent chunks
+// (qChunk) and a StreamAssembler's expected messages; the counters
+// those keep beside it (inflCount, sentCopies) live in the wrappers that
+// own them.
 type deque[T any] struct {
 	buf  []T
 	head int

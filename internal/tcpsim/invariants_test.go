@@ -183,7 +183,7 @@ func TestInvariantsSilentOnImpairedTransfer(t *testing.T) {
 	var asm StreamAssembler
 	const total = 300 << 10
 	client.OnDeliver(asm.Deliver)
-	asm.Expect(total, func() { done = true })
+	asm.Expect(total, sim.Func(func() { done = true }))
 	client.OnEstablished(func() { client.Write(200) })
 	server.OnDeliver(func(int) { server.Write(total) })
 	client.Connect()

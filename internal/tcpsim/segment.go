@@ -121,22 +121,23 @@ func (s *sentSeg) counted() bool { return !s.lost && !s.sacked }
 // back into application message completions. Messages complete strictly
 // in the order they were expected, mirroring the FIFO byte stream.
 type StreamAssembler struct {
-	queue []expected
+	queue deque[expected]
 	avail int // delivered bytes not yet consumed by a message
 }
 
 type expected struct {
 	size int
-	done func()
+	done sim.Handler
 }
 
-// Expect registers the next message of the given size; done fires when
-// the final byte of the message has been delivered in order.
-func (a *StreamAssembler) Expect(size int, done func()) {
+// Expect registers the next message of the given size; done is called
+// when the final byte of the message has been delivered in order (a nil
+// done is a message nobody waits for).
+func (a *StreamAssembler) Expect(size int, done sim.Handler) {
 	if size < 0 {
 		panic("tcpsim: negative message size")
 	}
-	a.queue = append(a.queue, expected{size: size, done: done})
+	a.queue.push(expected{size: size, done: done})
 	a.drain()
 }
 
@@ -147,15 +148,20 @@ func (a *StreamAssembler) Deliver(n int) {
 }
 
 func (a *StreamAssembler) drain() {
-	for len(a.queue) > 0 && a.avail >= a.queue[0].size {
-		m := a.queue[0]
-		a.queue = a.queue[1:]
+	for a.queue.size() > 0 {
+		m := &a.queue.live()[0]
+		if a.avail < m.size {
+			return
+		}
 		a.avail -= m.size
-		if m.done != nil {
-			m.done()
+		done := m.done
+		m.done = nil // the array outlives the message: do not pin what it called
+		a.queue.popFront()
+		if done != nil {
+			done.Call() // may Expect again; m is dead by now
 		}
 	}
 }
 
 // PendingMessages reports how many expected messages are incomplete.
-func (a *StreamAssembler) PendingMessages() int { return len(a.queue) }
+func (a *StreamAssembler) PendingMessages() int { return a.queue.size() }

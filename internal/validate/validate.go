@@ -140,7 +140,7 @@ func RunSim(pg Page, seed uint64) (*Replay, error) {
 	pc.Up.LossRate, pc.Down.LossRate = 0, 0
 	path := netem.NewPath(loop, pc, rng.Fork(0xBEEF), nil)
 	nw := tcpsim.NewNetwork(loop, path)
-	origin := proxy.NewOrigin(loop, proxy.FastOriginConfig(), rng.Fork(0x0417))
+	origin := proxy.NewOrigin(proxy.FastOriginConfig(), rng.Fork(0x0417))
 	prox := proxy.New(loop, origin)
 	cfg := browser.DefaultConfig(browser.ModeSPDY)
 	cfg.Beacons = false
