@@ -463,9 +463,14 @@ func (b *Browser) pumpPool(p *domainPool) {
 		if h == nil {
 			break
 		}
-		req := p.waiting[0]
-		p.waiting = p.waiting[1:]
-		b.dispatch(p, h, req)
+		// Popped by sliding the queue down, not by re-slicing from the
+		// front: the array keeps its capacity, so a pool's queue stops
+		// regrowing every time it has drained.
+		f := p.waiting[0]
+		n := copy(p.waiting, p.waiting[1:])
+		p.waiting[n] = nil
+		p.waiting = p.waiting[:n]
+		b.dispatch(p, h, f)
 	}
 	// Open connections for queued requests not already covered by an
 	// in-progress handshake, within the per-domain and global budgets.

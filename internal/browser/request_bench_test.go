@@ -70,3 +70,78 @@ func BenchmarkHTTPRequestCycle(b *testing.B) {
 		})
 	}
 }
+
+// muxModes are the three arms on the multiplexed path.
+var muxModes = []Mode{ModeSPDY, ModeH2, ModeQUIC}
+
+// muxCycle returns a function that loads page once on a browser whose
+// connection is already open and warm, stopping the loop at onLoad so
+// that no idle timer closes the connection between loads.
+func muxCycle(tb testing.TB, mode Mode, page *webpage.Page) func() {
+	cfg := DefaultConfig(mode)
+	cfg.Beacons = false
+	w := newWorld(1, false)
+	br := w.browser(cfg, 3)
+	load := func() {
+		var rec *trace.PageRecord
+		br.LoadPage(page, func(pr *trace.PageRecord) { rec = pr; w.loop.Stop() })
+		w.loop.RunUntilIdle()
+		if rec == nil || rec.Aborted || len(rec.Objects) != len(page.Objects) {
+			tb.Fatalf("load did not complete: %+v", rec)
+		}
+	}
+	load()
+	return load
+}
+
+// TestMuxRequestCycleAllocations is the per-request budget of the
+// multiplexed arms, end to end: discovery, request pricing, the proxy's
+// log entry and origin timers, the pump, every Expect, delivery and the
+// browser's books. What a page costs whatever it holds (its record, its
+// slabs, its watchdog) is measured on a page of one object and taken
+// off; what is left, per object, is the budget: the fetch, both records
+// and the exchange come out of the page's slabs and every step is a
+// handler derived from the exchange, so a request costs nothing of its
+// own on SPDY, and on the HPACK arms the copy of its content-length
+// installed in the table when the table does not hold it (the page has
+// more lengths than a table has entries, so most loads miss). The half
+// object on top is queues and wheel buckets growing under a burst of
+// 160 requests, which a page of one never makes them do.
+func TestMuxRequestCycleAllocations(t *testing.T) {
+	const objects = 1 + 160
+	budget := map[Mode]float64{ModeSPDY: 0.5, ModeH2: 1.5, ModeQUIC: 1.5}
+	for _, mode := range muxModes {
+		t.Run(string(mode), func(t *testing.T) {
+			invOn = false
+			defer EnableInvariants()
+			base := testing.AllocsPerRun(10, muxCycle(t, mode, flatPage(1, 1)))
+			full := testing.AllocsPerRun(10, muxCycle(t, mode, flatPage(objects, 1)))
+			perRequest := (full - base) / (objects - 1)
+			t.Logf("%s: page of one object %v allocs, of %d objects %v: %.2f per request", mode, base, objects, full, perRequest)
+			if perRequest > budget[mode] {
+				t.Fatalf("%s: a request allocates %.2f objects end to end, budget %.1f", mode, perRequest, budget[mode])
+			}
+		})
+	}
+}
+
+// BenchmarkMuxRequestCycle is BenchmarkHTTPRequestCycle for the three
+// multiplexed arms: one page of 120 small objects per iteration on an
+// open connection, reported per request.
+func BenchmarkMuxRequestCycle(b *testing.B) {
+	const objects = 120
+	invOn = false
+	defer EnableInvariants()
+	page := flatPage(objects, 4)
+	for _, mode := range muxModes {
+		b.Run(string(mode), func(b *testing.B) {
+			load := muxCycle(b, mode, page)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				load()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*objects), "ns/request")
+		})
+	}
+}

@@ -28,6 +28,7 @@ var constructions = []construction{
 	{name: "spdy", new: NewSPDY, links: 1},
 	{name: "spdy×3-late-bound", new: NewSPDY, links: 3},
 	{name: "h2", new: func(p *Proxy) *Session { return NewH2(p, false) }, links: 1, recredit: true},
+	{name: "h2-equal-framing", new: func(p *Proxy) *Session { return NewH2(p, true) }, links: 1},
 	{name: "quic", new: NewQUIC, links: 1, quic: true},
 }
 
@@ -359,7 +360,7 @@ func TestH2WindowParksAndResumes(t *testing.T) {
 // stream its request came in on, and costs its head plus its body — no
 // DATA frame overhead.
 func TestQUICResponsesRideOwnStreams(t *testing.T) {
-	r := dialMux(t, newWorld(10, 4_000_000), constructions[3])
+	r := dialMux(t, newWorld(10, 4_000_000), constructions[4])
 	const head = 40
 	r.sess.links[0].headSize = func(*webpage.Object) int { return head }
 	perStream := map[uint32]int{}

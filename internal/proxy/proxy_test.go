@@ -7,6 +7,7 @@ import (
 	"spdier/internal/netem"
 	"spdier/internal/sim"
 	"spdier/internal/tcpsim"
+	"spdier/internal/trace"
 	"spdier/internal/webpage"
 )
 
@@ -99,6 +100,64 @@ func dialHTTP(t *testing.T, w *world, id string) (*tcpsim.Conn, *HTTPConn, *tcps
 		t.Fatal("handshake failed")
 	}
 	return client, hc, asm
+}
+
+// TestOriginTimingBounds: a wait is cut at the configured maximum on
+// either branch of the mixture and never falls under a millisecond; the
+// download is the floor plus the body at the origin's rate.
+func TestOriginTimingBounds(t *testing.T) {
+	cfg := DefaultOriginConfig()
+	cfg.WaitMax, cfg.SlowMax = 5*time.Millisecond, 50*time.Millisecond
+	o := NewOrigin(cfg, sim.NewRNG(3))
+	big := obj(1, 50_000_000, webpage.KindImg)
+	var atFast, atSlow bool
+	for i := 0; i < 500; i++ {
+		wait, download := o.Timing(big)
+		if wait > cfg.SlowMax || wait < time.Millisecond {
+			t.Fatalf("wait %v outside [1ms, %v]", wait, cfg.SlowMax)
+		}
+		atFast = atFast || wait == cfg.WaitMax
+		atSlow = atSlow || wait == cfg.SlowMax
+		if want := cfg.DownloadFloor + time.Second; download != want {
+			t.Fatalf("download %v, want %v", download, want)
+		}
+	}
+	if !atFast || !atSlow {
+		t.Fatalf("no wait reached a maximum: fast %t, slow %t", atFast, atSlow)
+	}
+	cfg.WaitMedian, cfg.SlowFraction, cfg.BandwidthBPS = time.Microsecond, 0, 0
+	if wait, download := NewOrigin(cfg, sim.NewRNG(4)).Timing(big); wait != time.Millisecond || download != cfg.DownloadFloor {
+		t.Fatalf("wait %v download %v, want the 1ms floor and the download floor", wait, download)
+	}
+}
+
+// TestRecordsComeFromThePageSlab: the log entries of an announced page
+// are carved from one allocation; a request beyond it gets its own.
+func TestRecordsComeFromThePageSlab(t *testing.T) {
+	w := newWorld(1, 10_000_000)
+	o := obj(1, 1000, webpage.KindImg)
+	const page = 8
+	w.prox.Records = make([]*trace.ProxyRecord, 0, 2*page)
+	w.prox.ExpectPage(page)
+	if n := testing.AllocsPerRun(page-1, func() { w.prox.record(o) }); n != 0 {
+		t.Fatalf("logging a request of an announced page allocates %v objects, want 0", n)
+	}
+	extra := w.prox.record(o)
+	if len(w.prox.Records) != page+1 || extra.Obj != o {
+		t.Fatalf("%d records, want %d", len(w.prox.Records), page+1)
+	}
+	seen := map[*trace.ProxyRecord]bool{}
+	for _, r := range w.prox.Records {
+		if seen[r] || r.Obj != o {
+			t.Fatalf("record %p reused or empty: %+v", r, r)
+		}
+		seen[r] = true
+	}
+	// A second page does not hand out the first one's entries again.
+	w.prox.ExpectPage(2)
+	if r := w.prox.record(o); seen[r] {
+		t.Fatal("an entry of the first page was handed out for the second")
+	}
 }
 
 func TestHTTPConnServesRequest(t *testing.T) {

@@ -12,6 +12,7 @@ package webpage
 
 import (
 	"fmt"
+	"strconv"
 
 	"spdier/internal/sim"
 )
@@ -196,44 +197,61 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 		mainSize = 4096
 	}
 
+	// Every name the page needs — its domains, then a path per object —
+	// is written into one buffer and cut out of the one string made from
+	// it at the end, and the objects come from one slab: a page costs a
+	// fixed number of allocations, not a few per object.
+	names := make([]byte, 0, 32*nDomains+12*total)
+	ends := make([]int, 0, nDomains+total-1) // where each name stops in names
+
 	// Domains: primary first, then third parties; object assignment is
 	// skewed toward the primary domain like real pages (CDN + trackers).
-	domains := make([]string, nDomains)
-	domains[0] = fmt.Sprintf("www.site%d.example", spec.Index)
+	names = append(names, "www.site"...)
+	names = strconv.AppendInt(names, int64(spec.Index), 10)
+	names = append(names, ".example"...)
+	ends = append(ends, len(names))
 	for i := 1; i < nDomains; i++ {
-		domains[i] = fmt.Sprintf("cdn%d.site%d.example", i, spec.Index)
+		names = append(names, "cdn"...)
+		names = strconv.AppendInt(names, int64(i), 10)
+		names = append(names, ".site"...)
+		names = strconv.AppendInt(names, int64(spec.Index), 10)
+		names = append(names, ".example"...)
+		ends = append(ends, len(names))
 	}
 	// Every domain the page "uses" must appear at least once (that is
 	// what Table 1's domain counts mean), so the first objects cover the
 	// third-party domains and the rest skew toward the primary, like
 	// real pages with their CDNs and trackers.
+	// pickDomain returns the index of the chosen domain.
 	coverIdx := 0
-	pickDomain := func() string {
+	pickDomain := func() int {
 		if coverIdx < nDomains-1 {
 			coverIdx++
-			return domains[coverIdx]
+			return coverIdx
 		}
 		if nDomains == 1 || rng.Bool(0.45) {
-			return domains[0]
+			return 0
 		}
-		return domains[1+rng.Intn(nDomains-1)]
+		return 1 + rng.Intn(nDomains-1)
 	}
 
 	page := &Page{
 		Name:     fmt.Sprintf("site%02d-%s", spec.Index, spec.Category),
 		Category: spec.Category,
+		Objects:  make([]*Object, 0, total),
 	}
-	main := &Object{
+	slab := make([]Object, total)
+	domainOf := make([]int, total) // each object's domain, by index, until the names are cut
+	slab[0] = Object{
 		ID:              0,
 		Kind:            KindHTML,
 		Size:            mainSize,
-		Domain:          domains[0],
 		Path:            "/",
 		Parent:          -1,
 		Wave:            0,
 		ProcessingDelay: sim.Time(40 * sim.Millisecond),
 	}
-	page.Objects = append(page.Objects, main)
+	page.Objects = append(page.Objects, &slab[0])
 
 	// Build the remaining objects with kinds in a deterministic shuffle.
 	kinds := make([]Kind, 0, total-1)
@@ -269,8 +287,15 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 		maxWave = 4
 	}
 
-	// revealers[w] collects wave-w JS/CSS ids that can parent wave w+1.
-	revealers := map[int][]int{0: {0}}
+	// revealers[w] collects wave-w JS/CSS ids that can parent wave w+1,
+	// each wave in its own stretch of one array (no wave can hold more
+	// than every script and stylesheet; wave 0 holds the main document).
+	var revealers [4][]int
+	ids := make([]int, len(revealers)*(nJSCSS+1))
+	for w := range revealers {
+		revealers[w] = ids[w*(nJSCSS+1) : w*(nJSCSS+1) : (w+1)*(nJSCSS+1)]
+	}
+	revealers[0] = append(revealers[0], 0)
 
 	for i, pi := range perm {
 		k := kinds[pi]
@@ -321,19 +346,40 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 			proc = sim.Time((2 + sim.Time(rng.Intn(9))) * sim.Millisecond)
 		}
 
-		o := &Object{
+		o := &slab[i+1]
+		*o = Object{
 			ID:              i + 1,
 			Kind:            k,
 			Size:            size,
-			Domain:          pickDomain(),
-			Path:            fmt.Sprintf("/%s/%d", k, i+1),
 			Parent:          parent,
 			Wave:            wave,
 			ProcessingDelay: proc,
 		}
+		domainOf[o.ID] = pickDomain()
+		names = append(names, '/')
+		names = append(names, k...)
+		names = append(names, '/')
+		names = strconv.AppendInt(names, int64(o.ID), 10)
+		ends = append(ends, len(names))
 		page.Objects = append(page.Objects, o)
 		if (k == KindJS || k == KindCSS) && wave < maxWave {
 			revealers[wave] = append(revealers[wave], o.ID)
+		}
+	}
+
+	// Cut the names: domain d is the d-th, object id's path the
+	// (nDomains-1+id)-th.
+	all := string(names)
+	name := func(i int) string {
+		if i == 0 {
+			return all[:ends[0]]
+		}
+		return all[ends[i-1]:ends[i]]
+	}
+	for id, o := range page.Objects {
+		o.Domain = name(domainOf[id])
+		if id > 0 {
+			o.Path = name(nDomains - 1 + id)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package webpage
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -174,5 +175,46 @@ func TestTestPages(t *testing.T) {
 	}
 	if n := len(diff.Domains()); n != 51 {
 		t.Fatalf("different-domain page has %d domains", n)
+	}
+}
+
+// TestGenerateNames holds the names cut out of the page's one name
+// buffer to what formatting them one by one gave.
+func TestGenerateNames(t *testing.T) {
+	for _, spec := range Table1() {
+		p := Generate(spec, sim.NewRNG(uint64(spec.Index)))
+		domains := map[string]bool{fmt.Sprintf("www.site%d.example", spec.Index): true}
+		for i := 1; i < len(p.Domains()); i++ {
+			domains[fmt.Sprintf("cdn%d.site%d.example", i, spec.Index)] = true
+		}
+		if main := p.Main(); main.Path != "/" || main.Domain != fmt.Sprintf("www.site%d.example", spec.Index) {
+			t.Fatalf("site %d: main document at %s%s", spec.Index, main.Domain, main.Path)
+		}
+		for _, o := range p.Objects[1:] {
+			if want := fmt.Sprintf("/%s/%d", o.Kind, o.ID); o.Path != want {
+				t.Fatalf("site %d object %d: path %q, want %q", spec.Index, o.ID, o.Path, want)
+			}
+			if !domains[o.Domain] {
+				t.Fatalf("site %d object %d: domain %q is none of the page's %d", spec.Index, o.ID, o.Domain, len(domains))
+			}
+		}
+	}
+}
+
+// TestGenerateAllocations: a page costs a fixed number of allocations —
+// the page and its name, the object slab and pointer slice, the name
+// buffer, its index and the string cut from it, each object's domain
+// index, the kinds and their shuffle, the revealer array (and one
+// closure) — whatever its object count.
+// It used to cost three per object (the Object, its path, and the boxed
+// arguments of the Sprintf that made the path).
+func TestGenerateAllocations(t *testing.T) {
+	const budget = 12
+	for _, spec := range Table1() { // 5 to 323 objects
+		rng := sim.NewRNG(7)
+		objects := len(Generate(spec, rng).Objects)
+		if n := testing.AllocsPerRun(20, func() { Generate(spec, rng) }); n > budget {
+			t.Fatalf("site %d (%d objects): Generate allocates %v objects, want at most %d whatever the count", spec.Index, objects, n, budget)
+		}
 	}
 }
