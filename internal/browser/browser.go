@@ -247,15 +247,10 @@ func (b *Browser) discover(pl *pageLoad, obj *webpage.Object) {
 	if pl.finished {
 		return
 	}
-	// An object is discovered once, so the slabs last the page; a page
-	// that reveals one twice gets the extra pair from the heap.
-	var f *fetch
-	var or *trace.ObjectRecord
-	if i := len(pl.rec.Objects); i < len(pl.fetches) {
-		f, or = &pl.fetches[i], &pl.records[i]
-	} else {
-		f, or = new(fetch), new(trace.ObjectRecord)
-	}
+	// Each object has one parent and so is discovered once: the slabs
+	// last the page.
+	i := len(pl.rec.Objects)
+	f, or := &pl.fetches[i], &pl.records[i]
 	or.Obj, or.Discovered = obj, b.loop.Now()
 	pl.rec.Objects = append(pl.rec.Objects, or)
 	pl.outstanding++
