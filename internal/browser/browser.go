@@ -465,7 +465,7 @@ func (b *Browser) pumpPool(p *domainPool) {
 		n := copy(p.waiting, p.waiting[1:])
 		p.waiting[n] = nil
 		p.waiting = p.waiting[:n]
-		b.dispatch(p, h, f)
+		b.dispatch(h, f)
 	}
 	// Open connections for queued requests not already covered by an
 	// in-progress handshake, within the per-domain and global budgets.
@@ -503,7 +503,7 @@ func (b *Browser) reclaimIdleConn(needy *domainPool) bool {
 		}
 		for _, h := range p.conns {
 			if h.idle() {
-				b.closeConn(p, h)
+				b.closeConn(h)
 				return true
 			}
 		}
@@ -559,10 +559,10 @@ func (b *Browser) openConn(p *domainPool) {
 	client.Connect()
 }
 
-func (b *Browser) dispatch(p *domainPool, h *connHandle, f *fetch) {
+func (b *Browser) dispatch(h *connHandle, f *fetch) {
 	if h.outstanding == 0 {
 		b.idleConns--
-		p.idle--
+		h.pool.idle--
 	}
 	h.outstanding++
 	h.idleTimer.Stop()
@@ -590,13 +590,14 @@ func (t *connIdleTimeout) Call() {
 	if h.outstanding > 0 || h.closed {
 		return
 	}
-	h.b.closeConn(h.pool, h)
+	h.b.closeConn(h)
 	h.b.pumpAll()
 }
 
 // closeConn retires an idle connection; both callers (the idle timer and
 // reclaimIdleConn) have checked that it is.
-func (b *Browser) closeConn(p *domainPool, h *connHandle) {
+func (b *Browser) closeConn(h *connHandle) {
+	p := h.pool
 	h.closed = true
 	h.client.Close()
 	h.hc.Conn().Close()

@@ -202,7 +202,7 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	// it at the end, and the objects come from one slab: a page costs a
 	// fixed number of allocations, not a few per object.
 	names := make([]byte, 0, 32*nDomains+12*total)
-	ends := make([]int, 0, nDomains+total-1) // where each name stops in names
+	ends := make([]int, 1, nDomains+total) // names[ends[i]:ends[i+1]] is the i-th name
 
 	// Domains: primary first, then third parties; object assignment is
 	// skewed toward the primary domain like real pages (CDN + trackers).
@@ -370,12 +370,7 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	// Cut the names: domain d is the d-th, object id's path the
 	// (nDomains-1+id)-th.
 	all := string(names)
-	name := func(i int) string {
-		if i == 0 {
-			return all[:ends[0]]
-		}
-		return all[ends[i-1]:ends[i]]
-	}
+	name := func(i int) string { return all[ends[i]:ends[i+1]] }
 	for id, o := range page.Objects {
 		o.Domain = name(domainOf[id])
 		if id > 0 {
