@@ -362,10 +362,11 @@ func (b *Browser) afterPage(pl *pageLoad) {
 }
 
 // beacon is one post-load transfer: a fetch no page waits for, with the
-// object and the record it is for. It is the handler of its own timer.
+// record it is for. It is the handler of its own timer. The object is
+// not part of it: the proxy's log keeps the object, and must not keep
+// the browser with it.
 type beacon struct {
 	fetch
-	obj webpage.Object
 	rec trace.ObjectRecord
 }
 
@@ -381,15 +382,15 @@ func (b *Browser) scheduleBeacons(page *webpage.Page) {
 	at := b.loop.Now()
 	for i := 0; i < n; i++ {
 		at = at.Add(time.Duration(5+b.rng.Intn(14)) * time.Second)
-		bc := &beacon{obj: webpage.Object{
+		obj := &webpage.Object{
 			ID:     10000 + i,
 			Kind:   webpage.KindText,
 			Size:   300 + b.rng.Intn(1200),
 			Domain: page.Main().Domain,
 			Path:   "/beacon/" + strconv.Itoa(i),
-		}}
-		bc.rec.Obj = &bc.obj
-		bc.Obj, bc.Client, bc.b, bc.or = &bc.obj, &bc.fetch, b, &bc.rec
+		}
+		bc := &beacon{rec: trace.ObjectRecord{Obj: obj}}
+		bc.Obj, bc.Client, bc.b, bc.or = obj, &bc.fetch, b, &bc.rec
 		b.loop.AtCall(at, bc)
 	}
 }

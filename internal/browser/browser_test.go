@@ -1,7 +1,9 @@
 package browser
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -456,6 +458,52 @@ func TestActiveConnsAcrossModes(t *testing.T) {
 			if got := b.ActiveConns(); got != want {
 				t.Fatalf("%d active after the idle timeout, want %d", got, want)
 			}
+		})
+	}
+}
+
+// TestResultsDoNotPinTheBrowser: what a finished run's Result keeps —
+// the page records, the proxy's log, the network — must not keep the
+// browser, and with it every connection's sizers and queues (a SPDY
+// session's two deflate contexts alone are 1.4 MB). Records point into
+// slabs and at objects, so the test is that nothing they point into
+// also holds a way back: the beacons' objects, which only the proxy's
+// log outlives, are the case that did.
+func TestResultsDoNotPinTheBrowser(t *testing.T) {
+	for _, mode := range []Mode{ModeHTTP, ModeSPDY, ModeH2, ModeQUIC} {
+		t.Run(string(mode), func(t *testing.T) {
+			w := newWorld(1, false)
+			// The sentinel carries the browser's RNG, which only the
+			// browser holds and which holds nothing: the browser itself
+			// sits on cycles (its handles point back at it), where a
+			// finalizer is not guaranteed to run, and the RNG alone is
+			// small enough to share a block with other tiny objects.
+			type sentinel struct {
+				rng sim.RNG
+				_   [64]byte
+			}
+			rng := &sentinel{rng: *sim.NewRNG(3)}
+			b := New(w.loop, w.net, w.prox, DefaultConfig(mode), &rng.rng)
+			var collected atomic.Bool
+			runtime.SetFinalizer(rng, func(*sentinel) { collected.Store(true) })
+			rec := loadOnce(t, w, b, webpage.TestPage(true)) // runs on for 120 s: the beacons are fetched too
+			if len(w.prox.Records) <= len(rec.Objects) {
+				t.Fatalf("proxy logged %d requests for %d objects: no beacon was fetched", len(w.prox.Records), len(rec.Objects))
+			}
+			prox, network := w.prox, w.net
+			w.loop.Release()
+			network.ReleaseRuntime()
+			b, w, rng = nil, nil, nil
+			for i := 0; i < 100 && !collected.Load(); i++ {
+				runtime.GC()
+				runtime.Gosched()
+			}
+			if !collected.Load() {
+				t.Fatal("the browser is still reachable from the page record, the proxy's log or the released network")
+			}
+			runtime.KeepAlive(rec)
+			runtime.KeepAlive(prox)
+			runtime.KeepAlive(network)
 		})
 	}
 }
