@@ -209,7 +209,8 @@ func TestGenerateNames(t *testing.T) {
 // It used to cost three per object (the Object, its path, and the boxed
 // arguments of the Sprintf that made the path).
 func TestGenerateAllocations(t *testing.T) {
-	const budget = 13 // 12 measured; the race detector's build makes it 13
+	// 12 measured; the race detector's build makes it 13.
+	const budget = 13
 	for _, spec := range Table1() { // 5 to 323 objects
 		rng := sim.NewRNG(7)
 		objects := len(Generate(spec, rng).Objects)
