@@ -135,6 +135,7 @@ type Browser struct {
 	poolOrder  []*domainPool
 	totalConns int
 	connSeq    int
+	names      tcpsim.NameArena // of the pooled connections
 	// Counts over the handles in the pools, kept at the four transitions
 	// (established, dispatch 0→1, response 1→0, closeConn) so that neither
 	// a telemetry sample nor a full global pool walks every connection:
@@ -407,14 +408,17 @@ type domainPool struct {
 	idle int
 }
 
+// connHandle is the browser's record of one pooled connection, and the
+// only one: the assembler of the response stream and the proxy's end of
+// the connection are part of it, and it is the handler of its own
+// establishment and idle timer.
 type connHandle struct {
 	b           *Browser
 	pool        *domainPool
 	id          string
-	domain      string
 	client      *tcpsim.Conn
-	asm         *tcpsim.StreamAssembler
-	hc          *proxy.HTTPConn
+	asm         tcpsim.StreamAssembler
+	hc          proxy.HTTPConn
 	established bool
 	outstanding int // requests awaiting their response
 	closed      bool
@@ -538,26 +542,43 @@ func (b *Browser) dispatchable(p *domainPool) *connHandle {
 func (b *Browser) openConn(p *domainPool) {
 	b.connSeq++
 	b.totalConns++
-	id := fmt.Sprintf("h%03d.%s", b.connSeq, p.domain)
+	if p.conns == nil {
+		p.conns = make([]*connHandle, 0, b.cfg.MaxConnsPerDomain) // the pool's budget: it never regrows
+	}
+	id := b.connName(b.connSeq, p.domain)
 	client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, id, "device")
-	asm := &tcpsim.StreamAssembler{}
-	client.OnDeliver(asm.Deliver)
-	h := &connHandle{b: b, pool: p, id: id, domain: p.domain, client: client, asm: asm}
-	h.hc = proxy.NewHTTPConn(b.prox, server, asm)
+	h := &connHandle{b: b, pool: p, id: id, client: client}
+	h.asm.Attach(client)
+	h.hc.Init(b.prox, server, &h.asm)
 	b.proxyConns = append(b.proxyConns, server)
 	p.conns = append(p.conns, h)
-	client.OnEstablished(func() {
-		h.established = true
-		b.establishedConns++
-		b.idleConns++
-		p.idle++
-		b.armIdle(h)
-		b.pumpPool(p)
-		if invOn {
-			b.checkPools("established")
-		}
-	})
+	client.OnEstablishedCall((*connEstablished)(h))
 	client.Connect()
+}
+
+// connName is fmt.Sprintf("h%03d.%s", seq, domain): the name of the
+// browser's seq-th pooled connection in probe traces and object records.
+func (b *Browser) connName(seq int, domain string) string {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(seq), 10)
+	return b.names.Cut("h", "000"[min(len(digits), 3):], string(digits), ".", domain)
+}
+
+// connEstablished is a pooled connection's handshake completing.
+type connEstablished connHandle
+
+func (e *connEstablished) Call() {
+	h := (*connHandle)(e)
+	b, p := h.b, h.pool
+	h.established = true
+	b.establishedConns++
+	b.idleConns++
+	p.idle++
+	b.armIdle(h)
+	b.pumpPool(p)
+	if invOn {
+		b.checkPools("established")
+	}
 }
 
 func (b *Browser) dispatch(h *connHandle, f *fetch) {
@@ -740,7 +761,7 @@ func (b *Browser) openMux() {
 			ccfg := b.cfg.ClientTCP
 			ccfg.ZeroRTT = b.cfg.QUICZeroRTT
 			client, server := b.net.NewQUICPair(ccfg, b.cfg.ProxyTCP, h.id, "device")
-			streams := proxy.NewQUICStreams()
+			streams := proxy.NewQUICStreams(b.net)
 			client.OnStreamDeliver(streams.Deliver)
 			h.client, h.server, h.write = client, server, client.WriteStream
 			h.link = h.sess.AddQUICLink(server, streams)
@@ -748,7 +769,7 @@ func (b *Browser) openMux() {
 		} else {
 			client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, h.id, "device")
 			asm := &tcpsim.StreamAssembler{}
-			client.OnDeliver(asm.Deliver)
+			asm.Attach(client)
 			h.client, h.server, h.write = client, server, func(_ uint32, n int) { client.Write(n) }
 			h.link = h.sess.AddLink(server, asm)
 			b.proxyConns = append(b.proxyConns, server)

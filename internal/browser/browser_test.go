@@ -468,10 +468,18 @@ func TestActiveConnsAcrossModes(t *testing.T) {
 // session's two deflate contexts alone are 1.4 MB). Records point into
 // slabs and at objects, so the test is that nothing they point into
 // also holds a way back: the beacons' objects, which only the proxy's
-// log outlives, are the case that did.
+// log outlives, are the case that did. The network keeps every Conn, and
+// a Conn must not keep its handle: the HTTP case loads a page of forty
+// domains, so that connections close both ways — stolen for another
+// domain while the page loads (the global budget is 32), and idled out
+// after it — and every pair has retired or is retired by ReleaseRuntime.
 func TestResultsDoNotPinTheBrowser(t *testing.T) {
 	for _, mode := range []Mode{ModeHTTP, ModeSPDY, ModeH2, ModeQUIC} {
 		t.Run(string(mode), func(t *testing.T) {
+			page := webpage.TestPage(true)
+			if mode == ModeHTTP {
+				page = flatPage(120, 40)
+			}
 			w := newWorld(1, false)
 			// The sentinel carries the browser's RNG, which only the
 			// browser holds and which holds nothing: the browser itself
@@ -486,9 +494,14 @@ func TestResultsDoNotPinTheBrowser(t *testing.T) {
 			b := New(w.loop, w.net, w.prox, DefaultConfig(mode), &rng.rng)
 			var collected atomic.Bool
 			runtime.SetFinalizer(rng, func(*sentinel) { collected.Store(true) })
-			rec := loadOnce(t, w, b, webpage.TestPage(true)) // runs on for 120 s: the beacons are fetched too
+			stolen := 0
+			w.loop.After(time.Second, func() { stolen = len(w.net.Conns())/2 - b.totalConns })
+			rec := loadOnce(t, w, b, page) // runs on for 120 s: the beacons are fetched too
 			if len(w.prox.Records) <= len(rec.Objects) {
 				t.Fatalf("proxy logged %d requests for %d objects: no beacon was fetched", len(w.prox.Records), len(rec.Objects))
+			}
+			if opened := len(w.net.Conns()) / 2; mode == ModeHTTP && (opened < 40 || stolen == 0 || stolen == opened || b.totalConns != 0) {
+				t.Fatalf("%d connections opened, %d closed for another domain's sake in the first second, %d still open: want 40 or more, closed both ways", opened, stolen, b.totalConns)
 			}
 			prox, network := w.prox, w.net
 			w.loop.Release()

@@ -14,14 +14,18 @@ import (
 // domain; ":c" and ":s" on the two endpoints. The proxy end's probe
 // samples and the object's record carry the same name.
 func TestConnNames(t *testing.T) {
-	for seq, want := range map[int]string{
-		1:    "h001.d00.bench.example",
-		9:    "h009.d00.bench.example",
-		10:   "h010.d00.bench.example",
-		999:  "h999.d00.bench.example",
-		1000: "h1000.d00.bench.example",
-		1400: "h1400.d00.bench.example",
+	for _, tc := range []struct {
+		seq  int
+		want string
+	}{
+		{1, "h001.d00.bench.example"},
+		{9, "h009.d00.bench.example"},
+		{10, "h010.d00.bench.example"},
+		{999, "h999.d00.bench.example"},
+		{1000, "h1000.d00.bench.example"},
+		{1400, "h1400.d00.bench.example"},
 	} {
+		seq, want := tc.seq, tc.want
 		w := newWorld(1, false)
 		cfg := DefaultConfig(ModeHTTP)
 		cfg.Beacons = false
@@ -87,17 +91,18 @@ func connCycle(tb testing.TB, idleOut bool) func() {
 // TestOpenConnAllocations is what one pooled HTTP connection costs from
 // open to closed — handshake, one request and its response, the idle
 // timer, both FINs — over what the request costs on a connection that is
-// already open.
+// already open: the pair record in tcpsim and the handle here, with the
+// names cut from shared chunks and every array on loan from the run (it
+// was 29 objects). The budget of 4 leaves room for what grows now and
+// then: the lists of connections, the name chunks, the wheel's buckets
+// under timers forty seconds apart.
 func TestOpenConnAllocations(t *testing.T) {
 	invOn = false
 	defer EnableInvariants()
 	base := testing.AllocsPerRun(20, connCycle(t, false))
 	full := testing.AllocsPerRun(20, connCycle(t, true))
 	t.Logf("a load on an open connection allocates %v objects, on a new one %v: %v for the connection", base, full, full-base)
-	// Recorded on the tree this test was written on; it becomes the
-	// budget of the connection record.
-	const recorded = 29
-	if full-base != recorded {
-		t.Fatalf("a connection costs %v objects from open to closed, recorded %v", full-base, recorded)
+	if full-base > 4 {
+		t.Fatalf("a connection costs %v objects from open to closed, budget 4", full-base)
 	}
 }

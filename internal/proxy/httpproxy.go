@@ -59,9 +59,16 @@ type HTTPConn struct {
 // connection. clientAsm is the assembler observing in-order delivery at
 // the browser end, through which the exchange's Client is told.
 func NewHTTPConn(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) *HTTPConn {
-	h := &HTTPConn{proxy: p, conn: serverConn, clientAsm: clientAsm}
-	serverConn.OnDeliver(h.reqAsm.Deliver)
+	h := new(HTTPConn)
+	h.Init(p, serverConn, clientAsm)
 	return h
+}
+
+// Init is NewHTTPConn in place, for a zero HTTPConn that is part of its
+// owner's record of the connection.
+func (h *HTTPConn) Init(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) {
+	h.proxy, h.conn, h.clientAsm = p, serverConn, clientAsm
+	h.reqAsm.Attach(serverConn)
 }
 
 // Conn exposes the proxy-side TCP endpoint (for probes and tests).

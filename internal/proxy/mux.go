@@ -212,18 +212,31 @@ func (c *quicCarrier) send(streamID uint32, size int, delivered sim.Handler) {
 // The map is only ever looked up by key.
 type QUICStreams struct {
 	asms map[uint32]*tcpsim.StreamAssembler
+	net  *tcpsim.Network // lends the assemblers' queues their arrays; may be nil
+	// slab is what is left of the assemblers made ahead, a few at a time:
+	// a connection carries a page's worth of streams or a single beacon's,
+	// and every stream needs one.
+	slab    []tcpsim.StreamAssembler
+	slabbed int
 }
 
-// NewQUICStreams returns an empty demultiplexer; wire it with
-// conn.OnStreamDeliver(s.Deliver).
-func NewQUICStreams() *QUICStreams {
-	return &QUICStreams{asms: make(map[uint32]*tcpsim.StreamAssembler)}
+// NewQUICStreams returns an empty demultiplexer for a connection of net;
+// wire it with conn.OnStreamDeliver(s.Deliver).
+func NewQUICStreams(net *tcpsim.Network) *QUICStreams {
+	return &QUICStreams{asms: make(map[uint32]*tcpsim.StreamAssembler), net: net}
 }
 
 func (c *QUICStreams) asm(streamID uint32) *tcpsim.StreamAssembler {
 	a := c.asms[streamID]
 	if a == nil {
-		a = &tcpsim.StreamAssembler{}
+		if len(c.slab) == 0 {
+			c.slabbed = min(max(4, 2*c.slabbed), 32)
+			c.slab = make([]tcpsim.StreamAssembler, c.slabbed)
+		}
+		a, c.slab = &c.slab[0], c.slab[1:]
+		if c.net != nil {
+			a.Borrow(c.net)
+		}
 		c.asms[streamID] = a
 	}
 	return a
@@ -245,7 +258,7 @@ func (c *QUICStreams) Deliver(streamID uint32, n int) {
 // through it. The pump re-fills the socket whenever its backlog drains.
 func (s *Session) AddLink(serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) int {
 	c := &tcpCarrier{conn: serverConn, clientAsm: clientAsm}
-	serverConn.OnDeliver(c.reqAsm.Deliver)
+	c.reqAsm.Attach(serverConn)
 	serverConn.SetWritableHook(sendHighWater, s.pump)
 	return s.addLink(c)
 }
@@ -253,7 +266,7 @@ func (s *Session) AddLink(serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssem
 // AddQUICLink attaches the session to the server-side endpoint of a
 // QUIC connection; clientStreams is the browser-side demultiplexer.
 func (s *Session) AddQUICLink(serverConn *tcpsim.QUICConn, clientStreams *QUICStreams) int {
-	c := &quicCarrier{conn: serverConn, streams: clientStreams, reqs: NewQUICStreams()}
+	c := &quicCarrier{conn: serverConn, streams: clientStreams, reqs: NewQUICStreams(clientStreams.net)}
 	serverConn.OnStreamDeliver(c.reqs.Deliver)
 	serverConn.SetWritableHook(sendHighWater, s.pump)
 	return s.addLink(c)

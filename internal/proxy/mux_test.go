@@ -52,7 +52,7 @@ func dialMux(t *testing.T, w *world, c construction) *muxRig {
 		id := fmt.Sprintf("%s-%d", c.name, i)
 		if c.quic {
 			client, server := w.net.NewQUICPair(cfg, cfg, id, "dev")
-			streams := NewQUICStreams()
+			streams := NewQUICStreams(w.net)
 			client.OnStreamDeliver(streams.Deliver)
 			r.sess.AddQUICLink(server, streams)
 			r.quic, r.write = client, append(r.write, client.WriteStream)
@@ -436,5 +436,34 @@ func TestMuxPumpAllocations(t *testing.T) {
 				t.Fatalf("%d sends, %d queued", sink.sends, s.QueuedResponses)
 			}
 		})
+	}
+}
+
+// TestQUICStreamAssemblersComeFromASlab: a stream's assembler is cut from
+// a slab of a few, and its queue sits in an array borrowed from the
+// network only while a message is expected, so a connection's streams —
+// a page's worth, each used once for a head and a body — cost a handful
+// of slabs and the map's growth, not two objects and two arrays a
+// stream, on a network whose shelf an earlier connection has stocked.
+func TestQUICStreamAssemblersComeFromASlab(t *testing.T) {
+	const streams = 64
+	w := newWorld(12, 1_000_000)
+	landed := 0
+	done := sim.Func(func() { landed++ })
+	conn := func() {
+		s := NewQUICStreams(w.net)
+		for id := uint32(1); id <= 2*streams; id += 2 {
+			s.Expect(id, 40, done)
+			s.Expect(id, 1000, done)
+		}
+		for id := uint32(1); id <= 2*streams; id += 2 {
+			s.Deliver(id, 1040)
+		}
+	}
+	if n := testing.AllocsPerRun(5, conn); n > streams/4 {
+		t.Errorf("a connection's %d streams allocate %v objects, want at most %d", streams, n, streams/4)
+	}
+	if want := 6 * 2 * streams; landed != want {
+		t.Fatalf("%d messages landed, want %d", landed, want)
 	}
 }

@@ -2,6 +2,8 @@ package tcpsim
 
 import (
 	"testing"
+	"time"
+	"unsafe"
 
 	"spdier/internal/sim"
 )
@@ -103,5 +105,114 @@ func TestAssemblerQueueDoesNotRegrow(t *testing.T) {
 	}
 	if landed != 1001 || a.PendingMessages() != 8 {
 		t.Fatalf("%d messages landed, %d pending, want 1001 and 8", landed, a.PendingMessages())
+	}
+}
+
+// shelved counts the flight arrays and the assembler queue arrays
+// standing on the network's shelves.
+func shelved(nw *Network) (windows, queues int) {
+	for _, b := range nw.windows.bins {
+		windows += len(b)
+	}
+	for _, b := range nw.queues.bins {
+		queues += len(b)
+	}
+	return windows, queues
+}
+
+// shortConn is one connection of TestWindowsAreReused's pages, and the
+// handler of its two steps, so that a page allocates nothing the test
+// would have to discount.
+type shortConn struct {
+	client, server *Conn
+	resp, req      StreamAssembler
+	size           int
+}
+
+type (
+	sendRequest  shortConn // the handshake is done
+	sendResponse shortConn // the request has arrived
+)
+
+func (s *sendRequest) Call() { s.client.Write(400) }
+
+func (s *sendResponse) Call() {
+	s.resp.Expect(s.size, nil)
+	s.server.Write(s.size)
+}
+
+// TestWindowsAreReused: a page's worth of short connections — opened
+// together, a request up and a response of some tens of segments down on
+// each, closed when idle — takes its flight arrays and assembler queues
+// from the network and hands every one back when it has finished, so the
+// second page of a session runs on the arrays of the first: as many stand
+// on the shelves after it, and after three more, as before it — none was
+// allocated and none lost.
+func TestWindowsAreReused(t *testing.T) {
+	withoutInvariants(func() {
+		loop := sim.NewLoop()
+		nw := wiredNet(loop, 1)
+		conns := make([]shortConn, 12)
+		page := func() {
+			for i := range conns {
+				c := &conns[i]
+				*c = shortConn{size: 20_000 + 4_000*i}
+				c.client, c.server = nw.NewConnPair(DefaultConfig(), DefaultConfig(), "w", "d")
+				c.resp.Attach(c.client)
+				c.req.Attach(c.server)
+				c.req.Expect(400, (*sendResponse)(c))
+				c.client.OnEstablishedCall((*sendRequest)(c))
+				c.client.Connect()
+			}
+			loop.RunUntilIdle()
+			for i := range conns {
+				c := &conns[i]
+				if c.client.BytesRcvdApp != int64(c.size) || c.resp.PendingMessages() != 0 {
+					t.Fatalf("connection %d: %d of %d response bytes delivered", i, c.client.BytesRcvdApp, c.size)
+				}
+				c.client.Close()
+				c.server.Close()
+			}
+			loop.RunUntilIdle()
+		}
+		page()
+		w1, q1 := shelved(nw)
+		if w1 < 2*len(conns) || q1 == 0 {
+			t.Fatalf("after the first page %d flight arrays and %d queue arrays are shelved; every connection borrowed one each way", w1, q1)
+		}
+		for n := 2; n <= 5; n++ {
+			page()
+			if w, q := shelved(nw); w != w1 || q != q1 {
+				t.Fatalf("the shelves hold %d flight and %d queue arrays after page %d, %d and %d after the first: a page allocated or lost one", w, q, n, w1, q1)
+			}
+		}
+	})
+}
+
+// TestNewPairAllocations: both endpoints of a TCP connection, their
+// congestion controllers and their names are one allocation (they were
+// twelve), with the network's list of connections and the name chunk
+// growing now and then on top.
+func TestNewPairAllocations(t *testing.T) {
+	nw := blackholeNet()
+	cfg := DefaultConfig()
+	cfg.Metrics = NewMetricsCache()
+	cfg.Metrics.Store("d", MetricsEntry{Ssthresh: 20, SRTT: 80 * time.Millisecond, RTTVar: 10 * time.Millisecond})
+	withoutInvariants(func() {
+		if n := testing.AllocsPerRun(1000, func() { nw.NewConnPair(cfg, cfg, "h001.example.org", "d") }); n > 2 {
+			t.Fatalf("NewConnPair allocates %v objects, want at most 2", n)
+		}
+	})
+}
+
+// TestConnSize: a Conn must stay in the allocator's 896-byte class and a
+// pair in the 1,792-byte one that two Conns and two Cubics exactly fill;
+// a field added to either takes the pair to 2,048.
+func TestConnSize(t *testing.T) {
+	if s := unsafe.Sizeof(Conn{}); s > 896 {
+		t.Errorf("Conn is %d bytes, want at most 896", s)
+	}
+	if s := unsafe.Sizeof(connPair{}); s > 1792 {
+		t.Errorf("connPair is %d bytes, want at most 1792", s)
 	}
 }

@@ -38,14 +38,24 @@ type CongestionControl interface {
 // NewCC constructs a congestion control variant by name ("reno" or
 // "cubic"); unknown names panic, since they always indicate an
 // experiment-config typo.
-func NewCC(name string) CongestionControl {
+func NewCC(name string) CongestionControl { return newCC(name, nil) }
+
+// newCC is NewCC for a caller with room for a Cubic of its own (a
+// connection pair): if name selects the built-in CUBIC, the controller
+// is built in cubic instead of allocated.
+func newCC(name string, cubic *Cubic) CongestionControl {
 	if name == "" {
 		name = "reno"
 	}
-	if ctor, ok := ccRegistry[name]; ok {
-		return ctor()
+	ctor, ok := ccRegistry[name]
+	if !ok {
+		panic("tcpsim: unknown congestion control " + name)
 	}
-	panic("tcpsim: unknown congestion control " + name)
+	if ctor.builtinCubic && cubic != nil {
+		*cubic = cubicDefaults
+		return cubic
+	}
+	return ctor.new()
 }
 
 // Reno is classic AIMD: +1 segment per RTT in congestion avoidance,
@@ -92,9 +102,13 @@ type Cubic struct {
 	wEst       float64
 }
 
+// cubicDefaults is CUBIC with the RFC 8312 constants.
+var cubicDefaults = Cubic{c: 0.4, beta: 0.7}
+
 // NewCubic returns CUBIC with the RFC 8312 constants.
 func NewCubic() *Cubic {
-	return &Cubic{c: 0.4, beta: 0.7}
+	cu := cubicDefaults
+	return &cu
 }
 
 func (cu *Cubic) Name() string { return "cubic" }

@@ -129,6 +129,12 @@ type Network struct {
 	qconns []*QUICConn
 	segs   freeList[Segment]
 	qpkts  freeList[QUICPacket]
+	// What the run's TCP connections borrow for as long as they live
+	// (loan.go): the arrays of their flights and of the stream assemblers
+	// attached to them.
+	windows shelf[sentSeg]
+	queues  shelf[expected]
+	names   NameArena // of the TCP endpoints
 }
 
 // retireSeg and retirePkt take back a unit the link is done with:
@@ -161,31 +167,60 @@ func (n *Network) LiveSegments() int { return n.segs.live + n.qpkts.live }
 func (n *Network) Conns() []*Conn { return n.conns }
 
 // ReleaseRuntime frees simulation-time state a finished run no longer
-// needs — the segment pool, per-connection queues, scratch buffers and
-// application callbacks — while keeping every counter and accessor that
-// results read (Conns, Path, Retransmits, String). A memoized Result
-// then retains statistics, not the closure graph of the whole run.
+// needs — the segment pool, the shelves, and what any connection still
+// open holds: queues, scratch buffers, application callbacks — while
+// keeping every counter and accessor that results read (Conns, Path,
+// Retransmits, String). A memoized Result then retains statistics, not
+// the closure graph of the whole run. A TCP connection that finished
+// during the run gave all of that up then; the others retire here, the
+// same way.
 func (n *Network) ReleaseRuntime() {
-	n.segs.free = nil
-	n.qpkts.free = nil
 	for _, c := range n.conns {
-		c.releaseRuntime()
+		c.retire()
+		c.cfg.Probe = nil // the run is over: no sample will be taken
 	}
 	for _, q := range n.qconns {
 		q.releaseRuntime()
 	}
+	n.segs.free = nil
+	n.qpkts.free = nil
+	n.windows, n.queues = shelf[sentSeg]{}, shelf[expected]{}
+	n.names = NameArena{}
 }
 
-func (c *Conn) releaseRuntime() {
+// retire takes from the endpoint what only a live connection needs: the
+// arrays it has on loan go back to the run, and its application hooks —
+// with the assembler, handle and session graph behind them — are let go.
+// Counters, sequence state and the name stay, so every accessor reads as
+// before. It is called on both ends at once, by finish when the
+// connection is over and by ReleaseRuntime when the run is — where a
+// flight may still hold records, and its array is dropped with them.
+func (c *Conn) retire() {
+	if c.inflight.size() == 0 {
+		c.net.windows.put(c.inflight.surrender())
+	}
 	c.inflight, c.inflCount = deque[sentSeg]{}, 0
-	c.ooo = nil
-	c.sackScratch = nil
-	c.onEstablished, c.onDeliver, c.onClose = nil, nil, nil
-	c.writableHook = nil
-	c.onRTOFn, c.delayedAckFn, c.onTLPFn = nil, nil, nil
-	c.rtoTimer, c.delayedAck = sim.Timer{}, sim.Timer{}
-	c.tlp = tlpState{}
-	c.cfg.Probe = nil
+	c.ooo, c.sackScratch = nil, nil
+	c.onEstablished, c.onDeliver, c.onClose, c.writableHook = nil, nil, nil, nil
+}
+
+// finish retires the pair at the first instant the connection is over
+// for good: both applications have closed, everything either sent has
+// been acknowledged, and each end holds the other's FIN. From then on
+// neither end can be handed a byte it has not already delivered (the
+// peer's sndNxt is acknowledged, so any arrival ends at or below
+// rcvNxt), neither has anything to retransmit, and no hook has an
+// occasion left: established and close fire once and have, delivery
+// needs new bytes, the writable hook needs something to write to. What
+// can still arrive — a stale retransmission, a second FIN — is answered
+// from the counters and sequence state that stay, as it always was. A
+// pair whose FIN was lost never gets here and waits for ReleaseRuntime.
+// The caller has checked that this end is closing and holds a FIN.
+func (c *Conn) finish() {
+	if p := c.peer; p.finRcvd && c.Drained() && p.Drained() {
+		c.retire()
+		p.retire()
+	}
 }
 
 // NewNetwork installs segment demultiplexers on both directions of path.
@@ -217,18 +252,27 @@ func (n *Network) Loop() *sim.Loop { return n.loop }
 // Path returns the underlying emulated path.
 func (n *Network) Path() *netem.Path { return n.path }
 
+// connPair is the one allocation behind a TCP connection: both
+// endpoints and, when they run the built-in CUBIC, both controllers.
+// (Two 824-byte Conns and two 72-byte Cubics fill the allocator's
+// 1,792-byte class exactly.)
+type connPair struct {
+	client, server Conn
+	cubic          [2]Cubic
+}
+
 // NewConnPair creates a client endpoint (side A, the device) and server
 // endpoint (side B, the proxy) wired through the network. dest keys the
 // server's metrics cache. The connection is idle until client.Connect().
 func (n *Network) NewConnPair(clientCfg, serverCfg Config, id, dest string) (client, server *Conn) {
-	client = newConn(n.loop, clientCfg, id+":c", dest, true)
-	server = newConn(n.loop, serverCfg, id+":s", dest, false)
-	client.net = n
-	server.net = n
-	client.peer = server
-	server.peer = client
-	client.out = n.path.AtoB
-	server.out = n.path.BtoA
+	p := new(connPair)
+	client, server = &p.client, &p.server
+	names := n.names.Cut(id, ":c", id, ":s")
+	client.init(n, clientCfg, names[:len(names)/2], dest, &p.cubic[0])
+	server.init(n, serverCfg, names[len(names)/2:], dest, &p.cubic[1])
+	client.isClient = true
+	client.peer, server.peer = server, client
+	client.out, server.out = n.path.AtoB, n.path.BtoA
 	n.conns = append(n.conns, client, server)
 	return client, server
 }
@@ -245,11 +289,13 @@ type Conn struct {
 	out      *netem.Link
 	net      *Network
 
+	// state, and the two hooks every connection of a run has: each is a
+	// handler, so that an owner with a record per connection (the
+	// browser's handle, the proxy's) registers the record itself and no
+	// closure; OnEstablished and OnDeliver adapt plain functions to them.
 	state         int
-	onEstablished func()
-	onDeliver     func(int)
-	onClose       func()
-	tlsStep       int
+	onEstablished sim.Handler
+	onDeliver     receiver
 
 	// --- sender half (window, estimator and policies are in sender) ---
 	sndUna    uint64
@@ -310,12 +356,9 @@ type Conn struct {
 	tsRecent sim.Time
 	finRcvd  bool
 
-	// Prebound timer callbacks: method values allocate a closure per use,
-	// so the RTO and delayed-ACK callbacks — re-armed on nearly every
-	// ACK — are bound once at construction.
-	onRTOFn      func()
-	delayedAckFn func()
-	onTLPFn      func()
+	// --- set-up and tear-down: touched a few times in a connection's life ---
+	onClose func()
+	tlsStep int
 
 	// --- counters ---
 	Retransmits      int // RTO-driven (and SACK-hole repairs inside an episode)
@@ -336,26 +379,66 @@ type Conn struct {
 	retxWire   int
 }
 
-func newConn(loop *sim.Loop, cfg Config, id, dest string, isClient bool) *Conn {
-	c := &Conn{isClient: isClient, peerWnd: 64 << 10}
-	c.sender.init(loop, cfg, id, dest)
-	c.onRTOFn = c.onRTO
-	c.onTLPFn = c.onTLP
-	c.delayedAckFn = func() {
-		if c.segsSinceAck > 0 {
-			c.sendAck(true)
-		}
-	}
-	return c
+// init makes a zero Conn an endpoint of n named id. cubic is room for
+// its congestion controller, should it be the built-in CUBIC.
+func (c *Conn) init(n *Network, cfg Config, id, dest string, cubic *Cubic) {
+	c.net = n
+	c.peerWnd = 64 << 10
+	c.sender.init(n.loop, cfg, id, dest, cubic)
 }
+
+// The endpoint's timers. Each is the Conn itself under another type, so
+// arming one stores a pointer in the loop's slot and allocates nothing.
+type (
+	rtoTimeout        Conn
+	tlpTimeout        Conn
+	delayedAckTimeout Conn
+	synTimeout        Conn // client: no SYN-ACK yet, send the SYN again
+	synAckTimeout     Conn // server: still in SYN_RCVD, send the SYN-ACK again
+)
+
+func (t *rtoTimeout) Call() { (*Conn)(t).onRTO() }
+func (t *tlpTimeout) Call() { (*Conn)(t).onTLP() }
+
+func (t *delayedAckTimeout) Call() {
+	if c := (*Conn)(t); c.segsSinceAck > 0 {
+		c.sendAck(true)
+	}
+}
+
+func (t *synTimeout) Call() {
+	if c := (*Conn)(t); c.state == stSynSent {
+		c.sendSYN()
+	}
+}
+
+func (t *synAckTimeout) Call() {
+	c := (*Conn)(t)
+	if c.state != stSynRcvd {
+		return
+	}
+	c.transmitSynAck()
+	c.loop.AfterCall(c.cfg.InitialRTO, t)
+}
+
+// receiver is where a connection's in-order bytes go: a function
+// (OnDeliver) or a stream assembler (StreamAssembler.Attach).
+type receiver interface{ Deliver(n int) }
+
+type receiverFunc func(int)
+
+func (f receiverFunc) Deliver(n int) { f(n) }
 
 // OnEstablished registers the callback fired when the handshake (and TLS
 // exchange, if configured) completes at this endpoint.
-func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
+func (c *Conn) OnEstablished(fn func()) { c.OnEstablishedCall(sim.Func(fn)) }
+
+// OnEstablishedCall is OnEstablished for a Handler.
+func (c *Conn) OnEstablishedCall(h sim.Handler) { c.onEstablished = h }
 
 // OnDeliver registers the callback fired with the count of newly
 // delivered in-order application bytes at this endpoint.
-func (c *Conn) OnDeliver(fn func(int)) { c.onDeliver = fn }
+func (c *Conn) OnDeliver(fn func(int)) { c.onDeliver = receiverFunc(fn) }
 
 // OnClose registers a callback fired when the peer's FIN arrives.
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
@@ -396,11 +479,7 @@ func (c *Conn) sendSYN() {
 	syn := c.newSeg()
 	syn.Flags = flagSYN
 	c.transmit(syn)
-	c.loop.After(c.cfg.InitialRTO, func() {
-		if c.state == stSynSent {
-			c.sendSYN()
-		}
-	})
+	c.loop.AfterCall(c.cfg.InitialRTO, (*synTimeout)(c))
 }
 
 // Write queues n application bytes for transmission.
@@ -439,7 +518,7 @@ func (c *Conn) infl() []sentSeg { return c.inflight.live() }
 
 // pushInflight appends a segment record.
 func (c *Conn) pushInflight(s sentSeg) {
-	c.inflight.push(s)
+	c.net.windows.push(&c.inflight, s)
 	if s.counted() {
 		c.inflCount++
 	}
@@ -563,7 +642,7 @@ func (c *Conn) transmit(seg *Segment) {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Stop()
-	c.rtoTimer = c.loop.After(c.rtt.current(), c.onRTOFn)
+	c.rtoTimer = c.loop.AfterCall(c.rtt.current(), (*rtoTimeout)(c))
 }
 
 func (c *Conn) stopRTO() {
@@ -707,6 +786,9 @@ func (c *Conn) handleSegment(seg *Segment) {
 			c.onClose()
 		}
 	}
+	if c.state == stClosing && c.finRcvd {
+		c.finish()
+	}
 }
 
 func (c *Conn) handleSYN() {
@@ -718,15 +800,7 @@ func (c *Conn) handleSYN() {
 		// Retransmit the SYN-ACK until the handshake completes: if the
 		// client's final ACK is lost and the application never sends
 		// upstream data, this timer is the only way out of SYN_RCVD.
-		var retry func()
-		retry = func() {
-			if c.state != stSynRcvd {
-				return
-			}
-			c.transmitSynAck()
-			c.loop.After(c.cfg.InitialRTO, retry)
-		}
-		c.loop.After(c.cfg.InitialRTO, retry)
+		c.loop.AfterCall(c.cfg.InitialRTO, (*synAckTimeout)(c))
 	}
 	c.transmitSynAck()
 }
@@ -781,9 +855,9 @@ func (c *Conn) becomeEstablished() {
 func (c *Conn) finishEstablish() {
 	c.probe(EvEstablished, c.InFlightBytes())
 	if c.onEstablished != nil {
-		fn := c.onEstablished
+		h := c.onEstablished
 		c.onEstablished = nil
-		fn()
+		h.Call()
 	}
 	c.trySend()
 }
@@ -892,7 +966,7 @@ func (c *Conn) receiveData(seg *Segment) {
 	// send immediately) and audited by the peer in processDupAck.
 	c.scheduleAck()
 	if c.onDeliver != nil {
-		c.onDeliver(advance)
+		c.onDeliver.Deliver(advance)
 	}
 }
 
@@ -910,7 +984,7 @@ func (c *Conn) scheduleAck() {
 		return
 	}
 	if !c.delayedAck.Pending() {
-		c.delayedAck = c.loop.After(c.cfg.DelayedAckTimeout, c.delayedAckFn)
+		c.delayedAck = c.loop.AfterCall(c.cfg.DelayedAckTimeout, (*delayedAckTimeout)(c))
 	}
 }
 

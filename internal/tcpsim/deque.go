@@ -8,7 +8,9 @@ package tcpsim
 // TCP flight (sentSeg), a QUIC flight (qSent), QUIC's unsent chunks
 // (qChunk) and a StreamAssembler's expected messages; the counters
 // those keep beside it (inflCount, sentCopies) live in the wrappers that
-// own them.
+// own them. A TCP flight and an assembler's queue do not keep their array
+// for good: it is on loan from the run (loan.go), through adopt and
+// surrender.
 type deque[T any] struct {
 	buf  []T
 	head int
@@ -39,4 +41,21 @@ func (d *deque[T]) popFront() {
 		d.buf = d.buf[:0]
 		d.head = 0
 	}
+}
+
+// adopt moves the queue into a, an empty array with room for it, and
+// returns the array it leaves, emptied.
+func (d *deque[T]) adopt(a []T) []T {
+	old := d.buf
+	d.buf, d.head = append(a[:0], old[d.head:]...), 0
+	clear(old)
+	return old[:0]
+}
+
+// surrender returns the array of an empty deque, which is left without
+// one and allocates on its next push as a zero deque does.
+func (d *deque[T]) surrender() []T {
+	a := d.buf
+	d.buf, d.head = nil, 0
+	return a
 }

@@ -168,11 +168,71 @@ func lateArrivals(t *testing.T) string {
 			server.SpuriousArrivals, server.BytesRcvdApp, server.Retransmits, client, server)
 }
 
-// TestLateArrivalsAfterClose pins lateArrivals as it reads before a
-// finished pair gives anything up.
-func TestLateArrivalsAfterClose(t *testing.T) {
+// TestFinishedPairKeepsCountersOnly: once both ends have closed, drained
+// and hold each other's FIN, neither Conn leads to anything but its own
+// counters and sequence state — no application hook, no flight array
+// (it is back on the network's shelf), no scratch — and what can still
+// arrive is handled from those: lateArrivals reads as it was recorded
+// before a finished pair gave anything up, instant for instant, with the
+// same Fired, counters and summaries.
+func TestFinishedPairKeepsCountersOnly(t *testing.T) {
+	w, _, client, server := finishedPair(t)
+	for _, c := range []*Conn{client, server} {
+		if c.onEstablished != nil || c.onDeliver != nil || c.onClose != nil || c.writableHook != nil {
+			t.Errorf("%s: finished, and still holds an application hook", c.id)
+		}
+		if c.inflight.buf != nil || c.ooo != nil || c.sackScratch != nil {
+			t.Errorf("%s: finished, and still holds flight %v (cap %d), ooo %v, scratch %v",
+				c.id, c.inflight.buf, cap(c.inflight.buf), c.ooo, c.sackScratch)
+		}
+	}
+	shelved := 0
+	for _, b := range w.net.windows.bins {
+		shelved += len(b)
+	}
+	if shelved < 2 {
+		t.Errorf("%d flight arrays on the shelf after a connection that used one each way, and whatever the response outgrew", shelved)
+	}
+
 	const want = "5s fin:c fin; 5s fin:s fin; 5.020032s fin:s ack[400]; 5.020032s fin:c ack[5000]; 6.040064s fin:c ack[5000]; idle at 6.060096s, fired 33; client spurious 1 rcvd 5000 retx 0; server spurious 0 rcvd 400 retx 0; fin:c state=4 cwnd=10.0 ssthresh=1048576.0 una=400 nxt=400 q=0 inflight=0; fin:s state=4 cwnd=10.0 ssthresh=1048576.0 una=5000 nxt=5000 q=0 inflight=0"
 	if got := lateArrivals(t); got != want {
 		t.Errorf("late arrivals at a finished pair:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestUnfinishedPairKeepsItsHooks: a pair is not retired while anything
+// can still happen to it. One end closing is not enough, nor both with a
+// FIN lost — that pair waits for ReleaseRuntime, which retires it the
+// same way.
+func TestUnfinishedPairKeepsItsHooks(t *testing.T) {
+	w := newWorld(cleanPath(), 1)
+	client, server := w.net.NewConnPair(DefaultConfig(), DefaultConfig(), "half", "d")
+	got := 0
+	var asm StreamAssembler
+	asm.Attach(client)
+	asm.Expect(5000, sim.Func(func() { got++ }))
+	asm.Expect(1, nil) // never sent: the queue is not empty when the run ends
+	server.OnDeliver(func(int) { server.Write(5000) })
+	client.OnEstablished(func() { client.Write(400) })
+	client.Connect()
+	w.loop.Run(5 * sim.Second)
+	client.Close()
+	w.loop.RunUntilIdle()
+	if got != 1 || client.onDeliver == nil || server.onDeliver == nil {
+		t.Fatalf("after the client alone closed: %d responses landed, hooks %v / %v", got, client.onDeliver, server.onDeliver)
+	}
+	w.net.Path().BtoA.SetFilter(func(netem.Payload, int) bool { return false }) // the server's FIN is lost
+	server.Close()
+	w.loop.RunUntilIdle()
+	if client.finRcvd || !server.finRcvd || client.onDeliver == nil || server.onDeliver == nil {
+		t.Fatalf("with the server's FIN lost: client holds a FIN %v, server %v, hooks %v / %v",
+			client.finRcvd, server.finRcvd, client.onDeliver, server.onDeliver)
+	}
+	w.net.ReleaseRuntime()
+	if client.onDeliver != nil || server.onDeliver != nil || client.inflight.buf != nil || server.inflight.buf != nil {
+		t.Fatal("ReleaseRuntime left a hook or a flight array on a pair that never finished")
+	}
+	if client.BytesRcvdApp != 5000 || server.BytesRcvdApp != 400 {
+		t.Fatalf("counters after release: client received %d, server %d", client.BytesRcvdApp, server.BytesRcvdApp)
 	}
 }

@@ -13,7 +13,7 @@ import "time"
 // The cache is shared by all connections of one simulated host; pass nil
 // to a Conn to disable caching.
 type MetricsCache struct {
-	entries map[string]*MetricsEntry
+	entries map[string]MetricsEntry
 
 	// Hits/Stores are exposed for tests and ablation reporting.
 	Hits   int
@@ -29,19 +29,19 @@ type MetricsEntry struct {
 
 // NewMetricsCache returns an empty cache.
 func NewMetricsCache() *MetricsCache {
-	return &MetricsCache{entries: make(map[string]*MetricsEntry)}
+	return &MetricsCache{entries: make(map[string]MetricsEntry)}
 }
 
-// Lookup returns the cached entry for dest, or nil.
-func (m *MetricsCache) Lookup(dest string) *MetricsEntry {
+// Lookup returns the cached entry for dest and whether there is one.
+func (m *MetricsCache) Lookup(dest string) (MetricsEntry, bool) {
 	if m == nil {
-		return nil
+		return MetricsEntry{}, false
 	}
-	e := m.entries[dest]
-	if e != nil {
+	e, ok := m.entries[dest]
+	if ok {
 		m.Hits++
 	}
-	return e
+	return e, ok
 }
 
 // Store records metrics for dest, merging with any existing entry the
@@ -53,8 +53,7 @@ func (m *MetricsCache) Store(dest string, e MetricsEntry) {
 		return
 	}
 	m.Stores++
-	cp := e
-	m.entries[dest] = &cp
+	m.entries[dest] = e
 }
 
 // Len reports the number of cached destinations.

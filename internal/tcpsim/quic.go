@@ -178,14 +178,12 @@ type QUICConn struct {
 	undoValid   bool
 
 	ptoTimer sim.Timer
-	ptoFn    func()
 
 	// --- receiver half ---
 	rcvRanges    [][2]uint64 // received PNs, merged, ascending
 	largestRcvd  uint64
 	pktsSinceAck int
 	delayedAck   sim.Timer
-	delayedAckFn func()
 	streams      map[uint32]*qRecvStream
 
 	// lostMarkDrift is kept for the invariant checker alone, and only
@@ -223,14 +221,23 @@ func newQUICConn(loop *sim.Loop, cfg Config, id, dest string, isClient bool) *QU
 		streamOffs: map[uint32]uint64{},
 		streams:    map[uint32]*qRecvStream{},
 	}
-	q.sender.init(loop, cfg, id, dest)
-	q.ptoFn = q.onPTO
-	q.delayedAckFn = func() {
-		if q.pktsSinceAck > 0 {
-			q.sendAckNow()
-		}
-	}
+	q.sender.init(loop, cfg, id, dest, nil)
 	return q
+}
+
+// The endpoint's re-armed timers, as Conn's: the QUICConn itself under
+// another type, so arming one allocates nothing.
+type (
+	quicPTO        QUICConn
+	quicDelayedAck QUICConn
+)
+
+func (t *quicPTO) Call() { (*QUICConn)(t).onPTO() }
+
+func (t *quicDelayedAck) Call() {
+	if q := (*QUICConn)(t); q.pktsSinceAck > 0 {
+		q.sendAckNow()
+	}
 }
 
 func (q *QUICConn) releaseRuntime() {
@@ -239,7 +246,6 @@ func (q *QUICConn) releaseRuntime() {
 	q.streamOffs, q.streams = nil, nil
 	q.rcvRanges = nil
 	q.onEstablished, q.onStreamDel, q.writableHook = nil, nil, nil
-	q.ptoFn, q.delayedAckFn = nil, nil
 	q.ptoTimer, q.delayedAck, q.hsRetry = sim.Timer{}, sim.Timer{}, sim.Timer{}
 	q.cfg.Probe = nil
 }
@@ -270,7 +276,7 @@ func (q *QUICConn) Connect() {
 	if q.state != stClosed {
 		return
 	}
-	if q.cfg.ZeroRTT && q.cfg.Metrics.Lookup(q.dest) != nil {
+	if q.cfg.ZeroRTT && q.resumable() {
 		q.ZeroRTTResumed = true
 		q.state = stEstablished
 		q.transmitHs(1, quicZeroRTTLen)
@@ -284,6 +290,13 @@ func (q *QUICConn) Connect() {
 	q.hsSentAt = q.loop.Now()
 	q.transmitHs(1, quicInitialPad)
 	q.armHandshakeRetry(q.cfg.InitialRTO)
+}
+
+// resumable reports whether the metrics cache knows the destination: the
+// stand-in for holding a session ticket.
+func (q *QUICConn) resumable() bool {
+	_, ok := q.cfg.Metrics.Lookup(q.dest)
+	return ok
 }
 
 // transmitHs sends one handshake leg (QUICPacket.Hs) of n modeled bytes.
@@ -440,7 +453,7 @@ func (q *QUICConn) armPTO() {
 	if q.bytesInFlight == 0 {
 		return
 	}
-	q.ptoTimer = q.loop.After(q.rtt.current(), q.ptoFn)
+	q.ptoTimer = q.loop.AfterCall(q.rtt.current(), (*quicPTO)(q))
 }
 
 // onPTO handles a probe timeout: re-send the earliest outstanding data
@@ -803,7 +816,7 @@ func (q *QUICConn) receiveData(p *QUICPacket) {
 		q.sendAckNow()
 	} else {
 		q.delayedAck.Stop()
-		q.delayedAck = q.loop.After(q.cfg.DelayedAckTimeout, q.delayedAckFn)
+		q.delayedAck = q.loop.AfterCall(q.cfg.DelayedAckTimeout, (*quicDelayedAck)(q))
 	}
 }
 

@@ -80,7 +80,7 @@ func (c *Conn) maybeArmTLP() {
 	if pto >= c.rtt.current() {
 		return // the RTO fires first; a probe adds nothing
 	}
-	c.tlp.timer = c.loop.After(pto, c.onTLPFn)
+	c.tlp.timer = c.loop.AfterCall(pto, (*tlpTimeout)(c))
 }
 
 // onTLP fires the tail loss probe: transmit one new segment if the

@@ -119,10 +119,14 @@ func (s *sentSeg) counted() bool { return !s.lost && !s.sacked }
 
 // StreamAssembler converts the in-order byte arrivals reported by a Conn
 // back into application message completions. Messages complete strictly
-// in the order they were expected, mirroring the FIFO byte stream.
+// in the order they were expected, mirroring the FIFO byte stream. The
+// zero value is ready for use, fed through Deliver by whoever owns it.
 type StreamAssembler struct {
 	queue deque[expected]
 	avail int // delivered bytes not yet consumed by a message
+	// lender is where the queue's array comes from, and goes back to
+	// whenever the queue empties (Borrow); nil: the queue keeps its own.
+	lender *shelf[expected]
 }
 
 type expected struct {
@@ -137,8 +141,23 @@ func (a *StreamAssembler) Expect(size int, done sim.Handler) {
 	if size < 0 {
 		panic("tcpsim: negative message size")
 	}
-	a.queue.push(expected{size: size, done: done})
+	a.lender.push(&a.queue, expected{size: size, done: done})
 	a.drain()
+}
+
+// Borrow has a keep its queue in an array on loan from n's run, as a
+// connection of n keeps its flight (loan.go), for as long as the queue
+// is not empty: an assembler nothing is expected of holds none, so the
+// streams and connections of one page assemble in the arrays of the page
+// before.
+func (a *StreamAssembler) Borrow(n *Network) { a.lender = &n.queues }
+
+// Attach makes a the receiver of c's in-order bytes, as
+// c.OnDeliver(a.Deliver) would without a closure for it, on arrays
+// borrowed from c's network.
+func (a *StreamAssembler) Attach(c *Conn) {
+	a.Borrow(c.net)
+	c.onDeliver = a
 }
 
 // Deliver feeds n newly arrived in-order bytes into the assembler.
@@ -157,6 +176,9 @@ func (a *StreamAssembler) drain() {
 		done := m.done
 		m.done = nil // the array outlives the message: do not pin what it called
 		a.queue.popFront()
+		if a.lender != nil && a.queue.size() == 0 {
+			a.lender.put(a.queue.surrender())
+		}
 		if done != nil {
 			done.Call() // may Expect again; m is dead by now
 		}

@@ -55,19 +55,21 @@ type sender struct {
 // init fills in a zero sender: defaults for an unset Config, a fresh
 // controller and estimator, and the Linux tcp_metrics seed — ssthresh and
 // RTT state of the last connection to dest, when the cache has one.
-func (s *sender) init(loop *sim.Loop, cfg Config, id, dest string) {
+// cubic, when not nil, is where a built-in CUBIC controller is built
+// instead of in an allocation of its own.
+func (s *sender) init(loop *sim.Loop, cfg Config, id, dest string, cubic *Cubic) {
 	if cfg.MSS <= 0 {
 		cfg = DefaultConfig()
 	}
 	s.loop, s.cfg, s.id, s.dest = loop, cfg, id, dest
-	s.cc = NewCC(cfg.CC)
+	s.cc = newCC(cfg.CC, cubic)
 	if invOn {
 		s.cc = checkedCC{s.cc}
 	}
 	s.rtt = newRTTEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO)
 	s.cwnd = cfg.InitialCwnd
 	s.ssthresh = 1 << 20 // "infinite" until first loss
-	if e := cfg.Metrics.Lookup(dest); e != nil {
+	if e, ok := cfg.Metrics.Lookup(dest); ok {
 		if e.Ssthresh > 0 {
 			s.ssthresh = e.Ssthresh
 		}

@@ -182,8 +182,8 @@ func TestSenderMetricsCache(t *testing.T) {
 			s1.write(300_000)
 			s1.drain(t, w)
 			s1.close()
-			e := cache.Lookup("device")
-			if cache.Stores != 1 || e == nil {
+			e, ok := cache.Lookup("device")
+			if cache.Stores != 1 || !ok {
 				t.Fatalf("close stored %d entries", cache.Stores)
 			}
 			if e.SRTT != s1.rtt.srtt || e.RTTVar != s1.rtt.rttvar || e.SRTT <= 0 {

@@ -46,7 +46,14 @@ func (c Config) WithRecovery(p RecoveryPolicy) Config {
 // built-in variants are registered at init; experiments and tests may
 // register additional variants. Lookup only — the map is never ranged
 // over, so registration order cannot perturb a simulation.
-var ccRegistry = map[string]func() CongestionControl{}
+var ccRegistry = map[string]ccCtor{}
+
+// ccCtor is one registered variant. builtinCubic marks the one whose
+// state a connection pair has room for (newCC).
+type ccCtor struct {
+	new          func() CongestionControl
+	builtinCubic bool
+}
 
 // RegisterCC installs a congestion-control constructor under name.
 // Registering an existing name replaces it (tests use this to wrap a
@@ -55,10 +62,10 @@ func RegisterCC(name string, ctor func() CongestionControl) {
 	if ctor == nil {
 		panic("tcpsim: RegisterCC with nil constructor")
 	}
-	ccRegistry[name] = ctor
+	ccRegistry[name] = ccCtor{new: ctor}
 }
 
 func init() {
 	RegisterCC("reno", func() CongestionControl { return &Reno{} })
-	RegisterCC("cubic", func() CongestionControl { return NewCubic() })
+	ccRegistry["cubic"] = ccCtor{new: func() CongestionControl { return NewCubic() }, builtinCubic: true}
 }
