@@ -2,10 +2,20 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// quickConfig is a quick.Config whose cases are drawn from a fixed seed,
+// which it logs: a case that fails is the same case on the next run, not
+// one the clock chose.
+func quickConfig(t *testing.T, maxCount int) *quick.Config {
+	const seed = 1
+	t.Logf("quick.Check: %d cases from seed %d", maxCount, seed)
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+}
 
 func TestMeanAndStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
@@ -74,7 +84,7 @@ func TestQuantileProperties(t *testing.T) {
 		// Monotone in q.
 		return Quantile(xs, 0.25) <= med && med <= Quantile(xs, 0.75)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, quickConfig(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +133,7 @@ func TestBoxMatchesQuantiles(t *testing.T) {
 			b.Mean == Mean(xs) &&
 			b.N == len(xs)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, quickConfig(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +176,7 @@ func TestCDFMonotone(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, quickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -263,7 +263,7 @@ func TestStreamAssemblerProperty(t *testing.T) {
 		}
 		return a.PendingMessages() == 0
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, quickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
