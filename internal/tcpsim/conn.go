@@ -188,17 +188,13 @@ func (n *Network) ReleaseRuntime() {
 	n.names = NameArena{}
 }
 
-// retire takes from the endpoint what only a live connection needs: the
-// arrays it has on loan go back to the run, and its application hooks —
-// with the assembler, handle and session graph behind them — are let go.
+// retire takes from the endpoint what only a live connection needs: its
+// flight, its receiver's scratch, and its application hooks — with the
+// assembler, handle and session graph behind them.
 // Counters, sequence state and the name stay, so every accessor reads as
 // before. It is called on both ends at once, by finish when the
-// connection is over and by ReleaseRuntime when the run is — where a
-// flight may still hold records, and its array is dropped with them.
+// connection is over and by ReleaseRuntime when the run is.
 func (c *Conn) retire() {
-	if c.inflight.size() == 0 {
-		c.net.windows.put(c.inflight.surrender())
-	}
 	c.inflight, c.inflCount = deque[sentSeg]{}, 0
 	c.ooo, c.sackScratch = nil, nil
 	c.onEstablished, c.onDeliver, c.onClose, c.writableHook = nil, nil, nil, nil
@@ -218,8 +214,10 @@ func (c *Conn) retire() {
 // The caller has checked that this end is closing and holds a FIN.
 func (c *Conn) finish() {
 	if p := c.peer; p.finRcvd && c.Drained() && p.Drained() {
-		c.retire()
-		p.retire()
+		for _, e := range [...]*Conn{c, p} {
+			e.net.windows.put(e.inflight.surrender()) // empty: e is drained
+			e.retire()
+		}
 	}
 }
 
@@ -518,7 +516,7 @@ func (c *Conn) infl() []sentSeg { return c.inflight.live() }
 
 // pushInflight appends a segment record.
 func (c *Conn) pushInflight(s sentSeg) {
-	c.net.windows.push(&c.inflight, s)
+	c.inflight.push(s)
 	if s.counted() {
 		c.inflCount++
 	}
@@ -742,6 +740,7 @@ func (c *Conn) sendNew(n int) {
 	seg := c.dataSeg(c.newSeg(), c.sndNxt, n)
 	c.sndNxt += uint64(n)
 	c.sendQueue -= n
+	c.net.windows.room(&c.inflight) // the flight's array is on loan from the run
 	c.pushInflight(sentSeg{seq: seg.Seq, len: n, sentAt: c.loop.Now()})
 	c.ackPiggybacked()
 	c.transmit(seg)

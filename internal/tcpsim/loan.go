@@ -6,9 +6,10 @@ import "math/bits"
 // using. A connection's flight and a stream assembler's queue borrow
 // theirs: the first push takes an array from the shelf, a push that
 // would have to grow takes a larger one and puts the outgrown one back,
-// and a connection that has finished (Conn.retire) returns what it
-// holds — so the connections of one page run on the arrays of the page
-// before, and a closed connection keeps none. Like the freeLists beside
+// and a connection that has finished (Conn.finish) or an assembler with
+// nothing expected returns what it holds — so the connections of one
+// page run on the arrays of the page before, and a closed connection
+// keeps none. Like the freeLists beside
 // it on the Network, a shelf starts empty, holds only what some queue of
 // this run has needed, and goes with the run.
 //
@@ -45,22 +46,25 @@ func (s *shelf[T]) put(a []T) {
 	s.bins[k] = append(s.bins[k], a[:0])
 }
 
-// push is d.push(v) with d's array on loan from s: where the push would
-// allocate — d has no array yet, or a full one with nothing popped to
-// slide over — d moves to an array off the shelf if one is large enough,
-// and either way the array it leaves is shelved. A nil shelf lends
-// nothing: d grows as a deque does.
-func (s *shelf[T]) push(d *deque[T], v T) {
-	if s != nil && len(d.buf) == cap(d.buf) && d.head == 0 {
-		if a := s.take(max(1, 2*cap(d.buf))); a != nil {
-			s.put(d.adopt(a))
-		} else {
-			old := d.buf
-			d.push(v)
-			clear(old)
-			s.put(old)
-			return
-		}
+// room sees that d's next push does not allocate behind the shelf's
+// back: where it would — d has no array yet, or a full one with nothing
+// popped to slide over — d is moved to a larger array first. Everywhere
+// else it is two comparisons, inlined into the send path.
+func (s *shelf[T]) room(d *deque[T]) {
+	if len(d.buf) == cap(d.buf) && d.head == 0 {
+		s.grow(d)
 	}
-	d.push(v)
+}
+
+// grow moves d to an array of twice the room, as append would have: off
+// the shelf if one that large stands there, new otherwise. The array d
+// leaves is shelved either way, so nothing the run has allocated is
+// dropped while the run lasts.
+func (s *shelf[T]) grow(d *deque[T]) {
+	n := max(1, 2*cap(d.buf))
+	a := s.take(n)
+	if a == nil {
+		a = make([]T, 0, n)
+	}
+	s.put(d.adopt(a))
 }

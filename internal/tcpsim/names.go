@@ -10,10 +10,13 @@ import "strings"
 // value is ready for use.
 type NameArena struct {
 	chunk strings.Builder
+	size  int // of the last chunk
 }
 
-// nameChunk is how many bytes of names are allocated at a time.
-const nameChunk = 4 << 10
+// A chunk is twice the size of the one before, from 128 bytes to 4 KiB:
+// a session of one connection allocates little more than its two names,
+// one of 1,400 a chunk per 70.
+const minNameChunk, maxNameChunk = 128, 4 << 10
 
 // Cut returns the concatenation of parts. A strings.Builder never
 // rewrites what it has handed out, so a name stays good while later ones
@@ -25,8 +28,9 @@ func (a *NameArena) Cut(parts ...string) string {
 		need += len(p)
 	}
 	if a.chunk.Cap()-a.chunk.Len() < need {
+		a.size = min(max(minNameChunk, 2*a.size), maxNameChunk)
 		a.chunk.Reset()
-		a.chunk.Grow(max(nameChunk, need))
+		a.chunk.Grow(max(a.size, need))
 	}
 	at := a.chunk.Len()
 	for _, p := range parts {

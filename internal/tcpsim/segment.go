@@ -141,7 +141,10 @@ func (a *StreamAssembler) Expect(size int, done sim.Handler) {
 	if size < 0 {
 		panic("tcpsim: negative message size")
 	}
-	a.lender.push(&a.queue, expected{size: size, done: done})
+	if a.lender != nil {
+		a.lender.room(&a.queue)
+	}
+	a.queue.push(expected{size: size, done: done})
 	a.drain()
 }
 
