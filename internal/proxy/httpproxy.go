@@ -55,17 +55,10 @@ type HTTPConn struct {
 	parked   map[int]*Exchange
 }
 
-// NewHTTPConn attaches a proxy handler to the server-side endpoint of a
-// connection. clientAsm is the assembler observing in-order delivery at
-// the browser end, through which the exchange's Client is told.
-func NewHTTPConn(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) *HTTPConn {
-	h := new(HTTPConn)
-	h.Init(p, serverConn, clientAsm)
-	return h
-}
-
-// Init is NewHTTPConn in place, for a zero HTTPConn that is part of its
-// owner's record of the connection.
+// Init attaches a zero HTTPConn — a field of its owner's record of the
+// connection — to the server-side endpoint. clientAsm is the assembler
+// observing in-order delivery at the browser end, through which the
+// exchange's Client is told.
 func (h *HTTPConn) Init(p *Proxy, serverConn *tcpsim.Conn, clientAsm *tcpsim.StreamAssembler) {
 	h.proxy, h.conn, h.clientAsm = p, serverConn, clientAsm
 	h.reqAsm.Attach(serverConn)

@@ -91,9 +91,9 @@ func TestOriginSlowTailMixture(t *testing.T) {
 func dialHTTP(t *testing.T, w *world, id string) (*tcpsim.Conn, *HTTPConn, *tcpsim.StreamAssembler) {
 	t.Helper()
 	client, server := w.net.NewConnPair(tcpsim.DefaultConfig(), tcpsim.DefaultConfig(), id, "dev")
-	asm := &tcpsim.StreamAssembler{}
-	client.OnDeliver(asm.Deliver)
-	hc := NewHTTPConn(w.prox, server, asm)
+	asm, hc := &tcpsim.StreamAssembler{}, &HTTPConn{}
+	asm.Attach(client)
+	hc.Init(w.prox, server, asm)
 	client.Connect()
 	w.loop.Run(w.loop.Now().Add(time.Second))
 	if !client.Established() {
