@@ -212,7 +212,7 @@ func (c *quicCarrier) send(streamID uint32, size int, delivered sim.Handler) {
 // The map is only ever looked up by key.
 type QUICStreams struct {
 	asms map[uint32]*tcpsim.StreamAssembler
-	net  *tcpsim.Network // lends the assemblers' queues their arrays; may be nil
+	net  *tcpsim.Network // lends the assemblers' queues their arrays
 	// slab is what is left of the assemblers made ahead, a few at a time:
 	// a connection carries a page's worth of streams or a single beacon's,
 	// and every stream needs one.
@@ -234,9 +234,7 @@ func (c *QUICStreams) asm(streamID uint32) *tcpsim.StreamAssembler {
 			c.slab = make([]tcpsim.StreamAssembler, c.slabbed)
 		}
 		a, c.slab = &c.slab[0], c.slab[1:]
-		if c.net != nil {
-			a.Borrow(c.net)
-		}
+		a.Borrow(c.net)
 		c.asms[streamID] = a
 	}
 	return a

@@ -9,13 +9,14 @@ import "math/bits"
 // and a connection that has finished (Conn.finish) or an assembler with
 // nothing expected returns what it holds — so the connections of one
 // page run on the arrays of the page before, and a closed connection
-// keeps none. Like the freeLists beside
-// it on the Network, a shelf starts empty, holds only what some queue of
-// this run has needed, and goes with the run.
+// keeps none. Like the freeLists beside it on the Network, a shelf
+// starts empty, holds only what some queue of this run has needed, and
+// goes with the run.
 //
 // Arrays stand in bins by capacity, bin k holding those with room for
-// 2^k up to 2^(k+1)-1 elements (append doubles small arrays, so in
-// practice exactly 2^k); the last bin takes everything larger.
+// 2^k up to 2^(k+1)-1 elements (grow doubles, so in practice exactly
+// 2^k); the last bin takes everything larger, which is more than a
+// receive window holds segments.
 type shelf[T any] struct {
 	bins [shelfBins][][]T
 }

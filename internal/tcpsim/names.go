@@ -10,7 +10,6 @@ import "strings"
 // value is ready for use.
 type NameArena struct {
 	chunk strings.Builder
-	size  int // of the last chunk
 }
 
 // A chunk is twice the size of the one before, from 128 bytes to 4 KiB:
@@ -28,9 +27,9 @@ func (a *NameArena) Cut(parts ...string) string {
 		need += len(p)
 	}
 	if a.chunk.Cap()-a.chunk.Len() < need {
-		a.size = min(max(minNameChunk, 2*a.size), maxNameChunk)
+		size := min(max(minNameChunk, 2*a.chunk.Cap()), maxNameChunk)
 		a.chunk.Reset()
-		a.chunk.Grow(max(a.size, need))
+		a.chunk.Grow(max(size, need))
 	}
 	at := a.chunk.Len()
 	for _, p := range parts {
