@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -206,13 +207,31 @@ func TestNewPairAllocations(t *testing.T) {
 }
 
 // TestConnSize: a Conn must stay in the allocator's 896-byte class and a
-// pair in the 1,792-byte one that two Conns and two Cubics exactly fill;
-// a field added to either takes the pair to 2,048.
+// pair in the 1,792-byte one, counting the 8-byte header the allocator
+// gives a pointer-bearing object over 512 bytes; the next class is
+// 2,048, an eighth more for every connection a Result keeps.
 func TestConnSize(t *testing.T) {
-	if s := unsafe.Sizeof(Conn{}); s > 896 {
-		t.Errorf("Conn is %d bytes, want at most 896", s)
+	const header = 8
+	if s := unsafe.Sizeof(Conn{}); s+header > 896 {
+		t.Errorf("Conn is %d bytes, want at most %d", s, 896-header)
 	}
-	if s := unsafe.Sizeof(connPair{}); s > 1792 {
-		t.Errorf("connPair is %d bytes, want at most 1792", s)
+	if s := unsafe.Sizeof(connPair{}); s+header > 1792 {
+		t.Errorf("connPair is %d bytes, want at most %d", s, 1792-header)
 	}
+	// And what the allocator makes of it.
+	withoutInvariants(func() {
+		var before, after runtime.MemStats
+		nw := blackholeNet()
+		nw.conns = make([]*Conn, 0, 2048)
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 1000; i++ {
+			nw.NewConnPair(DefaultConfig(), DefaultConfig(), "size", "d")
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / 1000
+		t.Logf("a pair takes %d bytes of heap", per)
+		if per > 1792+32 {
+			t.Errorf("a pair takes %d bytes of heap, want the 1,792-byte class and its share of the name chunks", per)
+		}
+	})
 }

@@ -252,8 +252,10 @@ func (n *Network) Path() *netem.Path { return n.path }
 
 // connPair is the one allocation behind a TCP connection: both
 // endpoints and, when they run the built-in CUBIC, both controllers.
-// (Two 824-byte Conns and two 72-byte Cubics fill the allocator's
-// 1,792-byte class exactly.)
+// Two 816-byte Conns and two 72-byte Cubics are 1,776 bytes, which with
+// the allocator's 8-byte header for a pointer-bearing object of this
+// size is eight short of its 1,792-byte class; the next is 2,048
+// (TestConnSize).
 type connPair struct {
 	client, server Conn
 	cubic          [2]Cubic
@@ -353,10 +355,9 @@ type Conn struct {
 	// repair releases a large cumulative ACK.
 	tsRecent sim.Time
 	finRcvd  bool
+	tlsStep  uint8 // how far the modeled TLS exchange has got (handleTLS)
 
-	// --- set-up and tear-down: touched a few times in a connection's life ---
 	onClose func()
-	tlsStep int
 
 	// --- counters ---
 	Retransmits      int // RTO-driven (and SACK-hole repairs inside an episode)
