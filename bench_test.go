@@ -243,9 +243,9 @@ func sweepBench(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {
 		// A fresh runner per iteration so the cache cannot mask the
 		// simulation cost being compared.
-		r := experiment.NewRunner(parallel)
-		results := r.Sweep(h, base)
-		b.ReportMetric(float64(len(results)), "runs")
+		runs := 0
+		experiment.NewRunner(parallel).SweepEach(h, base, func(*experiment.Result) { runs++ })
+		b.ReportMetric(float64(runs), "runs")
 	}
 }
 
@@ -258,10 +258,10 @@ func BenchmarkSweepCached(b *testing.B) {
 	h := experiment.Harness{Runs: 4, Seed: 1}
 	base := experiment.Options{Mode: browser.ModeHTTP, Network: experiment.NetWiFi}
 	r := experiment.NewRunner(0)
-	r.Sweep(h, base) // warm the cache
+	r.SweepEach(h, base, func(*experiment.Result) {}) // warm the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Sweep(h, base)
+		r.SweepEach(h, base, func(*experiment.Result) {})
 	}
 	b.StopTimer()
 	s := r.CacheStats()

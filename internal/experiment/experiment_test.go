@@ -78,8 +78,8 @@ func TestAllRunsComplete(t *testing.T) {
 
 func TestShapeFig3No3GWinner(t *testing.T) {
 	h := quickHarness()
-	httpPLT := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeHTTP, Network: Net3G})))
-	spdyPLT := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G})))
+	httpPLT := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeHTTP, Network: Net3G})))
+	spdyPLT := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G})))
 	ratio := spdyPLT / httpPLT
 	// "SPDY does not clearly outperform HTTP over cellular": neither side
 	// wins by anything near the wired 27-60%.
@@ -91,8 +91,8 @@ func TestShapeFig3No3GWinner(t *testing.T) {
 
 func TestShapeFig4SPDYWinsOnWiFi(t *testing.T) {
 	h := quickHarness()
-	httpPLT := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeHTTP, Network: NetWiFi})))
-	spdyPLT := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeSPDY, Network: NetWiFi})))
+	httpPLT := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeHTTP, Network: NetWiFi})))
+	spdyPLT := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: NetWiFi})))
 	if spdyPLT >= httpPLT {
 		t.Fatalf("SPDY must win on WiFi: http=%.2fs spdy=%.2fs", httpPLT, spdyPLT)
 	}
@@ -132,8 +132,8 @@ func TestShapeFig5PhaseAsymmetry(t *testing.T) {
 
 func TestShapeFig13RetxConcentration(t *testing.T) {
 	h := quickHarness()
-	httpRetx := meanRetx(sweep(h, Options{Mode: browser.ModeHTTP, Network: Net3G}))
-	spdyRetx := meanRetx(sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G}))
+	httpRetx := meanRetxStats(sweepStats(h, Options{Mode: browser.ModeHTTP, Network: Net3G}))
+	spdyRetx := meanRetxStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G}))
 	if httpRetx <= spdyRetx {
 		t.Fatalf("HTTP total retx (%.0f) should exceed SPDY's (%.0f)", httpRetx, spdyRetx)
 	}
@@ -142,13 +142,13 @@ func TestShapeFig13RetxConcentration(t *testing.T) {
 func TestShapeFig14PingPinsDCH(t *testing.T) {
 	h := quickHarness()
 	for _, mode := range []browser.Mode{browser.ModeHTTP, browser.ModeSPDY} {
-		plain := sweep(h, Options{Mode: mode, Network: Net3G})
-		ping := sweep(h, Options{Mode: mode, Network: Net3G, PingKeepalive: true})
-		if pr, br := meanRetx(ping), meanRetx(plain); pr >= br {
+		plain := sweepStats(h, Options{Mode: mode, Network: Net3G})
+		ping := sweepStats(h, Options{Mode: mode, Network: Net3G, PingKeepalive: true})
+		if pr, br := meanRetxStats(ping), meanRetxStats(plain); pr >= br {
 			t.Errorf("%s: ping did not cut retransmissions (%.0f vs %.0f)", mode, pr, br)
 		}
-		pCDF := stats.NewCDF(allPLTs(ping))
-		bCDF := stats.NewCDF(allPLTs(plain))
+		pCDF := stats.NewCDF(allPLTStats(ping))
+		bCDF := stats.NewCDF(allPLTStats(plain))
 		if pCDF.At(8) <= bCDF.At(8) {
 			t.Errorf("%s: P(PLT<8s) with ping %.2f not above %.2f", mode, pCDF.At(8), bCDF.At(8))
 		}
@@ -167,8 +167,8 @@ func TestShapeFig14PingPinsDCH(t *testing.T) {
 func TestShapeFig16LTEFasterThan3G(t *testing.T) {
 	h := quickHarness()
 	for _, mode := range []browser.Mode{browser.ModeHTTP, browser.ModeSPDY} {
-		g3 := stats.Mean(allPLTs(sweep(h, Options{Mode: mode, Network: Net3G})))
-		lte := stats.Mean(allPLTs(sweep(h, Options{Mode: mode, Network: NetLTE})))
+		g3 := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: mode, Network: Net3G})))
+		lte := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: mode, Network: NetLTE})))
 		if lte >= g3/2 {
 			t.Errorf("%s: LTE %.2fs not substantially faster than 3G %.2fs", mode, lte, g3)
 		}
@@ -177,8 +177,8 @@ func TestShapeFig16LTEFasterThan3G(t *testing.T) {
 
 func TestShapeLTERetxFarBelow3G(t *testing.T) {
 	h := quickHarness()
-	g3 := meanRetx(sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G}))
-	lte := meanRetx(sweep(h, Options{Mode: browser.ModeSPDY, Network: NetLTE}))
+	g3 := meanRetxStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G}))
+	lte := meanRetxStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: NetLTE}))
 	if lte >= g3 {
 		t.Fatalf("LTE retx %.0f not below 3G %.0f", lte, g3)
 	}
@@ -189,12 +189,12 @@ func TestShapeLTERetxFarBelow3G(t *testing.T) {
 
 func TestShapeRTTResetFixHelps(t *testing.T) {
 	h := quickHarness()
-	base := sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G})
-	fix := sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, ResetRTTAfterIdle: true})
-	bp, fp := stats.Mean(allPLTs(base)), stats.Mean(allPLTs(fix))
+	base := sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G})
+	fix := sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, ResetRTTAfterIdle: true})
+	bp, fp := stats.Mean(allPLTStats(base)), stats.Mean(allPLTStats(fix))
 	// The fix's core, measurable claim: spurious retransmissions vanish.
-	if meanRetx(fix) >= meanRetx(base)/2 {
-		t.Fatalf("fix did not slash retransmissions: %.0f vs %.0f", meanRetx(fix), meanRetx(base))
+	if meanRetxStats(fix) >= meanRetxStats(base)/2 {
+		t.Fatalf("fix did not slash retransmissions: %.0f vs %.0f", meanRetxStats(fix), meanRetxStats(base))
 	}
 	// PLT must not regress materially on an undo-capable stack.
 	if fp > bp*1.10 {
@@ -202,9 +202,9 @@ func TestShapeRTTResetFixHelps(t *testing.T) {
 	}
 	// On a stack without effective undo — the condition the paper's
 	// Figure 12 exhibits — the claimed PLT reduction materializes.
-	baseNU := sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, DisableUndo: true})
-	fixNU := sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, DisableUndo: true, ResetRTTAfterIdle: true})
-	bn, fn := stats.Mean(allPLTs(baseNU)), stats.Mean(allPLTs(fixNU))
+	baseNU := sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, DisableUndo: true})
+	fixNU := sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, DisableUndo: true, ResetRTTAfterIdle: true})
+	bn, fn := stats.Mean(allPLTStats(baseNU)), stats.Mean(allPLTStats(fixNU))
 	if fn >= bn {
 		t.Fatalf("fix did not reduce PLT on the no-undo stack: %.2f vs %.2f", fn, bn)
 	}
@@ -212,14 +212,14 @@ func TestShapeRTTResetFixHelps(t *testing.T) {
 
 func TestShapeTable2CubicBeatsRenoForSPDY(t *testing.T) {
 	h := quickHarness()
-	cubic := sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, CC: "cubic"})
-	reno := sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, CC: "reno"})
+	cubic := sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, CC: "cubic"})
+	reno := sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, CC: "reno"})
 	var cubicAvg, renoAvg float64
 	for _, r := range cubic {
-		cubicAvg += r.Recorder.MeanCwnd()
+		cubicAvg += r.MeanCwnd
 	}
 	for _, r := range reno {
-		renoAvg += r.Recorder.MeanCwnd()
+		renoAvg += r.MeanCwnd
 	}
 	cubicAvg /= float64(len(cubic))
 	renoAvg /= float64(len(reno))
@@ -273,8 +273,8 @@ func TestShapeFig10MoreInflightLoadsFaster(t *testing.T) {
 
 func TestShapeMetricsCacheDisablingHelpsHTTP(t *testing.T) {
 	h := quickHarness()
-	on := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeHTTP, Network: Net3G})))
-	off := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeHTTP, Network: Net3G, NoMetricsCache: true})))
+	on := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeHTTP, Network: Net3G})))
+	off := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeHTTP, Network: Net3G, NoMetricsCache: true})))
 	// §6.2.4: disabling caching should not hurt; stale metrics poison
 	// fresh connections.
 	if off > on*1.1 {
@@ -284,8 +284,8 @@ func TestShapeMetricsCacheDisablingHelpsHTTP(t *testing.T) {
 
 func TestShapeLateBindingBeatsEarlyBinding(t *testing.T) {
 	h := quickHarness()
-	early := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, SPDYSessions: 8})))
-	late := stats.Mean(allPLTs(sweep(h, Options{Mode: browser.ModeSPDY, Network: Net3G, SPDYSessions: 8, SPDYLateBinding: true})))
+	early := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, SPDYSessions: 8})))
+	late := stats.Mean(allPLTStats(sweepStats(h, Options{Mode: browser.ModeSPDY, Network: Net3G, SPDYSessions: 8, SPDYLateBinding: true})))
 	if late >= early {
 		t.Fatalf("late binding (%.2fs) did not beat early binding (%.2fs)", late, early)
 	}

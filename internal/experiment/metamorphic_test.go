@@ -562,8 +562,8 @@ func TestRecoveryArmsSweepParallelMatchesSerial(t *testing.T) {
 			ExtraJitter: 5 * time.Millisecond,
 		},
 	}
-	serial := NewRunner(1).Sweep(h, base)
-	par := NewRunner(8).Sweep(h, base)
+	serial := sweepResults(NewRunner(1), h, base)
+	par := sweepResults(NewRunner(8), h, base)
 	if len(serial) != len(par) {
 		t.Fatalf("length %d vs %d", len(serial), len(par))
 	}
@@ -601,8 +601,8 @@ func TestImpairedSweepParallelMatchesSerial(t *testing.T) {
 			ExtraJitter: 5 * time.Millisecond,
 		},
 	}
-	serial := NewRunner(1).Sweep(h, base)
-	par := NewRunner(8).Sweep(h, base)
+	serial := sweepResults(NewRunner(1), h, base)
+	par := sweepResults(NewRunner(8), h, base)
 	if len(serial) != len(par) {
 		t.Fatalf("length %d vs %d", len(serial), len(par))
 	}

@@ -63,6 +63,12 @@ type Harness struct {
 	Seed uint64
 }
 
+// seeded returns base with run i's seed.
+func (h Harness) seeded(base Options, i int) Options {
+	base.Seed = h.Seed + uint64(i)
+	return base
+}
+
 // DefaultHarness gives enough runs for stable box plots while staying
 // fast enough for `go test -bench`.
 func DefaultHarness() Harness { return Harness{Runs: 5, Seed: 1} }
@@ -105,34 +111,4 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// pltBySite aggregates PLT samples (seconds) per Table 1 site index
-// across runs.
-func pltBySite(results []*Result) map[int][]float64 {
-	out := make(map[int][]float64)
-	for _, r := range results {
-		for site, plt := range r.PLTBySite() {
-			out[site] = append(out[site], plt)
-		}
-	}
-	return out
-}
-
-// allPLTs flattens every page-load time (seconds) across runs.
-func allPLTs(results []*Result) []float64 {
-	var out []float64
-	for _, r := range results {
-		out = append(out, r.PLTSeconds()...)
-	}
-	return out
-}
-
-// meanRetx averages total retransmissions per run.
-func meanRetx(results []*Result) float64 {
-	var s float64
-	for _, r := range results {
-		s += float64(r.Retransmissions())
-	}
-	return s / float64(len(results))
 }

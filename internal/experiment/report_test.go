@@ -54,15 +54,15 @@ func TestGetUnknownExperiment(t *testing.T) {
 
 func TestSweepUsesDistinctSeeds(t *testing.T) {
 	h := Harness{Runs: 2, Seed: 10}
-	results := sweep(h, Options{Network: NetWiFi})
+	results := sweepStats(h, Options{Network: NetWiFi})
 	if len(results) != 2 {
 		t.Fatalf("%d results", len(results))
 	}
-	if results[0].Opts.Seed == results[1].Opts.Seed {
+	if results[0].Seed == results[1].Seed {
 		t.Fatal("seeds not swept")
 	}
 	// Different seeds must give different outcomes somewhere.
-	a, b := results[0].PLTSeconds(), results[1].PLTSeconds()
+	a, b := results[0].PLTs, results[1].PLTs
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

@@ -115,10 +115,6 @@ func (r *Runner) CachedConditions() int { return r.cache.len() }
 // counters used by the streaming sweep path.
 func (r *Runner) StreamCacheStats() CacheStats { return r.stats.stats() }
 
-// StreamCachedConditions reports how many per-run aggregates are
-// memoized.
-func (r *Runner) StreamCachedConditions() int { return r.stats.len() }
-
 // ResetCache drops all memoized results and aggregates and zeroes the
 // counters.
 func (r *Runner) ResetCache() {
@@ -137,40 +133,48 @@ func (r *Runner) Run(opts Options) *Result {
 	return r.cache.getOrRun(key, func() *Result { return Run(opts) })
 }
 
-// Sweep runs one condition across h.Runs seeds, fanning the seeds out
-// over the worker pool. The returned slice is ordered by seed (index i
-// holds seed h.Seed+i), so output is bit-for-bit identical to a serial
-// sweep regardless of parallelism.
-func (r *Runner) Sweep(h Harness, base Options) []*Result {
-	out := make([]*Result, h.Runs)
-	r.beginSweep(h.Runs)
-	if h.Runs <= 1 || r.parallel <= 1 {
-		for i := range out {
-			opts := base
-			opts.Seed = h.Seed + uint64(i)
-			out[i] = r.Run(opts)
-			r.noteRun()
+// fanOut computes items 0…n−1 with run, one goroutine each and at most
+// cap(sem) at a time, and hands every value to emit on the caller's
+// goroutine strictly in index order, so a parallel sweep performs its
+// caller-side work in exactly the order a serial one does. window > 0
+// caps how many items may be started but not yet emitted: item i+window
+// starts once item i has been emitted. A width of 1, or a single item,
+// runs serially on the caller.
+func fanOut[T any](sem chan struct{}, n, window int, run func(i int) T, emit func(T)) {
+	if n <= 1 || cap(sem) <= 1 {
+		for i := 0; i < n; i++ {
+			emit(run(i))
 		}
-		return out
+		return
 	}
-	var wg sync.WaitGroup
-	for i := range out {
-		opts := base
-		opts.Seed = h.Seed + uint64(i)
-		wg.Add(1)
-		go func(i int, opts Options) {
-			defer wg.Done()
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
-			out[i] = r.Run(opts)
-			r.noteRun()
-		}(i, opts)
+	slots := n
+	if window > 0 && window < n {
+		slots = window
 	}
-	wg.Wait()
-	return out
+	vals := make([]T, slots)
+	ready := make([]bool, slots)
+	finished := make(chan int, slots) // room for every started item: a worker never blocks
+	started := 0
+	for next := 0; next < n; next++ {
+		for ; started < n && started < next+slots; started++ {
+			go func(i int) {
+				sem <- struct{}{}
+				vals[i%slots] = run(i)
+				<-sem
+				finished <- i
+			}(started)
+		}
+		slot := next % slots
+		for !ready[slot] {
+			ready[<-finished%slots] = true
+		}
+		v := vals[slot]
+		vals[slot], ready[slot] = *new(T), false
+		emit(v)
+	}
 }
 
-// defaultRunner backs the package-level sweep()/cachedRun() helpers the
+// defaultRunner backs the package-level sweep and cachedRun helpers the
 // registered experiments use; one shared cache means `spdysim -exp all`
 // computes each condition exactly once across all experiments.
 var (
@@ -195,11 +199,6 @@ func DefaultRunner() *Runner {
 	defaultRunnerMu.Lock()
 	defer defaultRunnerMu.Unlock()
 	return defaultRunner
-}
-
-// sweep runs one condition across h.Runs seeds on the shared runner.
-func sweep(h Harness, base Options) []*Result {
-	return DefaultRunner().Sweep(h, base)
 }
 
 // sweepStats runs one condition across h.Runs seeds on the shared

@@ -1,9 +1,10 @@
-// Streaming sweep engine: the bounded-memory counterpart of Sweep.
+// Streaming sweeps: SweepStats, SweepEach and SweepStream, the three
+// callers of the runner's one seed-ordered fan-out.
 //
 // A full Result retains a probe trace, telemetry samples and the page
-// graph (~2 MB per condition even after the columnar squeeze), so the
-// store-everything sweep caps how many simulated users fit in memory.
-// The streaming path distills each finished run into a RunStats — a few
+// graph (~2 MB per condition even after the columnar squeeze), so keeping
+// every Result of a sweep caps how many simulated users fit in memory.
+// The aggregate path distills each finished run into a RunStats — a few
 // hundred bytes of exact per-run aggregates — and releases the Result
 // immediately. RunStats still carries the per-run PLT vector (~20
 // floats), so experiments reconstruct their flat sample vectors in seed
@@ -13,7 +14,6 @@
 package experiment
 
 import (
-	"sync"
 	"time"
 
 	"spdier/internal/tcpsim"
@@ -167,82 +167,33 @@ func (r *Runner) RunStats(opts Options) *RunStats {
 }
 
 // SweepStats runs one condition across h.Runs seeds, returning per-run
-// aggregates ordered by seed. Like Sweep, the output is bit-for-bit
-// identical regardless of parallelism; unlike Sweep, memory stays flat —
-// each worker releases its Result the moment it is distilled.
+// aggregates ordered by seed: bit-for-bit identical regardless of
+// parallelism, and flat in memory — each worker releases its Result the
+// moment it is distilled.
 func (r *Runner) SweepStats(h Harness, base Options) []*RunStats {
-	out := make([]*RunStats, h.Runs)
 	r.beginSweep(h.Runs)
-	if h.Runs <= 1 || r.parallel <= 1 {
-		for i := range out {
-			opts := base
-			opts.Seed = h.Seed + uint64(i)
-			out[i] = r.RunStats(opts)
-			r.noteRun()
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for i := range out {
-		opts := base
-		opts.Seed = h.Seed + uint64(i)
-		wg.Add(1)
-		go func(i int, opts Options) {
-			defer wg.Done()
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
-			out[i] = r.RunStats(opts)
-			r.noteRun()
-		}(i, opts)
-	}
-	wg.Wait()
+	out := make([]*RunStats, 0, h.Runs)
+	fanOut(r.sem, h.Runs, 0, func(i int) *RunStats {
+		rs := r.RunStats(h.seeded(base, i))
+		r.noteRun()
+		return rs
+	}, func(rs *RunStats) { out = append(out, rs) })
 	return out
 }
 
 // SweepEach streams full Results through fn strictly in seed order,
-// releasing each one afterwards. Seeds are computed in parallel chunks
-// of the worker-pool size, so at most `parallel` Results are in flight
-// while fn observes exactly the sequence a serial sweep would produce —
-// for the few experiments whose flat fold order over full Results cannot
-// be regrouped per run without perturbing float low bits.
+// releasing each one afterwards — for the few experiments whose flat fold
+// order over full Results cannot be regrouped per run without perturbing
+// float low bits. Seed i+parallel starts once fn has consumed seed i, so
+// at most `parallel` Results are alive while fn observes exactly the
+// sequence a serial sweep would produce.
 func (r *Runner) SweepEach(h Harness, base Options, fn func(*Result)) {
 	r.beginSweep(h.Runs)
-	if h.Runs <= 1 || r.parallel <= 1 {
-		for i := 0; i < h.Runs; i++ {
-			opts := base
-			opts.Seed = h.Seed + uint64(i)
-			res := r.Run(opts)
-			r.noteRun()
-			fn(res)
-		}
-		return
-	}
-	chunk := r.parallel
-	buf := make([]*Result, chunk)
-	for lo := 0; lo < h.Runs; lo += chunk {
-		hi := lo + chunk
-		if hi > h.Runs {
-			hi = h.Runs
-		}
-		var wg sync.WaitGroup
-		for i := lo; i < hi; i++ {
-			opts := base
-			opts.Seed = h.Seed + uint64(i)
-			wg.Add(1)
-			go func(slot int, opts Options) {
-				defer wg.Done()
-				r.sem <- struct{}{}
-				defer func() { <-r.sem }()
-				buf[slot] = r.Run(opts)
-				r.noteRun()
-			}(i-lo, opts)
-		}
-		wg.Wait()
-		for i := lo; i < hi; i++ {
-			fn(buf[i-lo])
-			buf[i-lo] = nil
-		}
-	}
+	fanOut(r.sem, h.Runs, r.parallel, func(i int) *Result {
+		res := r.Run(h.seeded(base, i))
+		r.noteRun()
+		return res
+	}, fn)
 }
 
 // Folder accumulates RunStats into mergeable state — typically a struct
@@ -296,9 +247,7 @@ func ShardRange(runs, si int) (lo, hi int) {
 func (r *Runner) FillShard(h Harness, base Options, si int, f Folder, onRun func()) {
 	lo, hi := ShardRange(h.Runs, si)
 	for i := lo; i < hi; i++ {
-		opts := base
-		opts.Seed = h.Seed + uint64(i)
-		f.Fold(r.RunStats(opts))
+		f.Fold(r.RunStats(h.seeded(base, i)))
 		r.noteRun()
 		if onRun != nil {
 			onRun()
@@ -307,72 +256,57 @@ func (r *Runner) FillShard(h Harness, base Options, si int, f Folder, onRun func
 }
 
 // SweepStream folds one condition's runs into shard accumulators and
-// merges the shards in index order. Workers fold their seed range
-// sequentially and release each Result immediately, so memory stays flat
-// no matter how large h.Runs grows. When a ShardExecutor is installed
-// (SetShardExecutor), each shard is offered to it first — the process
-// fabric computes it in a worker process — and any declined shard falls
-// back to the in-process fold; either way the merge below consumes
-// shards strictly in index order, so the result is bit-identical.
+// merges the shards in index order as they finish. Workers fold their
+// seed range sequentially and release each Result immediately, so memory
+// stays flat no matter how large h.Runs grows. When a ShardExecutor is
+// installed (SetShardExecutor), each shard is offered to it first — the
+// process fabric computes it in a worker process — and a declined shard
+// folds in-process under the runner's own pool; either way the merge
+// consumes shards strictly in index order, so the result is bit-identical.
 func (r *Runner) SweepStream(h Harness, base Options, newShard func() Folder) Folder {
 	r.beginSweep(h.Runs)
-	if h.Runs <= 0 {
-		return newShard()
-	}
-	shards := ShardCount(h.Runs)
-	out := make([]Folder, shards)
-	ex := r.shardExecutor()
-	fill := func(si int) {
-		if ex != nil {
-			if f := ex.ExecuteShard(h, base, si, newShard); f != nil {
-				out[si] = f
-				return
-			}
-		}
+	fill := func(si int) Folder {
 		f := newShard()
 		r.FillShard(h, base, si, f, nil)
-		out[si] = f
+		return f
 	}
-	// Dispatch width: the runner's own pool, widened to the executor's
-	// worker-process count when one is installed — a dispatch goroutine
-	// for a remote shard just waits on a pipe, so the in-process
-	// GOMAXPROCS bound would strand worker processes idle. The executor's
-	// own slot pool still bounds actual remote compute.
-	width := r.parallel
-	if wp, ok := ex.(interface{ Workers() int }); ok && wp.Workers() > width {
-		width = wp.Workers()
+	sem, run := r.sem, fill
+	if ex := r.shardExecutor(); ex != nil {
+		// Dispatch width: the runner's own pool, widened to the executor's
+		// worker-process count — a dispatch goroutine for a remote shard
+		// just waits on a pipe, so the in-process bound would strand
+		// worker processes idle. The executor's slot pool bounds remote
+		// compute; a declined shard takes a slot of the runner's pool.
+		width := r.parallel
+		if wp, ok := ex.(interface{ Workers() int }); ok && wp.Workers() > width {
+			width = wp.Workers()
+		}
+		sem = make(chan struct{}, width)
+		run = func(si int) Folder {
+			if f := ex.ExecuteShard(h, base, si, newShard); f != nil {
+				return f
+			}
+			r.sem <- struct{}{}
+			defer func() { <-r.sem }()
+			return fill(si)
+		}
 	}
-	if shards == 1 || width <= 1 {
-		for si := range out {
-			fill(si)
+	var acc Folder
+	fanOut(sem, ShardCount(h.Runs), 0, run, func(f Folder) {
+		if acc == nil {
+			acc = f
+		} else {
+			acc.Merge(f)
 		}
-	} else {
-		sem := r.sem
-		if width > r.parallel {
-			sem = make(chan struct{}, width)
-		}
-		var wg sync.WaitGroup
-		for si := range out {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				fill(si)
-			}(si)
-		}
-		wg.Wait()
-	}
-	acc := out[0]
-	for _, f := range out[1:] {
-		acc.Merge(f)
+	})
+	if acc == nil {
+		return newShard()
 	}
 	return acc
 }
 
-// The report-side helpers below mirror pltBySite/allPLTs/meanRetx over
-// RunStats, preserving the exact append orders so converted experiments
-// stay bit-identical.
+// The report-side helpers below reduce a sweep's RunStats in seed order,
+// preserving the exact append orders so experiments stay bit-identical.
 
 // pltBySiteStats maps 1-based site index to PLT seconds across runs.
 func pltBySiteStats(rs []*RunStats) map[int][]float64 {
