@@ -169,9 +169,8 @@ func SortDiagnostics(diags []Diagnostic) {
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
 		}
-		// Several findings can share a position (fieldcover anchors all
-		// of a rule's misses to the mapping function when the struct is
-		// foreign); order them by message so output is deterministic.
+		// Several findings of one analyzer can share a position; order
+		// them by message so output is deterministic.
 		return a.Message < b.Message
 	})
 }

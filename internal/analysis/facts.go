@@ -40,7 +40,7 @@ type Fact interface {
 }
 
 // factTypeName returns the stable wire name of a fact's dynamic type,
-// e.g. "*fieldcover.AccessFact" → "fieldcover.AccessFact".
+// e.g. "*dettaint.SinkFact" → "dettaint.SinkFact".
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	if t.Kind() == reflect.Pointer {

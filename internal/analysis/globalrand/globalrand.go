@@ -5,7 +5,8 @@
 // stop being a function of the root seed. The simulator's own
 // sim.RNG (seedable, forkable, allocation-free) is the replacement;
 // an explicitly seeded rand.New(rand.NewSource(seed)) is tolerated
-// because it is still a pure function of its seed.
+// because it is still a pure function of its seed. A testing/quick
+// Config without a Rand is flagged too: its cases come from the clock.
 package globalrand
 
 import (
@@ -17,8 +18,8 @@ import (
 // Analyzer is the globalrand check.
 var Analyzer = &analysis.Analyzer{
 	Name: "globalrand",
-	Doc: "forbid math/rand global-source functions and unseeded rand.New in the deterministic core; " +
-		"randomness must come from the seeded, forkable sim.RNG",
+	Doc: "forbid math/rand global-source functions, unseeded rand.New and quick.Config without Rand in the " +
+		"deterministic core; randomness must come from the seeded, forkable sim.RNG",
 	Run: run,
 }
 
@@ -42,11 +43,21 @@ var allowed = map[string]bool{
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, isLit := n.(*ast.CompositeLit); isLit {
+				checkQuickConfig(pass, lit)
+				return true
+			}
 			call, isCall := n.(*ast.CallExpr)
 			if !isCall {
 				return true
 			}
 			pkgPath, name, isPkgFn := analysis.PkgFuncCall(pass.TypesInfo, call)
+			if isPkgFn && pkgPath == quickPkg && (name == "Check" || name == "CheckEqual") {
+				if last := call.Args[len(call.Args)-1]; pass.TypesInfo.Types[last].IsNil() {
+					pass.Reportf(last.Pos(), "quick.%s with a nil Config draws its cases from a time-seeded source; pass a Config with Rand: rand.New(rand.NewSource(seed))", name)
+				}
+				return true
+			}
 			if !isPkgFn || !randPkgs[pkgPath] {
 				return true
 			}
@@ -80,4 +91,19 @@ func hasExplicitSource(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return name == "NewSource" || name == "NewPCG" || name == "NewChaCha8"
+}
+
+const quickPkg = "testing/quick"
+
+// checkQuickConfig reports a quick.Config literal that leaves Rand nil.
+func checkQuickConfig(pass *analysis.Pass, lit *ast.CompositeLit) {
+	if !analysis.IsNamedType(pass.TypesInfo.TypeOf(lit), quickPkg, "Config") {
+		return
+	}
+	for _, elt := range lit.Elts {
+		if kv, isKV := elt.(*ast.KeyValueExpr); isKV && kv.Key.(*ast.Ident).Name == "Rand" && !pass.TypesInfo.Types[kv.Value].IsNil() {
+			return
+		}
+	}
+	pass.Reportf(lit.Pos(), "quick.Config without Rand draws its cases from a time-seeded source; set Rand: rand.New(rand.NewSource(seed))")
 }

@@ -2,7 +2,10 @@
 // explicitly seeded generators (allowed).
 package globalrand
 
-import "math/rand"
+import (
+	"math/rand"
+	"testing/quick"
+)
 
 func bad() int {
 	n := rand.Intn(10)                 // want `rand\.Intn uses the process-global`
@@ -27,4 +30,19 @@ func goodSeeded(seed int64) *rand.Rand {
 // question was settled at construction.
 func goodMethods(rng *rand.Rand) int {
 	return rng.Intn(10)
+}
+
+// badQuick: a quick.Config without Rand — or no Config at all — draws
+// its cases from a time-seeded generator.
+func badQuick(f func(int) bool) {
+	_ = quick.Check(f, &quick.Config{MaxCount: 10}) // want `quick\.Config without Rand`
+	_ = quick.Check(f, &quick.Config{Rand: nil})    // want `quick\.Config without Rand`
+	_ = quick.Check(f, nil)                         // want `quick\.Check with a nil Config`
+	_ = quick.CheckEqual(f, f, nil)                 // want `quick\.CheckEqual with a nil Config`
+}
+
+// goodQuick: cases drawn from a fixed seed replay.
+func goodQuick(f func(int) bool, seed int64) {
+	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(seed))}
+	_ = quick.Check(f, cfg)
 }

@@ -21,43 +21,12 @@ import (
 	"spdier/internal/analysis"
 	"spdier/internal/analysis/clockarith"
 	"spdier/internal/analysis/dettaint"
-	"spdier/internal/analysis/fieldcover"
 	"spdier/internal/analysis/globalrand"
 	"spdier/internal/analysis/maprange"
 	"spdier/internal/analysis/poolbalance"
 	"spdier/internal/analysis/shadow"
 	"spdier/internal/analysis/wallclock"
 )
-
-// FieldcoverRules pins the repo's hand-maintained struct↔function
-// mappings: the cache key over Options, the accumulator codecs, the
-// shard folder codec, and Spec.Apply. Every field of each struct must
-// be read (encode direction) or written (decode direction) by its
-// mapping function, or carry a //lint:allow fieldcover with a reason.
-//
-// CacheKey and the codecs are deliberately non-transitive: the
-// invariant is that THOSE function bodies cover every field, so a read
-// buried in a helper (withDefaults also reads several Options fields)
-// does not count as key coverage. Spec.Apply is transitive because it
-// delegates to Layers() by design.
-var FieldcoverRules = []fieldcover.Rule{
-	{Pkg: "spdier/internal/experiment", Struct: "Options", Func: "CacheKey", Direction: fieldcover.Read},
-	{Pkg: "spdier/internal/experiment", Struct: "RunStats", Func: "NewRunStats", Direction: fieldcover.Write},
-	{Pkg: "spdier/internal/experiment", Struct: "pltFolder", Func: "pltFolder.MarshalBinary", Direction: fieldcover.Read},
-	{Pkg: "spdier/internal/experiment", Struct: "pltFolder", Func: "pltFolder.UnmarshalBinary", Direction: fieldcover.Write},
-	{Pkg: "spdier/internal/experiment", Struct: "pltFolder", Func: "pltFolder.Merge", Direction: fieldcover.Read},
-	{Pkg: "spdier/internal/stats", Struct: "Moments", Func: "Moments.MarshalBinary", Direction: fieldcover.Read},
-	{Pkg: "spdier/internal/stats", Struct: "Moments", Func: "Moments.UnmarshalBinary", Direction: fieldcover.Write},
-	{Pkg: "spdier/internal/stats", Struct: "QuantileSketch", Func: "QuantileSketch.MarshalBinary", Direction: fieldcover.Read},
-	{Pkg: "spdier/internal/stats", Struct: "QuantileSketch", Func: "QuantileSketch.UnmarshalBinary", Direction: fieldcover.Write},
-	{Pkg: "spdier/internal/stats", Struct: "Hist", Func: "Hist.MarshalBinary", Direction: fieldcover.Read},
-	{Pkg: "spdier/internal/stats", Struct: "Hist", Func: "Hist.UnmarshalBinary", Direction: fieldcover.Write},
-	{Pkg: "spdier/internal/transport", Struct: "Spec", Func: "Spec.Apply", Direction: fieldcover.Read, Transitive: true},
-}
-
-// fieldcoverAnalyzer is the policy-carrying instance the suite runs;
-// //lint:fieldcover directives work through it anywhere in the module.
-var fieldcoverAnalyzer = fieldcover.New(FieldcoverRules)
 
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
@@ -67,7 +36,6 @@ var Analyzers = []*analysis.Analyzer{
 	poolbalance.Analyzer,
 	clockarith.Analyzer,
 	shadow.Analyzer,
-	fieldcoverAnalyzer,
 	dettaint.Analyzer,
 }
 
@@ -165,13 +133,12 @@ func ForPackage(importPath string) ([]*analysis.Analyzer, map[string]func(string
 	}
 	if strings.HasPrefix(importPath, "spdier/") || importPath == "spdier" {
 		out = append(out, shadow.Analyzer)
-		// The fact-producing analyzers run module-wide so their facts
-		// exist wherever a deterministic package's call graph leads.
-		// fieldcover self-scopes (policy rules name their package,
-		// directives fire where written); dettaint's reporting is muted
-		// outside the deterministic set — an all-rejecting file filter
-		// drops its diagnostics while facts still export.
-		out = append(out, fieldcoverAnalyzer, dettaint.Analyzer)
+		// The fact-producing analyzer runs module-wide so its facts exist
+		// wherever a deterministic package's call graph leads; its
+		// reporting is muted outside the deterministic set — an
+		// all-rejecting file filter drops its diagnostics while facts
+		// still export.
+		out = append(out, dettaint.Analyzer)
 		switch {
 		case isDeterministic(importPath):
 			// report everywhere in the package
@@ -195,9 +162,8 @@ func Check(pkg *analysis.Package) ([]analysis.Diagnostic, error) {
 
 // CheckFacts is Check with an explicit fact store. A driver analyzing
 // packages in dependency order passes the same store for all of them,
-// so facts exported from a dependency (fieldcover's access sets,
-// dettaint's sink/ordered classifications) are visible when its
-// dependents are analyzed.
+// so facts exported from a dependency (dettaint's sink/ordered
+// classifications) are visible when its dependents are analyzed.
 func CheckFacts(pkg *analysis.Package, facts *analysis.FactStore) ([]analysis.Diagnostic, error) {
 	analyzers, filters := ForPackage(pkg.ImportPath)
 	if len(analyzers) == 0 {

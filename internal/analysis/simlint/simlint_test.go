@@ -49,7 +49,7 @@ func TestForPackagePolicy(t *testing.T) {
 	}
 
 	sim := names("spdier/internal/sim")
-	for _, want := range []string{"wallclock", "globalrand", "maprange", "poolbalance", "clockarith", "shadow", "fieldcover", "dettaint"} {
+	for _, want := range []string{"wallclock", "globalrand", "maprange", "poolbalance", "clockarith", "shadow", "dettaint"} {
 		if !sim[want] {
 			t.Errorf("spdier/internal/sim: missing analyzer %s", want)
 		}

@@ -42,17 +42,6 @@ func violations(m map[string]int, rtt time.Duration) (time.Time, error) {
 	return start, err
 }
 
-// knob's directive demands cacheKeyOf read every field; cold is left
-// out: the fieldcover gap finding.
-//
-//lint:fieldcover read=cacheKeyOf
-type knob struct {
-	warm int
-	cold int
-}
-
-func cacheKeyOf(k knob) int { return k.warm }
-
 // emitKey prints — so it carries a SinkFact — without being one of the
 // output calls maprange recognizes locally.
 func emitKey(k string) { fmt.Println(k) }

@@ -1,60 +1,69 @@
 package experiment
 
 import (
-	"fmt"
-	"strings"
+	"math"
+	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
+// keyVersion opens every key. The key feeds the fabric's journal
+// fingerprints, so a new encoding needs a new version: a journal written
+// under another encoding is then a foreign sweep, never a misread one.
+const keyVersion = "k2"
+
 // CacheKey returns the canonical serialization of opts: two Options that
 // produce bit-for-bit identical simulations map to the same key, and any
-// field that changes the simulation changes the key. Defaults are applied
-// first, so a zero field and its explicit default collide as they must.
-//
-// LeanProbe does not change the simulation, but it changes how much of
-// the probe trace the Result retains, so it is part of the key: a lean
-// Result must never be replayed to an experiment that walks the trace.
-//
-// Runs configured through Pages have no canonical key (the pages are
-// arbitrary pointers, not declarative specs) and return ok == false:
-// such runs are never memoized.
+// field that changes the simulation changes the key. It encodes every
+// field after withDefaults, so a zero field and its explicit default
+// collide as they must, and a new Options field needs no edit here.
+// LeanProbe changes only how much probe trace a Result keeps, but a lean
+// Result must never replay to an experiment that walks the trace, so it
+// is keyed like the rest. Runs configured through Pages (arbitrary
+// pointers, not declarative specs) have no key: ok is false and such
+// runs are never memoized.
 func CacheKey(opts Options) (key string, ok bool) {
 	o := opts.withDefaults()
-	if len(o.Pages) > 0 {
-		return "", false
+	var buf [4096]byte
+	if b, ok := appendKey(append(buf[:0], keyVersion...), reflect.ValueOf(&o).Elem()); ok {
+		return string(b), true
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "net=%s|mode=%s|seed=%d|think=%d", o.Network, o.Mode, o.Seed, o.ThinkTime)
-	fmt.Fprintf(&b, "|ping=%t,%d,%d", o.PingKeepalive, o.PingInterval, o.PingBytes)
-	fmt.Fprintf(&b, "|ssai_off=%t|rttreset=%t|cc=%s|nomcache=%t",
-		o.SlowStartAfterIdleOff, o.ResetRTTAfterIdle, o.CC, o.NoMetricsCache)
-	fmt.Fprintf(&b, "|sess=%d|latebind=%t|pipe=%t|nobeacons=%t|fastorigin=%t|noundo=%t|lean=%t",
-		o.SPDYSessions, o.SPDYLateBinding, o.Pipelining, o.NoBeacons, o.FastOrigin, o.DisableUndo, o.LeanProbe)
-	// Loss-recovery fix arms change the simulation; configs that differ
-	// only in an arm must never alias.
-	fmt.Fprintf(&b, "|tlp=%t|rack=%t|frto=%t", o.TLP, o.RACK, o.FRTO)
-	// Protocol-arm knobs (h2 equal-framing oracle mode, QUIC 0-RTT
-	// ablation) likewise change the simulation.
-	fmt.Fprintf(&b, "|h2eq=%t|q0off=%t", o.H2EqualFraming, o.QUICNo0RTT)
-	// PromotionScale 1 and 0 both mean "unscaled"; canonicalize so they
-	// share a key, as they share a simulation.
-	promo := o.PromotionScale
-	if promo == 1 {
-		promo = 0
+	return "", false
+}
+
+// appendKey appends v's encoding to b: each value after a '|', floats
+// as their IEEE-754 bits, strings and slices prefixed by their length
+// (so a string holding '|' cannot alias other fields), structs field by
+// field. Any other kind — a pointer, map, interface, func — has no
+// canonical form and makes ok false.
+func appendKey(b []byte, v reflect.Value) (_ []byte, ok bool) {
+	b = append(b, '|')
+	switch k := v.Kind(); {
+	case k == reflect.Struct:
+		ok = true
+		for i := 0; ok && i < v.NumField(); i++ {
+			b, ok = appendKey(b, v.Field(i))
+		}
+		return b, ok
+	case k == reflect.String:
+		return append(append(strconv.AppendInt(b, int64(v.Len()), 10), ':'), v.String()...), true
+	case k == reflect.Slice:
+		b, ok = strconv.AppendInt(b, int64(v.Len()), 10), true
+		for i := 0; ok && i < v.Len(); i++ {
+			b, ok = appendKey(b, v.Index(i))
+		}
+		return b, ok
+	case k == reflect.Bool:
+		return strconv.AppendBool(b, v.Bool()), true
+	case v.CanInt():
+		return strconv.AppendInt(b, v.Int(), 10), true
+	case v.CanUint():
+		return strconv.AppendUint(b, v.Uint(), 10), true
+	case v.CanFloat():
+		return strconv.AppendUint(b, math.Float64bits(v.Float()), 16), true
 	}
-	fmt.Fprintf(&b, "|xlat=%d|promo=%g|noloss=%t", o.ExtraLatency, promo, o.NoLinkLoss)
-	if im := o.Impair; im.Enabled() {
-		fmt.Fprintf(&b, "|imp=[%g,%g,%g,%g,%g,%d,%g,%d]",
-			im.GEGoodToBad, im.GEBadToGood, im.GELossGood, im.GELossBad,
-			im.ReorderProb, im.ReorderDelay, im.DupProb, im.ExtraJitter)
-	}
-	fmt.Fprintf(&b, "|sample=%d|pstride=%d|sites=", o.SampleEvery, o.ProbeStride)
-	for _, s := range o.Sites {
-		fmt.Fprintf(&b, "[%d,%s,%g,%g,%g,%g,%g,%g]",
-			s.Index, s.Category, s.TotalObjs, s.AvgSizeKB, s.Domains, s.TextObjs, s.JSCSS, s.ImgsOther)
-	}
-	return b.String(), true
+	return b, false
 }
 
 // CacheStats counts cache outcomes. A hit is any lookup that reuses a
@@ -72,17 +81,15 @@ func (s CacheStats) HitRate() float64 {
 	return 0
 }
 
-// DefaultCacheCapacity bounds how many Results a runner retains. A full
-// 20-site run used to keep ~16 MB of boxed tcp_probe samples; the
-// columnar, stride-downsampled recorder holds the same run in ~2 MB, so
-// the bound rises accordingly. The LRU still evicts beyond capacity while
-// the baseline conditions every experiment re-sweeps stay resident.
+// DefaultCacheCapacity bounds how many Results a runner retains (~2 MB
+// each for a 20-site run): the baseline conditions every experiment
+// re-sweeps stay resident while the LRU evicts beyond capacity.
 const DefaultCacheCapacity = 256
 
 // DefaultStatsCacheCapacity bounds the per-run aggregate (RunStats)
-// cache. Entries are a few hundred bytes — roughly four orders of
-// magnitude smaller than a full Result — so the streaming sweep path can
-// afford to remember far more conditions than the Result cache.
+// cache. An entry — a few hundred bytes plus its ~2.5 KB key for 20
+// sites — is three orders of magnitude smaller than a full Result, so the
+// streaming sweep path can remember far more conditions.
 const DefaultStatsCacheCapacity = 1 << 16
 
 // memoCache memoizes computed values by canonical Options key, evicting
@@ -107,13 +114,6 @@ type memoEntry[V any] struct {
 
 func newMemoCache[V any](capacity int) *memoCache[V] {
 	return &memoCache[V]{entries: make(map[string]*memoEntry[V], 16), cap: capacity}
-}
-
-// resultCache memoizes full simulation Results.
-type resultCache = memoCache[*Result]
-
-func newResultCache(capacity int) *resultCache {
-	return newMemoCache[*Result](capacity)
 }
 
 // getOrRun returns the memoized value for key, computing it with run on

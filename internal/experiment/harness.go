@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"slices"
 	"time"
 
 	"spdier/internal/browser"
@@ -179,6 +180,14 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeStride == 0 {
 		o.ProbeStride = defaultProbeStride
+	}
+	// Canonical forms, so CacheKey sees one value per simulation: a 0
+	// scale runs as 1, and disabled impairments' knobs draw nothing.
+	if o.PromotionScale == 0 {
+		o.PromotionScale = 1
+	}
+	if !o.Impair.Enabled() {
+		o.Impair = netem.Impairments{}
 	}
 	return o
 }
@@ -366,10 +375,9 @@ func Run(opts Options) *Result {
 	prox := proxy.New(loop, origin)
 
 	bcfg := browser.DefaultConfig(opts.Mode)
-	// The proxy-side stack is composed from transport layers; the Spec
-	// produces a Config field-for-field identical to the direct
-	// assignments it replaced (pinned by transport's equivalence test and
-	// the layering tests here), so goldens cannot move.
+	// The proxy-side stack is one transport.Spec; Apply sets the Config
+	// fields the direct assignments it replaced did (pinned by transport's
+	// equivalence test and the layering tests here), so goldens cannot move.
 	spec := transport.Spec{
 		Kind:               transport.Kind(opts.Mode),
 		CC:                 opts.CC,
@@ -462,15 +470,7 @@ func Run(opts Options) *Result {
 	// callback by the browser's page watchdog, so keep the loop running
 	// until all callbacks have fired, capped at the instant the last
 	// possible watchdog fires.
-	incomplete := func() bool {
-		for _, rec := range records {
-			if rec == nil {
-				return true
-			}
-		}
-		return false
-	}
-	if incomplete() {
+	if slices.Contains(records, nil) {
 		lastStart := sim.Time(len(order)-1) * sim.Time(opts.ThinkTime)
 		hardCap := lastStart + sim.Time(bcfg.PageTimeout) + sim.Second
 		if hardCap > end {

@@ -17,7 +17,7 @@ import (
 // A Runner is safe for concurrent use.
 type Runner struct {
 	parallel int
-	cache    *resultCache
+	cache    *memoCache[*Result]
 	stats    *memoCache[*RunStats]
 	sem      chan struct{}
 
@@ -44,7 +44,7 @@ func NewRunner(parallel int) *Runner {
 	}
 	return &Runner{
 		parallel: parallel,
-		cache:    newResultCache(DefaultCacheCapacity),
+		cache:    newMemoCache[*Result](DefaultCacheCapacity),
 		stats:    newMemoCache[*RunStats](DefaultStatsCacheCapacity),
 		sem:      make(chan struct{}, parallel),
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spdier/internal/browser"
+	"spdier/internal/netem"
 	"spdier/internal/stats"
 	"spdier/internal/webpage"
 )
@@ -296,5 +297,24 @@ func TestSweepEachSlowSeedDoesNotHoldBackTheNext(t *testing.T) {
 	})
 	if doneAtSeed1 < 3 {
 		t.Fatalf("%d runs done when seed 1 was delivered, want seeds 0, 1 and 2", doneAtSeed1)
+	}
+}
+
+// TestNewRunStatsWritesEveryField: NewRunStats must fill every RunStats
+// field, or the field reads zero in every sweep. One impaired SPDY run
+// over 3G with all three recovery arms on drives every counter;
+// Incomplete is copied from the Result, so the test sets it there.
+func TestNewRunStatsWritesEveryField(t *testing.T) {
+	res := Run(Options{
+		Mode: browser.ModeSPDY, Network: Net3G, Seed: 3, Sites: webpage.Table1()[:6],
+		TLP: true, RACK: true, FRTO: true,
+		Impair: netem.Impairments{GEGoodToBad: 0.01, GEBadToGood: 0.3, GELossBad: 0.5},
+	})
+	res.Incomplete = 1
+	rs := reflect.ValueOf(*NewRunStats(res))
+	for i := 0; i < rs.NumField(); i++ {
+		if rs.Field(i).IsZero() {
+			t.Errorf("RunStats.%s is zero: NewRunStats does not derive it", rs.Type().Field(i).Name)
+		}
 	}
 }

@@ -243,6 +243,57 @@ func TestJournalRefusesForeignSweep(t *testing.T) {
 	}
 }
 
+// unversionedKey is the cache key testCondition's Options had before the
+// key was derived from the struct: hand-ordered fields, no version.
+const unversionedKey = "net=wifi|mode=http|seed=0|think=60000000000|ping=false,2000000000,600|" +
+	"ssai_off=false|rttreset=false|cc=cubic|nomcache=false|sess=1|latebind=false|pipe=false|" +
+	"nobeacons=false|fastorigin=false|noundo=false|lean=false|tlp=false|rack=false|frto=false|" +
+	"h2eq=false|q0off=false|xlat=0|promo=0|noloss=false|sample=500000000|pstride=4|" +
+	"sites=[1,Finance,134.8,626.9,37.6,28.6,41.3,64.9][2,Entertainment,160.6,2197.3,36.3,16.5,28,116.1]"
+
+// TestJournalUnderTheUnversionedKeyIsNotReplayed: a checkpoint journal
+// written under the previous key encoding belongs to another sweep, so
+// resuming the same condition computes every shard and replays none —
+// even though each of its records would decode.
+func TestJournalUnderTheUnversionedKeyIsNotReplayed(t *testing.T) {
+	const runs = 32
+	dir := t.TempDir()
+	h, base := testCondition(runs)
+	want := encodeSweep(t, experiment.NewRunner(1), runs)
+	shards := experiment.ShardCount(runs)
+
+	oldFP := sweepFingerprint(unversionedKey, "plt", h.Runs, h.Seed)
+	j, err := OpenJournal(dir, oldFP, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := experiment.NewRunner(1)
+	for si := 0; si < shards; si++ {
+		f := newPLTShard(t)()
+		r.FillShard(h, base, si, f, nil)
+		agg, err := experiment.EncodeFolder(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(si, shardFingerprint(oldFP, si), agg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newTestCoordinator(t, Config{Workers: 2, CheckpointDir: dir, Resume: true})
+	rr := experiment.NewRunner(0)
+	rr.SetShardExecutor(c)
+	if got := encodeSweep(t, rr, runs); !bytes.Equal(got, want) {
+		t.Errorf("resumed sweep bytes differ from in-process")
+	}
+	if st := c.Stats(); st.ShardsReplayed != 0 || st.ShardsRemote != shards {
+		t.Errorf("resume over an unversioned-key journal: replayed %d / remote %d, want 0 / %d", st.ShardsReplayed, st.ShardsRemote, shards)
+	}
+}
+
 // TestWirePipe sanity-checks the frame codec over an in-memory pipe.
 func TestWirePipe(t *testing.T) {
 	var buf bytes.Buffer

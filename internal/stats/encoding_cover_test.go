@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// These tests are the runtime twins of the fieldcover rules on the
-// accumulator codecs: for every struct field there is a pair of values
-// differing only in that field whose encodings must differ (encode
-// covers the field), and a round trip must restore the field exactly
-// (decode covers it). The NumField pins force this table to grow with
-// the struct, mirroring how fieldcover forces the codec to.
+// These tests hold the accumulator codecs to every field: for each
+// struct field there is a pair of values differing only in that field
+// whose encodings must differ (encode covers the field), and a round
+// trip must restore the field exactly (decode covers it). The NumField
+// pins force this table — and with it the codec — to grow with the
+// struct.
 
 func mustMarshal(t *testing.T, enc interface{ MarshalBinary() ([]byte, error) }) []byte {
 	t.Helper()

@@ -11,14 +11,12 @@ type sinkProbe struct{}
 
 func (sinkProbe) Sample(tcpsim.ProbeSample) {}
 
-// TestApplyCoversEverySpecField is the runtime twin of the transitive
-// fieldcover rule on (Spec, Apply): every Spec field except Kind must
-// change the composed Config under some perturbation, so an arm that
-// sets a field is guaranteed to configure what it claims to measure.
-// Kind is exempt by policy (it selects client/session machinery, not a
-// Config knob) — the same exemption the //lint:allow on the field
-// records. A new Spec field fails this test until a perturbation (and a
-// Layers entry) exists for it.
+// TestApplyCoversEverySpecField: every Spec field except Kind must
+// change the applied Config under some perturbation, so an arm that sets
+// a field is guaranteed to configure what it claims to measure. Kind is
+// exempt (it selects client/session machinery, not a Config knob). A new
+// Spec field fails this test until a perturbation (and an assignment in
+// Apply) exists for it.
 func TestApplyCoversEverySpecField(t *testing.T) {
 	perturb := map[string]func(*Spec){
 		"Kind":               nil, // exempt: not a Config knob
@@ -40,7 +38,7 @@ func TestApplyCoversEverySpecField(t *testing.T) {
 		name := typ.Field(i).Name
 		fn, covered := perturb[name]
 		if !covered {
-			t.Errorf("Spec.%s has no perturbation here: decide how Apply composes it (and add a Layers entry)", name)
+			t.Errorf("Spec.%s has no perturbation here: decide how Apply sets it", name)
 			continue
 		}
 		if fn == nil {
@@ -49,7 +47,7 @@ func TestApplyCoversEverySpecField(t *testing.T) {
 		var s Spec
 		fn(&s)
 		if reflect.DeepEqual(s.Apply(base), zero) {
-			t.Errorf("Spec.%s: perturbation did not change the composed Config — the field is not wired through Layers", name)
+			t.Errorf("Spec.%s: perturbation did not change the composed Config — Apply does not set the field", name)
 		}
 	}
 }

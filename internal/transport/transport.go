@@ -1,16 +1,14 @@
-// Package transport composes an endpoint's transport stack from
-// independent layers — congestion control, loss recovery, idle policy,
-// undo policy, connection metrics, instrumentation — instead of
-// hand-assigning tcpsim.Config flags at every call site (ROADMAP
-// item 1).
+// Package transport names an endpoint's transport stack — congestion
+// control, loss recovery, idle policy, undo policy, connection metrics,
+// instrumentation — as one Spec, instead of hand-assigning tcpsim.Config
+// flags at every call site.
 //
-// A Layer is a Config transformer; Compose folds layers over a base
-// Config in order. The composition is *config-level* on purpose: the
-// resulting Config is field-for-field identical to what the legacy
-// direct assignments produced, so the refactor cannot perturb a single
-// RNG draw or event timestamp — which is what lets the golden-report
-// tests pin "composed stack ≡ pre-refactor monolith" byte for byte
-// (see internal/experiment/layering_test.go).
+// Spec.Apply is *config-level* on purpose: the resulting Config is
+// field-for-field identical to what the legacy direct assignments
+// produced, so the refactor cannot perturb a single RNG draw or event
+// timestamp — which is what lets the golden-report tests pin "composed
+// stack ≡ pre-refactor monolith" byte for byte (see
+// internal/experiment/layering_test.go).
 //
 // Kind names the wire protocol multiplexing layer above the transport;
 // the browser/proxy pair select their session machinery from it, while
@@ -18,69 +16,6 @@
 package transport
 
 import "spdier/internal/tcpsim"
-
-// Layer is one composable stack ingredient: a pure Config transformer.
-type Layer func(*tcpsim.Config)
-
-// Compose applies layers to a copy of base, left to right, and returns
-// the finished Config. Later layers win on overlapping fields.
-func Compose(base tcpsim.Config, layers ...Layer) tcpsim.Config {
-	for _, l := range layers {
-		if l != nil {
-			l(&base)
-		}
-	}
-	return base
-}
-
-// CC selects the congestion-control variant by registry name
-// ("cubic", "reno", or anything installed via tcpsim.RegisterCC). An
-// empty name defers to the base Config's variant.
-func CC(name string) Layer {
-	return func(c *tcpsim.Config) {
-		if name != "" {
-			c.CC = name
-		}
-	}
-}
-
-// Recovery installs a loss-recovery policy (the PR-6 TLP/RACK/F-RTO
-// arms as one unit).
-func Recovery(p tcpsim.RecoveryPolicy) Layer {
-	return func(c *tcpsim.Config) { *c = c.WithRecovery(p) }
-}
-
-// Idle sets the idle-window policy pair the paper's §6 revolves around:
-// Linux cwnd validation and the §6.2.1 RTT-reset fix.
-func Idle(slowStartAfterIdle, resetRTTAfterIdle bool) Layer {
-	return func(c *tcpsim.Config) {
-		c.SlowStartAfterIdle = slowStartAfterIdle
-		c.ResetRTTAfterIdle = resetRTTAfterIdle
-	}
-}
-
-// Undo disables (or re-enables) DSACK/Eifel undo of spurious loss
-// episodes — the §6.2.1 ablation arm.
-func Undo(disabled bool) Layer {
-	return func(c *tcpsim.Config) { c.DisableUndo = disabled }
-}
-
-// Metrics attaches the shared per-destination cache (§6.2.4); nil
-// detaches it.
-func Metrics(mc *tcpsim.MetricsCache) Layer {
-	return func(c *tcpsim.Config) { c.Metrics = mc }
-}
-
-// Probe attaches tcp_probe-style instrumentation; nil detaches it.
-func Probe(p tcpsim.Probe) Layer {
-	return func(c *tcpsim.Config) { c.Probe = p }
-}
-
-// ZeroRTT toggles 0-RTT resumption on QUIC-style endpoints (ignored by
-// TCP transports).
-func ZeroRTT(on bool) Layer {
-	return func(c *tcpsim.Config) { c.ZeroRTT = on }
-}
 
 // Kind names the protocol stack above the transport.
 type Kind string
@@ -113,32 +48,43 @@ func (k Kind) OverTCP() bool { return k != KindQUIC }
 // instrumentation: cubic-by-default CC (empty name defers to the base
 // Config), no recovery arms, idle validation off, undo enabled.
 type Spec struct {
-	//lint:allow fieldcover Kind selects which client/conn the arm builds, not a tcpsim.Config knob; Apply composes every config-bearing field via Layers
-	Kind               Kind
-	CC                 string
-	Recovery           tcpsim.RecoveryPolicy
+	// Kind selects which client and connection the arm builds; it is not
+	// a tcpsim.Config knob, so Apply leaves it out.
+	Kind Kind
+	// CC selects the congestion-control variant by registry name
+	// ("cubic", "reno", or anything installed via tcpsim.RegisterCC).
+	CC string
+	// Recovery is the TLP/RACK/F-RTO arms as one unit.
+	Recovery tcpsim.RecoveryPolicy
+	// SlowStartAfterIdle and ResetRTTAfterIdle are the idle-window policy
+	// pair the paper's §6 revolves around: Linux cwnd validation and the
+	// §6.2.1 RTT-reset fix.
 	SlowStartAfterIdle bool
 	ResetRTTAfterIdle  bool
-	DisableUndo        bool
-	ZeroRTT            bool
-	Metrics            *tcpsim.MetricsCache
-	Probe              tcpsim.Probe
+	// DisableUndo turns off DSACK/Eifel undo of spurious loss episodes —
+	// the §6.2.1 ablation arm.
+	DisableUndo bool
+	// ZeroRTT enables 0-RTT resumption on QUIC-style endpoints (ignored
+	// by TCP transports).
+	ZeroRTT bool
+	// Metrics attaches the shared per-destination cache (§6.2.4).
+	Metrics *tcpsim.MetricsCache
+	// Probe attaches tcp_probe-style instrumentation.
+	Probe tcpsim.Probe
 }
 
-// Layers returns the Spec as an ordered layer list.
-func (s Spec) Layers() []Layer {
-	return []Layer{
-		CC(s.CC),
-		Recovery(s.Recovery),
-		Idle(s.SlowStartAfterIdle, s.ResetRTTAfterIdle),
-		Undo(s.DisableUndo),
-		ZeroRTT(s.ZeroRTT),
-		Metrics(s.Metrics),
-		Probe(s.Probe),
-	}
-}
-
-// Apply composes the Spec onto base and returns the finished Config.
+// Apply returns base with the Spec's fields assigned. An empty CC keeps
+// base's variant; every other field overwrites base's.
 func (s Spec) Apply(base tcpsim.Config) tcpsim.Config {
-	return Compose(base, s.Layers()...)
+	if s.CC != "" {
+		base.CC = s.CC
+	}
+	base = base.WithRecovery(s.Recovery)
+	base.SlowStartAfterIdle = s.SlowStartAfterIdle
+	base.ResetRTTAfterIdle = s.ResetRTTAfterIdle
+	base.DisableUndo = s.DisableUndo
+	base.ZeroRTT = s.ZeroRTT
+	base.Metrics = s.Metrics
+	base.Probe = s.Probe
+	return base
 }

@@ -59,55 +59,55 @@ func TestSpecApplyMatchesLegacyAssignments(t *testing.T) {
 	}
 }
 
-func TestComposeOrderAndPurity(t *testing.T) {
+// TestApplyPurity: Apply works on a copy of base, and an empty CC
+// keeps base's variant.
+func TestApplyPurity(t *testing.T) {
 	base := tcpsim.DefaultConfig()
-	got := Compose(base, CC("reno"), CC("cubic"), nil, Undo(true))
-	if got.CC != "cubic" {
-		t.Fatalf("later layer did not win: CC = %q", got.CC)
-	}
-	if !got.DisableUndo {
-		t.Fatal("Undo(true) not applied")
+	got := Spec{CC: "reno", DisableUndo: true}.Apply(base)
+	if got.CC != "reno" || !got.DisableUndo {
+		t.Fatalf("Apply dropped a field: CC = %q, DisableUndo = %v", got.CC, got.DisableUndo)
 	}
 	if base.DisableUndo || base.CC != "cubic" {
-		t.Fatalf("Compose mutated its base: %+v", base)
+		t.Fatalf("Apply mutated its base: %+v", base)
 	}
-	// Empty CC defers to the base variant.
-	if got := Compose(base, CC("")); got.CC != base.CC {
-		t.Fatalf("CC(\"\") overwrote base variant: %q", got.CC)
+	if got := (Spec{}).Apply(base); got.CC != base.CC {
+		t.Fatalf("empty CC overwrote base variant: %q", got.CC)
 	}
 }
 
+// TestIndividualLayers sets one Spec field at a time and checks the
+// Config field it lands in.
 func TestIndividualLayers(t *testing.T) {
 	base := tcpsim.DefaultConfig()
 
-	c := Compose(base, Recovery(tcpsim.RecoveryPolicy{TLP: true, FRTO: true}))
+	c := Spec{Recovery: tcpsim.RecoveryPolicy{TLP: true, FRTO: true}}.Apply(base)
 	if !c.TLP || c.RACK || !c.FRTO {
-		t.Fatalf("Recovery layer: got TLP=%v RACK=%v FRTO=%v", c.TLP, c.RACK, c.FRTO)
+		t.Fatalf("Recovery: got TLP=%v RACK=%v FRTO=%v", c.TLP, c.RACK, c.FRTO)
 	}
 	if got := c.Recovery(); got != (tcpsim.RecoveryPolicy{TLP: true, FRTO: true}) {
 		t.Fatalf("Config.Recovery() = %+v", got)
 	}
 
-	c = Compose(base, Idle(false, true))
+	c = Spec{ResetRTTAfterIdle: true}.Apply(base)
 	if c.SlowStartAfterIdle || !c.ResetRTTAfterIdle {
-		t.Fatalf("Idle layer: got ssai=%v reset=%v", c.SlowStartAfterIdle, c.ResetRTTAfterIdle)
+		t.Fatalf("idle policy: got ssai=%v reset=%v", c.SlowStartAfterIdle, c.ResetRTTAfterIdle)
 	}
 
-	c = Compose(base, ZeroRTT(true))
+	c = Spec{ZeroRTT: true}.Apply(base)
 	if !c.ZeroRTT {
-		t.Fatal("ZeroRTT layer not applied")
+		t.Fatal("ZeroRTT not applied")
 	}
 
 	mc := tcpsim.NewMetricsCache()
-	c = Compose(base, Metrics(mc))
+	c = Spec{Metrics: mc}.Apply(base)
 	if c.Metrics != mc {
-		t.Fatal("Metrics layer not applied")
+		t.Fatal("Metrics not applied")
 	}
 
 	rec := tcpsim.NewRecorder()
-	c = Compose(base, Probe(rec))
+	c = Spec{Probe: rec}.Apply(base)
 	if c.Probe != tcpsim.Probe(rec) {
-		t.Fatal("Probe layer not applied")
+		t.Fatal("Probe not applied")
 	}
 }
 
