@@ -205,6 +205,30 @@ type pageLoad struct {
 	// of objects each.
 	fetches []fetch
 	records []trace.ObjectRecord
+	// revealers has bit id set when the object with that id is the parent
+	// of another: whether a completed fetch has children to reveal is one
+	// bit, not a walk over the page.
+	revealers []uint64
+}
+
+// revealerBits marks the ids of page's objects that reveal others.
+func revealerBits(page *webpage.Page) []uint64 {
+	top := 0
+	for _, o := range page.Objects {
+		top = max(top, o.Parent)
+	}
+	bits := make([]uint64, top/64+1)
+	for _, o := range page.Objects {
+		if o.Parent >= 0 {
+			bits[o.Parent/64] |= 1 << (o.Parent % 64)
+		}
+	}
+	return bits
+}
+
+// reveals reports whether the object with the given id has children.
+func (pl *pageLoad) reveals(id int) bool {
+	return id >= 0 && id/64 < len(pl.revealers) && pl.revealers[id/64]&(1<<(id%64)) != 0
 }
 
 // fetch is one object on its way to the browser: the exchange the proxy
@@ -225,11 +249,12 @@ type fetch struct {
 func (b *Browser) LoadPage(page *webpage.Page, done func(*trace.PageRecord)) {
 	n := len(page.Objects)
 	pl := &pageLoad{
-		page:    page,
-		rec:     &trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: make([]*trace.ObjectRecord, 0, n)},
-		done:    done,
-		fetches: make([]fetch, n),
-		records: make([]trace.ObjectRecord, n),
+		page:      page,
+		rec:       &trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: make([]*trace.ObjectRecord, 0, n)},
+		done:      done,
+		fetches:   make([]fetch, n),
+		records:   make([]trace.ObjectRecord, n),
+		revealers: revealerBits(page),
 	}
 	b.prox.ExpectPage(n)
 	b.cur = pl
@@ -307,20 +332,11 @@ func (b *Browser) objectDone(f *fetch) {
 		return
 	}
 	pl.outstanding--
-	if !pl.finished && hasChildren(pl.page, f.Obj.ID) {
+	if !pl.finished && pl.reveals(f.Obj.ID) {
 		pl.pendingReveals++
 		b.loop.AfterCall(time.Duration(f.Obj.ProcessingDelay), (*reveal)(f))
 	}
 	b.checkDone(pl)
-}
-
-func hasChildren(page *webpage.Page, id int) bool {
-	for _, o := range page.Objects {
-		if o.Parent == id {
-			return true
-		}
-	}
-	return false
 }
 
 // reveal is a fetched object's processing delay running out: the

@@ -442,8 +442,12 @@ func Run(opts Options) *Result {
 		loop.After(opts.PingInterval, ping)
 	}
 
-	// Telemetry sampling.
+	// Telemetry sampling: every SampleEvery from SampleEvery until the
+	// first sample at or past end, so at most end/SampleEvery + 1 of them.
 	end := sim.Time(len(order))*sim.Time(opts.ThinkTime) + sim.Time(opts.ThinkTime)
+	if opts.SampleEvery > 0 {
+		res.Samples = make([]Sample, 0, int(end/sim.Time(opts.SampleEvery))+1)
+	}
 	var tcpInFlight inFlightMeter
 	var sampler func()
 	sampler = func() {

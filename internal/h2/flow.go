@@ -24,9 +24,13 @@ const (
 //     size plus exactly the sum of its grants minus the sum of its
 //     consumptions — credit is never minted or lost by bookkeeping.
 type FlowController struct {
-	conn        int64
-	initStream  int64
-	streams     map[uint32]*streamWindow
+	conn       int64
+	initStream int64
+	// windows holds every stream's books by value, in the order the
+	// streams were first touched; index maps a stream id to its place.
+	// A new stream costs a slot in each, not an allocation of its own.
+	windows     []streamWindow
+	index       map[uint32]int
 	consumedAll int64 // total bytes consumed (== sum over streams)
 	grantedConn int64 // total connection-level grants
 	initConn    int64
@@ -50,17 +54,20 @@ func NewFlowController(connWin, streamWin int64) *FlowController {
 		conn:       connWin,
 		initConn:   connWin,
 		initStream: streamWin,
-		streams:    make(map[uint32]*streamWindow),
+		index:      make(map[uint32]int),
 	}
 }
 
+// stream returns the books of stream id, opening them at the initial
+// window on first use. The pointer is good until the next new stream.
 func (f *FlowController) stream(id uint32) *streamWindow {
-	s := f.streams[id]
-	if s == nil {
-		s = &streamWindow{window: f.initStream}
-		f.streams[id] = s
+	i, ok := f.index[id]
+	if !ok {
+		i = len(f.windows)
+		f.index[id] = i
+		f.windows = append(f.windows, streamWindow{window: f.initStream})
 	}
-	return s
+	return &f.windows[i]
 }
 
 // Avail returns the bytes sendable on the stream right now: the minimum

@@ -8,7 +8,7 @@
 // prices frames and enforces window arithmetic so the simulator charges
 // byte-accurate overheads. Everything is deterministic: map state is
 // only ever looked up by key, never iterated (the HPACK dynamic table's
-// eviction order is a ring beside its map).
+// eviction order is a ring beside its maps).
 package h2
 
 import "strconv"
@@ -72,45 +72,94 @@ const hpackDynamicEntries = 128
 // spdy.SizeOracle models, without SPDY's cross-stream compression of
 // values it has never seen.
 type HeaderSizer struct {
-	dyn map[field]struct{}
+	// The dynamic table, in two maps: a content-length is keyed by the
+	// length itself, so installing one builds no string; every other
+	// field by its name and value.
+	dyn     map[field]struct{}
+	lengths map[int64]struct{}
 	// ring holds the dynamic table's entries in insertion order for FIFO
 	// eviction; once the table is full, next is its oldest entry. The
-	// table never holds a pair twice, so len(dyn) counts the live slots.
-	ring [hpackDynamicEntries]field
+	// table never holds an entry twice, so the two maps' sizes count the
+	// live slots.
+	ring [hpackDynamicEntries]entry
 	next int
+}
+
+// entry is one slot of the dynamic table: a field, or with isLength a
+// content-length of the given value.
+type entry struct {
+	f        field
+	length   int64
+	isLength bool
 }
 
 // NewHeaderSizer returns a sizer with an empty dynamic table.
 func NewHeaderSizer() *HeaderSizer {
-	return &HeaderSizer{dyn: make(map[field]struct{}, hpackDynamicEntries)}
+	return &HeaderSizer{
+		dyn:     make(map[field]struct{}, hpackDynamicEntries),
+		lengths: make(map[int64]struct{}),
+	}
 }
 
-// FieldSize prices one header field and updates the dynamic table.
+// FieldSize prices one header field and updates the dynamic table. A
+// content-length written as ResponseSize writes it — canonical decimal —
+// is the entry ResponseSize installs; any other spelling is a field of
+// its own.
 func (h *HeaderSizer) FieldSize(name, value string) int {
+	if name == "content-length" {
+		if n, ok := canonicalLength(value); ok {
+			return h.lengthSize(n)
+		}
+	}
 	f := field{name, value}
 	if _, ok := h.dyn[f]; ok || staticPairs[f] {
 		return 1 // indexed header field
 	}
-	return h.literal(f)
-}
-
-// literal prices a field neither table holds — literal with incremental
-// indexing: prefix byte, then value (length prefix + octets), plus name
-// octets when the name is not indexed — and installs it, evicting the
-// oldest entry of a full table.
-func (h *HeaderSizer) literal(f field) int {
+	// Literal with incremental indexing: prefix byte, then value (length
+	// prefix + octets), plus name octets when the name is not indexed.
 	n := 1 + 1 + len(f.value)
 	if !staticNames[f.name] {
 		n += 1 + len(f.name)
 	}
-	slot := &h.ring[h.next]
-	if len(h.dyn) == hpackDynamicEntries {
-		delete(h.dyn, *slot)
-	}
-	*slot = f
 	h.dyn[f] = struct{}{}
-	h.next = (h.next + 1) % hpackDynamicEntries
+	h.install(entry{f: f})
 	return n
+}
+
+// lengthSize prices a content-length of n — one indexed byte if the
+// table holds it, else a literal of its decimal digits under the static
+// name — and installs it on a miss.
+func (h *HeaderSizer) lengthSize(n int64) int {
+	if _, ok := h.lengths[n]; ok {
+		return 1
+	}
+	h.lengths[n] = struct{}{}
+	h.install(entry{length: n, isLength: true})
+	var buf [20]byte
+	return 1 + 1 + len(strconv.AppendInt(buf[:0], n, 10))
+}
+
+// install puts e, just added to its map, in the ring — literal with
+// incremental indexing — evicting the oldest entry of a full table.
+func (h *HeaderSizer) install(e entry) {
+	slot := &h.ring[h.next]
+	if len(h.dyn)+len(h.lengths) > hpackDynamicEntries {
+		if slot.isLength {
+			delete(h.lengths, slot.length)
+		} else {
+			delete(h.dyn, slot.f)
+		}
+	}
+	*slot = e
+	h.next = (h.next + 1) % hpackDynamicEntries
+}
+
+// canonicalLength reports the length value spells the way ResponseSize
+// writes one: the number whose decimal form is value exactly.
+func canonicalLength(value string) (int64, bool) {
+	n, err := strconv.ParseInt(value, 10, 64)
+	var buf [20]byte
+	return n, err == nil && string(strconv.AppendInt(buf[:0], n, 10)) == value
 }
 
 // RequestSize prices a HEADERS frame for a GET request carrying the
@@ -137,16 +186,7 @@ func (h *HeaderSizer) ResponseSize(status, contentType string, contentLength int
 	n := FrameHeaderSize
 	n += h.FieldSize(":status", statusCode(status))
 	n += h.FieldSize("content-type", contentType)
-	// The length is formatted on the stack and looked up in place: only a
-	// length the table does not hold is copied to the heap, as the entry
-	// installed for it. No static pair has this name.
-	var buf [20]byte
-	length := strconv.AppendInt(buf[:0], contentLength, 10)
-	if _, ok := h.dyn[field{"content-length", string(length)}]; ok {
-		n++
-	} else {
-		n += h.literal(field{"content-length", string(length)})
-	}
+	n += h.lengthSize(contentLength)
 	n += h.FieldSize("server", "spdier-origin/1.0")
 	return n
 }

@@ -148,10 +148,33 @@ func NewQUIC(p *Proxy) *Session {
 }
 
 // link is one transport connection of the session with the header
-// compression context that lives on it.
+// compression context that lives on it, and the WINDOW_UPDATEs its
+// client has written and the proxy has yet to take: one grant each, in
+// the order their frames ride the uplink. Every frame's arrival is the
+// same handler, the link under another type (grantLanded), which takes
+// the oldest grant — the link's one byte stream hands them over in that
+// order.
 type link struct {
 	carrier
 	headSize headSizer
+	sess     *Session
+	grants   spdy.PriorityQueue[grant]
+}
+
+// grant is one WINDOW_UPDATE on its way to the proxy.
+type grant struct {
+	streamID  uint32
+	n         int64
+	connLevel bool
+}
+
+// grantLanded is a WINDOW_UPDATE frame arriving on the link.
+type grantLanded link
+
+func (h *grantLanded) Call() {
+	l := (*link)(h)
+	g, _ := l.grants.Pop()
+	l.sess.credit(g)
 }
 
 // carrier is the delivery seam: how bytes reach one link's peer and
@@ -271,7 +294,7 @@ func (s *Session) AddQUICLink(serverConn *tcpsim.QUICConn, clientStreams *QUICSt
 }
 
 func (s *Session) addLink(c carrier) int {
-	s.links = append(s.links, &link{carrier: c, headSize: s.newHead()})
+	s.links = append(s.links, &link{carrier: c, headSize: s.newHead(), sess: s})
 	return len(s.links) - 1
 }
 
@@ -398,22 +421,27 @@ func (s *Session) admit(e *Exchange) (int, bool) {
 // the order they parked; the pump re-parks those still starved. The
 // browser calls this immediately before writing the frame bytes.
 func (s *Session) ExpectWindowUpdate(linkIdx int, streamID uint32, n int64, connLevel bool) {
-	s.links[linkIdx].expectRequest(0, h2.WindowUpdateFrameSize, sim.Func(func() {
-		var err error
-		if connLevel {
-			err = s.fc.GrantConn(n)
-		} else {
-			err = s.fc.Grant(streamID, n)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("proxy: h2 window update rejected: %v", err))
-		}
-		for _, e := range s.blocked {
-			s.queue.Push(e.priority, e)
-		}
-		s.blocked = s.blocked[:0]
-		s.pump()
-	}))
+	l := s.links[linkIdx]
+	l.grants.Push(0, grant{streamID, n, connLevel})
+	l.expectRequest(0, h2.WindowUpdateFrameSize, (*grantLanded)(l))
+}
+
+// credit applies a WINDOW_UPDATE that has arrived.
+func (s *Session) credit(g grant) {
+	var err error
+	if g.connLevel {
+		err = s.fc.GrantConn(g.n)
+	} else {
+		err = s.fc.Grant(g.streamID, g.n)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("proxy: h2 window update rejected: %v", err))
+	}
+	for _, e := range s.blocked {
+		s.queue.Push(e.priority, e)
+	}
+	s.blocked = s.blocked[:0]
+	s.pump()
 }
 
 // CheckFlowConservation audits the credit books over every stream the

@@ -80,6 +80,44 @@ func connAckLoad(flight, blocks int) func() {
 	}
 }
 
+// sackGenLoad returns one operation of the receiver's per-ACK load: a
+// receiver holding `buffered` segments above the hole at its cumulative
+// point, single segments with a hole between each two, takes one data
+// segment. Operations alternate: a segment lands above the buffer's top
+// and is answered at once by a duplicate ACK whose SACK option is read
+// off the buffer; then the lowest hole fills, which drains the segment
+// above it — holding the buffer at its depth — and arms the delayed ACK
+// the next duplicate releases. The segments carry no ACK of their own,
+// so that only the receiver is priced.
+func sackGenLoad(buffered int) func() {
+	nw := blackholeNet()
+	c, _ := nw.NewConnPair(DefaultConfig(), DefaultConfig(), "sack", "d")
+	c.state = stEstablished
+	mss := uint64(c.cfg.MSS)
+	arrive := func(k uint64) {
+		seg := nw.segs.get()
+		seg.Seq, seg.Len = k*mss, int(mss)
+		c.handleSegment(seg)
+		nw.retireSeg(seg)
+	}
+	// Segment k holds bytes [k·mss, (k+1)·mss): the odd ones are buffered.
+	var hole, top uint64 = 0, 2*uint64(buffered) - 1
+	for k := uint64(1); k <= top; k += 2 {
+		arrive(k)
+	}
+	fill := false
+	return func() {
+		if fill {
+			arrive(hole)
+			hole += 2
+		} else {
+			top += 2
+			arrive(top)
+		}
+		fill = !fill
+	}
+}
+
 var perAckLoads = []struct {
 	transport, shape string
 	load             func() func()
@@ -92,6 +130,9 @@ var perAckLoads = []struct {
 	{"conn", "flight=16/sack=4", func() func() { return connAckLoad(16, 4) }},
 	{"conn", "flight=256/sack=1", func() func() { return connAckLoad(256, 1) }},
 	{"conn", "flight=256/sack=4", func() func() { return connAckLoad(256, 4) }},
+	{"receiver", "buffered=16", func() func() { return sackGenLoad(16) }},
+	{"receiver", "buffered=64", func() func() { return sackGenLoad(64) }},
+	{"receiver", "buffered=256", func() func() { return sackGenLoad(256) }},
 }
 
 // warmAckLoad runs op until the deque, the packet pool and the event
@@ -116,14 +157,15 @@ func withoutInvariants(fn func()) {
 // TestPerAckAllocations is the per-ACK guardrail beside the round-trip
 // one: a warm sender handles an ACK, and sends what it releases, without
 // allocating — at either flight, with one range or block or with the
-// most a receiver reports. The loads run once more with the checker on,
-// so the shapes the benchmarks time are also known to keep every
-// invariant.
+// most a receiver reports — and a warm receiver takes a segment and
+// answers it without allocating, at any depth of out-of-order buffer.
+// The loads run once more with the checker on, so the shapes the
+// benchmarks time are also known to keep every invariant.
 func TestPerAckAllocations(t *testing.T) {
 	for _, l := range perAckLoads {
 		withoutInvariants(func() {
 			if allocs := warmAckLoad(l.load()); allocs != 0 {
-				t.Errorf("%s/%s: %.1f allocations per ACK, want 0", l.transport, l.shape, allocs)
+				t.Errorf("%s/%s: %.1f allocations per operation, want 0", l.transport, l.shape, allocs)
 			}
 		})
 		op := l.load()
@@ -133,7 +175,10 @@ func TestPerAckAllocations(t *testing.T) {
 	}
 }
 
-func benchmarkAck(b *testing.B, transport string) {
+// benchmarkAck times the loads of one transport (or the receiver) per
+// operation, in the given unit, after asserting that a warm one does not
+// allocate.
+func benchmarkAck(b *testing.B, transport, unit string) {
 	for _, l := range perAckLoads {
 		if l.transport != transport {
 			continue
@@ -142,14 +187,14 @@ func benchmarkAck(b *testing.B, transport string) {
 			withoutInvariants(func() {
 				op := l.load()
 				if allocs := warmAckLoad(op); allocs != 0 {
-					b.Fatalf("%.1f allocations per ACK, want 0", allocs)
+					b.Fatalf("%.1f allocations per %s, want 0", allocs, unit)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					op()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ACK")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/"+unit)
 			})
 		})
 	}
@@ -158,9 +203,14 @@ func benchmarkAck(b *testing.B, transport string) {
 // BenchmarkQUICAck times QUICConn.handleAck at flight ∈ {16, 256} ×
 // ranges ∈ {1, 32}:
 //
-//	go test -run '^$' -bench 'BenchmarkQUICAck|BenchmarkConnAck' ./internal/tcpsim/
-func BenchmarkQUICAck(b *testing.B) { benchmarkAck(b, "quic") }
+//	go test -run '^$' -bench 'BenchmarkQUICAck|BenchmarkConnAck|BenchmarkConnSackGen' ./internal/tcpsim/
+func BenchmarkQUICAck(b *testing.B) { benchmarkAck(b, "quic", "ACK") }
 
 // BenchmarkConnAck times Conn.receiveAck at flight ∈ {16, 256} × SACK
 // blocks ∈ {1, 4}.
-func BenchmarkConnAck(b *testing.B) { benchmarkAck(b, "conn") }
+func BenchmarkConnAck(b *testing.B) { benchmarkAck(b, "conn", "ACK") }
+
+// BenchmarkConnSackGen times the receiver's side of the same exchange:
+// one data segment taken into an out-of-order buffer of 16, 64 or 256
+// segments, and the SACK-bearing ACK it draws (sackGenLoad).
+func BenchmarkConnSackGen(b *testing.B) { benchmarkAck(b, "receiver", "arrival") }

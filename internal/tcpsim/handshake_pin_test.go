@@ -171,19 +171,19 @@ func lateArrivals(t *testing.T) string {
 // TestFinishedPairKeepsCountersOnly: once both ends have closed, drained
 // and hold each other's FIN, neither Conn leads to anything but its own
 // counters and sequence state — no application hook, no flight array
-// (it is back on the network's shelf), no scratch — and what can still
-// arrive is handled from those: lateArrivals reads as it was recorded
-// before a finished pair gave anything up, instant for instant, with the
-// same Fired, counters and summaries.
+// (it is back on the network's shelf), no out-of-order buffer — and
+// what can still arrive is handled from those: lateArrivals reads as it
+// was recorded before a finished pair gave anything up, instant for
+// instant, with the same Fired, counters and summaries.
 func TestFinishedPairKeepsCountersOnly(t *testing.T) {
 	w, _, client, server := finishedPair(t)
 	for _, c := range []*Conn{client, server} {
 		if c.onEstablished != nil || c.onDeliver != nil || c.onClose != nil || c.writableHook != nil {
 			t.Errorf("%s: finished, and still holds an application hook", c.id)
 		}
-		if c.inflight.buf != nil || c.ooo != nil || c.sackScratch != nil {
-			t.Errorf("%s: finished, and still holds flight %v (cap %d), ooo %v, scratch %v",
-				c.id, c.inflight.buf, cap(c.inflight.buf), c.ooo, c.sackScratch)
+		if c.inflight.buf != nil || c.ooo != nil {
+			t.Errorf("%s: finished, and still holds flight %v (cap %d), ooo %v (cap %d)",
+				c.id, c.inflight.buf, cap(c.inflight.buf), c.ooo, cap(c.ooo))
 		}
 	}
 	shelved := 0

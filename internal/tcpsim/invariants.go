@@ -216,26 +216,71 @@ func (c *Conn) checkNotCoalesced(seg *Segment, path string) {
 }
 
 // checkReceiver audits in-order byte accounting and the out-of-order
-// buffer.
+// buffer: every segment above the cumulative point, in ascending order
+// and disjoint from the one before it.
 func (c *Conn) checkReceiver(where string) {
 	if c.BytesRcvdApp != int64(c.rcvNxt) {
 		c.violateConn("rcv-accounting", "%s: BytesRcvdApp=%d but rcvNxt=%d", where, c.BytesRcvdApp, c.rcvNxt)
 	}
 	sum := 0
-	for seq, l := range c.ooo {
-		if l <= 0 {
-			c.violateConn("ooo-len", "%s: buffered segment at %d has len=%d", where, seq, l)
+	for i, s := range c.ooo {
+		if s.len <= 0 {
+			c.violateConn("ooo-len", "%s: buffered segment at %d has len=%d", where, s.seq, s.len)
 		}
-		if seq <= c.rcvNxt {
-			c.violateConn("ooo-below-window", "%s: buffered seq=%d at or below rcvNxt=%d", where, seq, c.rcvNxt)
+		if s.seq <= c.rcvNxt {
+			c.violateConn("ooo-below-window", "%s: buffered seq=%d at or below rcvNxt=%d", where, s.seq, c.rcvNxt)
 		}
-		sum += l
+		if i > 0 {
+			if prevEnd := c.ooo[i-1].seq + uint64(c.ooo[i-1].len); s.seq < prevEnd {
+				c.violateConn("ooo-order", "%s: buffered seq=%d below the end %d of the segment before it", where, s.seq, prevEnd)
+			}
+		}
+		sum += s.len
 	}
 	if sum != c.oooBytes {
 		c.violateConn("ooo-bytes", "%s: buffered %d bytes but oooBytes=%d", where, sum, c.oooBytes)
 	}
 	if w := c.recvWindow(); w < 0 || w > c.cfg.RecvBuffer {
 		c.violateConn("rwnd-range", "%s: advertised window %d outside [0,%d]", where, w, c.cfg.RecvBuffer)
+	}
+}
+
+// checkSackShape audits a SACK option against what applySack's
+// merge-walk assumes of it: at most four blocks, none empty, ascending
+// with a hole before each, the first strictly above the cumulative ACK
+// the segment carries. The sender checks every ACK it takes; the
+// receiver every option it sends (checkSackEmitted).
+func (c *Conn) checkSackShape(where string, seg *Segment) {
+	if len(seg.Sack) > 4 {
+		c.violateConn("sack-shape", "%s: %d SACK blocks %v, at most 4", where, len(seg.Sack), seg.Sack)
+	}
+	below := seg.Ack
+	for i, b := range seg.Sack {
+		if b[0] <= below || b[1] <= b[0] {
+			c.violateConn("sack-shape", "%s: block %d of %v is empty or not above %d (ack=%d)", where, i, seg.Sack, below, seg.Ack)
+		}
+		below = b[1]
+	}
+}
+
+// checkSackEmitted holds an option the receiver is about to send to the
+// buffer it was read from: its shape, and that its blocks are the
+// buffer's first four runs of contiguous segments, each run whole.
+func (c *Conn) checkSackEmitted(seg *Segment) {
+	c.checkSackShape("sendAck", seg)
+	j := 0
+	for i, b := range seg.Sack {
+		end := b[0]
+		for j < len(c.ooo) && c.ooo[j].seq == end {
+			end += uint64(c.ooo[j].len)
+			j++
+		}
+		if end != b[1] {
+			c.violateConn("sack-shape", "sendAck: block %d of %v is not a run of the buffer (the run from %d ends at %d)", i, seg.Sack, b[0], end)
+		}
+	}
+	if len(seg.Sack) < 4 && j < len(c.ooo) {
+		c.violateConn("sack-shape", "sendAck: %d blocks %v leave out the run from %d", len(seg.Sack), seg.Sack, c.ooo[j].seq)
 	}
 }
 

@@ -152,6 +152,74 @@ func TestInvariantCatchesCoalescedDupAck(t *testing.T) {
 	}
 }
 
+// TestInvariantCatchesMisshapenSack forges the SACK options applySack's
+// merge-walk cannot take, each in an ACK to a sender with a flight —
+// five blocks; blocks out of order, overlapping, touching, empty; a
+// block at the cumulative ACK — and asserts each is reported as it
+// arrives. On the receiver's side it holds options that are not the
+// buffer's first four runs to the emission check, and corrupts a buffer
+// so that the option read off it starts at the cumulative point.
+func TestInvariantCatchesMisshapenSack(t *testing.T) {
+	const m = 1380
+	for _, forged := range []struct {
+		name   string
+		blocks [][2]uint64 // above sndUna
+	}{
+		{"five blocks", [][2]uint64{{2 * m, 3 * m}, {4 * m, 5 * m}, {6 * m, 7 * m}, {8 * m, 9 * m}, {10 * m, 11 * m}}},
+		{"descending", [][2]uint64{{4 * m, 5 * m}, {2 * m, 3 * m}}},
+		{"overlapping", [][2]uint64{{2 * m, 4 * m}, {3 * m, 5 * m}}},
+		{"touching", [][2]uint64{{2 * m, 3 * m}, {3 * m, 4 * m}}},
+		{"empty", [][2]uint64{{2 * m, 2 * m}}},
+		{"at the ack", [][2]uint64{{0, m}}},
+	} {
+		t.Run(forged.name, func(t *testing.T) {
+			got := captureViolations(t)
+			w, _, server := establishedPair(t, 5)
+			server.Write(20 * m)
+			w.loop.Run(w.loop.Now().Add(25 * time.Millisecond))
+			una := server.sndUna
+			sack := make([][2]uint64, len(forged.blocks))
+			for i, b := range forged.blocks {
+				sack[i] = [2]uint64{una + b[0], una + b[1]}
+			}
+			server.handleSegment(&Segment{Flags: flagACK, Ack: una, Wnd: 1 << 20, Sack: sack})
+			if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == "sack-shape" }) {
+				t.Fatalf("SACK option %v with ack %d not reported; violations: %s", sack, una, rules(*got))
+			}
+		})
+	}
+
+	t.Run("receiver", func(t *testing.T) {
+		got := captureViolations(t)
+		_, client, _ := establishedPair(t, 5)
+		base := client.rcvNxt
+		for _, k := range []uint64{2, 3, 5, 7, 9, 11} {
+			client.handleSegment(&Segment{Seq: base + k*m, Len: m})
+		}
+		if len(*got) != 0 {
+			t.Fatalf("a well-formed buffer reported: %s", rules(*got))
+		}
+		runs := client.appendSackBlocks(nil) // in MSS: [2,4) [5,6) [7,8) [9,10); [11,12) is a fifth run
+		for _, wrong := range [][][2]uint64{
+			runs[:3],                             // leaves a run out
+			{runs[0], runs[2], runs[3], runs[1]}, // out of order
+			{{runs[0][0], runs[0][1] - m}, runs[1], runs[2], runs[3]}, // half a run
+		} {
+			*got = nil
+			client.checkSackEmitted(&Segment{Ack: client.rcvNxt, Sack: wrong})
+			if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == "sack-shape" }) {
+				t.Errorf("option %v for buffer runs %v not reported", wrong, runs)
+			}
+		}
+		*got = nil
+		client.ooo[0].seq = client.rcvNxt // a segment at the cumulative point, left buffered
+		client.handleSegment(&Segment{Seq: base + 13*m, Len: m})
+		if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == "sack-shape" }) {
+			t.Fatalf("an option starting at the cumulative ACK was sent unreported; violations: %s", rules(*got))
+		}
+	})
+}
+
 // TestInvariantsSilentOnImpairedTransfer runs a hostile link — bursty
 // loss, reordering, duplication, a shallow queue — and asserts the
 // checker stays silent: impairments must surface as protocol events

@@ -33,11 +33,37 @@ var evCodes = [...]ProbeEvent{
 	EvTLPProbe, EvRACKRetx, EvFRTOUndo,
 }
 
+// evCode is ev's index in evCodes (TestEventCodes holds the two to each
+// other). It runs once per sample, so it is a switch, which compiles to
+// a dispatch on the length and inline compares, and not a scan of the
+// array, which called the runtime's string compare for every entry it
+// passed.
 func evCode(ev ProbeEvent) uint8 {
-	for i, e := range evCodes {
-		if e == ev {
-			return uint8(i)
-		}
+	switch ev {
+	case EvAck:
+		return 0
+	case EvSend:
+		return 1
+	case EvRetransmit:
+		return 2
+	case EvFastRetx:
+		return 3
+	case EvIdleRestart:
+		return 4
+	case EvRTTReset:
+		return 5
+	case EvEstablished:
+		return 6
+	case EvSpurious:
+		return 7
+	case EvUndo:
+		return 8
+	case EvTLPProbe:
+		return 9
+	case EvRACKRetx:
+		return 10
+	case EvFRTOUndo:
+		return 11
 	}
 	// Unknown events (none exist today) share a sentinel code.
 	return uint8(len(evCodes))

@@ -92,6 +92,19 @@ func TestRareOnlyAggregatesExact(t *testing.T) {
 	}
 }
 
+// TestEventCodes: evCode is the inverse of evFromCode on every event,
+// and an event nobody declared takes the sentinel code.
+func TestEventCodes(t *testing.T) {
+	for i, ev := range evCodes {
+		if c := evCode(ev); int(c) != i || evFromCode(c) != ev {
+			t.Errorf("%s: code %d, at index %d", ev, c, i)
+		}
+	}
+	if c := evCode("nosuchevent"); int(c) != len(evCodes) || evFromCode(c) != "unknown" {
+		t.Errorf("undeclared event: code %d, want the sentinel %d", c, len(evCodes))
+	}
+}
+
 type captureConsumer struct{ seen []ProbeSample }
 
 func (c *captureConsumer) Consume(s ProbeSample) { c.seen = append(c.seen, s) }
