@@ -118,11 +118,6 @@ func TestMain(m *testing.M) {
 	if os.Getenv("SPDYSIM_FABRIC_WORKER") == "1" {
 		os.Exit(fabric.WorkerMain(os.Stdin, os.Stdout))
 	}
-	// SIM_SCHED=heap re-runs the whole binary on the 4-ary heap
-	// scheduler, for wheel-vs-heap A/B benchmark comparisons.
-	if os.Getenv("SIM_SCHED") == "heap" {
-		sim.SetDefaultScheduler(sim.SchedulerHeap)
-	}
 	code := m.Run()
 	for _, bf := range benchFiles {
 		if err := writeBenchFile(bf.path, bf.report, bf.expected); err != nil {
@@ -141,7 +136,7 @@ func TestMain(m *testing.M) {
 func BenchmarkLoop(b *testing.B) {
 	loop := sim.NewLoop()
 	fn := func() {}
-	// Warm the slot pool and the heap's backing array.
+	// Warm the slot pool and the wheel's buckets.
 	for i := 0; i < 64; i++ {
 		loop.After(time.Millisecond, fn)
 	}
@@ -168,7 +163,6 @@ func BenchmarkLoop(b *testing.B) {
 	reportBench("BenchmarkLoop", map[string]float64{
 		"ns_per_event":  nsPerEvent,
 		"allocs_per_op": 0,
-		"scheduler":     float64(sim.DefaultScheduler()),
 	})
 
 	// Regression gate: when CI supplies the previous commit's numbers,

@@ -214,8 +214,8 @@ type Result struct {
 	RadioMJ    float64 // radio energy, millijoules
 	Duration   sim.Time
 	// Fired is the total number of events the run's loop executed,
-	// captured before the loop is released. The scheduler-differential
-	// tests assert it is identical under the wheel and heap schedulers.
+	// captured before the loop is released. Every session digest
+	// carries it, so an added, dropped or reordered timer moves a pin.
 	Fired uint64
 	// Incomplete counts pages whose load callback never fired before the
 	// hard deadline; their Records entries are nil and every accessor

@@ -9,7 +9,7 @@ import (
 
 // TestMain arms the browser's pool-accounting checker for the entire
 // package suite, so every session any test here runs — goldens, sweeps,
-// the layering and metamorphic oracles — holds Browser.ActiveConns and
+// the reference digests and metamorphic oracles — holds Browser.ActiveConns and
 // the socket-stealing fast path to the walks they replaced.
 func TestMain(m *testing.M) {
 	browser.EnableInvariants()

@@ -6,35 +6,41 @@ import (
 	"spdier/internal/browser"
 )
 
-// TestSamplesMatchFullWalk holds the telemetry sampler, which visits
-// only proxy-side connections that can still have bytes in flight, to
-// the walk it replaced: runMonolith (layering_test.go) still sums
-// InFlightBytes over every connection the session ever opened, on every
-// sample. ActiveConns is a maintained count on both sides; the walk it
+// samplerModes and samplerOptions are the two 3G sessions whose
+// telemetry samples were held, sample by sample, to a walk that summed
+// InFlightBytes over every connection the session ever opened; their
+// hash is pinned in testdata/reference_digests.json (samples/<mode>).
+var samplerModes = []browser.Mode{browser.ModeHTTP, browser.ModeSPDY}
+
+func samplerOptions(mode browser.Mode) Options {
+	return Options{Mode: mode, Network: Net3G, Seed: 23, LeanProbe: true}
+}
+
+// TestSamplesMatchFullWalk keeps the pinned sample hashes from being
+// vacuous: the telemetry sampler, which visits only proxy-side
+// connections that can still have bytes in flight, must take at least
+// 2,000 samples, some with bytes in flight and some with connections
+// open. That each sample equals the full walk's is TestReferenceDigests'
+// samples/<mode> row. ActiveConns is a maintained count; the walk it
 // replaced lives in the browser's checker, which TestMain keeps on.
 func TestSamplesMatchFullWalk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runs")
 	}
-	for _, mode := range []browser.Mode{browser.ModeHTTP, browser.ModeSPDY} {
-		mode := mode
+	for _, mode := range samplerModes {
 		t.Run(string(mode), func(t *testing.T) {
 			t.Parallel()
-			opts := Options{Mode: mode, Network: Net3G, Seed: 23, LeanProbe: true}
-			want, got := runMonolith(opts).Samples, Run(opts).Samples
-			if len(got) != len(want) || len(got) < 2000 {
-				t.Fatalf("%d samples, full walk has %d", len(got), len(want))
+			samples := Run(samplerOptions(mode)).Samples
+			if len(samples) < 2000 {
+				t.Fatalf("%d samples, want at least 2000", len(samples))
 			}
 			busy, peak := 0, 0
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sample %d: %+v, full walk says %+v", i, got[i], want[i])
-				}
-				if want[i].InFlightBytes > 0 {
+			for _, s := range samples {
+				if s.InFlightBytes > 0 {
 					busy++
 				}
-				if want[i].ActiveConns > peak {
-					peak = want[i].ActiveConns
+				if s.ActiveConns > peak {
+					peak = s.ActiveConns
 				}
 			}
 			if busy == 0 || peak == 0 {

@@ -98,7 +98,7 @@ func TestManyCancellationsKeepPendingExact(t *testing.T) {
 func TestAfterFireAllocationFree(t *testing.T) {
 	loop := NewLoop()
 	fn := func() {}
-	// Warm the slot pool and the heap's backing array.
+	// Warm the slot pool and the wheel's buckets.
 	for i := 0; i < 64; i++ {
 		loop.After(time.Millisecond, fn)
 	}

@@ -12,19 +12,14 @@
 // values carrying generation and epoch numbers, so At/After/Stop allocate
 // nothing once the pool is warm. Stopping a timer removes its entry from
 // the queue immediately, so cancelled events never linger and Pending()
-// is O(1).
+// is O(1). The queue is a hierarchical timing wheel with O(1)
+// insert/stop and batched same-timestamp delivery — see wheel.go.
 //
-// Two interchangeable schedulers implement the queue, selectable per
-// loop (NewLoopWith) or process-wide (SetDefaultScheduler):
-//
-//   - SchedulerWheel (default): a hierarchical timing wheel with O(1)
-//     insert/stop and batched same-timestamp delivery — see wheel.go.
-//   - SchedulerHeap: the previous index-based 4-ary heap with O(log n)
-//     insert/expire — see heap.go. Retained so differential tests can
-//     diff wheel-vs-heap event orderings directly.
-//
-// Both fire events in identical (time, seq) order; the golden reports
-// and the scheduler-differential tests pin that equivalence.
+// Ordering. Every run checks the order it fires in: a tick drained
+// earlier than the last one, or an event whose seq is not above the last
+// one fired in its tick, panics, as scheduling in the past does. So
+// every test that runs a Loop, down to the golden reports, also tests
+// that events fire in (time, seq) order.
 package sim
 
 import (
@@ -82,54 +77,12 @@ var recycleEvents = true
 // must not be toggled while loops are running on other goroutines.
 func SetEventRecycling(on bool) { recycleEvents = on }
 
-// Scheduler selects the event-queue implementation backing a Loop.
-type Scheduler int
-
-// Available schedulers.
-const (
-	// SchedulerWheel is the hierarchical timing wheel: O(1)
-	// insert/stop/expire, batched same-timestamp delivery.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the 4-ary heap: O(log n) insert/expire. Kept for
-	// differential wheel-vs-heap ordering tests.
-	SchedulerHeap
-)
-
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerWheel:
-		return "wheel"
-	case SchedulerHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
-// defaultScheduler backs NewLoop. Like SetEventRecycling, the setter
-// exists for differential tests that replay identical runs through both
-// implementations; production code never changes it.
-var defaultScheduler = SchedulerWheel
-
-// SetDefaultScheduler replaces the scheduler NewLoop selects. It returns
-// the previous default so tests can restore it, and must not be called
-// while loops are being constructed on other goroutines.
-func SetDefaultScheduler(s Scheduler) Scheduler {
-	prev := defaultScheduler
-	defaultScheduler = s
-	return prev
-}
-
-// DefaultScheduler reports the scheduler NewLoop currently selects.
-func DefaultScheduler() Scheduler { return defaultScheduler }
-
-// slot.pos states shared by both schedulers. The heap stores its real
-// heap index (>= 0); the wheel only tracks membership, using posQueued
-// for every bucketed event (its bucket is recomputed from the timestamp
-// on cancel, never stored).
+// slot.pos states. The wheel only tracks membership: an event's bucket
+// is recomputed from its timestamp on cancel, never stored.
 const (
 	posFree     = -1 // slot not queued (fired, stopped, or never used)
-	posInFlight = -2 // wheel only: detached into the current drain batch
-	posQueued   = 0  // wheel only: queued in some bucket
+	posInFlight = -2 // detached into the current drain batch
+	posQueued   = 0  // queued in some bucket
 )
 
 // Handler is what the loop fires: one method, no arguments. It is the
@@ -157,61 +110,28 @@ type eventSlot struct {
 	h   Handler
 	at  Time
 	gen uint32
-	pos int32 // scheduler position state (see posFree/posInFlight/posQueued)
-}
-
-// scheduler is the event-queue contract. Implementations own the (time,
-// seq) ordering structure; the Loop owns slots, the clock and the seq
-// counter. Both implementations must fire events in identical (time,
-// seq) order — the differential tests pin this.
-type scheduler interface {
-	// schedule enqueues slot id at (at, seq) and marks the slot's pos as
-	// queued (heap: real index; wheel: posQueued).
-	schedule(at Time, seq uint64, id int32)
-	// cancel removes a queued slot (pos != posFree) from the structure.
-	// The caller frees the slot afterwards.
-	cancel(id int32)
-	// run executes events until the queue is empty, the loop is stopped,
-	// or the clock passes deadline, and returns the virtual time at exit.
-	run(deadline Time) Time
-	// pending reports the number of queued events, including any that
-	// are mid-batch but not yet fired.
-	pending() int
-	// release drops every queued entry and any auxiliary storage; the
-	// scheduler must remain usable for fresh events afterwards.
-	release()
+	pos int32 // queue membership (see posFree/posInFlight/posQueued)
 }
 
 // Loop is a discrete-event scheduler. The zero value is not usable; call
-// NewLoop or NewLoopWith.
+// NewLoop.
 type Loop struct {
-	now     Time
-	seq     uint64
-	epoch   uint32
-	slots   []eventSlot
-	free    []int32
-	sched   scheduler
-	running bool
-	stopped bool
-	fired   uint64
+	now      Time
+	seq      uint64
+	firedSeq uint64 // seq of the last event fired at now (the order check)
+	epoch    uint32
+	slots    []eventSlot
+	free     []int32
+	running  bool
+	stopped  bool
+	fired    uint64
+	w        wheel
 }
 
-// NewLoop returns a scheduler with the clock at zero, backed by the
-// process-wide default scheduler (the timing wheel unless a test has
-// switched it).
-func NewLoop() *Loop { return NewLoopWith(defaultScheduler) }
-
-// NewLoopWith returns a loop backed by an explicit scheduler choice.
-func NewLoopWith(s Scheduler) *Loop {
+// NewLoop returns a scheduler with the clock at zero.
+func NewLoop() *Loop {
 	l := &Loop{}
-	switch s {
-	case SchedulerHeap:
-		l.sched = &heapSched{l: l}
-	case SchedulerWheel:
-		l.sched = newWheelSched(l)
-	default:
-		panic(fmt.Sprintf("sim: unknown scheduler %d", int(s)))
-	}
+	l.w.reset(0)
 	return l
 }
 
@@ -253,7 +173,7 @@ func (t Timer) Stop() bool {
 	if l.slots[t.id].pos == posFree {
 		return false
 	}
-	l.sched.cancel(t.id)
+	l.cancel(t.id)
 	l.freeSlot(t.id)
 	return true
 }
@@ -312,8 +232,10 @@ func (l *Loop) AtCall(at Time, h Handler) Timer {
 	s := &l.slots[id]
 	s.h = h
 	s.at = at
-	l.sched.schedule(at, l.seq, id)
-	return Timer{loop: l, id: id, gen: l.slots[id].gen, epoch: l.epoch}
+	s.pos = posQueued
+	l.w.count++
+	l.w.place(at, l.seq, id)
+	return Timer{loop: l, id: id, gen: s.gen, epoch: l.epoch}
 }
 
 // AfterCall is After for a Handler.
@@ -336,7 +258,7 @@ func (l *Loop) Run(deadline Time) Time {
 	l.running = true
 	defer func() { l.running = false }()
 	l.stopped = false
-	return l.sched.run(deadline)
+	return l.run(deadline)
 }
 
 // RunUntilIdle executes all pending events with no deadline.
@@ -355,9 +277,9 @@ func (l *Loop) Release() {
 	l.epoch++
 	l.slots = nil
 	l.free = nil
-	l.sched.release()
+	l.w.reset(l.now)
 }
 
 // Pending reports the number of queued events. Stopped timers are removed
 // from the queue eagerly, so this is an exact O(1) count.
-func (l *Loop) Pending() int { return l.sched.pending() }
+func (l *Loop) Pending() int { return l.w.count }

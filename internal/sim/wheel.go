@@ -1,12 +1,18 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
-// wheelSched is a hierarchical timing wheel: six levels of 64 slots at
-// 1 ns granularity, giving O(1) insert and cancel across the simulator's
-// whole timer spectrum — sub-millisecond link/serialization events up
-// through multi-second RTO/RRC/think-time timers — with an unsorted
-// overflow list for events outside the current ~68.7 s (2^36 ns) window.
+// wheel is the Loop's event queue, a hierarchical timing wheel: six
+// levels of 64 slots at 1 ns granularity, giving O(1) insert and cancel
+// across the simulator's whole timer spectrum — sub-millisecond
+// link/serialization events up through multi-second RTO/RRC/think-time
+// timers — with an unsorted overflow list for events outside the
+// current ~68.7 s (2^36 ns) window.
 //
 // Geometry. Placement is by 64-ary digits of the absolute timestamp: an
 // event lands at level k = the highest digit in which at and cur differ
@@ -41,15 +47,17 @@ import "math/bits"
 // Firing order. A level-0 slot holds exactly one tick (one exact
 // timestamp), so global (time, seq) order reduces to seq order within a
 // batch. Buckets are unsorted (cancel is swap-remove, a split appends),
-// so the detached batch is sorted by seq — a no-op check in the common
-// already-ordered case — then fired without touching the wheel again.
-// That is the batched same-timestamp delivery: no per-event re-sift,
-// and events scheduled for the same tick by the batch's own callbacks
-// join a fresh pass with strictly higher seqs. The heap scheduler
-// (heap.go) fires in bit-identical order; differential tests replay
-// full runs through both.
-type wheelSched struct {
-	l   *Loop
+// so the detached batch is sorted by seq, then fired without touching
+// the wheel again. That is the batched same-timestamp delivery: no
+// per-event re-sift, and events scheduled for the same tick by the
+// batch's own callbacks join a fresh pass with strictly higher seqs.
+//
+// The order check. The Loop's run panics if a tick it drains is earlier
+// than the last one, and every fire site panics unless the event's seq
+// is above the last seq fired in the same tick. Together they assert
+// that every event fires above the last in (time, seq) order, on every
+// run.
+type wheel struct {
 	cur Time // wheel position: every queued event has at >= cur
 
 	count   int
@@ -97,16 +105,13 @@ type flight struct {
 	gen uint32
 }
 
-func newWheelSched(l *Loop) *wheelSched {
-	w := &wheelSched{l: l, ovMin: Forever}
-	w.seed()
-	return w
-}
-
-// seed gives every bucket a small private capacity carved from one
-// arena allocation, so first-touch appends during a warm run allocate
-// nothing.
-func (w *wheelSched) seed() {
+// reset empties the wheel at position cur in one struct reset — every
+// bucket, the scratch batch and the occupancy state go without walking
+// queued events — and gives every bucket a small private capacity carved
+// from one arena allocation, so first-touch appends during a warm run
+// allocate nothing.
+func (w *wheel) reset(cur Time) {
+	*w = wheel{cur: cur, ovMin: Forever}
 	w.arena = make([]bref, numBuckets*bucketSeed)
 	for i := range w.buckets {
 		w.buckets[i] = w.arena[i*bucketSeed : i*bucketSeed : (i+1)*bucketSeed]
@@ -116,7 +121,7 @@ func (w *wheelSched) seed() {
 
 // bucketFor returns the bucket index for timestamp at under the current
 // wheel position: the digit-placement rule shared by place and cancel.
-func (w *wheelSched) bucketFor(at Time) int {
+func (w *wheel) bucketFor(at Time) int {
 	x := uint64(at ^ w.cur)
 	if x >= uint64(wheelHorizon) {
 		return overflowIdx
@@ -128,19 +133,10 @@ func (w *wheelSched) bucketFor(at Time) int {
 	return level*wheelSlots + int(uint64(at)>>(uint(level)*wheelBits))&wheelMask
 }
 
-func (w *wheelSched) schedule(at Time, seq uint64, id int32) {
-	w.count++
-	// pos tracks only membership: posQueued until the event is detached
-	// into a drain batch (posInFlight) or fired/stopped (posFree). The
-	// slot line is already hot — At just wrote fn and at.
-	w.l.slots[id].pos = posQueued
-	w.place(at, seq, id)
-}
-
 // place files an event into its bucket. Re-placement during splits and
 // overflow pulls comes through here too and touches only bucket memory,
 // never the slot pool.
-func (w *wheelSched) place(at Time, seq uint64, id int32) {
+func (w *wheel) place(at Time, seq uint64, id int32) {
 	b := w.bucketFor(at)
 	w.buckets[b] = append(w.buckets[b], bref{at: at, seq: seq, id: id})
 	if b < overflowIdx {
@@ -150,9 +146,33 @@ func (w *wheelSched) place(at Time, seq uint64, id int32) {
 	}
 }
 
-func (w *wheelSched) cancel(id int32) {
+// pull re-files every overflow event inside the current window and
+// recomputes the overflow minimum. place never appends to the overflow
+// bucket for an in-window timestamp, so in-place compaction is safe.
+func (w *wheel) pull() {
+	ov := w.buckets[overflowIdx]
+	keep := ov[:0]
+	minKeep := Forever
+	for _, e := range ov {
+		if uint64(e.at^w.cur) < uint64(wheelHorizon) {
+			w.place(e.at, e.seq, e.id)
+			continue
+		}
+		keep = append(keep, e)
+		if e.at < minKeep {
+			minKeep = e.at
+		}
+	}
+	w.buckets[overflowIdx] = keep
+	w.ovMin = minKeep
+}
+
+// cancel removes queued slot id from the wheel; the caller frees the
+// slot afterwards.
+func (l *Loop) cancel(id int32) {
+	w := &l.w
 	w.count--
-	s := &w.l.slots[id]
+	s := &l.slots[id]
 	if s.pos == posInFlight {
 		// Detached into the current drain batch; the batch's gen check
 		// (against the freed slot) makes its entry inert.
@@ -180,21 +200,9 @@ func (w *wheelSched) cancel(id int32) {
 	// triggers an early pull, which recomputes it.
 }
 
-func (w *wheelSched) pending() int { return w.count }
-
-// release is the arena swap: one struct reset drops every bucket, the
-// scratch batch and the occupancy state without walking queued events
-// (the Loop's epoch bump has already made their handles inert).
-func (w *wheelSched) release() {
-	l := w.l
-	*w = wheelSched{l: l, cur: l.now, ovMin: Forever}
-	w.seed()
-}
-
-func (w *wheelSched) run(deadline Time) Time {
-	l := w.l
+func (l *Loop) run(deadline Time) Time {
 	for !l.stopped {
-		t, ok := w.nextTick(deadline)
+		t, ok := l.nextTick(deadline)
 		if !ok {
 			if deadline != Forever && l.now < deadline {
 				l.now = deadline
@@ -202,14 +210,33 @@ func (w *wheelSched) run(deadline Time) Time {
 			return l.now
 		}
 		if t > l.now {
-			l.now = t
+			l.now, l.firedSeq = t, 0
+		} else if t < l.now {
+			panic(fmt.Sprintf("sim: draining tick %v after %v", t, l.now))
 		}
-		w.drainTick(t)
+		l.drainTick(t)
 	}
-	if deadline != Forever && l.now < deadline && w.count == 0 {
+	if deadline != Forever && l.now < deadline && l.w.count == 0 {
 		l.now = deadline
 	}
 	return l.now
+}
+
+// inOrder is the per-event half of the order check: within a tick, each
+// fired event's seq is strictly above the previous one's. It is small
+// enough to inline at the three fire sites.
+func (l *Loop) inOrder(seq uint64) {
+	if seq <= l.firedSeq {
+		l.seqPanic(seq)
+	}
+	l.firedSeq = seq
+}
+
+// seqPanic is kept out of line so that inOrder stays inlinable.
+//
+//go:noinline
+func (l *Loop) seqPanic(seq uint64) {
+	panic(fmt.Sprintf("sim: event seq %d fired at %v after seq %d", seq, l.now, l.firedSeq))
 }
 
 // nextTick advances the wheel to the earliest queued timestamp if it is
@@ -217,7 +244,8 @@ func (w *wheelSched) run(deadline Time) Time {
 // that are about to fire (or to the overflow minimum, equally about to
 // be examined), so a deadline-bounded Run leaves the wheel untouched
 // beyond the last fired event and consistent for later scheduling.
-func (w *wheelSched) nextTick(deadline Time) (Time, bool) {
+func (l *Loop) nextTick(deadline Time) (Time, bool) {
+	w := &l.w
 search:
 	for {
 		// Level 0: one tick per slot, never behind cur, so the lowest
@@ -285,7 +313,7 @@ search:
 					w.place(e.at, e.seq, e.id)
 					continue
 				}
-				s := &w.l.slots[e.id]
+				s := &l.slots[e.id]
 				w.scratch = append(w.scratch, flight{seq: e.seq, id: e.id, gen: s.gen})
 				s.pos = posInFlight
 			}
@@ -304,34 +332,13 @@ search:
 	}
 }
 
-// pull re-files every overflow event inside the current window and
-// recomputes the overflow minimum. place never appends to the overflow
-// bucket for an in-window timestamp, so in-place compaction is safe.
-func (w *wheelSched) pull() {
-	ov := w.buckets[overflowIdx]
-	keep := ov[:0]
-	minKeep := Forever
-	for _, e := range ov {
-		if uint64(e.at^w.cur) < uint64(wheelHorizon) {
-			w.place(e.at, e.seq, e.id)
-			continue
-		}
-		keep = append(keep, e)
-		if e.at < minKeep {
-			minKeep = e.at
-		}
-	}
-	w.buckets[overflowIdx] = keep
-	w.ovMin = minKeep
-}
-
 // drainTick fires every event of one tick as a batch: detach, sort by
 // seq, fire. Callbacks may schedule into the same tick (picked up by
 // the next pass, with higher seqs), stop not-yet-fired batch members
 // (the gen check skips them), or stop the loop (the remainder is
-// re-queued so a later Run resumes exactly where the heap would).
-func (w *wheelSched) drainTick(t Time) {
-	l := w.l
+// re-queued so a later Run resumes exactly where it left off).
+func (l *Loop) drainTick(t Time) {
+	w := &l.w
 	slot := int(uint64(t) & wheelMask)
 	bit := uint64(1) << uint(slot)
 	if w.batchPending {
@@ -342,13 +349,14 @@ func (w *wheelSched) drainTick(t Time) {
 		w.batchPending = false
 		if len(w.scratch) == 1 {
 			e := w.scratch[0]
+			l.inOrder(e.seq)
 			s := &l.slots[e.id]
 			call := s.h
 			w.count--
 			l.freeSlot(e.id)
 			l.fired++
 			call.Call()
-		} else if !w.fireBatch(slot, bit) {
+		} else if !l.fireBatch(slot, bit) {
 			return
 		}
 	}
@@ -365,6 +373,7 @@ func (w *wheelSched) drainTick(t Time) {
 			// Singleton tick: no batch to sort and no mid-batch stop to
 			// arbitrate, so fire directly without the scratch detach.
 			e := bk[0]
+			l.inOrder(e.seq)
 			s := &l.slots[e.id]
 			call := s.h
 			w.buckets[slot] = bk[:0]
@@ -383,7 +392,7 @@ func (w *wheelSched) drainTick(t Time) {
 		}
 		w.buckets[slot] = bk[:0]
 		w.occ[0] &^= bit
-		if !w.fireBatch(slot, bit) {
+		if !l.fireBatch(slot, bit) {
 			return
 		}
 	}
@@ -392,12 +401,19 @@ func (w *wheelSched) drainTick(t Time) {
 // fireBatch sorts the detached scratch batch by seq and fires it,
 // re-queuing the unfired remainder if a callback stops the loop. It
 // reports whether the drain should continue.
-func (w *wheelSched) fireBatch(slot int, bit uint64) bool {
-	l := w.l
-	sortFlights(w.scratch)
+func (l *Loop) fireBatch(slot int, bit uint64) bool {
+	w := &l.w
+	// Insertion order is already seq order unless a split interleaved
+	// with direct placement, so a linear check guards the sort.
+	for i := 1; i < len(w.scratch); i++ {
+		if w.scratch[i].seq < w.scratch[i-1].seq {
+			slices.SortFunc(w.scratch, func(a, b flight) int { return cmp.Compare(a.seq, b.seq) })
+			break
+		}
+	}
 	for i := 0; i < len(w.scratch); i++ {
 		if l.stopped {
-			w.requeue(slot, bit, w.scratch[i:])
+			l.requeue(slot, bit, w.scratch[i:])
 			return false
 		}
 		e := w.scratch[i]
@@ -405,6 +421,7 @@ func (w *wheelSched) fireBatch(slot int, bit uint64) bool {
 		if s.gen != e.gen {
 			continue // stopped by an earlier callback in this batch
 		}
+		l.inOrder(e.seq)
 		call := s.h
 		w.count--
 		l.freeSlot(e.id)
@@ -418,8 +435,8 @@ func (w *wheelSched) fireBatch(slot int, bit uint64) bool {
 // level-0 bucket. Order relative to any events the batch's callbacks
 // scheduled for the same tick is irrelevant: the next drain re-sorts
 // by seq.
-func (w *wheelSched) requeue(slot int, bit uint64, rest []flight) {
-	l := w.l
+func (l *Loop) requeue(slot int, bit uint64, rest []flight) {
+	w := &l.w
 	for _, e := range rest {
 		s := &l.slots[e.id]
 		if s.gen != e.gen {
@@ -428,43 +445,5 @@ func (w *wheelSched) requeue(slot int, bit uint64, rest []flight) {
 		s.pos = posQueued
 		w.buckets[slot] = append(w.buckets[slot], bref{at: s.at, seq: e.seq, id: e.id})
 		w.occ[0] |= bit
-	}
-}
-
-// sortFlights orders a drain batch by seq. Insertion order is already
-// seq order unless a split interleaved with direct placement, so an
-// O(n) sortedness check guards an in-place heapsort.
-func sortFlights(s []flight) {
-	for i := 1; i < len(s); i++ {
-		if s[i].seq < s[i-1].seq {
-			goto sort
-		}
-	}
-	return
-sort:
-	n := len(s)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftFlight(s, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		s[0], s[end] = s[end], s[0]
-		siftFlight(s, 0, end)
-	}
-}
-
-func siftFlight(s []flight, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && s[c+1].seq > s[c].seq {
-			c++
-		}
-		if s[i].seq >= s[c].seq {
-			return
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
 	}
 }
