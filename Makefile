@@ -28,7 +28,7 @@ lint:
 	$(GO) vet -vettool=$(CURDIR)/.simlint.bin ./...
 	@rm -f $(CURDIR)/.simlint.bin
 
-# The seeded fixture must keep tripping every analyzer in the suite.
+# The seeded fixture must keep tripping every rule in the suite.
 fixture-check:
 	@if $(GO) run ./cmd/simlint -dir internal/analysis/testdata/fixture; then \
 		echo "fixture produced no findings -- an analyzer has gone silent"; exit 1; \

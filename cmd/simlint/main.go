@@ -1,5 +1,7 @@
-// Command simlint statically enforces the simulator's determinism,
-// seeded-RNG and pool-discipline invariants (see internal/analysis).
+// Command simlint statically enforces the simulator's determinism and
+// pool-discipline invariants (see internal/analysis): one determinism
+// analyzer (wall clock, global rand, map, sync.Map and select order)
+// plus poolbalance, clockarith and shadow.
 //
 // Standalone:
 //
@@ -16,10 +18,10 @@
 // Findings are suppressed with an in-source directive that names the
 // analyzer and MUST carry a reason:
 //
-//	//lint:allow maprange counters are commutative; order cannot leak
+//	//lint:allow determinism counters are commutative; order cannot leak
 //
-// A reasonless directive is itself a finding — suppressions are
-// documentation, not an off switch.
+// A reasonless directive, or one naming no analyzer of the suite, is
+// itself a finding — suppressions are documentation, not an off switch.
 package main
 
 import (

@@ -2,10 +2,11 @@
 // modeled on golang.org/x/tools/go/analysis, built only on the standard
 // library so the repo lints itself without network access or external
 // module dependencies. It exists to enforce, at compile time, the
-// invariants every simulation result rests on: no wall-clock time in
-// the deterministic core, no global RNG, no order-dependent map
-// iteration feeding output or event scheduling, balanced pool
-// acquire/release, and named duration thresholds in probe/report code.
+// invariants every simulation result rests on: determinism (no wall
+// clock, no global RNG, no map, sync.Map or select order feeding output
+// or event scheduling in the deterministic core), balanced pool
+// acquire/release, named duration thresholds in probe/report code, and
+// no lost writes through := shadowing.
 //
 // The API mirrors x/tools deliberately (Analyzer, Pass, Diagnostic), so
 // if the real dependency ever becomes available the analyzers port over
@@ -106,7 +107,8 @@ type RunConfig struct {
 	// Facts is the shared fact store. In a standalone multi-package run
 	// the same store is passed for every package (dependency-order
 	// loading makes dependee facts visible to dependents); in vettool
-	// mode it is seeded from the dependency .vetx files first.
+	// mode it is seeded from the dependency .vetx files first. Nil
+	// confines each analyzer to what it learns in the one package.
 	Facts *FactStore
 
 	// FileFilters maps analyzer name to an optional per-file reporting
@@ -114,19 +116,11 @@ type RunConfig struct {
 	FileFilters map[string]func(base string) bool
 }
 
-// RunAnalyzers executes each analyzer over the loaded package and
-// returns the combined diagnostics sorted by position. fileFilters maps
-// analyzer name to an optional per-file scope predicate. Facts are
-// confined to a fresh store; multi-package drivers that need
-// cross-package facts use RunAnalyzersFacts with a shared store.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, fileFilters map[string]func(base string) bool) ([]Diagnostic, error) {
-	return RunAnalyzersFacts(pkg, analyzers, RunConfig{Facts: NewFactStore(), FileFilters: fileFilters})
-}
-
-// RunAnalyzersFacts executes each analyzer over the loaded package with
-// an explicit run configuration, registering every analyzer's fact
-// types first, and returns the combined diagnostics sorted by position.
-func RunAnalyzersFacts(pkg *Package, analyzers []*Analyzer, cfg RunConfig) ([]Diagnostic, error) {
+// RunAnalyzers executes each analyzer over the loaded package with the
+// run configuration, registering every analyzer's fact types first, and
+// returns the combined diagnostics sorted by position. The zero
+// RunConfig runs without facts across packages and without filters.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg RunConfig) ([]Diagnostic, error) {
 	for _, a := range analyzers {
 		for _, f := range a.FactTypes {
 			RegisterFactType(f)

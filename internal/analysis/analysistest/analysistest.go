@@ -28,30 +28,33 @@ import (
 // the // want annotations.
 func Run(t *testing.T, a *analysis.Analyzer, pkgdir string) {
 	t.Helper()
-	check(t, a, pkgdir, false)
+	check(t, a, pkgdir, nil)
 }
 
 // RunSuppressed is Run with //lint:allow suppression filtering applied
-// first — what the simlint driver reports. Malformed directives surface
-// as "lintdirective" diagnostics and may carry their own want.
-func RunSuppressed(t *testing.T, a *analysis.Analyzer, pkgdir string) {
+// first, directives naming analyzers of suite — what the simlint driver
+// reports. Malformed directives surface as "lintdirective" diagnostics
+// and may carry their own want.
+func RunSuppressed(t *testing.T, a *analysis.Analyzer, suite []*analysis.Analyzer, pkgdir string) {
 	t.Helper()
-	check(t, a, pkgdir, true)
+	check(t, a, pkgdir, suite)
 }
 
-func check(t *testing.T, a *analysis.Analyzer, pkgdir string, suppress bool) {
+// check runs a over testdata/src/<pkgdir> and matches its wants; a
+// non-nil suite applies suppressions first.
+func check(t *testing.T, a *analysis.Analyzer, pkgdir string, suite []*analysis.Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", pkgdir)
 	pkg, err := analysis.LoadDir(dir, moduleRoot(t))
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, nil)
+	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, analysis.RunConfig{})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
-	if suppress {
-		diags = analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags)
+	if suite != nil {
+		diags = analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags, suite)
 	}
 	matchAll(t, collectWants(t, pkg), diags)
 }
@@ -104,7 +107,7 @@ func Diagnostics(t *testing.T, a *analysis.Analyzer, pkgs []*analysis.Package) [
 	facts := analysis.NewFactStore()
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunAnalyzersFacts(pkg, []*analysis.Analyzer{a}, analysis.RunConfig{Facts: facts})
+		diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, analysis.RunConfig{Facts: facts})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkg.ImportPath, err)
 		}

@@ -1,6 +1,6 @@
-// The facts layer: serializable per-object (and per-package) findings
-// an analyzer exports while analyzing one package and imports while
-// analyzing its dependents — the mechanism that turns the per-package
+// The facts layer: serializable per-object findings an analyzer
+// exports while analyzing one package and imports while analyzing its
+// dependents — the mechanism that turns the per-package
 // linter into a cross-package analysis engine. The shape mirrors
 // x/tools' AnalyzerFact protocol (Analyzer.FactTypes, Pass.Export/
 // ImportObjectFact), so analyzers written against it port directly.
@@ -40,7 +40,7 @@ type Fact interface {
 }
 
 // factTypeName returns the stable wire name of a fact's dynamic type,
-// e.g. "*dettaint.SinkFact" → "dettaint.SinkFact".
+// e.g. "*determinism.SinkFact" → "determinism.SinkFact".
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	if t.Kind() == reflect.Pointer {
@@ -56,7 +56,7 @@ var factRegistry = struct {
 
 // RegisterFactType makes a fact type decodable by name. Registration is
 // idempotent; registering two distinct types under one name panics.
-// Analyzer packages call this from init (and RunAnalyzersFacts registers
+// Analyzer packages call this from init (and RunAnalyzers registers
 // Analyzer.FactTypes automatically), so decoding a facts file only
 // requires importing the analyzers that produced it.
 func RegisterFactType(f Fact) {
@@ -86,7 +86,7 @@ func newFactByName(name string) (Fact, bool) {
 	return reflect.New(t).Interface().(Fact), true
 }
 
-// factKey addresses one stored fact. object is "" for package facts.
+// factKey addresses one stored fact.
 type factKey struct {
 	analyzer string
 	pkg      string
@@ -183,23 +183,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 		return false
 	}
 	return p.facts.get(factKey{p.Analyzer.Name, obj.Pkg().Path(), path, factTypeName(f)}, f)
-}
-
-// ExportPackageFact attaches a fact to the package under analysis.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if p.facts == nil {
-		return
-	}
-	p.facts.put(factKey{p.Analyzer.Name, p.Pkg.Path(), "", factTypeName(f)}, f)
-}
-
-// ImportPackageFact copies the package fact of f's type exported for
-// pkg into f, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if p.facts == nil || pkg == nil {
-		return false
-	}
-	return p.facts.get(factKey{p.Analyzer.Name, pkg.Path(), "", factTypeName(f)}, f)
 }
 
 // Wire format: a JSON object with a magic field, so a facts file

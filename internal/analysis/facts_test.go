@@ -77,7 +77,6 @@ func TestFactRoundTripInMemory(t *testing.T) {
 	p.ExportObjectFact(v, &testFact{Fields: []string{"A", "B"}, N: 2})
 	p.ExportObjectFact(m, &testFact{Fields: []string{"C"}, N: 1})
 	p.ExportObjectFact(m, &otherFact{Tainted: true})
-	p.ExportPackageFact(&testFact{N: 99})
 
 	var got testFact
 	if !p.ImportObjectFact(v, &got) || got.N != 2 || len(got.Fields) != 2 {
@@ -97,10 +96,6 @@ func TestFactRoundTripInMemory(t *testing.T) {
 	if !p.ImportObjectFact(m, &of) || !of.Tainted {
 		t.Fatalf("ImportObjectFact(T.M, otherFact) = %+v", of)
 	}
-	var pf testFact
-	if !p.ImportPackageFact(pkg, &pf) || pf.N != 99 {
-		t.Fatalf("ImportPackageFact = %+v", pf)
-	}
 	var missing testFact
 	if p.ImportObjectFact(types.NewVar(token.NoPos, pkg, "W", types.Typ[types.Int]), &missing) {
 		t.Error("ImportObjectFact found a fact for an object with none")
@@ -114,7 +109,7 @@ func TestFactEncodeDecodeRoundTrip(t *testing.T) {
 	p.ExportObjectFact(v, &testFact{Fields: []string{"A"}, N: 1})
 	p.ExportObjectFact(f, &otherFact{Tainted: true})
 	p.ExportObjectFact(m, &testFact{Fields: []string{"X", "Y"}, N: 7})
-	p.ExportPackageFact(&otherFact{Tainted: true})
+	p.ExportObjectFact(v, &otherFact{Tainted: true})
 
 	data, err := store.Encode()
 	if err != nil {
@@ -134,9 +129,9 @@ func TestFactEncodeDecodeRoundTrip(t *testing.T) {
 	if !p2.ImportObjectFact(f, &of) || !of.Tainted {
 		t.Fatalf("after decode, ImportObjectFact(F) = %+v", of)
 	}
-	var pf otherFact
-	if !p2.ImportPackageFact(pkg, &pf) || !pf.Tainted {
-		t.Fatalf("after decode, ImportPackageFact = %+v", pf)
+	var vf otherFact
+	if !p2.ImportObjectFact(v, &vf) || !vf.Tainted {
+		t.Fatalf("after decode, ImportObjectFact(V, otherFact) = %+v", vf)
 	}
 
 	// Re-encoding the decoded store reproduces the bytes: the wire

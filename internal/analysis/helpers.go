@@ -79,29 +79,3 @@ func IsNamedType(t types.Type, pkgPath, name string) bool {
 	obj := named.Obj()
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
-
-// EnclosingFunc returns the innermost function declaration or literal
-// body containing pos, searching file.
-func EnclosingFunc(file *ast.File, pos ast.Node) *ast.BlockStmt {
-	var body *ast.BlockStmt
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n.Pos() > pos.End() || n.End() < pos.Pos() {
-			return false
-		}
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil && fn.Body.Pos() <= pos.Pos() && pos.End() <= fn.Body.End() {
-				body = fn.Body
-			}
-		case *ast.FuncLit:
-			if fn.Body.Pos() <= pos.Pos() && pos.End() <= fn.Body.End() {
-				body = fn.Body
-			}
-		}
-		return true
-	})
-	return body
-}

@@ -5,38 +5,38 @@
 //
 // The deterministic set is exactly the packages that execute between a
 // root seed and a Result: the event loop (sim), the transport model
-// (tcpsim), the path emulator (netem), the radio state machine (rrc),
-// the client model (browser), the workload (webpage), the sweep engine
-// (experiment) and the aggregators (stats). Code outside the set —
-// liveproxy, validate, httpwire, cmd — talks to real sockets and real
-// time by design, so wall-clock and goroutine-order effects are part of
-// its contract, not a bug. The process fabric (fabric) is split down
-// the middle: its worker/wire/journal files are held to the
-// deterministic bar, its coordinator is not.
+// (tcpsim, transport, h2), the path emulator (netem), the radio state
+// machine (rrc), the client model (browser), the workload (webpage),
+// the sweep engine (experiment) and the aggregators (stats). Code
+// outside the set — liveproxy, validate, httpwire, cmd — talks to real
+// sockets and real time by design, so wall-clock and goroutine-order
+// effects are part of its contract, not a bug. The process fabric
+// (fabric) is split down the middle: its worker/wire/journal files are
+// held to the deterministic bar, its coordinator is not.
+//
+// Each package gets one determinism scope: reported everywhere in the
+// deterministic set, in fabric's three worker-side files, and nowhere
+// else in the module — where the analyzer still runs, so the facts it
+// exports exist wherever a deterministic package's call graph leads.
 package simlint
 
 import (
+	"slices"
 	"strings"
 
 	"spdier/internal/analysis"
 	"spdier/internal/analysis/clockarith"
-	"spdier/internal/analysis/dettaint"
-	"spdier/internal/analysis/globalrand"
-	"spdier/internal/analysis/maprange"
+	"spdier/internal/analysis/determinism"
 	"spdier/internal/analysis/poolbalance"
 	"spdier/internal/analysis/shadow"
-	"spdier/internal/analysis/wallclock"
 )
 
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	wallclock.Analyzer,
-	globalrand.Analyzer,
-	maprange.Analyzer,
+	determinism.Analyzer,
 	poolbalance.Analyzer,
 	clockarith.Analyzer,
 	shadow.Analyzer,
-	dettaint.Analyzer,
 }
 
 // DeterministicPackages are the packages whose outputs must be a pure
@@ -64,29 +64,11 @@ var pooledPackages = []string{
 	"spdier/internal/proxy",
 }
 
-func isDeterministic(importPath string) bool {
-	for _, p := range DeterministicPackages {
-		if importPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-func isPooled(importPath string) bool {
-	for _, p := range pooledPackages {
-		if importPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-// fabricDeterministicFile scopes wallclock inside internal/fabric to
-// the worker side of its fence: the worker loop, wire codec and journal
-// must stay wallclock-clean so a shard folded in a worker process is a
-// pure function of its job spec. coordinator.go alone owns real time
-// (process deadlines, respawn) by design, so it is excluded.
+// fabricDeterministicFile is the fence inside internal/fabric: the
+// worker loop, wire codec and journal must stay deterministic so a
+// shard folded in a worker process is a pure function of its job spec.
+// coordinator.go alone owns real time (process deadlines, respawn) and
+// process bookkeeping by design, so it is outside the fence.
 func fabricDeterministicFile(base string) bool {
 	switch base {
 	case "worker.go", "wire.go", "journal.go":
@@ -110,70 +92,45 @@ func probeReportFile(base string) bool {
 // ForPackage returns the analyzers that apply to importPath plus any
 // per-analyzer file filters. Packages outside the module get nothing.
 func ForPackage(importPath string) ([]*analysis.Analyzer, map[string]func(string) bool) {
-	var out []*analysis.Analyzer
-	filters := map[string]func(string) bool{}
-	if isDeterministic(importPath) {
-		out = append(out,
-			wallclock.Analyzer,
-			globalrand.Analyzer,
-			maprange.Analyzer,
-			poolbalance.Analyzer,
-			clockarith.Analyzer,
-		)
-		filters[clockarith.Analyzer.Name] = probeReportFile
-	} else if importPath == "spdier/internal/fabric" {
-		// The process fabric straddles the fence: its worker loop, wire
-		// codec and journal are deterministic (a shard's bytes must not
-		// depend on which process folded it), while its coordinator owns
-		// real time. Wallclock is therefore scoped per file.
-		out = append(out, wallclock.Analyzer, globalrand.Analyzer, maprange.Analyzer)
-		filters[wallclock.Analyzer.Name] = fabricDeterministicFile
-	} else if isPooled(importPath) {
-		out = append(out, poolbalance.Analyzer)
+	if importPath != "spdier" && !strings.HasPrefix(importPath, "spdier/") {
+		return nil, nil
 	}
-	if strings.HasPrefix(importPath, "spdier/") || importPath == "spdier" {
-		out = append(out, shadow.Analyzer)
-		// The fact-producing analyzer runs module-wide so its facts exist
-		// wherever a deterministic package's call graph leads; its
-		// reporting is muted outside the deterministic set — an
-		// all-rejecting file filter drops its diagnostics while facts
-		// still export.
-		out = append(out, dettaint.Analyzer)
-		switch {
-		case isDeterministic(importPath):
-			// report everywhere in the package
-		case importPath == "spdier/internal/fabric":
-			filters[dettaint.Analyzer.Name] = fabricDeterministicFile
-		default:
-			filters[dettaint.Analyzer.Name] = func(string) bool { return false }
+	out := []*analysis.Analyzer{determinism.Analyzer, shadow.Analyzer}
+	filters := map[string]func(string) bool{}
+	switch {
+	case slices.Contains(DeterministicPackages, importPath):
+		out = append(out, poolbalance.Analyzer, clockarith.Analyzer)
+		filters[clockarith.Analyzer.Name] = probeReportFile
+	case importPath == "spdier/internal/fabric":
+		filters[determinism.Analyzer.Name] = fabricDeterministicFile
+	default:
+		if slices.Contains(pooledPackages, importPath) {
+			out = append(out, poolbalance.Analyzer)
 		}
+		// Facts only: an all-rejecting filter drops the diagnostics
+		// while the facts still export.
+		filters[determinism.Analyzer.Name] = func(string) bool { return false }
 	}
 	return out, filters
 }
 
-// Check runs the applicable analyzers over one loaded package and
+// CheckFacts runs the applicable analyzers over one loaded package and
 // applies //lint:allow suppressions. The returned diagnostics are the
-// unsuppressed findings plus any malformed-directive findings. Facts
-// are confined to the one package; multi-package drivers use
-// CheckFacts with a shared store.
-func Check(pkg *analysis.Package) ([]analysis.Diagnostic, error) {
-	return CheckFacts(pkg, analysis.NewFactStore())
-}
-
-// CheckFacts is Check with an explicit fact store. A driver analyzing
-// packages in dependency order passes the same store for all of them,
-// so facts exported from a dependency (dettaint's sink/ordered
-// classifications) are visible when its dependents are analyzed.
+// unsuppressed findings plus any malformed-directive findings. A driver
+// analyzing packages in dependency order passes the same store for all
+// of them, so facts exported from a dependency (determinism's
+// sink/ordered classifications) are visible when its dependents are
+// analyzed.
 func CheckFacts(pkg *analysis.Package, facts *analysis.FactStore) ([]analysis.Diagnostic, error) {
 	analyzers, filters := ForPackage(pkg.ImportPath)
 	if len(analyzers) == 0 {
 		return nil, nil
 	}
-	diags, err := analysis.RunAnalyzersFacts(pkg, analyzers, analysis.RunConfig{Facts: facts, FileFilters: filters})
+	diags, err := analysis.RunAnalyzers(pkg, analyzers, analysis.RunConfig{Facts: facts, FileFilters: filters})
 	if err != nil {
 		return nil, err
 	}
-	return analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags), nil
+	return analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags, Analyzers), nil
 }
 
 // RegisterFactTypes registers every suite analyzer's fact types for
@@ -195,9 +152,9 @@ func CheckDir(dir, moduleRoot string) ([]analysis.Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	diags, err := analysis.RunAnalyzers(pkg, Analyzers, nil)
+	diags, err := analysis.RunAnalyzers(pkg, Analyzers, analysis.RunConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags), nil
+	return analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags, Analyzers), nil
 }

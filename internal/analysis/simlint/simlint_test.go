@@ -8,9 +8,11 @@ import (
 )
 
 // TestFixtureTriggersEveryAnalyzer runs the full suite over the seeded
-// violation corpus and requires exactly one finding per analyzer. This
-// is the canary for the canaries: an analyzer that stops firing here
-// has gone silent everywhere.
+// violation corpus and requires exactly one finding per rule: four
+// determinism sources (wall clock, global rand, a map range printing,
+// a sink call under a map range) and one each for the other analyzers.
+// This is the canary for the canaries: an analyzer or rule that stops
+// firing here has gone silent everywhere.
 func TestFixtureTriggersEveryAnalyzer(t *testing.T) {
 	dir := filepath.Join("..", "testdata", "fixture")
 	moduleRoot := filepath.Join("..", "..", "..")
@@ -22,22 +24,26 @@ func TestFixtureTriggersEveryAnalyzer(t *testing.T) {
 	for _, d := range diags {
 		got[d.Analyzer]++
 	}
+	want := map[string]int{"determinism": 4, "poolbalance": 1, "clockarith": 1, "shadow": 1}
+	total := 0
 	for _, a := range simlint.Analyzers {
-		if got[a.Name] != 1 {
-			t.Errorf("analyzer %s: want exactly 1 finding in the fixture, got %d", a.Name, got[a.Name])
+		total += want[a.Name]
+		if got[a.Name] != want[a.Name] {
+			t.Errorf("analyzer %s: want %d findings in the fixture, got %d", a.Name, want[a.Name], got[a.Name])
 		}
 	}
-	if len(diags) != len(simlint.Analyzers) {
+	if len(diags) != total || total != 7 {
 		for _, d := range diags {
 			t.Logf("finding: %s", d.String())
 		}
-		t.Errorf("want %d findings total, got %d", len(simlint.Analyzers), len(diags))
+		t.Errorf("want 7 findings total, got %d", len(diags))
 	}
 }
 
 // TestForPackagePolicy pins the policy mapping: deterministic packages
-// get the determinism analyzers, pooled packages get poolbalance, and
-// everything in the module gets shadow.
+// get determinism, poolbalance and clockarith, pooled packages get
+// poolbalance, and everything in the module gets shadow and
+// determinism (for its facts).
 func TestForPackagePolicy(t *testing.T) {
 	names := func(importPath string) map[string]bool {
 		as, _ := simlint.ForPackage(importPath)
@@ -49,7 +55,7 @@ func TestForPackagePolicy(t *testing.T) {
 	}
 
 	sim := names("spdier/internal/sim")
-	for _, want := range []string{"wallclock", "globalrand", "maprange", "poolbalance", "clockarith", "shadow", "dettaint"} {
+	for _, want := range []string{"determinism", "poolbalance", "clockarith", "shadow"} {
 		if !sim[want] {
 			t.Errorf("spdier/internal/sim: missing analyzer %s", want)
 		}
@@ -59,12 +65,12 @@ func TestForPackagePolicy(t *testing.T) {
 	if !spdy["poolbalance"] || !spdy["shadow"] {
 		t.Errorf("spdier/internal/spdy: want poolbalance+shadow, got %v", spdy)
 	}
-	if spdy["wallclock"] {
-		t.Errorf("spdier/internal/spdy: wallclock must not apply outside the deterministic set")
+	if spdy["clockarith"] {
+		t.Errorf("spdier/internal/spdy: clockarith must not apply outside the deterministic set")
 	}
 
 	live := names("spdier/internal/liveproxy")
-	if live["wallclock"] || live["globalrand"] {
+	if live["poolbalance"] || live["clockarith"] {
 		t.Errorf("spdier/internal/liveproxy talks to real time by design; got %v", live)
 	}
 	if !live["shadow"] {
@@ -76,38 +82,45 @@ func TestForPackagePolicy(t *testing.T) {
 	}
 }
 
-// TestDettaintScoping pins the mute-for-facts policy: dettaint runs
-// module-wide so its facts exist everywhere, but its reporting filter
-// rejects every file outside the deterministic set (and all but the
-// worker-side files inside fabric).
-func TestDettaintScoping(t *testing.T) {
+// TestDeterminismScoping pins the one scope per package: determinism
+// runs module-wide so its facts exist everywhere, reports unfiltered in
+// the deterministic set, only in the worker-side files inside fabric,
+// and nowhere else.
+func TestDeterminismScoping(t *testing.T) {
 	filterFor := func(importPath string) (func(string) bool, bool) {
 		as, filters := simlint.ForPackage(importPath)
 		for _, a := range as {
-			if a.Name == "dettaint" {
-				f, has := filters["dettaint"]
+			if a.Name == "determinism" {
+				f, has := filters["determinism"]
 				return f, has
 			}
 		}
-		t.Fatalf("%s: dettaint not in suite", importPath)
+		t.Fatalf("%s: determinism not in suite", importPath)
 		return nil, false
 	}
 
-	if f, has := filterFor("spdier/internal/experiment"); has && f != nil {
-		t.Errorf("experiment: dettaint must report unfiltered in the deterministic set")
+	for _, pkg := range simlint.DeterministicPackages {
+		if f, has := filterFor(pkg); has && f != nil {
+			t.Errorf("%s: determinism must report unfiltered in the deterministic set", pkg)
+		}
 	}
 	f, has := filterFor("spdier/internal/liveproxy")
 	if !has || f == nil {
-		t.Fatalf("liveproxy: dettaint must be muted outside the deterministic set")
+		t.Fatalf("liveproxy: determinism must be muted outside the deterministic set")
 	}
 	if f("proxy.go") {
-		t.Errorf("liveproxy: dettaint filter must reject every file (facts only)")
+		t.Errorf("liveproxy: determinism filter must reject every file (facts only)")
 	}
 	f, has = filterFor("spdier/internal/fabric")
 	if !has || f == nil {
-		t.Fatalf("fabric: dettaint must be file-scoped")
+		t.Fatalf("fabric: determinism must be file-scoped")
 	}
-	if !f("worker.go") || f("coordinator.go") {
-		t.Errorf("fabric: dettaint must report in worker.go but not coordinator.go")
+	for _, base := range []string{"worker.go", "wire.go", "journal.go"} {
+		if !f(base) {
+			t.Errorf("fabric: determinism must report in %s", base)
+		}
+	}
+	if f("coordinator.go") {
+		t.Errorf("fabric: determinism must not report in coordinator.go")
 	}
 }

@@ -3,10 +3,11 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
-// A suppression is one parsed //lint:allow directive.
+// directivePrefix opens a suppression directive:
 //
 //	//lint:allow <analyzer> <reason...>
 //
@@ -14,13 +15,6 @@ import (
 // justification, not an off switch. A directive suppresses findings of
 // the named analyzer on its own line and, when it stands alone on a
 // line, on the next source line below it.
-type suppression struct {
-	analyzer string
-	reason   string
-	pos      token.Position
-	used     bool
-}
-
 const directivePrefix = "//lint:allow"
 
 // DirectiveAnalyzerName is the pseudo-analyzer name under which
@@ -29,16 +23,17 @@ const DirectiveAnalyzerName = "lintdirective"
 
 // ApplySuppressions filters diags through the //lint:allow directives
 // found in files. It returns the surviving diagnostics plus new
-// diagnostics for malformed directives (missing analyzer or missing
-// reason) — a broken suppression must fail the build, not silently
-// suppress nothing. The result is position-sorted.
-func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	// fileLine -> suppressions covering that line.
+// diagnostics for malformed directives (missing analyzer, missing
+// reason, or a name no analyzer of suite carries) — a broken
+// suppression must fail the build, not silently suppress nothing. The
+// result is position-sorted.
+func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic, suite []*Analyzer) []Diagnostic {
+	// fileLine -> analyzers suppressed on that line.
 	type key struct {
 		file string
 		line int
 	}
-	covering := map[key][]*suppression{}
+	covering := map[key][]string{}
 	var out []Diagnostic
 
 	for _, f := range files {
@@ -63,30 +58,22 @@ func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 						Message: "//lint:allow " + fields[0] + " needs a reason: suppressions document why the finding is acceptable"})
 					continue
 				}
-				s := &suppression{
-					analyzer: fields[0],
-					reason:   strings.Join(fields[1:], " "),
-					pos:      pos,
+				if !slices.ContainsFunc(suite, func(a *Analyzer) bool { return a.Name == fields[0] }) {
+					out = append(out, Diagnostic{Pos: pos, Analyzer: DirectiveAnalyzerName,
+						Message: "//lint:allow " + fields[0] + " names no analyzer in the suite: a stale directive suppresses nothing"})
+					continue
 				}
-				covering[key{pos.Filename, pos.Line}] = append(covering[key{pos.Filename, pos.Line}], s)
+				covering[key{pos.Filename, pos.Line}] = append(covering[key{pos.Filename, pos.Line}], fields[0])
 				// A directive alone on its line shields the line below.
 				if onOwnLine(fset, f, c) {
-					covering[key{pos.Filename, pos.Line + 1}] = append(covering[key{pos.Filename, pos.Line + 1}], s)
+					covering[key{pos.Filename, pos.Line + 1}] = append(covering[key{pos.Filename, pos.Line + 1}], fields[0])
 				}
 			}
 		}
 	}
 
 	for _, d := range diags {
-		suppressed := false
-		for _, s := range covering[key{d.Pos.Filename, d.Pos.Line}] {
-			if s.analyzer == d.Analyzer {
-				s.used = true
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
+		if !slices.Contains(covering[key{d.Pos.Filename, d.Pos.Line}], d.Analyzer) {
 			out = append(out, d)
 		}
 	}

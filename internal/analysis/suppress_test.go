@@ -10,6 +10,9 @@ import (
 	"spdier/internal/analysis"
 )
 
+// suite is the analyzer set directives may name.
+var suite = []*analysis.Analyzer{{Name: "determinism"}, {Name: "shadow"}}
+
 // apply parses src as test.go and filters diags through its directives.
 func apply(t *testing.T, src string, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	t.Helper()
@@ -18,7 +21,7 @@ func apply(t *testing.T, src string, diags []analysis.Diagnostic) []analysis.Dia
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return analysis.ApplySuppressions(fset, []*ast.File{f}, diags)
+	return analysis.ApplySuppressions(fset, []*ast.File{f}, diags, suite)
 }
 
 func diag(line int, analyzer, msg string) analysis.Diagnostic {
@@ -33,12 +36,12 @@ func TestTrailingDirectiveSuppressesOwnLine(t *testing.T) {
 	src := `package p
 
 func f() {
-	g() //lint:allow wallclock startup banner, outside the simulated clock
+	g() //lint:allow determinism startup banner, outside the simulated clock
 }
 
 func g() {}
 `
-	out := apply(t, src, []analysis.Diagnostic{diag(4, "wallclock", "time.Now ...")})
+	out := apply(t, src, []analysis.Diagnostic{diag(4, "determinism", "time.Now ...")})
 	if len(out) != 0 {
 		t.Fatalf("want finding suppressed, got %v", out)
 	}
@@ -48,13 +51,13 @@ func TestOwnLineDirectiveShieldsNextLine(t *testing.T) {
 	src := `package p
 
 func f() {
-	//lint:allow wallclock startup banner, outside the simulated clock
+	//lint:allow determinism startup banner, outside the simulated clock
 	g()
 }
 
 func g() {}
 `
-	out := apply(t, src, []analysis.Diagnostic{diag(5, "wallclock", "time.Now ...")})
+	out := apply(t, src, []analysis.Diagnostic{diag(5, "determinism", "time.Now ...")})
 	if len(out) != 0 {
 		t.Fatalf("want finding suppressed, got %v", out)
 	}
@@ -64,12 +67,12 @@ func TestDirectiveWithoutReasonIsRejected(t *testing.T) {
 	src := `package p
 
 func f() {
-	g() //lint:allow wallclock
+	g() //lint:allow determinism
 }
 
 func g() {}
 `
-	out := apply(t, src, []analysis.Diagnostic{diag(4, "wallclock", "time.Now ...")})
+	out := apply(t, src, []analysis.Diagnostic{diag(4, "determinism", "time.Now ...")})
 	// The broken directive must surface AND must not suppress anything.
 	var sawDirective, sawOriginal bool
 	for _, d := range out {
@@ -79,7 +82,7 @@ func g() {}
 			if !strings.Contains(d.Message, "reason") {
 				t.Errorf("directive diagnostic does not mention the missing reason: %q", d.Message)
 			}
-		case "wallclock":
+		case "determinism":
 			sawOriginal = true
 		}
 	}
@@ -111,14 +114,14 @@ func TestDirectiveForOtherAnalyzerDoesNotSuppress(t *testing.T) {
 	src := `package p
 
 func f() {
-	g() //lint:allow globalrand wrong analyzer named here
+	g() //lint:allow shadow wrong analyzer named here
 }
 
 func g() {}
 `
-	out := apply(t, src, []analysis.Diagnostic{diag(4, "wallclock", "time.Now ...")})
-	if len(out) != 1 || out[0].Analyzer != "wallclock" {
-		t.Fatalf("want the wallclock finding to survive, got %v", out)
+	out := apply(t, src, []analysis.Diagnostic{diag(4, "determinism", "time.Now ...")})
+	if len(out) != 1 || out[0].Analyzer != "determinism" {
+		t.Fatalf("want the determinism finding to survive, got %v", out)
 	}
 }
 
@@ -126,14 +129,41 @@ func TestTrailingDirectiveDoesNotShieldNextLine(t *testing.T) {
 	src := `package p
 
 func f() {
-	g() //lint:allow wallclock covers this line only
+	g() //lint:allow determinism covers this line only
 	g()
 }
 
 func g() {}
 `
-	out := apply(t, src, []analysis.Diagnostic{diag(5, "wallclock", "time.Now ...")})
+	out := apply(t, src, []analysis.Diagnostic{diag(5, "determinism", "time.Now ...")})
 	if len(out) != 1 {
 		t.Fatalf("want the next-line finding to survive a trailing directive, got %v", out)
+	}
+}
+
+// TestStaleDirectiveIsRejected: a directive naming an analyzer that is
+// not in the suite (a retired one, a typo) surfaces as a finding and
+// suppresses nothing.
+func TestStaleDirectiveIsRejected(t *testing.T) {
+	src := `package p
+
+func f() {
+	g() //lint:allow wallclock retired analyzer name
+}
+
+func g() {}
+`
+	out := apply(t, src, []analysis.Diagnostic{diag(4, "determinism", "time.Now ...")})
+	var sawDirective, sawOriginal bool
+	for _, d := range out {
+		switch d.Analyzer {
+		case analysis.DirectiveAnalyzerName:
+			sawDirective = strings.Contains(d.Message, "wallclock")
+		case "determinism":
+			sawOriginal = true
+		}
+	}
+	if !sawDirective || !sawOriginal || len(out) != 2 {
+		t.Fatalf("want a %s finding naming wallclock and the determinism finding kept, got %v", analysis.DirectiveAnalyzerName, out)
 	}
 }

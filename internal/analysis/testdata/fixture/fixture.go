@@ -1,8 +1,9 @@
 // Package fixture is a seeded violation corpus: exactly one finding per
-// analyzer in the suite. The simlint acceptance test (and CI) runs the
-// full suite over this directory and requires one finding per analyzer
-// — if an analyzer regresses into silence, that test fails before any
-// real violation can slip through unnoticed.
+// rule — four determinism sources, and one each for poolbalance,
+// clockarith and shadow. The simlint acceptance test (and CI) runs the
+// full suite over this directory and requires that count per analyzer
+// — if a rule regresses into silence, that test fails before any real
+// violation can slip through unnoticed.
 package fixture
 
 import (
@@ -21,11 +22,11 @@ func grab() *[64]byte {
 }
 
 func violations(m map[string]int, rtt time.Duration) (time.Time, error) {
-	start := time.Now() // wallclock
+	start := time.Now() // determinism: wall clock
 
-	n := rand.Intn(6) // globalrand
+	n := rand.Intn(6) // determinism: global rand
 
-	for k := range m { // iteration order leaks into output: maprange
+	for k := range m { // determinism: iteration order leaks into output
 		fmt.Println(k, n)
 	}
 
@@ -43,11 +44,11 @@ func violations(m map[string]int, rtt time.Duration) (time.Time, error) {
 }
 
 // emitKey prints — so it carries a SinkFact — without being one of the
-// output calls maprange recognizes locally.
+// output calls recognized locally.
 func emitKey(k string) { fmt.Println(k) }
 
-// leakOrder reaches that sink once per map entry: the dettaint
-// interprocedural finding (and, deliberately, not a maprange one).
+// leakOrder reaches that sink once per map entry: the determinism
+// interprocedural finding.
 func leakOrder(m map[string]bool) {
 	for k := range m {
 		emitKey(k)

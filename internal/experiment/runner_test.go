@@ -364,7 +364,7 @@ func TestOrderedFanOut(t *testing.T) {
 					if width == 1 {
 						log = append(log, fmt.Sprintf("run %d on %s", i, goroutineID()))
 					}
-					time.Sleep(time.Duration((i*7)%5) * 300 * time.Microsecond) //lint:allow wallclock fake work that finishes out of index order; nothing simulated reads it
+					time.Sleep(time.Duration((i*7)%5) * 300 * time.Microsecond) //lint:allow determinism fake work that finishes out of index order; nothing simulated reads it
 					running.Add(-1)
 					return i
 				}, func(i int) {

@@ -252,7 +252,7 @@ type overlapFolder struct {
 
 func (f *overlapFolder) Fold(*RunStats) {
 	raiseMax(f.peak, f.active.Add(1))
-	time.Sleep(200 * time.Microsecond) //lint:allow wallclock fake fold cost so concurrent shards overlap; nothing simulated reads it
+	time.Sleep(200 * time.Microsecond) //lint:allow determinism fake fold cost so concurrent shards overlap; nothing simulated reads it
 	f.active.Add(-1)
 	f.n++
 }

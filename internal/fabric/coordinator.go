@@ -412,12 +412,12 @@ func (c *Coordinator) Close() error {
 	c.closed = true
 	workers := make([]*worker, 0, len(c.live))
 	for w := range c.live {
-		workers = append(workers, w) //lint:allow maprange kill order is irrelevant: workers are independent processes
+		workers = append(workers, w)
 	}
 	journals := make([]*Journal, 0, len(c.journals))
 	for _, j := range c.journals {
 		if j != nil {
-			journals = append(journals, j) //lint:allow maprange close order is irrelevant: journals are independent files
+			journals = append(journals, j)
 		}
 	}
 	c.mu.Unlock()
