@@ -19,14 +19,10 @@ race:
 	$(GO) test -race -count=5 -run 'TestOrderedFanOut|TestDeclinedShardsRespectParallelism|TestSweep' ./internal/experiment/
 
 # Static enforcement of the simulator's determinism, seeded-RNG and
-# pool-discipline invariants (TESTING.md, "Layer 0"). Runs the suite
-# twice: standalone over the module, and through go vet's -vettool
-# protocol so _test.go files are linted too.
+# pool-discipline invariants (TESTING.md, "Layer 0"): one pass over the
+# module, _test.go files included.
 lint:
 	$(GO) run ./cmd/simlint ./...
-	$(GO) build -o $(CURDIR)/.simlint.bin ./cmd/simlint
-	$(GO) vet -vettool=$(CURDIR)/.simlint.bin ./...
-	@rm -f $(CURDIR)/.simlint.bin
 
 # The seeded fixture must keep tripping every rule in the suite.
 fixture-check:

@@ -10,8 +10,8 @@
 //
 // The API mirrors x/tools deliberately (Analyzer, Pass, Diagnostic), so
 // if the real dependency ever becomes available the analyzers port over
-// with close to zero changes; until then cmd/simlint drives them both
-// standalone and through go vet's -vettool unitchecker protocol.
+// with close to zero changes; until then cmd/simlint drives them over
+// the packages Load returns, test files included, in one process.
 package analysis
 
 import (
@@ -30,14 +30,8 @@ type Analyzer struct {
 	Name string
 
 	// Doc is a one-paragraph description of what the analyzer enforces
-	// and why, shown by `simlint -help`.
+	// and why, shown by `simlint -list`.
 	Doc string
-
-	// FactTypes lists the fact types this analyzer exports or imports
-	// (one zero value per type). The driver registers them for wire
-	// decoding before any pass runs. Analyzers without facts leave it
-	// nil.
-	FactTypes []Fact
 
 	// Run executes the check over one package.
 	Run func(*Pass) error
@@ -104,11 +98,10 @@ func baseName(path string) string {
 
 // RunConfig carries the cross-cutting inputs for one analysis run.
 type RunConfig struct {
-	// Facts is the shared fact store. In a standalone multi-package run
-	// the same store is passed for every package (dependency-order
-	// loading makes dependee facts visible to dependents); in vettool
-	// mode it is seeded from the dependency .vetx files first. Nil
-	// confines each analyzer to what it learns in the one package.
+	// Facts is the shared fact store. A multi-package run passes the
+	// same store for every package (dependency-order loading makes
+	// dependee facts visible to dependents). Nil confines each analyzer
+	// to what it learns in the one package.
 	Facts *FactStore
 
 	// FileFilters maps analyzer name to an optional per-file reporting
@@ -117,15 +110,10 @@ type RunConfig struct {
 }
 
 // RunAnalyzers executes each analyzer over the loaded package with the
-// run configuration, registering every analyzer's fact types first, and
-// returns the combined diagnostics sorted by position. The zero
-// RunConfig runs without facts across packages and without filters.
+// run configuration and returns the combined diagnostics sorted by
+// position. The zero RunConfig runs without facts across packages and
+// without filters.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg RunConfig) ([]Diagnostic, error) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			RegisterFactType(f)
-		}
-	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -147,7 +135,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg RunConfig) ([]Diagnos
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, analyzer —
-// the stable order every driver mode prints in.
+// the stable order the driver prints in.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

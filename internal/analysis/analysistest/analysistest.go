@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,11 +45,7 @@ func RunSuppressed(t *testing.T, a *analysis.Analyzer, suite []*analysis.Analyze
 // non-nil suite applies suppressions first.
 func check(t *testing.T, a *analysis.Analyzer, pkgdir string, suite []*analysis.Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", pkgdir)
-	pkg, err := analysis.LoadDir(dir, moduleRoot(t))
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
+	pkg := LoadPackages(t, pkgdir)[0]
 	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, analysis.RunConfig{})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
@@ -85,17 +82,13 @@ func RunWithDeps(t *testing.T, a *analysis.Analyzer, pkgdir string, deps ...stri
 // Deps are importable by the later packages under their bare names.
 func LoadPackages(t *testing.T, pkgdir string, deps ...string) []*analysis.Package {
 	t.Helper()
-	order := append(append([]string{}, deps...), pkgdir)
-	dirs := map[string]string{}
-	for _, name := range order {
-		dirs[name] = filepath.Join("testdata", "src", name)
+	var dirs []string
+	for _, name := range append(slices.Clip(deps), pkgdir) {
+		dirs = append(dirs, filepath.Join("testdata", "src", name))
 	}
-	// LoadDirs type-checks in slice order, so deps must precede the
-	// packages importing them.
-	sorted := append(append([]string{}, deps...), pkgdir)
-	pkgs, err := analysis.LoadDirs(moduleRoot(t), sorted, dirs)
+	pkgs, err := analysis.LoadDirs(moduleRoot(t), dirs...)
 	if err != nil {
-		t.Fatalf("loading %v: %v", sorted, err)
+		t.Fatalf("loading %v: %v", dirs, err)
 	}
 	return pkgs
 }

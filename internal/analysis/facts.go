@@ -1,20 +1,14 @@
-// The facts layer: serializable per-object findings an analyzer
-// exports while analyzing one package and imports while analyzing its
-// dependents — the mechanism that turns the per-package
-// linter into a cross-package analysis engine. The shape mirrors
-// x/tools' AnalyzerFact protocol (Analyzer.FactTypes, Pass.Export/
-// ImportObjectFact), so analyzers written against it port directly.
+// The facts layer: per-object findings an analyzer exports while
+// analyzing one package and imports while analyzing its dependents —
+// the mechanism that turns the per-package linter into a cross-package
+// analysis engine. The shape mirrors x/tools' AnalyzerFact protocol
+// (Pass.ExportObjectFact/ImportObjectFact), so analyzers written
+// against it port directly.
 //
-// Facts travel two ways:
-//
-//   - standalone (`simlint ./...`): `go list -deps` emits dependencies
-//     before dependents, so one shared in-memory FactStore naturally
-//     sees every callee's facts before its callers are analyzed;
-//   - vettool (one process per package): facts are serialized into the
-//     .vetx file cmd/go asks for (vetConfig.VetxOutput) and re-read
-//     from the dependency facts files it supplies (PackageVetx) —
-//     exported alongside the compiler export data, exactly like the
-//     real unitchecker.
+// Facts live in one in-memory FactStore for the whole run: Load returns
+// every package after its dependencies, and test variants after every
+// plain package, so a callee's facts are in the store before any caller
+// is analyzed.
 //
 // Facts attach to package-level objects only — package-scope funcs,
 // vars, types, and methods (addressed as "Type.Method") — which is all
@@ -24,66 +18,16 @@ package analysis
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 )
 
 // Fact is a marker interface for analyzer facts. Implementations must
-// be pointers to JSON-serializable structs and must be registered (via
-// Analyzer.FactTypes or RegisterFactType) before any decode.
+// be pointers to JSON-serializable structs: the store hands out copies
+// made by a JSON round trip.
 type Fact interface {
 	AFact() // marker method; no behaviour
-}
-
-// factTypeName returns the stable wire name of a fact's dynamic type,
-// e.g. "*determinism.SinkFact" → "determinism.SinkFact".
-func factTypeName(f Fact) string {
-	t := reflect.TypeOf(f)
-	if t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return t.String()
-}
-
-var factRegistry = struct {
-	sync.Mutex
-	byName map[string]reflect.Type // wire name -> struct type (not pointer)
-}{byName: map[string]reflect.Type{}}
-
-// RegisterFactType makes a fact type decodable by name. Registration is
-// idempotent; registering two distinct types under one name panics.
-// Analyzer packages call this from init (and RunAnalyzers registers
-// Analyzer.FactTypes automatically), so decoding a facts file only
-// requires importing the analyzers that produced it.
-func RegisterFactType(f Fact) {
-	name := factTypeName(f)
-	t := reflect.TypeOf(f)
-	if t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("analysis: fact %s must be a pointer to a struct", name))
-	}
-	factRegistry.Lock()
-	defer factRegistry.Unlock()
-	if prev, ok := factRegistry.byName[name]; ok {
-		if prev != t.Elem() {
-			panic(fmt.Sprintf("analysis: fact name %s registered for two types", name))
-		}
-		return
-	}
-	factRegistry.byName[name] = t.Elem()
-}
-
-func newFactByName(name string) (Fact, bool) {
-	factRegistry.Lock()
-	t, ok := factRegistry.byName[name]
-	factRegistry.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return reflect.New(t).Interface().(Fact), true
 }
 
 // factKey addresses one stored fact.
@@ -91,12 +35,11 @@ type factKey struct {
 	analyzer string
 	pkg      string
 	object   string
-	typ      string
+	typ      reflect.Type
 }
 
-// FactStore holds every fact produced (or imported) during one lint
-// run. It is shared across all packages of a standalone run and seeded
-// from dependency .vetx files in vettool mode. Safe for concurrent use.
+// FactStore holds every fact produced during one lint run, shared
+// across all of its packages. Safe for concurrent use.
 type FactStore struct {
 	mu    sync.Mutex
 	facts map[factKey]Fact
@@ -168,7 +111,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	if !ok {
 		return
 	}
-	p.facts.put(factKey{p.Analyzer.Name, obj.Pkg().Path(), path, factTypeName(f)}, f)
+	p.facts.put(factKey{p.Analyzer.Name, obj.Pkg().Path(), path, reflect.TypeOf(f)}, f)
 }
 
 // ImportObjectFact copies the fact of f's type previously exported for
@@ -182,91 +125,5 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 	if !ok {
 		return false
 	}
-	return p.facts.get(factKey{p.Analyzer.Name, obj.Pkg().Path(), path, factTypeName(f)}, f)
-}
-
-// Wire format: a JSON object with a magic field, so a facts file
-// written by an older simlint (or any other tool's vetx output) is
-// recognized and ignored rather than misdecoded.
-const factsMagic = "simlint-facts"
-
-type wireFacts struct {
-	Magic   string     `json:"simlintFacts"`
-	Version int        `json:"v"`
-	Facts   []wireFact `json:"facts"`
-}
-
-type wireFact struct {
-	Analyzer string          `json:"a"`
-	Pkg      string          `json:"pkg"`
-	Object   string          `json:"obj,omitempty"`
-	Type     string          `json:"t"`
-	Data     json.RawMessage `json:"d"`
-}
-
-// Encode serializes every fact in the store (the package under analysis
-// plus everything imported into it, so dependents see transitive facts
-// regardless of how cmd/go prunes its PackageVetx map). The output is
-// deterministic: facts are sorted by (pkg, object, analyzer, type).
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	keys := make([]factKey, 0, len(s.facts))
-	for k := range s.facts {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pkg != b.pkg {
-			return a.pkg < b.pkg
-		}
-		if a.object != b.object {
-			return a.object < b.object
-		}
-		if a.analyzer != b.analyzer {
-			return a.analyzer < b.analyzer
-		}
-		return a.typ < b.typ
-	})
-	w := wireFacts{Magic: factsMagic, Version: 1}
-	for _, k := range keys {
-		s.mu.Lock()
-		f := s.facts[k]
-		s.mu.Unlock()
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: encoding fact %s/%s: %w", k.pkg, k.object, err)
-		}
-		w.Facts = append(w.Facts, wireFact{Analyzer: k.analyzer, Pkg: k.pkg, Object: k.object, Type: k.typ, Data: data})
-	}
-	return json.Marshal(w)
-}
-
-// Decode merges a facts file into the store. Unrecognized files (no
-// magic — e.g. a legacy placeholder vetx) are ignored without error;
-// facts whose type is not registered are skipped (an analyzer that was
-// removed can leave stale facts behind harmlessly).
-func (s *FactStore) Decode(data []byte) error {
-	trimmed := strings.TrimSpace(string(data))
-	if !strings.HasPrefix(trimmed, "{") || !strings.Contains(trimmed, factsMagic) {
-		return nil
-	}
-	var w wireFacts
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("analysis: decoding facts: %w", err)
-	}
-	if w.Magic != factsMagic {
-		return nil
-	}
-	for _, wf := range w.Facts {
-		f, ok := newFactByName(wf.Type)
-		if !ok {
-			continue
-		}
-		if err := json.Unmarshal(wf.Data, f); err != nil {
-			return fmt.Errorf("analysis: decoding %s fact for %s.%s: %w", wf.Type, wf.Pkg, wf.Object, err)
-		}
-		s.put(factKey{wf.Analyzer, wf.Pkg, wf.Object, wf.Type}, f)
-	}
-	return nil
+	return p.facts.get(factKey{p.Analyzer.Name, obj.Pkg().Path(), path, reflect.TypeOf(f)}, f)
 }

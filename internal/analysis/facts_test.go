@@ -1,13 +1,12 @@
 package analysis
 
 import (
-	"bytes"
 	"go/token"
 	"go/types"
 	"testing"
 )
 
-// testFact is a registered fact type for the round-trip tests.
+// testFact is a fact type for the round-trip tests.
 type testFact struct {
 	Fields []string `json:"fields"`
 	N      int      `json:"n"`
@@ -22,11 +21,6 @@ type otherFact struct {
 }
 
 func (*otherFact) AFact() {}
-
-func init() {
-	RegisterFactType(&testFact{})
-	RegisterFactType(&otherFact{})
-}
 
 // fakePkg builds a types.Package with one package-level var V, one
 // func F, and one method T.M, without invoking the go tool.
@@ -99,85 +93,6 @@ func TestFactRoundTripInMemory(t *testing.T) {
 	var missing testFact
 	if p.ImportObjectFact(types.NewVar(token.NoPos, pkg, "W", types.Typ[types.Int]), &missing) {
 		t.Error("ImportObjectFact found a fact for an object with none")
-	}
-}
-
-func TestFactEncodeDecodeRoundTrip(t *testing.T) {
-	pkg, v, f, m := fakePkg("example.com/p")
-	store := NewFactStore()
-	p := passFor(pkg, store)
-	p.ExportObjectFact(v, &testFact{Fields: []string{"A"}, N: 1})
-	p.ExportObjectFact(f, &otherFact{Tainted: true})
-	p.ExportObjectFact(m, &testFact{Fields: []string{"X", "Y"}, N: 7})
-	p.ExportObjectFact(v, &otherFact{Tainted: true})
-
-	data, err := store.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := NewFactStore()
-	if err := fresh.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	p2 := passFor(pkg, fresh)
-	var got testFact
-	if !p2.ImportObjectFact(m, &got) || got.N != 7 || got.Fields[1] != "Y" {
-		t.Fatalf("after decode, ImportObjectFact(T.M) = %+v", got)
-	}
-	var of otherFact
-	if !p2.ImportObjectFact(f, &of) || !of.Tainted {
-		t.Fatalf("after decode, ImportObjectFact(F) = %+v", of)
-	}
-	var vf otherFact
-	if !p2.ImportObjectFact(v, &vf) || !vf.Tainted {
-		t.Fatalf("after decode, ImportObjectFact(V, otherFact) = %+v", vf)
-	}
-
-	// Re-encoding the decoded store reproduces the bytes: the wire
-	// format is deterministic, which the vet cache depends on.
-	data2, err := fresh.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Errorf("encode not deterministic:\n%s\nvs\n%s", data, data2)
-	}
-}
-
-func TestFactDecodeToleratesForeignContent(t *testing.T) {
-	for _, tc := range []string{
-		"",
-		"simlint: no facts\n",            // the pre-facts placeholder vetx
-		"\x00\x01binary garbage",         // arbitrary vetx from another tool
-		`{"some":"other json"}`,          // JSON without the magic
-		`{"simlintFacts":"wrong-magic"}`, // magic key, wrong value
-	} {
-		store := NewFactStore()
-		if err := store.Decode([]byte(tc)); err != nil {
-			t.Errorf("Decode(%q) = %v, want nil (ignored)", tc, err)
-		}
-		if len(store.facts) != 0 {
-			t.Errorf("Decode(%q) populated the store", tc)
-		}
-	}
-}
-
-func TestFactDecodeSkipsUnregisteredTypes(t *testing.T) {
-	data := []byte(`{"simlintFacts":"simlint-facts","v":1,"facts":[` +
-		`{"a":"gone","pkg":"example.com/p","obj":"V","t":"gone.RetiredFact","d":{}},` +
-		`{"a":"testan","pkg":"example.com/p","obj":"V","t":"analysis.testFact","d":{"fields":["A"],"n":1}}]}`)
-	store := NewFactStore()
-	if err := store.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	pkg, v, _, _ := fakePkg("example.com/p")
-	var got testFact
-	if !passFor(pkg, store).ImportObjectFact(v, &got) || got.N != 1 {
-		t.Fatalf("registered fact lost alongside the unregistered one: %+v", got)
-	}
-	if len(store.facts) != 1 {
-		t.Errorf("store has %d facts, want 1 (retired type skipped)", len(store.facts))
 	}
 }
 

@@ -114,45 +114,44 @@ func ForPackage(importPath string) ([]*analysis.Analyzer, map[string]func(string
 	return out, filters
 }
 
-// CheckFacts runs the applicable analyzers over one loaded package and
-// applies //lint:allow suppressions. The returned diagnostics are the
-// unsuppressed findings plus any malformed-directive findings. A driver
-// analyzing packages in dependency order passes the same store for all
-// of them, so facts exported from a dependency (determinism's
-// sink/ordered classifications) are visible when its dependents are
-// analyzed.
-func CheckFacts(pkg *analysis.Package, facts *analysis.FactStore) ([]analysis.Diagnostic, error) {
-	analyzers, filters := ForPackage(pkg.ImportPath)
-	if len(analyzers) == 0 {
-		return nil, nil
-	}
-	diags, err := analysis.RunAnalyzers(pkg, analyzers, analysis.RunConfig{Facts: facts, FileFilters: filters})
-	if err != nil {
-		return nil, err
-	}
-	return analysis.ApplySuppressions(pkg.Fset, pkg.Files, diags, Analyzers), nil
-}
-
-// RegisterFactTypes registers every suite analyzer's fact types for
-// wire decoding — required before seeding a FactStore from .vetx files,
-// since decode happens before any analyzer has run.
-func RegisterFactTypes() {
-	for _, a := range Analyzers {
-		for _, f := range a.FactTypes {
-			analysis.RegisterFactType(f)
+// Check runs the suite over pkgs in order with one fact store and
+// returns the findings sorted by position: each package gets the
+// analyzers and filters ForPackage gives it, then its //lint:allow
+// directives. In analysis.Load's order every fact a package imports —
+// determinism's sink and ordered classifications — is in the store
+// before the package is analyzed.
+func Check(pkgs []*analysis.Package) ([]analysis.Diagnostic, error) {
+	facts := analysis.NewFactStore()
+	var all []analysis.Diagnostic
+	for _, pkg := range pkgs {
+		analyzers, filters := ForPackage(pkg.ImportPath)
+		if len(analyzers) == 0 {
+			continue
 		}
+		diags, err := check(pkg, analyzers, analysis.RunConfig{Facts: facts, FileFilters: filters})
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, diags...)
 	}
+	analysis.SortDiagnostics(all)
+	return all, nil
 }
 
 // CheckDir runs the ENTIRE suite, unscoped, over a bare directory of Go
 // files (a seeded violation fixture under testdata). Suppressions still
 // apply, so fixtures can exercise those too.
 func CheckDir(dir, moduleRoot string) ([]analysis.Diagnostic, error) {
-	pkg, err := analysis.LoadDir(dir, moduleRoot)
+	pkgs, err := analysis.LoadDirs(moduleRoot, dir)
 	if err != nil {
 		return nil, err
 	}
-	diags, err := analysis.RunAnalyzers(pkg, Analyzers, analysis.RunConfig{})
+	return check(pkgs[0], Analyzers, analysis.RunConfig{})
+}
+
+// check runs analyzers over pkg and applies its suppressions.
+func check(pkg *analysis.Package, analyzers []*analysis.Analyzer, cfg analysis.RunConfig) ([]analysis.Diagnostic, error) {
+	diags, err := analysis.RunAnalyzers(pkg, analyzers, cfg)
 	if err != nil {
 		return nil, err
 	}
