@@ -124,3 +124,27 @@ func SendAll(m map[string]int, ch chan string) {
 		ch <- k // want `send on ch inside range over map-ordered value`
 	}
 }
+
+// Loop stands in for the simulator's event loop.
+type Loop struct{ pending int }
+
+// After queues fn to run d ticks from now.
+func (l *Loop) After(d int, fn func()) { l.pending++ }
+
+// arm acquires a SinkFact without any output: an event queued on a loop
+// that outlives the call shifts every later tiebreak.
+func arm(l *Loop, fn func()) { l.After(1, fn) }
+
+// armLocal queues on a loop of its own, which nothing outside sees.
+func armLocal(fn func()) {
+	var l Loop
+	l.After(1, fn)
+}
+
+// ArmAll queues one event per entry, in map order.
+func ArmAll(l *Loop, m map[string]func()) {
+	for _, fn := range m {
+		arm(l, fn) // want `call to arm \(l\.After schedules an event\) inside range over map reaches an output sink`
+		armLocal(fn)
+	}
+}
