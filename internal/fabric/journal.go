@@ -11,6 +11,7 @@ package fabric
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -103,8 +104,8 @@ func (j *Journal) writeHeader(sweepFP string) error {
 }
 
 // load replays the manifest: header first, then records until EOF or
-// the first torn line, which is truncated away so subsequent appends
-// start at a clean boundary.
+// the first torn line, which is truncated away with everything after it
+// so subsequent appends start at a clean boundary.
 func (j *Journal) load(sweepFP string) error {
 	st, err := j.f.Stat()
 	if err != nil {
@@ -118,6 +119,15 @@ func (j *Journal) load(sweepFP string) error {
 	}
 	sc := bufio.NewScanner(j.f)
 	sc.Buffer(make([]byte, 64<<10), maxFramePayload)
+	// A line is its bytes up to a newline, exactly: a last line without
+	// one is a torn write however well it parses, and a '\r' is part of
+	// the line, so valid counts every byte.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil
+	})
 	var valid int64
 	first := true
 	for sc.Scan() {
