@@ -241,12 +241,6 @@ func (r *Recorder) TotalSamples() int { return r.total }
 // Stride returns the configured bulk downsampling stride.
 func (r *Recorder) Stride() int { return r.stride }
 
-// RetainedBytes estimates the resident size of the columnar store.
-func (r *Recorder) RetainedBytes() int {
-	per := 8 + 2 + 1 + 4 + 4 + 4 + 4 + 4 // one element in each column
-	return cap(r.at)*per + len(r.connIDs)*24
-}
-
 // Get reassembles the i-th retained sample.
 func (r *Recorder) Get(i int) ProbeSample {
 	return ProbeSample{
@@ -297,16 +291,6 @@ func (r *Recorder) Filter(ev ProbeEvent) []ProbeSample {
 		if r.event[i] == code {
 			out = append(out, r.Get(i))
 		}
-	}
-	return out
-}
-
-// ByConn splits retained samples per connection ID.
-func (r *Recorder) ByConn() map[string][]ProbeSample {
-	out := make(map[string][]ProbeSample)
-	for i := range r.at {
-		s := r.Get(i)
-		out[s.ConnID] = append(out[s.ConnID], s)
 	}
 	return out
 }
