@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -25,9 +26,39 @@ func TestDebugNetworkContrast(t *testing.T) {
 	}
 }
 
+// wireLog keeps a line for each TCP segment a path carries, up to max,
+// from the endpoints whose ID contains match (all when match is empty).
+type wireLog struct {
+	match string
+	max   int
+	lines []string
+}
+
+// install puts the log on both directions of net's path as a filter
+// that drops nothing.
+func (w *wireLog) install(net *tcpsim.Network) {
+	log := func(p netem.Payload, _ int) bool {
+		if seg, ok := p.(*tcpsim.Segment); ok && len(w.lines) < w.max && strings.Contains(seg.From, w.match) {
+			w.lines = append(w.lines, fmt.Sprintf("%v %s seq=%d len=%d ack=%d wnd=%d flags=%d retx=%t sack=%v",
+				net.Loop().Now(), seg.From, seg.Seq, seg.Len, seg.Ack, seg.Wnd, seg.Flags, seg.Retx, seg.Sack))
+		}
+		return true
+	}
+	net.Path().AtoB.SetFilter(log)
+	net.Path().BtoA.SetFilter(log)
+}
+
+func (w *wireLog) flush(t *testing.T) {
+	for _, l := range w.lines {
+		t.Log(l)
+	}
+}
+
 // TestDebugCalibration prints link/TCP diagnostics for one run of each
 // mode; it never fails and exists to support parameter calibration.
-// Set SPDIER_DEBUG_NET to "lte" or "wifi" to inspect other networks.
+// Set SPDIER_DEBUG_NET to "lte" or "wifi" to inspect other networks, and
+// SPDIER_DEBUG_CONN to a connection ID (or part of one) to print the
+// first 800 segments its endpoints sent.
 func TestDebugCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diagnostic")
@@ -36,27 +67,14 @@ func TestDebugCalibration(t *testing.T) {
 	if network == "" {
 		network = Net3G
 	}
-	if filter := os.Getenv("SPDIER_DEBUG_CONN"); filter != "" {
-		var lines []string
-		prefix := os.Getenv("SPDIER_DEBUG_PREFIX")
-		tcpsim.SetDebugLog(func(s string) {
-			if !strings.Contains(s, filter) || len(lines) >= 800 {
-				return
-			}
-			if prefix != "" && !strings.HasPrefix(s, prefix) {
-				return
-			}
-			lines = append(lines, s)
-		})
-		defer func() {
-			tcpsim.SetDebugLog(nil)
-			for _, l := range lines {
-				t.Log(l)
-			}
-		}()
+	var tap func(*tcpsim.Network)
+	if match := os.Getenv("SPDIER_DEBUG_CONN"); match != "" {
+		wire := wireLog{match: match, max: 800}
+		tap = wire.install
+		defer wire.flush(t)
 	}
 	for _, mode := range []browser.Mode{browser.ModeHTTP, browser.ModeSPDY} {
-		res := Run(Options{Mode: mode, Network: network, Seed: 7})
+		res := run(Options{Mode: mode, Network: network, Seed: 7}, tap)
 		down := resPathDown(res)
 		t.Logf("%s: meanPLT=%.2f aborted=%d", mode, mean(res.PLTSeconds()), countAborted(res))
 		t.Logf("  down: sent=%d delivered=%d dropQueue=%d dropLoss=%d",

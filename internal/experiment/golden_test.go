@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden experiment reports")
+var update = flag.Bool("update", false, "rewrite the golden experiment reports and the run pins of testdata/pins.json")
 
 // TestGoldenReports pins the byte-exact rendering of representative
 // experiments: fig3 (the paper's headline PLT comparison), table2 (the
@@ -29,7 +29,7 @@ func TestGoldenReports(t *testing.T) {
 			}
 			got := spec.Run(h).String()
 			path := filepath.Join("testdata", id+".golden")
-			if *updateGolden {
+			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}

@@ -213,9 +213,9 @@ type Result struct {
 	Samples    []Sample
 	RadioMJ    float64 // radio energy, millijoules
 	Duration   sim.Time
-	// Fired is the total number of events the run's loop executed,
-	// captured before the loop is released. Every session digest
-	// carries it, so an added, dropped or reordered timer moves a pin.
+	// Fired is the total number of events the run's loop executed, taken
+	// before the loop is released: a field of every session row of the
+	// run pins (testdata/pins.json), so a moved timer moves a row.
 	Fired uint64
 	// Incomplete counts pages whose load callback never fired before the
 	// hard deadline; their Records entries are nil and every accessor
@@ -354,12 +354,17 @@ func VisitOrder(n int) []int {
 	return sim.NewRNG(visitOrderSeed).Perm(n)
 }
 
-// Run executes one full measurement session and returns its Result.
-func Run(opts Options) *Result {
+// Run executes one full measurement session and returns its Result; run
+// also hands tap, when non-nil, the run's network before the first event.
+func Run(opts Options) *Result { return run(opts, nil) }
+func run(opts Options, tap func(*tcpsim.Network)) *Result {
 	opts = opts.withDefaults()
 	loop := sim.NewLoop()
 	rng := sim.NewRNG(opts.Seed)
 	net, radio := buildNetwork(loop, opts, rng)
+	if tap != nil {
+		tap(net)
+	}
 
 	var rec *tcpsim.Recorder
 	if opts.LeanProbe {

@@ -22,8 +22,8 @@ func TestIsolateCleanHTTP(t *testing.T) {
 	isolateCleanHTTP(t, false)
 }
 
-// TestIsolateCleanHTTPTraced re-runs the scenario with the tcpsim debug
-// log capturing the first duplicate-ACK sequences.
+// TestIsolateCleanHTTPTraced re-runs the scenario with a wire log on the
+// path: one line for each of the first 100,000 TCP segments sent.
 func TestIsolateCleanHTTPTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diagnostic")
@@ -33,20 +33,6 @@ func TestIsolateCleanHTTPTraced(t *testing.T) {
 
 func isolateCleanHTTP(t *testing.T, traced bool) {
 	t.Helper()
-	if traced {
-		var lines []string
-		tcpsim.SetDebugLog(func(s string) {
-			if len(lines) < 100000 {
-				lines = append(lines, s)
-			}
-		})
-		defer func() {
-			tcpsim.SetDebugLog(nil)
-			for _, l := range lines {
-				t.Log(l)
-			}
-		}()
-	}
 	loop := sim.NewLoop()
 	radio := rrc.NewMachine(loop, rrc.Profile3G())
 	pc := netem.Profile3G()
@@ -54,6 +40,11 @@ func isolateCleanHTTP(t *testing.T, traced bool) {
 	pc.Up.QueueBytes, pc.Down.QueueBytes = 16<<20, 16<<20
 	path := netem.NewPath(loop, pc, sim.NewRNG(3), radio)
 	net := tcpsim.NewNetwork(loop, path)
+	if traced {
+		wire := wireLog{max: 100000}
+		wire.install(net)
+		defer wire.flush(t)
+	}
 	rec := tcpsim.NewRecorder()
 	origin := proxy.NewOrigin(proxy.DefaultOriginConfig(), sim.NewRNG(4))
 	prox := proxy.New(loop, origin)

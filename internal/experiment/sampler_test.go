@@ -9,7 +9,7 @@ import (
 // samplerModes and samplerOptions are the two 3G sessions whose
 // telemetry samples were held, sample by sample, to a walk that summed
 // InFlightBytes over every connection the session ever opened; their
-// hash is pinned in testdata/reference_digests.json (samples/<mode>).
+// hash is pinned in testdata/pins.json (samples/<mode>).
 var samplerModes = []browser.Mode{browser.ModeHTTP, browser.ModeSPDY}
 
 func samplerOptions(mode browser.Mode) Options {

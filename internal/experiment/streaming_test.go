@@ -169,7 +169,7 @@ func TestSweepEachOrderAndEquality(t *testing.T) {
 	for i := range want {
 		opts := base
 		opts.Seed = h.Seed + uint64(i)
-		want[i] = sessionDigest(Run(opts))
+		want[i] = fmt.Sprint(resultRow(Run(opts), false))
 	}
 	for _, runs := range sweepPinRuns {
 		for _, width := range sweepPinWidths {
@@ -178,7 +178,7 @@ func TestSweepEachOrderAndEquality(t *testing.T) {
 			var digests []string
 			NewRunner(width).SweepEach(h, base, func(res *Result) {
 				seeds = append(seeds, res.Opts.Seed)
-				digests = append(digests, sessionDigest(res))
+				digests = append(digests, fmt.Sprint(resultRow(res, false)))
 			})
 			if len(seeds) != runs {
 				t.Fatalf("runs=%d width=%d: %d Results delivered", runs, width, len(seeds))

@@ -6,8 +6,12 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -316,5 +320,25 @@ func TestWirePipe(t *testing.T) {
 	raw[len(raw)-6] ^= 0xff
 	if _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted frame passed the checksum")
+	}
+}
+
+// TestTruncatedFrameAllocatesWhatArrives: a header that declares the
+// largest payload the codec takes, followed by 16 bytes, is a truncated
+// frame, and refusing it must cost what arrived, not what was declared.
+func TestTruncatedFrameAllocatesWhatArrives(t *testing.T) {
+	data := make([]byte, 9+16)
+	binary.LittleEndian.PutUint32(data[0:4], frameMagic)
+	data[4] = msgResult
+	binary.LittleEndian.PutUint32(data[5:9], maxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("readFrame: %v, want the truncated-payload error", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing a 16-byte payload allocated %d bytes", d)
 	}
 }

@@ -118,8 +118,13 @@ func readFrame(r io.Reader) (frame, error) {
 	if n > maxFramePayload {
 		return frame{}, fmt.Errorf("fabric: frame payload %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The buffer grows with the bytes that arrive, not with the length a
+	// possibly corrupt header declares.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(payload) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return frame{}, fmt.Errorf("fabric: truncated frame payload: %w", err)
 	}
 	var sum [4]byte

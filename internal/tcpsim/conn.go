@@ -10,12 +10,6 @@ import (
 	"spdier/internal/sim"
 )
 
-// debugLog, when set by tests, receives verbose per-event diagnostics.
-var debugLog func(string)
-
-// SetDebugLog installs (or clears, with nil) the package debug logger.
-func SetDebugLog(fn func(string)) { debugLog = fn }
-
 // Config holds the tunables of one endpoint's TCP stack. Defaults mirror
 // the Linux 3.x stack on the paper's proxy VM.
 type Config struct {
@@ -652,9 +646,6 @@ func (c *Conn) newSeg() *Segment {
 func (c *Conn) transmit(seg *Segment) {
 	seg.From = c.id
 	seg.to = c.peer
-	if debugLog != nil {
-		debugLog(fmt.Sprintf("%v %s tx seq=%d len=%d ack=%d flags=%d", c.loop.Now(), c.id, seg.Seq, seg.Len, seg.Ack, seg.Flags))
-	}
 	if !c.out.Send(seg, seg.wireSize()) && c.net != nil {
 		c.net.retireSeg(seg)
 	}
@@ -1020,9 +1011,6 @@ func (c *Conn) sendAck(delayed bool) {
 	seg.Sack = c.appendSackBlocks(seg.Sack[:0])
 	seg.TSEcr = c.tsRecent
 	seg.Delayed = delayed
-	if debugLog != nil {
-		debugLog(fmt.Sprintf("%v %s sendAck ack=%d wnd=%d dsack=%v sack=%v", c.loop.Now(), c.id, seg.Ack, seg.Wnd, seg.Dsack, seg.Sack))
-	}
 	if invOn {
 		c.checkSackEmitted(seg)
 	}
@@ -1334,10 +1322,6 @@ func (c *Conn) growWindow(ackedSegs int) {
 
 func (c *Conn) processDupAck(seg *Segment) {
 	c.dupAcks++
-	if debugLog != nil {
-		debugLog(fmt.Sprintf("%v %s dupack#%d una=%d nxt=%d inflight=%d ca=%d",
-			c.loop.Now(), c.id, c.dupAcks, c.sndUna, c.sndNxt, len(c.infl()), c.caState))
-	}
 	switch c.caState {
 	case caOpen:
 		if c.dupAcks >= 3 {
