@@ -92,6 +92,10 @@ type Config struct {
 	// QUICZeroRTT lets QUIC connections resume with 0-RTT when the
 	// client's metrics cache knows the destination.
 	QUICZeroRTT bool
+
+	// Shelf lends the zlib contexts a SPDY session prices its heads
+	// in, on both ends of the connection; nil allocates them.
+	Shelf *spdy.Shelf
 }
 
 // DefaultConfig returns the Chrome-like defaults for a mode.
@@ -764,14 +768,19 @@ func (b *Browser) requestMux(f *fetch) {
 // requests issued meanwhile wait in each handle's backlog.
 func (b *Browser) openMux() {
 	m := b.muxMode
+	newSession := func() *proxy.Session {
+		s := m.newSession(b.prox)
+		s.Shelf = b.cfg.Shelf
+		return s
+	}
 	var shared *proxy.Session
 	if m.shared {
-		shared = m.newSession(b.prox)
+		shared = newSession()
 	}
 	for i := 0; i < m.conns; i++ {
 		h := &muxHandle{b: b, id: fmt.Sprintf(m.connID, i), sess: shared}
 		if h.sess == nil {
-			h.sess = m.newSession(b.prox)
+			h.sess = newSession()
 		}
 		if m.quic {
 			ccfg := b.cfg.ClientTCP
@@ -791,7 +800,7 @@ func (b *Browser) openMux() {
 			b.proxyConns = append(b.proxyConns, server)
 		}
 		if m.zlibRequests {
-			oracle := spdy.NewSizeOracle()
+			oracle := b.cfg.Shelf.NewSizeOracle()
 			h.reqSize = func(obj *webpage.Object) int {
 				return oracle.RequestSize("GET", "http", obj.Domain, obj.Path, userAgent)
 			}

@@ -74,7 +74,7 @@ func TestDebugCalibration(t *testing.T) {
 		defer wire.flush(t)
 	}
 	for _, mode := range []browser.Mode{browser.ModeHTTP, browser.ModeSPDY} {
-		res := run(Options{Mode: mode, Network: network, Seed: 7}, tap)
+		res := run(Options{Mode: mode, Network: network, Seed: 7}, nil, tap)
 		down := resPathDown(res)
 		t.Logf("%s: meanPLT=%.2f aborted=%d", mode, mean(res.PLTSeconds()), countAborted(res))
 		t.Logf("  down: sent=%d delivered=%d dropQueue=%d dropLoss=%d",

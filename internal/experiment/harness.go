@@ -355,11 +355,13 @@ func VisitOrder(n int) []int {
 }
 
 // Run executes one full measurement session and returns its Result; run
-// also hands tap, when non-nil, the run's network before the first event.
-func Run(opts Options) *Result { return run(opts, nil) }
-func run(opts Options, tap func(*tcpsim.Network)) *Result {
+// also takes its loop's storage and its SPDY zlib contexts from a, when
+// non-nil, and gives them back at the end, and hands tap, when non-nil,
+// the run's network before the first event.
+func Run(opts Options) *Result { return run(opts, nil, nil) }
+func run(opts Options, a *runArena, tap func(*tcpsim.Network)) *Result {
 	opts = opts.withDefaults()
-	loop := sim.NewLoop()
+	loop, shelf := a.lend()
 	rng := sim.NewRNG(opts.Seed)
 	net, radio := buildNetwork(loop, opts, rng)
 	if tap != nil {
@@ -408,6 +410,7 @@ func run(opts Options, tap func(*tcpsim.Network)) *Result {
 	bcfg.Pipelining = opts.Pipelining
 	bcfg.PipelineDepth = 4
 	bcfg.Beacons = !opts.NoBeacons
+	bcfg.Shelf = shelf
 	br := browser.New(loop, net, prox, bcfg, rng.Fork(0xB0B))
 
 	// Pages and visit order.
@@ -500,8 +503,9 @@ func run(opts Options, tap func(*tcpsim.Network)) *Result {
 	// A memoized Result must retain data, not the run's machinery: drop
 	// the event queue's callbacks, the segment pool and per-connection
 	// runtime state so the browser/proxy/compression graph of the run is
-	// collectable while the Result sits in the cache.
+	// collectable while the Result sits in the cache, and take back what
+	// the arena lent, so the Result reaches none of it.
 	net.ReleaseRuntime()
-	loop.Release()
+	a.reclaim(loop)
 	return res
 }

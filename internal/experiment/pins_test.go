@@ -152,7 +152,7 @@ func referenceRow(o Options) pinRow { return resultRow(Run(o), true) }
 // SACK blocks, so the hash moves if one block of one option does.
 func ackRow(o Options) pinRow {
 	acks, sacks, lines := 0, 0, fnv.New64a()
-	run(o, func(net *tcpsim.Network) {
+	run(o, nil, func(net *tcpsim.Network) {
 		watch := func(p netem.Payload, _ int) bool {
 			if seg, ok := p.(*tcpsim.Segment); ok && seg.Len == 0 && seg.CtrlLen == 0 && seg.TSEcr != 0 {
 				acks++

@@ -10,6 +10,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"spdier/internal/sim"
+	"spdier/internal/spdy"
 )
 
 // Runner executes runs and sweeps through a bounded worker pool and a
@@ -19,7 +22,11 @@ type Runner struct {
 	parallel int
 	cache    *memoCache[*Result]
 	stats    *memoCache[*RunStats]
-	sem      chan struct{}
+	// tokens holds the worker tokens, parallel of them, each carrying a
+	// run arena. Run, RunStats and FillShard take one on entry and give
+	// it back on return; every simulation runs under one of them, on its
+	// arena. Nothing that holds a token takes another.
+	tokens chan *runArena
 
 	// shardExec, when non-nil, is offered every SweepStream shard before
 	// the in-process fold (the process-fabric coordinator). Guarded by
@@ -42,13 +49,52 @@ func NewRunner(parallel int) *Runner {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
+	r := &Runner{
 		parallel: parallel,
 		cache:    newMemoCache[*Result](DefaultCacheCapacity),
 		stats:    newMemoCache[*RunStats](DefaultStatsCacheCapacity),
-		sem:      make(chan struct{}, parallel),
+		tokens:   make(chan *runArena, parallel),
 	}
+	for i := 0; i < parallel; i++ {
+		r.tokens <- new(runArena)
+	}
+	return r
 }
+
+// runArena is the memory a worker token carries and lends each run made
+// under it: the event loop's storage and the SPDY sessions' zlib
+// contexts. A run takes them at its start; at its end the arena takes
+// them back, emptied, so the Result reaches none of it and the next run
+// starts where a fresh one does. It keeps each bucket's largest array
+// and as many contexts as its busiest run used. A nil arena lends
+// nothing: the one-shot Run allocates afresh.
+type runArena struct {
+	loop  sim.Storage
+	shelf spdy.Shelf
+}
+
+// lend returns the loop and the shelf of a run starting on a.
+func (a *runArena) lend() (*sim.Loop, *spdy.Shelf) {
+	if a == nil {
+		return sim.NewLoop(), nil
+	}
+	return sim.NewLoopOn(&a.loop), &a.shelf
+}
+
+// reclaim releases a finished run's loop, taking back what a lent it.
+func (a *runArena) reclaim(loop *sim.Loop) {
+	if a == nil {
+		loop.Release()
+		return
+	}
+	loop.ReleaseTo(&a.loop)
+	a.shelf.Reclaim()
+}
+
+// acquire takes a worker token, waiting for one if all are out; release
+// gives it back.
+func (r *Runner) acquire() *runArena  { return <-r.tokens }
+func (r *Runner) release(a *runArena) { r.tokens <- a }
 
 // beginSweep resets the current-sweep progress counters.
 func (r *Runner) beginSweep(total int) {
@@ -122,31 +168,41 @@ func (r *Runner) ResetCache() {
 	r.stats.reset()
 }
 
-// Run executes (or replays from cache) one measurement run. Results are
-// memoized by CacheKey, so callers must treat them as immutable; runs
-// without a canonical key (explicit Pages) always simulate.
+// Run executes (or replays from cache) one measurement run under a
+// worker token. Results are memoized by CacheKey, so callers must treat
+// them as immutable; runs without a canonical key (explicit Pages)
+// always simulate.
 func (r *Runner) Run(opts Options) *Result {
+	a := r.acquire()
+	defer r.release(a)
+	return r.runOn(a, opts)
+}
+
+// runOn is Run on the arena of a token the caller holds.
+func (r *Runner) runOn(a *runArena, opts Options) *Result {
 	key, ok := CacheKey(opts)
 	if !ok {
-		return Run(opts)
+		return run(opts, a, nil)
 	}
-	return r.cache.getOrRun(key, func() *Result { return Run(opts) })
+	return r.cache.getOrRun(key, func() *Result { return run(opts, a, nil) })
 }
 
 // fanOut computes items 0…n−1 with run, one goroutine each and at most
-// cap(sem) at a time, and hands every value to emit on the caller's
+// width at a time, and hands every value to emit on the caller's
 // goroutine strictly in index order, so a parallel sweep performs its
 // caller-side work in exactly the order a serial one does. window > 0
 // caps how many items may be started but not yet emitted: item i+window
 // starts once item i has been emitted. A width of 1, or a single item,
-// runs serially on the caller.
-func fanOut[T any](sem chan struct{}, n, window int, run func(i int) T, emit func(T)) {
-	if n <= 1 || cap(sem) <= 1 {
+// runs serially on the caller. width paces this one sweep; the
+// Runner's tokens, which run takes, bound the simulations of all.
+func fanOut[T any](width, n, window int, run func(i int) T, emit func(T)) {
+	if n <= 1 || width <= 1 {
 		for i := 0; i < n; i++ {
 			emit(run(i))
 		}
 		return
 	}
+	sem := make(chan struct{}, width)
 	slots := n
 	if window > 0 && window < n {
 		slots = window

@@ -358,7 +358,7 @@ func TestOrderedFanOut(t *testing.T) {
 				var running, maxRunning, pending, maxPending atomic.Int64
 				var log []string // width 1 only: run and emit interleaving
 				var got []int
-				fanOut(make(chan struct{}, width), n, window, func(i int) int {
+				fanOut(width, n, window, func(i int) int {
 					raiseMax(&maxRunning, running.Add(1))
 					raiseMax(&maxPending, pending.Add(1))
 					if width == 1 {

@@ -144,17 +144,25 @@ func NewRunStats(res *Result) *RunStats {
 	return rs
 }
 
-// RunStats executes (or replays) one run and returns its aggregates.
-// Aggregates are memoized separately from full Results: a cached full
-// Result is distilled for free; otherwise the run executes with a lean
-// (rare-only) probe recorder and the Result is released immediately —
-// aggregate-only sweeps never materialize the columnar trace.
+// RunStats executes (or replays) one run under a worker token and
+// returns its aggregates. Aggregates are memoized separately from full
+// Results: a cached full Result is distilled for free; otherwise the run
+// executes with a lean (rare-only) probe recorder and the Result is
+// released immediately — aggregate-only sweeps never materialize the
+// columnar trace.
 func (r *Runner) RunStats(opts Options) *RunStats {
+	a := r.acquire()
+	defer r.release(a)
+	return r.runStatsOn(a, opts)
+}
+
+// runStatsOn is RunStats on the arena of a token the caller holds.
+func (r *Runner) runStatsOn(a *runArena, opts Options) *RunStats {
 	statsOpts := opts
 	statsOpts.LeanProbe = false // lean and full runs share one aggregate entry
 	key, ok := CacheKey(statsOpts)
 	if !ok {
-		return NewRunStats(Run(opts))
+		return NewRunStats(run(opts, a, nil))
 	}
 	return r.stats.getOrRun(key, func() *RunStats {
 		if res, hit := r.cache.peek(key); hit {
@@ -162,7 +170,7 @@ func (r *Runner) RunStats(opts Options) *RunStats {
 		}
 		lean := opts
 		lean.LeanProbe = true
-		return NewRunStats(Run(lean))
+		return NewRunStats(run(lean, a, nil))
 	})
 }
 
@@ -173,7 +181,7 @@ func (r *Runner) RunStats(opts Options) *RunStats {
 func (r *Runner) SweepStats(h Harness, base Options) []*RunStats {
 	r.beginSweep(h.Runs)
 	out := make([]*RunStats, 0, h.Runs)
-	fanOut(r.sem, h.Runs, 0, func(i int) *RunStats {
+	fanOut(r.parallel, h.Runs, 0, func(i int) *RunStats {
 		rs := r.RunStats(h.seeded(base, i))
 		r.noteRun()
 		return rs
@@ -189,7 +197,7 @@ func (r *Runner) SweepStats(h Harness, base Options) []*RunStats {
 // sequence a serial sweep would produce.
 func (r *Runner) SweepEach(h Harness, base Options, fn func(*Result)) {
 	r.beginSweep(h.Runs)
-	fanOut(r.sem, h.Runs, r.parallel, func(i int) *Result {
+	fanOut(r.parallel, h.Runs, r.parallel, func(i int) *Result {
 		res := r.Run(h.seeded(base, i))
 		r.noteRun()
 		return res
@@ -240,14 +248,17 @@ func ShardRange(runs, si int) (lo, hi int) {
 
 // FillShard folds shard si's runs into f exactly as the in-process
 // sweep path does: consecutive seeds, fold order ascending, one lean
-// aggregate run per seed. Worker processes and the in-process engine
-// both go through this one function, so their accumulator states are
-// identical by construction. onRun, when non-nil, is invoked after each
-// folded run (the fabric worker streams a progress frame from it).
+// aggregate run per seed, all under one worker token and on its arena.
+// Worker processes and the in-process engine both go through this one
+// function, so their accumulator states are identical by construction.
+// onRun, when non-nil, is invoked after each folded run (the fabric
+// worker streams a progress frame from it).
 func (r *Runner) FillShard(h Harness, base Options, si int, f Folder, onRun func()) {
+	a := r.acquire()
+	defer r.release(a)
 	lo, hi := ShardRange(h.Runs, si)
 	for i := lo; i < hi; i++ {
-		f.Fold(r.RunStats(h.seeded(base, i)))
+		f.Fold(r.runStatsOn(a, h.seeded(base, i)))
 		r.noteRun()
 		if onRun != nil {
 			onRun()
@@ -270,29 +281,26 @@ func (r *Runner) SweepStream(h Harness, base Options, newShard func() Folder) Fo
 		r.FillShard(h, base, si, f, nil)
 		return f
 	}
-	sem, run := r.sem, fill
+	width, run := r.parallel, fill
 	if ex := r.shardExecutor(); ex != nil {
 		// Dispatch width: the runner's own pool, widened to the executor's
 		// worker-process count — a dispatch goroutine for a remote shard
 		// just waits on a pipe, so the in-process bound would strand
 		// worker processes idle. The executor's slot pool bounds remote
-		// compute; a declined shard takes a slot of the runner's pool.
-		width := r.parallel
+		// compute; a declined shard folds under a token of the runner's
+		// pool, which FillShard takes.
 		if wp, ok := ex.(interface{ Workers() int }); ok && wp.Workers() > width {
 			width = wp.Workers()
 		}
-		sem = make(chan struct{}, width)
 		run = func(si int) Folder {
 			if f := ex.ExecuteShard(h, base, si, newShard); f != nil {
 				return f
 			}
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
 			return fill(si)
 		}
 	}
 	var acc Folder
-	fanOut(sem, ShardCount(h.Runs), 0, run, func(f Folder) {
+	fanOut(width, ShardCount(h.Runs), 0, run, func(f Folder) {
 		if acc == nil {
 			acc = f
 		} else {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -274,6 +275,28 @@ func TestDeclinedShardsRespectParallelism(t *testing.T) {
 	}
 	if p := peak.Load(); p > 2 {
 		t.Fatalf("%d declined shards folded at once on a runner of parallelism 2", p)
+	}
+
+	// Two single-shard sweeps at once on NewRunner(1), declined or not:
+	// each would run serially on its own caller, and only the runner's
+	// one token keeps their folds apart.
+	for _, ex := range []ShardExecutor{nil, decliningExecutor{}} {
+		var active, peak atomic.Int64
+		r := NewRunner(1)
+		r.SetShardExecutor(ex)
+		one := Harness{Runs: sweepShardSize, Seed: 1}
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.SweepStream(one, base, func() Folder { return &overlapFolder{active: &active, peak: &peak} })
+			}()
+		}
+		wg.Wait()
+		if p := peak.Load(); p > 1 {
+			t.Fatalf("executor %T: %d single-shard sweeps folded at once on NewRunner(1)", ex, p)
+		}
 	}
 }
 

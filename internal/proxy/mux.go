@@ -68,8 +68,11 @@ type Session struct {
 	links []*link
 	queue spdy.PriorityQueue[*Exchange]
 
-	newHead      func() headSizer
+	newHead      func(*spdy.Shelf) headSizer
 	dataOverhead int
+	// Shelf lends the zlib contexts of the links' SYN_REPLY pricing;
+	// nil allocates them. Set it before the first link is added.
+	Shelf *spdy.Shelf
 
 	fc      *h2.FlowController // nil: no flow control
 	blocked []*Exchange        // responses parked on an empty flow-control window
@@ -100,17 +103,17 @@ type headSizer func(obj *webpage.Object) int
 
 // zlibHead prices heads as SPDY does: a SYN_REPLY whose header block is
 // deflated in the zlib context every header block on the connection
-// shares.
-func zlibHead() headSizer {
-	oracle := spdy.NewSizeOracle()
+// shares, lent by sh.
+func zlibHead(sh *spdy.Shelf) headSizer {
+	oracle := sh.NewSizeOracle()
 	return func(obj *webpage.Object) int {
 		return oracle.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
 	}
 }
 
 // hpackHead prices heads the HTTP/2 way (QPACK behaves alike at this
-// fidelity).
-func hpackHead() headSizer {
+// fidelity). It borrows nothing from the shelf.
+func hpackHead(*spdy.Shelf) headSizer {
 	sizer := h2.NewHeaderSizer()
 	return func(obj *webpage.Object) int {
 		return sizer.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
@@ -294,7 +297,7 @@ func (s *Session) AddQUICLink(serverConn *tcpsim.QUICConn, clientStreams *QUICSt
 }
 
 func (s *Session) addLink(c carrier) int {
-	s.links = append(s.links, &link{carrier: c, headSize: s.newHead(), sess: s})
+	s.links = append(s.links, &link{carrier: c, headSize: s.newHead(s.Shelf), sess: s})
 	return len(s.links) - 1
 }
 

@@ -131,7 +131,34 @@ type Loop struct {
 // NewLoop returns a scheduler with the clock at zero.
 func NewLoop() *Loop {
 	l := &Loop{}
-	l.w.reset(0)
+	l.w.seed()
+	return l
+}
+
+// Storage is the memory a released loop leaves for the next one: the
+// slot pool and its free list, every bucket's backing array and the
+// drain scratch, all emptied. The zero Storage holds nothing. It is
+// plain memory with no lock: one loop at a time may run on it.
+type Storage struct {
+	held    bool
+	slots   []eventSlot
+	free    []int32
+	buckets [numBuckets][]bref
+	scratch []flight
+}
+
+// NewLoopOn is NewLoop on st's memory, which it takes, leaving st
+// empty; on an empty st it is NewLoop. Only capacity carries over: the
+// loop starts with no slot, no free slot and no queued event, so it
+// hands out slot ids and generations, and fires, exactly as a NewLoop
+// does — a bucket's capacity is invisible to append and swap-remove.
+func NewLoopOn(st *Storage) *Loop {
+	if !st.held {
+		return NewLoop()
+	}
+	l := &Loop{slots: st.slots, free: st.free}
+	l.w = wheel{ovMin: Forever, buckets: st.buckets, scratch: st.scratch}
+	*st = Storage{}
 	return l
 }
 
@@ -271,13 +298,28 @@ func (l *Loop) RunUntilIdle() Time { return l.Run(Forever) }
 // callbacks close over is immediately collectable. Call it once a
 // simulation has finished and its results have been extracted — a
 // retained Loop (e.g. reachable from a memoized result) must not pin the
-// run's browser/proxy/connection graph. The loop itself remains usable
-// for scheduling fresh events.
+// run's browser/proxy/connection graph. It allocates nothing: the loop
+// is left with an empty wheel and no backing, which a later schedule
+// grows again.
 func (l *Loop) Release() {
 	l.epoch++
 	l.slots = nil
 	l.free = nil
-	l.w.reset(l.now)
+	l.w = wheel{cur: l.now, ovMin: Forever}
+}
+
+// ReleaseTo is Release that hands the loop's memory, emptied, to st
+// instead of dropping it; whatever st held is dropped. The slots'
+// callbacks are cleared first, so st pins nothing of the run, and the
+// loop keeps no slice of what st now holds, so a Loop still reachable
+// after its run neither pins nor sees what the next loop on st does.
+func (l *Loop) ReleaseTo(st *Storage) {
+	clear(l.slots)
+	*st = Storage{held: true, slots: l.slots[:0], free: l.free[:0], scratch: l.w.scratch[:0]}
+	for i, b := range l.w.buckets {
+		st.buckets[i] = b[:0]
+	}
+	l.Release()
 }
 
 // Pending reports the number of queued events. Stopped timers are removed

@@ -69,7 +69,6 @@ type wheel struct {
 	// tick's events into scratch, so drainTick starts there instead of
 	// at the level-0 bucket.
 	batchPending bool
-	arena        []bref // initial backing storage, sliced across buckets
 }
 
 const (
@@ -105,16 +104,14 @@ type flight struct {
 	gen uint32
 }
 
-// reset empties the wheel at position cur in one struct reset — every
-// bucket, the scratch batch and the occupancy state go without walking
-// queued events — and gives every bucket a small private capacity carved
-// from one arena allocation, so first-touch appends during a warm run
-// allocate nothing.
-func (w *wheel) reset(cur Time) {
-	*w = wheel{cur: cur, ovMin: Forever}
-	w.arena = make([]bref, numBuckets*bucketSeed)
+// seed gives an empty wheel at position 0 a small private capacity in
+// every bucket, carved from one allocation, and a drain scratch, so
+// first-touch appends during a run allocate nothing.
+func (w *wheel) seed() {
+	*w = wheel{ovMin: Forever}
+	arena := make([]bref, numBuckets*bucketSeed)
 	for i := range w.buckets {
-		w.buckets[i] = w.arena[i*bucketSeed : i*bucketSeed : (i+1)*bucketSeed]
+		w.buckets[i] = arena[i*bucketSeed : i*bucketSeed : (i+1)*bucketSeed]
 	}
 	w.scratch = make([]flight, 0, wheelSlots)
 }

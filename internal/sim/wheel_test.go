@@ -189,7 +189,7 @@ func TestWheelStopMidBatchResume(t *testing.T) {
 	})
 }
 
-// TestWheelReleaseMidBatch releases the loop (epoch bump + arena drop)
+// TestWheelReleaseReuse releases the loop (epoch bump + arena drop)
 // and checks stale handles are inert and the loop stays usable.
 func TestWheelReleaseReuse(t *testing.T) {
 	onWheel(t, func(t *testing.T, loop *Loop) {
@@ -236,8 +236,7 @@ type workloadRun struct {
 // far-future events that cascade through multiple levels, cancels of
 // queued and in-flight timers, nested scheduling from callbacks, and
 // deadline-bounded run segments.
-func runScheduleWorkload(seed uint64) workloadRun {
-	loop := NewLoop()
+func runScheduleWorkload(loop *Loop, seed uint64) workloadRun {
 	rng := NewRNG(seed)
 	var run workloadRun
 	var live []Timer
@@ -331,7 +330,7 @@ func traceDigest(trace []traceEvent, fired uint64) uint64 {
 func TestSchedulerDifferentialRandom(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			run := runScheduleWorkload(seed)
+			run := runScheduleWorkload(NewLoop(), seed)
 			if got, want := traceDigest(run.trace, run.fired), workloadDigests[seed-1]; got != want {
 				t.Errorf("trace digest %#016x (%d events, Fired %d), pinned %#016x",
 					got, len(run.trace), run.fired, want)

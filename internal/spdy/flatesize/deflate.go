@@ -93,7 +93,15 @@ type Sizer struct {
 // New returns a Sizer for a stream whose window is preset with dict, as
 // zlib.NewWriterLevelDict(w, zlib.BestCompression, dict) is.
 func New(dict []byte) *Sizer {
-	s := &Sizer{
+	s := new(Sizer)
+	s.Reset(dict)
+	return s
+}
+
+// Reset puts s, whatever stream it has sized, in the state New(dict)
+// returns, without allocating: the ~700 KB context is cleared in place.
+func (s *Sizer) Reset(dict []byte) {
+	*s = Sizer{
 		hashOffset: 1,
 		length:     minMatchLength - 1,
 		chainHead:  -1,
@@ -103,7 +111,6 @@ func New(dict []byte) *Sizer {
 		s.header += zlibDictIDSize
 	}
 	s.fillWindow(dict)
-	return s
 }
 
 // BlockSize advances the stream by p followed by a sync flush and

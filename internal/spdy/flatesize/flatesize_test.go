@@ -164,3 +164,32 @@ func TestBlockSizeDoesNotAllocate(t *testing.T) {
 		t.Fatalf("BlockSize allocates %v objects per call", n)
 	}
 }
+
+// TestResetIsNew: a Sizer that has sized blocks past a window shift and
+// is then Reset is, field for field, the Sizer New returns — with the
+// dictionary and without.
+func TestResetIsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := New(testDict)
+	for i := 0; i < 40; i++ {
+		s.BlockSize(text(rng, 2000))
+	}
+	for _, dict := range [][]byte{testDict, nil} {
+		s.Reset(dict)
+		if *s != *New(dict) {
+			t.Fatalf("Reset(%d-byte dict) differs from New", len(dict))
+		}
+	}
+}
+
+// TestSizerResetDoesNotAllocate: Reset clears the context in place.
+func TestSizerResetDoesNotAllocate(t *testing.T) {
+	s := New(testDict)
+	p := text(rand.New(rand.NewSource(3)), 200)
+	if n := testing.AllocsPerRun(20, func() {
+		s.BlockSize(p)
+		s.Reset(testDict)
+	}); n != 0 {
+		t.Fatalf("BlockSize+Reset allocates %v objects per call", n)
+	}
+}

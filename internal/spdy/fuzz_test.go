@@ -2,6 +2,7 @@ package spdy
 
 import (
 	"bytes"
+	"compress/zlib"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,7 +91,10 @@ func FuzzHeaderDecompress(f *testing.F) {
 // flatesize's size == len(zlib level 9 Write+Flush) on the same
 // history. The first byte picks how the rest is cut and stretched, so
 // that short inputs still reach window shifts, stored blocks and values
-// longer than the window.
+// longer than the window. Then the same Sizer is Reset and sizes a
+// second session — the input rotated by half, so cut another way — held
+// to a fresh zlib writer: whatever the first session left in the
+// context, a reset one prices as a new one does.
 func FuzzSizeOnlyDeflate(f *testing.F) {
 	f.Add([]byte{})
 	// The checked-in header-block corpus, each way of cutting it.
@@ -115,21 +119,36 @@ func FuzzSizeOnlyDeflate(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sizer, ref := flatesize.New(headerDictionary), newHeaderCompressor()
-		defer ref.release()
-		for i, block := range fuzzSession(data) {
-			ref.buf.Reset()
-			if _, err := ref.zw.Write(block); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.zw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := sizer.BlockSize(block), ref.buf.Len(); got != want {
-				t.Fatalf("block %d (%d bytes): size-only %d, zlib %d", i, len(block), got, want)
-			}
-		}
+		sizer := flatesize.New(headerDictionary)
+		matchZlib(t, "session", sizer, fuzzSession(data))
+		half := len(data) / 2
+		next := append(append([]byte{}, data[half:]...), data[:half]...)
+		sizer.Reset(headerDictionary)
+		matchZlib(t, "session after Reset", sizer, fuzzSession(next))
 	})
+}
+
+// matchZlib sizes blocks on sizer and on a fresh zlib writer preset with
+// the SPDY dictionary, and fails at the first block they price apart.
+func matchZlib(t *testing.T, what string, sizer *flatesize.Sizer, blocks [][]byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := zlib.NewWriterLevelDict(&buf, zlib.BestCompression, headerDictionary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, block := range blocks {
+		buf.Reset()
+		if _, err := zw.Write(block); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sizer.BlockSize(block), buf.Len(); got != want {
+			t.Fatalf("%s, block %d (%d bytes): size-only %d, zlib %d", what, i, len(block), got, want)
+		}
+	}
 }
 
 // readCorpusFile decodes a "go test fuzz v1" file holding one []byte.

@@ -26,6 +26,46 @@ func NewSizeOracle() *SizeOracle {
 	return &SizeOracle{z: flatesize.New(headerDictionary)}
 }
 
+// Shelf lends the zlib contexts of a run's size oracles and takes them
+// back when the run ends, so that a sequence of runs allocates each
+// ~700 KB context once instead of once per session. A nil *Shelf lends
+// nothing: its oracles allocate their contexts, as NewSizeOracle's do.
+// A Shelf is plain memory with no lock: one run at a time may use it.
+type Shelf struct {
+	spare []*flatesize.Sizer
+	lent  []*SizeOracle
+}
+
+// NewSizeOracle is the package's NewSizeOracle on a context from the
+// shelf, reset to a new stream's state, when it has one.
+func (sh *Shelf) NewSizeOracle() *SizeOracle {
+	if sh == nil {
+		return NewSizeOracle()
+	}
+	o := &SizeOracle{}
+	if n := len(sh.spare); n > 0 {
+		o.z = sh.spare[n-1]
+		sh.spare = sh.spare[:n-1]
+		o.z.Reset(headerDictionary)
+	} else {
+		o.z = flatesize.New(headerDictionary)
+	}
+	sh.lent = append(sh.lent, o)
+	return o
+}
+
+// Reclaim takes back the context of every oracle the shelf has lent
+// since the last Reclaim. Those oracles keep nothing of it, so anything
+// that outlives the run reaches none of the shelf's memory; they must
+// not size again.
+func (sh *Shelf) Reclaim() {
+	for i, o := range sh.lent {
+		sh.spare = append(sh.spare, o.z)
+		o.z, sh.lent[i] = nil, nil
+	}
+	sh.lent = sh.lent[:0]
+}
+
 // frameHeaderSize is the 8-byte header every frame starts with.
 const frameHeaderSize = 8
 

@@ -3,10 +3,12 @@ package spdy
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"spdier/internal/sim"
+	"spdier/internal/spdy/flatesize"
 	"spdier/internal/webpage"
 )
 
@@ -160,5 +162,49 @@ func TestSizersDoNotAllocate(t *testing.T) {
 	pass()
 	if n := testing.AllocsPerRun(10, pass); n != 0 {
 		t.Fatalf("RequestSize+ResponseSize allocate %v objects per %d objects", n, len(objs))
+	}
+}
+
+// TestShelfReusesContexts: a shelf's second run borrows the contexts its
+// first run gave back, reset, so it prices a session exactly as fresh
+// oracles do; the first run's oracles keep nothing of the shelf; and a
+// warm borrow allocates the oracle and no context.
+func TestShelfReusesContexts(t *testing.T) {
+	objs := table1Session(2)[:40]
+	session := func(req, resp *SizeOracle) (sizes []int) {
+		for _, obj := range objs {
+			sizes = append(sizes, req.RequestSize("GET", "http", obj.Domain, obj.Path, chromeUA),
+				resp.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size)))
+		}
+		return sizes
+	}
+	want := session(NewSizeOracle(), NewSizeOracle())
+	var sh Shelf
+	first := []*SizeOracle{sh.NewSizeOracle(), sh.NewSizeOracle()}
+	session(first[0], first[1])
+	contexts := map[*flatesize.Sizer]bool{first[0].z: true, first[1].z: true}
+	sh.Reclaim()
+	for _, o := range first {
+		if o.z != nil {
+			t.Fatal("a reclaimed oracle still holds its context")
+		}
+	}
+	req, resp := sh.NewSizeOracle(), sh.NewSizeOracle()
+	if !contexts[req.z] || !contexts[resp.z] || req.z == resp.z {
+		t.Fatal("the second run did not borrow the contexts the first gave back")
+	}
+	if got := session(req, resp); !slices.Equal(got, want) {
+		t.Fatalf("on reused contexts a session prices %v, fresh oracles %v", got[:8], want[:8])
+	}
+	sh.Reclaim()
+	if n := testing.AllocsPerRun(20, func() {
+		sh.NewSizeOracle()
+		sh.Reclaim()
+	}); n != 1 {
+		t.Fatalf("a warm borrow allocates %v objects, want 1 (the oracle)", n)
+	}
+	var none *Shelf
+	if o := none.NewSizeOracle(); o.z == nil {
+		t.Fatal("a nil shelf lent an oracle without a context")
 	}
 }
