@@ -69,8 +69,9 @@ func TestArenaRunOrderPermutation(t *testing.T) {
 }
 
 // arenaBlocks maps every block of memory a holds to its capacity: the
-// loop storage's slot pool, free list, drain scratch and each bucket,
-// and each spare zlib context (capacity 1).
+// loop storage's slot pool, free list, drain scratch and bucket seed
+// arena, each spare bucket array and each class's stack of them, and
+// each spare zlib context (capacity 1).
 func arenaBlocks(a *runArena) map[unsafe.Pointer]int {
 	blocks := make(map[unsafe.Pointer]int)
 	add := func(v reflect.Value) {
@@ -82,8 +83,13 @@ func arenaBlocks(a *runArena) map[unsafe.Pointer]int {
 	add(st.FieldByName("slots"))
 	add(st.FieldByName("free"))
 	add(st.FieldByName("scratch"))
-	for b, buckets := 0, st.FieldByName("buckets"); b < buckets.Len(); b++ {
-		add(buckets.Index(b))
+	add(st.FieldByName("seeds"))
+	for c, spares := 0, st.FieldByName("spares"); c < spares.Len(); c++ {
+		stack := spares.Index(c)
+		add(stack)
+		for i := 0; i < stack.Len(); i++ {
+			add(stack.Index(i))
+		}
 	}
 	spare := reflect.ValueOf(&a.shelf).Elem().FieldByName("spare")
 	for i := 0; i < spare.Len(); i++ {
@@ -92,14 +98,68 @@ func arenaBlocks(a *runArena) map[unsafe.Pointer]int {
 	return blocks
 }
 
+// bucketBytes is what a's loop storage holds in bucket arrays: the seed
+// arena and every spare.
+func bucketBytes(a *runArena) int {
+	st := reflect.ValueOf(&a.loop).Elem()
+	seeds := st.FieldByName("seeds")
+	entry := int(seeds.Type().Elem().Size())
+	n := seeds.Cap()
+	for c, spares := 0, st.FieldByName("spares"); c < spares.Len(); c++ {
+		for stack, i := spares.Index(c), 0; i < stack.Len(); i++ {
+			n += stack.Index(i).Cap()
+		}
+	}
+	return n * entry
+}
+
+// TestArenaSecondPassAddsNoSpare: forty runs of four arms on one arena,
+// then the same forty again. The second pass adds no block and grows
+// none: a class holds as many spare bucket arrays as one run used at
+// once, whichever runs came before, so what the arena holds is bounded
+// by its busiest run, not by the union of the buckets its runs touched.
+func TestArenaSecondPassAddsNoSpare(t *testing.T) {
+	modes := []struct {
+		mode browser.Mode
+		net  NetworkKind
+	}{{browser.ModeHTTP, Net3G}, {browser.ModeSPDY, Net3G}, {browser.ModeH2, NetLTE}, {browser.ModeQUIC, Net3G}}
+	a := new(runArena)
+	pass := func() {
+		for seed := uint64(1); seed <= 10; seed++ {
+			for _, m := range modes {
+				opts := spdyArenaOpts(seed)
+				opts.Mode, opts.Network = m.mode, m.net
+				run(opts, a, nil)
+			}
+		}
+	}
+	pass()
+	first, held := arenaBlocks(a), bucketBytes(a)
+	pass()
+	second := arenaBlocks(a)
+	for p, c := range second {
+		if first[p] != c {
+			t.Errorf("the second pass allocated or grew a block (capacity %d, was %d)", c, first[p])
+		}
+	}
+	if len(second) != len(first) {
+		t.Errorf("the arena holds %d blocks after the second pass, %d after the first", len(second), len(first))
+	}
+	if again := bucketBytes(a); again != held {
+		t.Errorf("the arena's bucket arrays hold %d bytes after the second pass, %d after the first", again, held)
+	}
+	t.Logf("bucket arrays held after forty runs: %d bytes", held)
+}
+
 // spdyArenaOpts is a six-site SPDY session over 3G.
 func spdyArenaOpts(seed uint64) Options {
 	return Options{Mode: browser.ModeSPDY, Network: Net3G, Seed: seed, Sites: webpage.Table1()[:6]}
 }
 
 // TestWarmArenaAllocatesNoContextOrBucket: a run repeated on the arena
-// its first attempt left borrows every zlib context and every bucket,
-// slot and scratch array that run used, and grows none of them.
+// its first attempt left borrows every zlib context, the bucket seeds,
+// every spare bucket array and the slot and scratch arrays that run
+// used, and grows none of them.
 func TestWarmArenaAllocatesNoContextOrBucket(t *testing.T) {
 	r := NewRunner(1)
 	opts := spdyArenaOpts(1)

@@ -57,7 +57,9 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	// The conversion rounds the product on its own, so no architecture
+	// may fuse it with the sum (TestNoFusedMultiplyAdd).
+	return mean + float64(stddev*z)
 }
 
 // LogNorm returns a log-normally distributed float parameterized by the

@@ -135,15 +135,18 @@ func NewLoop() *Loop {
 	return l
 }
 
-// Storage is the memory a released loop leaves for the next one: the
-// slot pool and its free list, every bucket's backing array and the
-// drain scratch, all emptied. The zero Storage holds nothing. It is
-// plain memory with no lock: one loop at a time may run on it.
+// Storage is the memory a released loop leaves for the next one, all
+// emptied: the slot pool and its free list, the buckets' seed arena,
+// the spare bucket arrays by size class (every array the loop grew a
+// bucket into, in use at release or not) and the drain scratch. The
+// zero Storage holds nothing. It is plain memory with no lock: one loop
+// at a time may run on it.
 type Storage struct {
 	held    bool
 	slots   []eventSlot
 	free    []int32
-	buckets [numBuckets][]bref
+	seeds   []bref
+	spares  spareSet
 	scratch []flight
 }
 
@@ -157,7 +160,8 @@ func NewLoopOn(st *Storage) *Loop {
 		return NewLoop()
 	}
 	l := &Loop{slots: st.slots, free: st.free}
-	l.w = wheel{ovMin: Forever, buckets: st.buckets, scratch: st.scratch}
+	l.w = wheel{ovMin: Forever, seeds: st.seeds, spares: st.spares, scratch: st.scratch}
+	l.w.carve()
 	*st = Storage{}
 	return l
 }
@@ -315,10 +319,11 @@ func (l *Loop) Release() {
 // after its run neither pins nor sees what the next loop on st does.
 func (l *Loop) ReleaseTo(st *Storage) {
 	clear(l.slots)
-	*st = Storage{held: true, slots: l.slots[:0], free: l.free[:0], scratch: l.w.scratch[:0]}
-	for i, b := range l.w.buckets {
-		st.buckets[i] = b[:0]
+	w := &l.w
+	for b := range w.buckets {
+		w.spare(w.buckets[b])
 	}
+	*st = Storage{held: true, slots: l.slots[:0], free: l.free[:0], seeds: w.seeds, spares: w.spares, scratch: w.scratch[:0]}
 	l.Release()
 }
 

@@ -64,6 +64,11 @@ type wheel struct {
 	occ     [wheelLevels]uint64
 	ovMin   Time // min at in the overflow bucket; Forever when empty
 	buckets [numBuckets][]bref
+	// seeds is the one allocation every bucket's seed slice is carved
+	// from (seedOf). A bucket holds its seed slice whenever it is empty.
+	seeds []bref
+	// spares are the grown bucket arrays no bucket is using, emptied.
+	spares  spareSet
 	scratch []flight
 	// batchPending marks that nextTick already detached the returned
 	// tick's events into scratch, so drainTick starts there instead of
@@ -82,11 +87,45 @@ const (
 	overflowIdx = wheelLevels * wheelSlots
 	numBuckets  = overflowIdx + 1
 
-	// bucketSeed is the preallocated per-bucket capacity. Buckets that
-	// outgrow it reallocate once and keep the larger backing; seeding
-	// keeps the warm hot path allocation-free from the first event.
-	bucketSeed = 2
+	// seedSmall and seedWide are the capacities of the buckets' seed
+	// slices, so that first-touch appends allocate nothing: seedWide at
+	// levels 3 and 4 (262 µs and 16.8 ms a slot), where link, ACK and
+	// retransmission timers crowd a bucket before it splits, seedSmall
+	// elsewhere. seedEntries is what all 385 take.
+	seedSmall   = 2
+	seedWide    = 16
+	seedEntries = (wheelLevels-2)*wheelSlots*seedSmall + 2*wheelSlots*seedWide + seedSmall
+
+	// A bucket that outgrows its seed borrows an array of twice its
+	// capacity, growMin at least, from the spares and gives it back
+	// when it empties. So a run holds as many grown arrays as its
+	// buckets use at once, not one per bucket it ever filled. growMin
+	// is above every seed, so capacity alone tells a seed slice from a
+	// grown array.
+	growMin = 2 * seedWide
+
+	// spareClasses bounds the spares' size classes: class c holds
+	// arrays of capacity growMin << c. A bucket grown past the last
+	// class (over a million events) owns its arrays outright.
+	spareClasses = 16
 )
+
+// spareSet is a wheel's spare bucket arrays binned by capacity, one
+// stack per power-of-two class (spareClass).
+type spareSet [spareClasses][][]bref
+
+// spareClass is the class of a grown array's capacity n, a power of two
+// of at least growMin.
+func spareClass(n int) int { return bits.Len(uint(n)) - bits.Len(growMin) }
+
+// seedCap is the seed capacity of a bucket at level l (wheelLevels for
+// the overflow bucket).
+func seedCap(l int) int {
+	if l == 3 || l == 4 {
+		return seedWide
+	}
+	return seedSmall
+}
 
 // bref is one bucket entry. The (at, seq) key is stored inline so
 // min-scans, splits and overflow pulls never chase the slot pool.
@@ -108,12 +147,80 @@ type flight struct {
 // every bucket, carved from one allocation, and a drain scratch, so
 // first-touch appends during a run allocate nothing.
 func (w *wheel) seed() {
-	*w = wheel{ovMin: Forever}
-	arena := make([]bref, numBuckets*bucketSeed)
-	for i := range w.buckets {
-		w.buckets[i] = arena[i*bucketSeed : i*bucketSeed : (i+1)*bucketSeed]
+	*w = wheel{ovMin: Forever, seeds: make([]bref, seedEntries), scratch: make([]flight, 0, wheelSlots)}
+	w.carve()
+}
+
+// carve gives every bucket its seed slice.
+func (w *wheel) carve() {
+	for b := range w.buckets {
+		w.buckets[b] = w.seedOf(b)
 	}
-	w.scratch = make([]flight, 0, wheelSlots)
+}
+
+// seedOf is bucket b's seed slice, empty; nil on a wheel with no seeds
+// (a released loop's). The seed arena holds the seeds in bucket order.
+func (w *wheel) seedOf(b int) []bref {
+	if w.seeds == nil {
+		return nil
+	}
+	l := b >> wheelBits
+	off := (b & wheelMask) * seedCap(l)
+	for k := 0; k < l; k++ {
+		off += wheelSlots * seedCap(k)
+	}
+	return w.seeds[off : off : off+seedCap(l)]
+}
+
+// grow returns full bucket b's entries in an array of twice its
+// capacity (growMin at least): a spare of that class if there is one, a
+// new array if not. The old array becomes a spare unless it is a seed
+// slice.
+func (w *wheel) grow(b int) []bref {
+	bk := w.buckets[b]
+	n := max(2*cap(bk), growMin)
+	var nb []bref
+	if c := spareClass(n); c < spareClasses && len(w.spares[c]) > 0 {
+		s := w.spares[c]
+		nb = s[len(s)-1][:len(bk)]
+		w.spares[c] = s[:len(s)-1]
+	} else {
+		nb = make([]bref, len(bk), n)
+	}
+	copy(nb, bk)
+	w.spare(bk)
+	return nb
+}
+
+// spare takes back bk, an array no bucket uses any more: a grown one
+// joins the spares of its class, a seed slice stays in the seeds.
+func (w *wheel) spare(bk []bref) {
+	if cap(bk) <= seedWide {
+		return
+	}
+	if c := spareClass(cap(bk)); c < spareClasses {
+		w.spares[c] = append(w.spares[c], bk[:0])
+	}
+}
+
+// empty marks bucket b, whose entries have all left, empty: it gets its
+// seed slice back, and its grown array, if it had one, goes to the
+// spares. Small enough to inline at the drain sites, where a bucket
+// that never grew takes the first branch.
+func (w *wheel) empty(b int, bk []bref) {
+	if cap(bk) > seedWide {
+		w.unborrow(b, bk)
+		return
+	}
+	w.buckets[b] = bk[:0]
+}
+
+// unborrow is empty's out-of-line half, for a grown bucket.
+//
+//go:noinline
+func (w *wheel) unborrow(b int, bk []bref) {
+	w.spare(bk)
+	w.buckets[b] = w.seedOf(b)
 }
 
 // bucketFor returns the bucket index for timestamp at under the current
@@ -135,7 +242,11 @@ func (w *wheel) bucketFor(at Time) int {
 // never the slot pool.
 func (w *wheel) place(at Time, seq uint64, id int32) {
 	b := w.bucketFor(at)
-	w.buckets[b] = append(w.buckets[b], bref{at: at, seq: seq, id: id})
+	bk := w.buckets[b]
+	if len(bk) == cap(bk) {
+		bk = w.grow(b)
+	}
+	w.buckets[b] = append(bk, bref{at: at, seq: seq, id: id})
 	if b < overflowIdx {
 		w.occ[b>>wheelBits] |= 1 << uint(b&wheelMask)
 	} else if at < w.ovMin {
@@ -145,7 +256,8 @@ func (w *wheel) place(at Time, seq uint64, id int32) {
 
 // pull re-files every overflow event inside the current window and
 // recomputes the overflow minimum. place never appends to the overflow
-// bucket for an in-window timestamp, so in-place compaction is safe.
+// bucket for an in-window timestamp, so in-place compaction is safe,
+// and the overflow array is not a spare while place may take one.
 func (w *wheel) pull() {
 	ov := w.buckets[overflowIdx]
 	keep := ov[:0]
@@ -160,7 +272,11 @@ func (w *wheel) pull() {
 			minKeep = e.at
 		}
 	}
-	w.buckets[overflowIdx] = keep
+	if len(keep) == 0 {
+		w.empty(overflowIdx, keep)
+	} else {
+		w.buckets[overflowIdx] = keep
+	}
 	w.ovMin = minKeep
 }
 
@@ -187,6 +303,7 @@ func (l *Loop) cancel(id int32) {
 		break
 	}
 	if last == 0 {
+		w.empty(b, bk)
 		if b == overflowIdx {
 			w.ovMin = Forever
 		} else {
@@ -300,8 +417,9 @@ search:
 			// minimum-timestamp events go directly into the drain
 			// batch, later ones re-place at a strictly lower level
 			// (they share digit k and everything above it with the new
-			// cur, so they can never land back in this bucket).
-			w.buckets[bIdx] = bk[:0]
+			// cur, so they can never land back in this bucket). The
+			// bucket's array is emptied only after the loop: a spare
+			// it became could be taken by a re-place while bk is read.
 			w.occ[k] &^= 1 << uint(p)
 			w.cur = minAt
 			w.scratch = w.scratch[:0]
@@ -314,6 +432,7 @@ search:
 				w.scratch = append(w.scratch, flight{seq: e.seq, id: e.id, gen: s.gen})
 				s.pos = posInFlight
 			}
+			w.empty(bIdx, bk)
 			w.batchPending = true
 			return minAt, true
 		}
@@ -353,7 +472,7 @@ func (l *Loop) drainTick(t Time) {
 			l.freeSlot(e.id)
 			l.fired++
 			call.Call()
-		} else if !l.fireBatch(slot, bit) {
+		} else if !l.fireBatch() {
 			return
 		}
 	}
@@ -373,7 +492,7 @@ func (l *Loop) drainTick(t Time) {
 			l.inOrder(e.seq)
 			s := &l.slots[e.id]
 			call := s.h
-			w.buckets[slot] = bk[:0]
+			w.empty(slot, bk)
 			w.occ[0] &^= bit
 			w.count--
 			l.freeSlot(e.id)
@@ -387,9 +506,9 @@ func (l *Loop) drainTick(t Time) {
 			w.scratch = append(w.scratch, flight{seq: e.seq, id: e.id, gen: s.gen})
 			s.pos = posInFlight
 		}
-		w.buckets[slot] = bk[:0]
+		w.empty(slot, bk)
 		w.occ[0] &^= bit
-		if !l.fireBatch(slot, bit) {
+		if !l.fireBatch() {
 			return
 		}
 	}
@@ -398,7 +517,7 @@ func (l *Loop) drainTick(t Time) {
 // fireBatch sorts the detached scratch batch by seq and fires it,
 // re-queuing the unfired remainder if a callback stops the loop. It
 // reports whether the drain should continue.
-func (l *Loop) fireBatch(slot int, bit uint64) bool {
+func (l *Loop) fireBatch() bool {
 	w := &l.w
 	// Insertion order is already seq order unless a split interleaved
 	// with direct placement, so a linear check guards the sort.
@@ -410,7 +529,7 @@ func (l *Loop) fireBatch(slot int, bit uint64) bool {
 	}
 	for i := 0; i < len(w.scratch); i++ {
 		if l.stopped {
-			l.requeue(slot, bit, w.scratch[i:])
+			l.requeue(w.scratch[i:])
 			return false
 		}
 		e := w.scratch[i]
@@ -429,10 +548,11 @@ func (l *Loop) fireBatch(slot int, bit uint64) bool {
 }
 
 // requeue puts the unfired tail of a stopped batch back into its
-// level-0 bucket. Order relative to any events the batch's callbacks
-// scheduled for the same tick is irrelevant: the next drain re-sorts
-// by seq.
-func (l *Loop) requeue(slot int, bit uint64, rest []flight) {
+// level-0 bucket through place: the wheel stands at the batch's tick, so
+// each event's bucket is that tick's level-0 slot. Order relative to any
+// events the batch's callbacks scheduled for the same tick is
+// irrelevant: the next drain re-sorts by seq.
+func (l *Loop) requeue(rest []flight) {
 	w := &l.w
 	for _, e := range rest {
 		s := &l.slots[e.id]
@@ -440,7 +560,6 @@ func (l *Loop) requeue(slot int, bit uint64, rest []flight) {
 			continue
 		}
 		s.pos = posQueued
-		w.buckets[slot] = append(w.buckets[slot], bref{at: s.at, seq: e.seq, id: e.id})
-		w.occ[0] |= bit
+		w.place(s.at, e.seq, e.id)
 	}
 }

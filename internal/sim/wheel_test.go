@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // onWheel runs fn on a fresh NewLoop under the subtest "wheel", the
@@ -230,26 +231,108 @@ type workloadRun struct {
 	pending   int    // Pending() once idle
 }
 
-// runScheduleWorkload drives one pseudo-random schedule/stop/reschedule
+// workload names one pseudo-random schedule: its seed, and whether it
+// adds the bursts that work the wheel's spare arrays.
+type workload struct {
+	seed   uint64
+	bursts bool
+}
+
+func (wl workload) String() string {
+	if wl.bursts {
+		return fmt.Sprintf("bursts/seed=%d", wl.seed)
+	}
+	return fmt.Sprintf("seed=%d", wl.seed)
+}
+
+// runScheduleWorkload is runWorkload on the plain workload of seed.
+func runScheduleWorkload(loop *Loop, seed uint64) workloadRun {
+	return runWorkload(loop, workload{seed: seed}, nil)
+}
+
+// runWorkload drives one pseudo-random schedule/stop/reschedule
 // workload against a loop and returns the full firing trace. The
 // workload exercises every wheel path: dense same-timestamp batches,
 // far-future events that cascade through multiple levels, cancels of
 // queued and in-flight timers, nested scheduling from callbacks, and
-// deadline-bounded run segments.
-func runScheduleWorkload(loop *Loop, seed uint64) workloadRun {
-	rng := NewRNG(seed)
+// deadline-bounded run segments. With bursts it adds groups of 65–128
+// events in one bucket, at one instant, across one aligned span or
+// beyond the wheel's window: every other same-instant burst stops the
+// loop in the middle of its batch (runTo resumes it, so the tail is
+// requeued), and every other spread burst is cancelled whole before it
+// is due, emptying a grown bucket. check, if set, runs after every
+// callback and every run segment.
+func runWorkload(loop *Loop, wl workload, check func()) workloadRun {
+	rng := NewRNG(wl.seed)
 	var run workloadRun
 	var live []Timer
 	label := 0
-	at := func(when Time, fn func()) {
+	at := func(when Time, fn func()) Timer {
+		if check != nil {
+			inner := fn
+			fn = func() { inner(); check() }
+		}
 		run.scheduled++
-		live = append(live, loop.At(when, fn))
+		tm := loop.At(when, fn)
+		live = append(live, tm)
+		return tm
+	}
+	trace := func() int {
+		id := label
+		label++
+		return id
+	}
+
+	halted, bursts := false, 0
+	burst := func() {
+		bursts++
+		n := 65 + rng.Intn(64)
+		spread := []Time{0, 1 << 6, 1 << 12, 1 << 18, wheelHorizon}[rng.Intn(5)]
+		base := loop.Now() + Time(1<<12+rng.Intn(1<<20))
+		switch spread {
+		case 0:
+		case wheelHorizon: // the overflow bucket, which a pull empties
+			base += wheelHorizon
+			spread = 1 << 20
+		default:
+			base = (base + spread) &^ (spread - 1) // one aligned span: one bucket
+		}
+		stopAt := -1
+		if spread == 0 && bursts%2 == 0 {
+			stopAt = 1 + rng.Intn(n-2)
+		}
+		timers := make([]Timer, 0, n)
+		for i := 0; i < n; i++ {
+			when := base
+			if spread > 0 {
+				when += Time(rng.Intn(int(spread)))
+			}
+			id := trace()
+			stops := i == stopAt
+			timers = append(timers, at(when, func() {
+				run.trace = append(run.trace, traceEvent{at: loop.Now(), label: id})
+				if stops {
+					loop.Stop()
+					halted = true
+				}
+			}))
+		}
+		if spread > 0 && bursts%2 == 0 {
+			id := trace()
+			at(loop.Now()+Time(rng.Intn(int(base-loop.Now()))), func() {
+				run.trace = append(run.trace, traceEvent{at: loop.Now(), label: id})
+				for _, tm := range timers {
+					if tm.Stop() {
+						run.stopped++
+					}
+				}
+			})
+		}
 	}
 
 	var spawn func(depth int) func()
 	spawn = func(depth int) func() {
-		id := label
-		label++
+		id := trace()
 		return func() {
 			run.trace = append(run.trace, traceEvent{at: loop.Now(), label: id})
 			if depth >= 3 {
@@ -276,21 +359,45 @@ func runScheduleWorkload(loop *Loop, seed uint64) workloadRun {
 			if len(live) > 0 && rng.Bool(0.3) && live[rng.Intn(len(live))].Stop() {
 				run.stopped++
 			}
+			if wl.bursts && depth == 0 && rng.Bool(0.05) {
+				burst()
+			}
+		}
+	}
+	runTo := func(deadline Time) {
+		for {
+			loop.Run(deadline)
+			if check != nil {
+				check()
+			}
+			if !halted {
+				return
+			}
+			halted = false
 		}
 	}
 
 	for i := 0; i < 200; i++ {
 		at(Time(rng.Intn(1<<22)), spawn(0))
 	}
+	if wl.bursts {
+		for i := 0; i < 4; i++ {
+			burst()
+		}
+	}
 	// Alternate bounded runs (pausing mid-workload) with more external
 	// scheduling, then drain.
 	for _, frac := range []Time{1 << 18, 1 << 20, 1 << 21} {
-		loop.Run(frac)
+		runTo(frac)
 		for i := 0; i < 20; i++ {
 			at(loop.Now()+Time(rng.Intn(1<<22)), spawn(0))
 		}
+		if wl.bursts {
+			burst()
+			burst()
+		}
 	}
-	loop.RunUntilIdle()
+	runTo(Forever)
 	run.fired, run.pending = loop.Fired(), loop.Pending()
 	return run
 }
@@ -320,6 +427,15 @@ func traceDigest(trace []traceEvent, fired uint64) uint64 {
 	return h.Sum64()
 }
 
+// burstDigests pins runWorkload's trace, as workloadDigests does, for
+// the bursts workloads of seeds 1…8. They were recorded on the wheel
+// whose buckets each kept the largest array they grew to, before
+// buckets borrowed their grown arrays from the spares.
+var burstDigests = [8]uint64{
+	0xe7e9a502b9a597cd, 0x83fc6bc2a5caa238, 0x3631175c13f579a3, 0x9d7e4ff5bd41daf2,
+	0xa328013bde990a17, 0x3cd4cdd4b08adb2c, 0x12eeee8a57f654c1, 0x7e9c1a6ed949df84,
+}
+
 // TestSchedulerDifferentialRandom replays seeded workloads and requires
 // each to fire the trace the heap and the wheel both fired when it was
 // pinned (timestamp and label of every callback, in order, and the
@@ -327,23 +443,107 @@ func traceDigest(trace []traceEvent, fired uint64) uint64 {
 // the (time, seq) contract across every bucket/cascade/cancel path the
 // workload touches. The order check sees an event fired out of order;
 // the accounting below sees the one defect it cannot, a lost event.
+// After every callback and every run segment, checkArrays holds the
+// wheel to its memory discipline: an array shared by two buckets, or by
+// a bucket and a spare, would let one bucket's appends overwrite
+// another's events.
 func TestSchedulerDifferentialRandom(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			run := runScheduleWorkload(NewLoop(), seed)
-			if got, want := traceDigest(run.trace, run.fired), workloadDigests[seed-1]; got != want {
-				t.Errorf("trace digest %#016x (%d events, Fired %d), pinned %#016x",
-					got, len(run.trace), run.fired, want)
+	for _, bursts := range []bool{false, true} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			wl := workload{seed: seed, bursts: bursts}
+			pinned := workloadDigests[seed-1]
+			if bursts {
+				pinned = burstDigests[seed-1]
 			}
-			if want := run.scheduled - run.stopped; run.fired != want {
-				t.Errorf("Fired() = %d, want %d scheduled − %d stopped = %d",
-					run.fired, run.scheduled, run.stopped, want)
-			}
-			if run.pending != 0 {
-				t.Errorf("Pending() = %d at idle, want 0", run.pending)
-			}
-		})
+			t.Run(wl.String(), func(t *testing.T) {
+				loop, held := NewLoop(), make(map[*bref]holder)
+				run := runWorkload(loop, wl, func() {
+					if err := checkArrays(&loop.w, held); err != nil {
+						t.Fatalf("at %v: %v", loop.Now(), err)
+					}
+				})
+				if got := traceDigest(run.trace, run.fired); got != pinned {
+					t.Errorf("trace digest %#016x (%d events, Fired %d), pinned %#016x",
+						got, len(run.trace), run.fired, pinned)
+				}
+				if want := run.scheduled - run.stopped; run.fired != want {
+					t.Errorf("Fired() = %d, want %d scheduled − %d stopped = %d",
+						run.fired, run.scheduled, run.stopped, want)
+				}
+				if run.pending != 0 {
+					t.Errorf("Pending() = %d at idle, want 0", run.pending)
+				}
+			})
+		}
 	}
+}
+
+// checkArrays checks the wheel's memory discipline: every bucket holds
+// an array no other bucket and no spare holds — its own seed slice,
+// which it holds whenever it is empty, or a grown array of a
+// power-of-two capacity — and every spare is empty, of its class's
+// capacity, and held once. held is scratch for the arrays seen, reused
+// across calls.
+func checkArrays(w *wheel, held map[*bref]holder) error {
+	clear(held)
+	for b := range w.buckets {
+		bk, h := w.buckets[b], holder{bucket: b}
+		switch {
+		case cap(bk) <= seedWide:
+			// Seed slices are disjoint by construction: a bucket is
+			// held to its own.
+			if seed := w.seedOf(b); cap(bk) != cap(seed) || unsafe.SliceData(bk) != unsafe.SliceData(seed) {
+				return fmt.Errorf("%v holds a %d-entry array that is not its seed slice", h, cap(bk))
+			}
+			continue
+		case len(bk) == 0:
+			return fmt.Errorf("%v is empty but holds a grown array (capacity %d)", h, cap(bk))
+		case cap(bk)&(cap(bk)-1) != 0:
+			return fmt.Errorf("%v holds an array of capacity %d, not a power of two", h, cap(bk))
+		}
+		if err := hold(held, bk, h); err != nil {
+			return err
+		}
+	}
+	return checkSpares(&w.spares, held)
+}
+
+// checkSpares is checkArrays' half for a spare set, which a Storage
+// holds too; held maps each array seen so far to its holder.
+func checkSpares(spares *spareSet, held map[*bref]holder) error {
+	for c, stack := range spares {
+		for i, a := range stack {
+			h := holder{bucket: -1, class: c, index: i}
+			if len(a) != 0 || cap(a) != growMin<<c {
+				return fmt.Errorf("%v has %d entries, capacity %d: want 0, %d", h, len(a), cap(a), growMin<<c)
+			}
+			if err := hold(held, a, h); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// holder names who holds an array: a bucket, or the spare at index of
+// class's stack (bucket -1).
+type holder struct{ bucket, class, index int }
+
+func (h holder) String() string {
+	if h.bucket >= 0 {
+		return fmt.Sprintf("bucket %d", h.bucket)
+	}
+	return fmt.Sprintf("spare %d of class %d", h.index, h.class)
+}
+
+// hold records that h holds a, failing if another holder does.
+func hold(held map[*bref]holder, a []bref, h holder) error {
+	p := unsafe.SliceData(a)
+	if other, ok := held[p]; ok {
+		return fmt.Errorf("%v holds the array %v holds", h, other)
+	}
+	held[p] = h
+	return nil
 }
 
 // mustPanic runs fn and fails unless it panics with a message that
