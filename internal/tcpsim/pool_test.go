@@ -13,7 +13,11 @@ import (
 // TestFreeListBalancesAcrossTransports runs TCP and QUIC pairs over one
 // lossy, duplicating path and requires every segment and packet handed
 // out to have been retired once the network is quiet, and every array of
-// ACK ranges lent to a packet to be back on the network, once.
+// ACK ranges lent to a packet to be back on the network, once. One TCP
+// pair runs the modelled TLS handshake, whose control segments take
+// their own path out of the pool (transmitCtrl). A lost control segment
+// is never resent, so that pair must deliver everything: with this seed
+// and pair order all of its control segments reach the peer.
 func TestFreeListBalancesAcrossTransports(t *testing.T) {
 	loop := sim.NewLoop()
 	link := netem.LinkConfig{BandwidthBPS: 3_000_000, Delay: 20 * time.Millisecond, QueueBytes: 6 << 10, LossRate: 0.02}
@@ -28,6 +32,13 @@ func TestFreeListBalancesAcrossTransports(t *testing.T) {
 		nw.ranges = append(nw.ranges, a)
 	}
 
+	tls := DefaultConfig()
+	tls.TLS = true
+	lc, ls := nw.NewConnPair(tls, tls, "l", "d")
+	tlsDelivered := 0
+	lc.OnDeliver(func(n int) { tlsDelivered += n })
+	lc.OnEstablished(func() { ls.Write(150 << 10) })
+	lc.Connect()
 	tc, ts := nw.NewConnPair(DefaultConfig(), DefaultConfig(), "t", "d")
 	tc.OnDeliver(func(int) {})
 	tc.OnEstablished(func() { ts.Write(150 << 10) })
@@ -52,6 +63,9 @@ func TestFreeListBalancesAcrossTransports(t *testing.T) {
 	}
 	if len(back) != len(stock) {
 		t.Fatalf("after quiescing: %d of %d range arrays are back", len(back), len(stock))
+	}
+	if tlsDelivered != 150<<10 {
+		t.Fatalf("the TLS pair delivered %d of %d bytes: its handshake did not complete", tlsDelivered, 150<<10)
 	}
 	if qc.Retransmits+qs.Retransmits == 0 {
 		t.Fatal("no QUIC packet was lost: the loss path of the ranges loan was not exercised")
