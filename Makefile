@@ -18,9 +18,9 @@ race:
 	$(GO) test -race -count=2 ./internal/liveproxy/ ./internal/validate/
 	$(GO) test -race -count=5 -run 'TestOrderedFanOut|TestDeclinedShardsRespectParallelism|TestSweep' ./internal/experiment/
 
-# Static enforcement of the simulator's determinism, seeded-RNG and
-# pool-discipline invariants (TESTING.md, "Layer 0"): one pass over the
-# module, _test.go files included.
+# Static enforcement of the simulator's determinism and seeded-RNG
+# invariants, and of lost writes through := shadowing (TESTING.md,
+# "Layer 0"): one pass over the module, _test.go files included.
 lint:
 	$(GO) run ./cmd/simlint ./...
 

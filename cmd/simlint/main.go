@@ -1,7 +1,6 @@
-// Command simlint statically enforces the simulator's determinism and
-// pool-discipline invariants (see internal/analysis): one determinism
-// analyzer (wall clock, global rand, map, sync.Map and select order)
-// plus poolbalance, clockarith and shadow.
+// Command simlint statically enforces the simulator's determinism
+// invariants (see internal/analysis): one determinism analyzer (wall
+// clock, global rand, map, sync.Map and select order) plus shadow.
 //
 //	simlint ./...             lint packages and their tests, exit 1 on findings
 //	simlint -dir path/to/dir  lint a bare directory (testdata fixtures)

@@ -4,9 +4,9 @@
 // module dependencies. It exists to enforce, at compile time, the
 // invariants every simulation result rests on: determinism (no wall
 // clock, no global RNG, no map, sync.Map or select order feeding output
-// or event scheduling in the deterministic core), balanced pool
-// acquire/release, named duration thresholds in probe/report code, and
-// no lost writes through := shadowing.
+// or event scheduling in the deterministic core) and no lost writes
+// through := shadowing. Pool balance is held at run time, by tests that
+// count what each pool hands out and gets back.
 //
 // The API mirrors x/tools deliberately (Analyzer, Pass, Diagnostic), so
 // if the real dependency ever becomes available the analyzers port over
@@ -47,12 +47,12 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// fileFilter, when non-nil, restricts reporting to positions whose
-	// file basename it accepts. The driver uses it to scope analyzers
-	// like clockarith to probe/report/metrics files without the
-	// analyzer itself knowing the repo layout. A filter that rejects
-	// everything mutes an analyzer's diagnostics entirely while its
-	// fact exports still happen — how fact-producing analyzers run
-	// over packages outside their reporting scope.
+	// file basename it accepts. The driver uses it to fence determinism
+	// to fabric's worker-side files without the analyzer itself knowing
+	// the repo layout. A filter that rejects everything mutes an
+	// analyzer's diagnostics entirely while its fact exports still
+	// happen — how fact-producing analyzers run over packages outside
+	// their reporting scope.
 	fileFilter func(base string) bool
 
 	// facts is the run-wide fact store; nil when the driver runs

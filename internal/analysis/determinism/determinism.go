@@ -128,7 +128,7 @@ var (
 		"Print": true, "Printf": true, "Println": true,
 		"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	}
-	schedulers   = map[string]bool{"After": true, "At": true, "AtTime": true, "Schedule": true, "AfterFunc": true}
+	schedulers   = map[string]bool{"After": true, "At": true, "AtTime": true, "AfterCall": true, "AtCall": true, "Schedule": true, "AfterFunc": true}
 	accumMethods = map[string]bool{"Merge": true, "Fold": true}
 )
 
@@ -557,11 +557,14 @@ func (a *analyzer) orderedReturn(body *ast.BlockStmt, tainted map[types.Object]b
 
 // exprOrdered reports whether an expression's value carries map
 // iteration order: it mentions a tainted variable or calls an
-// OrderedFact function. len/cap of a tainted value are order-free.
+// OrderedFact function. len/cap of a tainted value are order-free, and
+// so is a function literal: its body's order is checked as its own.
 func (a *analyzer) exprOrdered(e ast.Expr, tainted map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false
 		case *ast.Ident:
 			found = found || tainted[a.pass.TypesInfo.Uses[x]]
 		case *ast.CallExpr:

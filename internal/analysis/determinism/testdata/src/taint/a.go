@@ -148,3 +148,46 @@ func ArmAll(l *Loop, m map[string]func()) {
 		armLocal(fn)
 	}
 }
+
+// Handler stands in for sim.Handler, the callback an event holds.
+type Handler interface{ Call() }
+
+// Func adapts a function to a Handler.
+type Func func()
+
+// Call runs f.
+func (f Func) Call() { f() }
+
+// AtCall queues h to run at tick at, as sim.Loop.AtCall does.
+func (l *Loop) AtCall(at int, h Handler) { l.pending++ }
+
+// AfterCall queues h to run d ticks from now, as sim.Loop.AfterCall does.
+func (l *Loop) AfterCall(d int, h Handler) { l.pending++ }
+
+// ArmHandlers queues one Handler per entry, in map order, through the
+// loop's own scheduling names.
+func ArmHandlers(l *Loop, m map[int]Handler) {
+	for at, h := range m {
+		l.AtCall(at, h)   // want `l\.AtCall schedules an event inside range over map`
+		l.AfterCall(1, h) // want `l\.AfterCall schedules an event inside range over map`
+	}
+}
+
+// every acquires a SinkFact through AfterCall, as sim.Loop.After does.
+func every(l *Loop, fn func()) { l.AfterCall(1, Func(fn)) }
+
+// Watch is a test's poll loop: an event that ranges over a map and
+// re-arms itself. The map order stays inside the closure, so the
+// closure value handed to every carries none.
+func Watch(l *Loop, m map[string]int) {
+	var watch func()
+	watch = func() {
+		for k, n := range m {
+			if n < 0 {
+				panic(k)
+			}
+		}
+		every(l, watch)
+	}
+	every(l, watch)
+}

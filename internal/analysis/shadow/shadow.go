@@ -6,6 +6,11 @@
 // pattern where `err := ...` inside a block silently stops updating the
 // `err` the function returns. Shadows whose outer variable is never
 // touched again are deliberate narrowing and stay quiet.
+//
+// It runs module-wide because it guards what no golden report reaches:
+// liveproxy, validate, httpwire, cmd/* and the fabric coordinator. Its
+// one true finding so far was there — a shadowed err in a liveproxy
+// test that could mask a failed stream setup.
 package shadow
 
 import (

@@ -25,17 +25,13 @@ import (
 	"strings"
 
 	"spdier/internal/analysis"
-	"spdier/internal/analysis/clockarith"
 	"spdier/internal/analysis/determinism"
-	"spdier/internal/analysis/poolbalance"
 	"spdier/internal/analysis/shadow"
 )
 
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	poolbalance.Analyzer,
-	clockarith.Analyzer,
 	shadow.Analyzer,
 }
 
@@ -55,15 +51,6 @@ var DeterministicPackages = []string{
 	"spdier/internal/h2",
 }
 
-// pooledPackages additionally run the pool-discipline check: they own
-// sync.Pools or segment pools but are not (all) in the deterministic
-// set. proxy sits on the sim side of the SPDY framing and shares the
-// segment pool through tcpsim.
-var pooledPackages = []string{
-	"spdier/internal/spdy",
-	"spdier/internal/proxy",
-}
-
 // fabricDeterministicFile is the fence inside internal/fabric: the
 // worker loop, wire codec and journal must stay deterministic so a
 // shard folded in a worker process is a pure function of its job spec.
@@ -77,41 +64,25 @@ func fabricDeterministicFile(base string) bool {
 	return false
 }
 
-// probeReportFile scopes clockarith to the files that render or record
-// measurements — where a magic duration threshold changes reported
-// numbers rather than simulated behaviour.
-func probeReportFile(base string) bool {
-	for _, marker := range []string{"probe", "report", "metrics", "stats", "streaming"} {
-		if strings.Contains(base, marker) {
-			return true
-		}
-	}
-	return false
-}
-
-// ForPackage returns the analyzers that apply to importPath plus any
-// per-analyzer file filters. Packages outside the module get nothing.
+// ForPackage returns the analyzers that apply to importPath — the whole
+// suite, for every package of the module — and determinism's reporting
+// scope there (nil reports everywhere). Packages outside the module get
+// nothing.
 func ForPackage(importPath string) ([]*analysis.Analyzer, map[string]func(string) bool) {
 	if importPath != "spdier" && !strings.HasPrefix(importPath, "spdier/") {
 		return nil, nil
 	}
-	out := []*analysis.Analyzer{determinism.Analyzer, shadow.Analyzer}
-	filters := map[string]func(string) bool{}
+	var scope func(string) bool
 	switch {
 	case slices.Contains(DeterministicPackages, importPath):
-		out = append(out, poolbalance.Analyzer, clockarith.Analyzer)
-		filters[clockarith.Analyzer.Name] = probeReportFile
 	case importPath == "spdier/internal/fabric":
-		filters[determinism.Analyzer.Name] = fabricDeterministicFile
+		scope = fabricDeterministicFile
 	default:
-		if slices.Contains(pooledPackages, importPath) {
-			out = append(out, poolbalance.Analyzer)
-		}
 		// Facts only: an all-rejecting filter drops the diagnostics
 		// while the facts still export.
-		filters[determinism.Analyzer.Name] = func(string) bool { return false }
+		scope = func(string) bool { return false }
 	}
-	return out, filters
+	return Analyzers, map[string]func(string) bool{determinism.Analyzer.Name: scope}
 }
 
 // Check runs the suite over pkgs in order with one fact store and

@@ -2,6 +2,7 @@ package simlint_test
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"spdier/internal/analysis/simlint"
@@ -10,7 +11,7 @@ import (
 // TestFixtureTriggersEveryAnalyzer runs the full suite over the seeded
 // violation corpus and requires exactly one finding per rule: four
 // determinism sources (wall clock, global rand, a map range printing,
-// a sink call under a map range) and one each for the other analyzers.
+// a sink call under a map range) and one shadow.
 // This is the canary for the canaries: an analyzer or rule that stops
 // firing here has gone silent everywhere.
 func TestFixtureTriggersEveryAnalyzer(t *testing.T) {
@@ -24,7 +25,7 @@ func TestFixtureTriggersEveryAnalyzer(t *testing.T) {
 	for _, d := range diags {
 		got[d.Analyzer]++
 	}
-	want := map[string]int{"determinism": 4, "poolbalance": 1, "clockarith": 1, "shadow": 1}
+	want := map[string]int{"determinism": 4, "shadow": 1}
 	total := 0
 	for _, a := range simlint.Analyzers {
 		total += want[a.Name]
@@ -32,53 +33,26 @@ func TestFixtureTriggersEveryAnalyzer(t *testing.T) {
 			t.Errorf("analyzer %s: want %d findings in the fixture, got %d", a.Name, want[a.Name], got[a.Name])
 		}
 	}
-	if len(diags) != total || total != 7 {
+	if len(diags) != total || total != 5 {
 		for _, d := range diags {
 			t.Logf("finding: %s", d.String())
 		}
-		t.Errorf("want 7 findings total, got %d", len(diags))
+		t.Errorf("want 5 findings total, got %d", len(diags))
 	}
 }
 
-// TestForPackagePolicy pins the policy mapping: deterministic packages
-// get determinism, poolbalance and clockarith, pooled packages get
-// poolbalance, and everything in the module gets shadow and
-// determinism (for its facts).
+// TestForPackagePolicy pins the policy mapping: every package in the
+// module gets the whole suite (determinism, reporting or for its facts,
+// and shadow), and packages outside it get nothing.
 func TestForPackagePolicy(t *testing.T) {
-	names := func(importPath string) map[string]bool {
-		as, _ := simlint.ForPackage(importPath)
-		out := map[string]bool{}
-		for _, a := range as {
-			out[a.Name] = true
-		}
-		return out
-	}
-
-	sim := names("spdier/internal/sim")
-	for _, want := range []string{"determinism", "poolbalance", "clockarith", "shadow"} {
-		if !sim[want] {
-			t.Errorf("spdier/internal/sim: missing analyzer %s", want)
+	for _, pkg := range []string{"spdier/internal/sim", "spdier/internal/spdy", "spdier/internal/liveproxy", "spdier/internal/fabric"} {
+		as, _ := simlint.ForPackage(pkg)
+		if !slices.Equal(as, simlint.Analyzers) {
+			t.Errorf("%s: want the whole suite, got %d analyzers", pkg, len(as))
 		}
 	}
-
-	spdy := names("spdier/internal/spdy")
-	if !spdy["poolbalance"] || !spdy["shadow"] {
-		t.Errorf("spdier/internal/spdy: want poolbalance+shadow, got %v", spdy)
-	}
-	if spdy["clockarith"] {
-		t.Errorf("spdier/internal/spdy: clockarith must not apply outside the deterministic set")
-	}
-
-	live := names("spdier/internal/liveproxy")
-	if live["poolbalance"] || live["clockarith"] {
-		t.Errorf("spdier/internal/liveproxy talks to real time by design; got %v", live)
-	}
-	if !live["shadow"] {
-		t.Errorf("spdier/internal/liveproxy: shadow applies module-wide")
-	}
-
-	if as := names("fmt"); len(as) != 0 {
-		t.Errorf("packages outside the module must get no analyzers, got %v", as)
+	if as, _ := simlint.ForPackage("fmt"); len(as) != 0 {
+		t.Errorf("packages outside the module must get no analyzers, got %d", len(as))
 	}
 }
 

@@ -1,27 +1,17 @@
 // Package fixture is a seeded violation corpus: exactly one finding per
-// rule — four determinism sources, and one each for poolbalance,
-// clockarith and shadow. The simlint acceptance test (and CI) runs the
-// full suite over this directory and requires that count per analyzer
-// — if a rule regresses into silence, that test fails before any real
-// violation can slip through unnoticed.
+// rule — four determinism sources and one shadow. The simlint
+// acceptance test (and CI) runs the full suite over this directory and
+// requires that count per analyzer — if a rule regresses into silence,
+// that test fails before any real violation can slip through unnoticed.
 package fixture
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
-// segPool has Get calls below but no Put anywhere in the package:
-// the poolbalance asymmetry finding.
-var segPool = sync.Pool{New: func() any { return new([64]byte) }}
-
-func grab() *[64]byte {
-	return segPool.Get().(*[64]byte)
-}
-
-func violations(m map[string]int, rtt time.Duration) (time.Time, error) {
+func violations(m map[string]int) (time.Time, error) {
 	start := time.Now() // determinism: wall clock
 
 	n := rand.Intn(6) // determinism: global rand
@@ -30,16 +20,11 @@ func violations(m map[string]int, rtt time.Duration) (time.Time, error) {
 		fmt.Println(k, n)
 	}
 
-	if rtt > 150*time.Millisecond { // clockarith: magic threshold
-		n++
-	}
-
 	var err error
 	if n > 3 {
 		err := fmt.Errorf("n too large: %d", n) // shadow: lost write
 		_ = err
 	}
-	_ = grab()
 	return start, err
 }
 
