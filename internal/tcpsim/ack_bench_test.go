@@ -41,11 +41,11 @@ func quicAckLoad(flight, ranges int) func() {
 
 	ack := &QUICPacket{Ack: true}
 	for i := 0; i < ranges-1; i++ {
-		ack.AckRanges = append(ack.AckRanges, [2]uint64{uint64(3 * i), uint64(3*i + 1)})
+		ack.AckRanges = append(ack.AckRanges, [2]uint64{uint64(3 * i), uint64(3*i + 2)})
 	}
 	ack.AckRanges = append(ack.AckRanges, [2]uint64{})
 	return func() {
-		ack.AckRanges[ranges-1] = [2]uint64{next, next + 1}
+		ack.AckRanges[ranges-1] = [2]uint64{next, next + 2}
 		ack.AckLargest = next + 1
 		next += 2
 		q.cwnd = float64(flight) // hold the flight: window growth is not what is priced

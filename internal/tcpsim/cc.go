@@ -173,7 +173,9 @@ func (cu *Cubic) OnAckCA(now sim.Time, cwnd float64, ackedSegs int, srtt time.Du
 	}
 
 	t := now.Sub(cu.epochStart).Seconds() + srtt.Seconds()
-	target := cu.c*math.Pow(t-cu.k, 3) + cu.wMax
+	// The conversion rounds the product on its own, so no architecture
+	// may fuse it with the sum (sim's TestNoFusedMultiplyAdd).
+	target := float64(cu.c*math.Pow(t-cu.k, 3)) + cu.wMax
 
 	// TCP-friendly region (RFC 8312 §4.2).
 	cu.ackCount += float64(ackedSegs)

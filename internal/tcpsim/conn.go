@@ -2,7 +2,6 @@ package tcpsim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -355,11 +354,10 @@ type Conn struct {
 
 	// --- receiver half ---
 	rcvNxt uint64
-	// ooo is the out-of-order buffer: the segments held above the hole at
-	// rcvNxt, ascending by first byte, one entry per first byte. The
-	// sender's segments never change their bounds, so entries are
-	// disjoint, and a SACK option is the first runs of the list.
-	ooo          []oooSeg
+	// ooo is the out-of-order buffer: the bytes held above the hole at
+	// rcvNxt, and oooBytes their count. A SACK option is its first four
+	// spans.
+	ooo          spanSet
 	oooBytes     int
 	delayedAck   sim.Timer
 	segsSinceAck int
@@ -935,26 +933,17 @@ func (c *Conn) receiveData(seg *Segment) {
 		return
 	case seg.Seq > c.rcvNxt:
 		// Hole: buffer and emit an immediate duplicate ACK.
-		c.bufferOOO(seg.Seq, seg.Len)
+		c.oooBytes += int(c.ooo.add(seg.Seq, end))
 		c.sendAckNow()
 		return
 	}
-	// In-order (possibly partially overlapping) delivery.
+	// In-order (possibly partially overlapping) delivery, and the buffered
+	// bytes that continue from it.
 	c.tsRecent = seg.TSVal
-	advance := int(end - c.rcvNxt)
-	c.rcvNxt = end
-	// The run of buffered segments that continues from here is the front
-	// of the buffer; it drains in one cut.
-	n := 0
-	for ; n < len(c.ooo) && c.ooo[n].seq == c.rcvNxt; n++ {
-		c.rcvNxt += uint64(c.ooo[n].len)
-	}
-	if n > 0 {
-		drained := int(c.rcvNxt - end)
-		c.oooBytes -= drained
-		advance += drained
-		c.ooo = c.ooo[:copy(c.ooo, c.ooo[n:])]
-	}
+	from := c.rcvNxt
+	c.rcvNxt = c.ooo.drain(end)
+	c.oooBytes -= int(c.rcvNxt - end)
+	advance := int(c.rcvNxt - from)
 	c.BytesRcvdApp += int64(advance)
 	// Schedule the ACK before notifying the application: the app may
 	// react by writing (e.g. the next HTTP request), whose piggybacked
@@ -1008,7 +997,10 @@ func (c *Conn) sendAck(delayed bool) {
 	seg.Ack = c.rcvNxt
 	seg.Wnd = c.recvWindow()
 	seg.Dsack = c.pendingDsack
-	seg.Sack = c.appendSackBlocks(seg.Sack[:0])
+	// The SACK option of RFC 2018, ascending. The blocks are copied into
+	// the segment's own recycled array: the segment is in flight while
+	// this endpoint's buffer changes.
+	seg.Sack = append(seg.Sack[:0], c.ooo[:min(4, len(c.ooo))]...)
 	seg.TSEcr = c.tsRecent
 	seg.Delayed = delayed
 	if invOn {
@@ -1016,47 +1008,6 @@ func (c *Conn) sendAck(delayed bool) {
 	}
 	c.transmit(seg)
 	c.pendingDsack = false
-}
-
-// oooSeg is a segment the receiver holds above a hole.
-type oooSeg struct {
-	seq uint64
-	len int
-}
-
-// bufferOOO files [seq, seq+n) in the out-of-order buffer at its place;
-// a copy of a segment already held changes nothing.
-func (c *Conn) bufferOOO(seq uint64, n int) {
-	i := sort.Search(len(c.ooo), func(k int) bool { return c.ooo[k].seq >= seq })
-	if i < len(c.ooo) && c.ooo[i].seq == seq {
-		return
-	}
-	if c.ooo == nil {
-		c.ooo = make([]oooSeg, 0, 8)
-	}
-	c.ooo = slices.Insert(c.ooo, i, oooSeg{seq, n})
-	c.oooBytes += n
-}
-
-// appendSackBlocks summarizes the out-of-order buffer as its first four
-// runs of contiguous segments, ascending — the SACK option of RFC 2018 —
-// reading no further into the buffer than the fourth run. Blocks are
-// appended into dst (the segment's own recycled backing array, never
-// shared scratch: the segment is in flight while this endpoint's state
-// advances, so it must own its blocks).
-func (c *Conn) appendSackBlocks(dst [][2]uint64) [][2]uint64 {
-	blocks := dst[:0]
-	for _, s := range c.ooo {
-		if n := len(blocks); n > 0 && blocks[n-1][1] == s.seq {
-			blocks[n-1][1] += uint64(s.len)
-			continue
-		}
-		if len(blocks) == 4 {
-			break
-		}
-		blocks = append(blocks, [2]uint64{s.seq, s.seq + uint64(s.len)})
-	}
-	return blocks
 }
 
 // ackPiggybacked resets delayed-ACK state because an ACK is about to ride
@@ -1218,7 +1169,7 @@ func (c *Conn) processNewAck(ack uint64, seg *Segment) {
 // queued for retransmission through the recovery path.
 //
 // The flight ascends in sequence and so do the blocks, disjoint (the
-// receiver reads them off its ordered buffer; the sack-shape rule holds
+// receiver copies them off its span set; the sack-shape rule holds
 // both ends to it), so one merge-walk visits the records the blocks
 // cover, in the order a scan of the flight per block found them: each
 // block is entered by binary search above where the last one ended, and

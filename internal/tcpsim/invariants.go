@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"spdier/internal/sim"
@@ -191,13 +192,16 @@ func (q *QUICConn) checkSender(where string) {
 	q.checkRTT(where)
 }
 
-// checkAckRanges audits what the ACK merge-walk assumes of its input:
-// closed intervals, ascending and disjoint.
-func (q *QUICConn) checkAckRanges(p *QUICPacket) {
-	for i, r := range p.AckRanges {
-		if r[0] > r[1] || (i > 0 && r[0] <= p.AckRanges[i-1][1]) {
-			q.violateConn("ack-ranges", "range %d of %v is empty or not above its predecessor", i, p.AckRanges)
+// checkSpans holds spans — a receiver's set, or the SACK blocks or ACK
+// ranges read off one — to the set's shape, which every reader of them
+// assumes: none empty, the first starting at or above floor, each later
+// one above the end of the one before it.
+func (s *sender) checkSpans(rule, where string, spans [][2]uint64, floor uint64) {
+	for i, r := range spans {
+		if r[0] < floor || r[1] <= r[0] {
+			s.violateConn(rule, "%s: span %d of %v is empty or starts below %d", where, i, spans, floor)
 		}
+		floor = r[1] + 1
 	}
 }
 
@@ -216,28 +220,18 @@ func (c *Conn) checkNotCoalesced(seg *Segment, path string) {
 }
 
 // checkReceiver audits in-order byte accounting and the out-of-order
-// buffer: every segment above the cumulative point, in ascending order
-// and disjoint from the one before it.
+// buffer: its shape, every span above the cumulative point, and its
+// byte count.
 func (c *Conn) checkReceiver(where string) {
 	if c.BytesRcvdApp != int64(c.rcvNxt) {
 		c.violateConn("rcv-accounting", "%s: BytesRcvdApp=%d but rcvNxt=%d", where, c.BytesRcvdApp, c.rcvNxt)
 	}
-	sum := 0
-	for i, s := range c.ooo {
-		if s.len <= 0 {
-			c.violateConn("ooo-len", "%s: buffered segment at %d has len=%d", where, s.seq, s.len)
-		}
-		if s.seq <= c.rcvNxt {
-			c.violateConn("ooo-below-window", "%s: buffered seq=%d at or below rcvNxt=%d", where, s.seq, c.rcvNxt)
-		}
-		if i > 0 {
-			if prevEnd := c.ooo[i-1].seq + uint64(c.ooo[i-1].len); s.seq < prevEnd {
-				c.violateConn("ooo-order", "%s: buffered seq=%d below the end %d of the segment before it", where, s.seq, prevEnd)
-			}
-		}
-		sum += s.len
+	c.checkSpans("ooo-shape", where, c.ooo, c.rcvNxt+1)
+	var sum uint64
+	for _, r := range c.ooo {
+		sum += r[1] - r[0]
 	}
-	if sum != c.oooBytes {
+	if sum != uint64(c.oooBytes) {
 		c.violateConn("ooo-bytes", "%s: buffered %d bytes but oooBytes=%d", where, sum, c.oooBytes)
 	}
 	if w := c.recvWindow(); w < 0 || w > c.cfg.RecvBuffer {
@@ -246,41 +240,24 @@ func (c *Conn) checkReceiver(where string) {
 }
 
 // checkSackShape audits a SACK option against what applySack's
-// merge-walk assumes of it: at most four blocks, none empty, ascending
-// with a hole before each, the first strictly above the cumulative ACK
+// merge-walk assumes of it: at most four blocks, in the shape of the
+// buffer they are read from, the first strictly above the cumulative ACK
 // the segment carries. The sender checks every ACK it takes; the
 // receiver every option it sends (checkSackEmitted).
 func (c *Conn) checkSackShape(where string, seg *Segment) {
 	if len(seg.Sack) > 4 {
 		c.violateConn("sack-shape", "%s: %d SACK blocks %v, at most 4", where, len(seg.Sack), seg.Sack)
 	}
-	below := seg.Ack
-	for i, b := range seg.Sack {
-		if b[0] <= below || b[1] <= b[0] {
-			c.violateConn("sack-shape", "%s: block %d of %v is empty or not above %d (ack=%d)", where, i, seg.Sack, below, seg.Ack)
-		}
-		below = b[1]
-	}
+	c.checkSpans("sack-shape", where, seg.Sack, seg.Ack+1)
 }
 
 // checkSackEmitted holds an option the receiver is about to send to the
 // buffer it was read from: its shape, and that its blocks are the
-// buffer's first four runs of contiguous segments, each run whole.
+// buffer's first four spans.
 func (c *Conn) checkSackEmitted(seg *Segment) {
 	c.checkSackShape("sendAck", seg)
-	j := 0
-	for i, b := range seg.Sack {
-		end := b[0]
-		for j < len(c.ooo) && c.ooo[j].seq == end {
-			end += uint64(c.ooo[j].len)
-			j++
-		}
-		if end != b[1] {
-			c.violateConn("sack-shape", "sendAck: block %d of %v is not a run of the buffer (the run from %d ends at %d)", i, seg.Sack, b[0], end)
-		}
-	}
-	if len(seg.Sack) < 4 && j < len(c.ooo) {
-		c.violateConn("sack-shape", "sendAck: %d blocks %v leave out the run from %d", len(seg.Sack), seg.Sack, c.ooo[j].seq)
+	if want := c.ooo[:min(4, len(c.ooo))]; !slices.Equal(seg.Sack, want) {
+		c.violateConn("sack-shape", "sendAck: blocks %v are not the buffer's first spans %v", seg.Sack, want)
 	}
 }
 

@@ -199,7 +199,7 @@ func TestInvariantCatchesMisshapenSack(t *testing.T) {
 		if len(*got) != 0 {
 			t.Fatalf("a well-formed buffer reported: %s", rules(*got))
 		}
-		runs := client.appendSackBlocks(nil) // in MSS: [2,4) [5,6) [7,8) [9,10); [11,12) is a fifth run
+		runs := slices.Clone(client.ooo[:4]) // in MSS: [2,4) [5,6) [7,8) [9,10); [11,12) is a fifth run
 		for _, wrong := range [][][2]uint64{
 			runs[:3],                             // leaves a run out
 			{runs[0], runs[2], runs[3], runs[1]}, // out of order
@@ -212,7 +212,7 @@ func TestInvariantCatchesMisshapenSack(t *testing.T) {
 			}
 		}
 		*got = nil
-		client.ooo[0].seq = client.rcvNxt // a segment at the cumulative point, left buffered
+		client.ooo[0][0] = client.rcvNxt // a span at the cumulative point, left buffered
 		client.handleSegment(&Segment{Seq: base + 13*m, Len: m})
 		if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == "sack-shape" }) {
 			t.Fatalf("an option starting at the cumulative ACK was sent unreported; violations: %s", rules(*got))

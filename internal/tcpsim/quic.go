@@ -66,10 +66,10 @@ type QUICPacket struct {
 
 	Ack        bool
 	AckLargest uint64
-	AckRanges  [][2]uint64 // closed PN intervals, ascending; on loan from the Network
+	AckRanges  [][2]uint64 // the receiver's PN spans, half-open; on loan from the Network
 }
 
-// quicMaxAckRanges caps the receiver's set of received-PN intervals, and
+// quicMaxAckRanges caps the spans of the receiver's received-PN set, and
 // so the ranges an ACK carries.
 const quicMaxAckRanges = 32
 
@@ -123,9 +123,6 @@ type qChunk struct {
 	remaining int
 }
 
-// qRange is a half-open byte range [start, end) buffered out of order.
-type qRange struct{ start, end uint64 }
-
 // qStream is one stream at one endpoint, both ways: how many bytes this
 // end has written to it, and how far it has reassembled what the peer
 // sent — independently of its siblings, the no-transport-HoL-blocking
@@ -133,7 +130,7 @@ type qRange struct{ start, end uint64 }
 type qStream struct {
 	sendOff uint64
 	nxt     uint64
-	ooo     []qRange // disjoint, ascending, above nxt
+	ooo     spanSet // bytes held above nxt
 }
 
 // QUICConn is one endpoint of a simulated QUIC-style connection.
@@ -177,7 +174,7 @@ type QUICConn struct {
 	ptoTimer sim.Timer
 
 	// --- receiver half ---
-	rcvRanges    [][2]uint64 // received PNs, merged, ascending
+	rcvRanges    spanSet // received PNs, the highest quicMaxAckRanges spans
 	largestRcvd  uint64
 	pktsSinceAck int
 	delayedAck   sim.Timer
@@ -592,7 +589,7 @@ func (q *QUICConn) becomeEstablished() {
 // then run packet-threshold loss detection.
 func (q *QUICConn) handleAck(p *QUICPacket) {
 	if invOn {
-		q.checkAckRanges(p)
+		q.checkSpans("ack-ranges", "handleAck", p.AckRanges, 0)
 	}
 	newlyAcked, largestNew := q.resolveAck(p)
 	if newlyAcked == 0 {
@@ -651,13 +648,13 @@ func (q *QUICConn) resolveAck(p *QUICPacket) (newlyAcked int, largestNew *qSent)
 		if i == len(fl) {
 			break
 		}
-		if r[1] < fl[i].pn {
+		if r[1] <= fl[i].pn {
 			continue // wholly below what is left of the flight
 		}
 		if fl[i].pn < r[0] {
 			i += searchPN(fl[i:], r[0])
 		}
-		for ; i < len(fl) && fl[i].pn <= r[1]; i++ {
+		for ; i < len(fl) && fl[i].pn < r[1]; i++ {
 			e := &fl[i]
 			if e.acked {
 				continue
@@ -835,77 +832,14 @@ func (q *QUICConn) receiveData(p *QUICPacket) {
 	}
 }
 
-// recordPN merges pn into the received-PN interval set, reporting
-// whether it was new. The set is kept small by construction: in-order
-// arrival extends the last interval in place.
+// recordPN adds pn to the received-PN set, reporting whether it was new.
+// The set keeps its highest quicMaxAckRanges spans: the packets below
+// them were acknowledged long ago.
 func (q *QUICConn) recordPN(pn uint64) bool {
-	if pn > q.largestRcvd {
-		q.largestRcvd = pn
-	}
-	rs := q.rcvRanges
-	// Fast path: extend or duplicate at the tail.
-	if n := len(rs); n > 0 {
-		last := &rs[n-1]
-		if pn >= last[0] && pn <= last[1] {
-			return false
-		}
-		if pn == last[1]+1 {
-			last[1] = pn
-			return true
-		}
-		if pn > last[1] {
-			q.rcvRanges = append(rs, [2]uint64{pn, pn})
-			q.capRcvRanges()
-			return true
-		}
-	} else {
-		q.rcvRanges = append(rs, [2]uint64{pn, pn})
-		return true
-	}
-	// Out-of-order: insert/merge in the ascending interval list.
-	for i := range rs {
-		r := &rs[i]
-		if pn >= r[0] && pn <= r[1] {
-			return false
-		}
-		if pn < r[0] {
-			if pn == r[0]-1 {
-				r[0] = pn
-				q.mergeRcvAt(i)
-				return true
-			}
-			if i > 0 && pn == rs[i-1][1]+1 {
-				rs[i-1][1] = pn
-				q.mergeRcvAt(i - 1)
-				return true
-			}
-			q.rcvRanges = append(rs, [2]uint64{})
-			copy(q.rcvRanges[i+1:], q.rcvRanges[i:])
-			q.rcvRanges[i] = [2]uint64{pn, pn}
-			q.capRcvRanges()
-			return true
-		}
-	}
-	return false // unreachable: tail cases handled above
-}
-
-func (q *QUICConn) mergeRcvAt(i int) {
-	rs := q.rcvRanges
-	if i+1 < len(rs) && rs[i][1]+1 >= rs[i+1][0] {
-		if rs[i+1][1] > rs[i][1] {
-			rs[i][1] = rs[i+1][1]
-		}
-		q.rcvRanges = append(rs[:i+1], rs[i+2:]...)
-	}
-}
-
-// capRcvRanges bounds the interval set by forgetting the lowest ranges;
-// those packets were acknowledged long ago.
-func (q *QUICConn) capRcvRanges() {
-	if len(q.rcvRanges) > quicMaxAckRanges {
-		n := copy(q.rcvRanges, q.rcvRanges[len(q.rcvRanges)-quicMaxAckRanges:])
-		q.rcvRanges = q.rcvRanges[:n]
-	}
+	q.largestRcvd = max(q.largestRcvd, pn)
+	fresh := q.rcvRanges.add(pn, pn+1) > 0
+	q.rcvRanges.trim(quicMaxAckRanges)
+	return fresh
 }
 
 func (q *QUICConn) sendAckNow() {
@@ -933,51 +867,13 @@ func (q *QUICConn) deliverStream(sid uint32, off uint64, n int) {
 		return // duplicate data from a spurious retransmission
 	}
 	if off > st.nxt {
-		st.buffer(off, end)
+		st.ooo.add(off, end)
 		return
 	}
-	// Contiguous: advance, then drain any now-adjacent buffered ranges.
+	// Contiguous: advance through the buffered bytes that continue it.
 	old := st.nxt
-	st.nxt = end
-	for len(st.ooo) > 0 && st.ooo[0].start <= st.nxt {
-		if st.ooo[0].end > st.nxt {
-			st.nxt = st.ooo[0].end
-		}
-		st.ooo = st.ooo[1:]
-	}
+	st.nxt = st.ooo.drain(end)
 	if q.onStreamDel != nil {
 		q.onStreamDel(sid, int(st.nxt-old))
 	}
-}
-
-// buffer inserts [start, end) into the out-of-order set, merging
-// overlaps, keeping the set disjoint and ascending.
-func (st *qStream) buffer(start, end uint64) {
-	i := 0
-	for i < len(st.ooo) && st.ooo[i].end < start {
-		i++
-	}
-	if i == len(st.ooo) {
-		st.ooo = append(st.ooo, qRange{start, end})
-		return
-	}
-	if end < st.ooo[i].start {
-		st.ooo = append(st.ooo, qRange{})
-		copy(st.ooo[i+1:], st.ooo[i:])
-		st.ooo[i] = qRange{start, end}
-		return
-	}
-	// Overlaps/abuts run [i, j): merge into one.
-	if st.ooo[i].start < start {
-		start = st.ooo[i].start
-	}
-	j := i
-	for j < len(st.ooo) && st.ooo[j].start <= end {
-		if st.ooo[j].end > end {
-			end = st.ooo[j].end
-		}
-		j++
-	}
-	st.ooo[i] = qRange{start, end}
-	st.ooo = append(st.ooo[:i+1], st.ooo[j:]...)
 }

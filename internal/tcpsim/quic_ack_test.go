@@ -18,7 +18,7 @@ import (
 
 func ackRangesContain(p *QUICPacket, pn uint64) bool {
 	for _, r := range p.AckRanges {
-		if pn >= r[0] && pn <= r[1] {
+		if pn >= r[0] && pn < r[1] {
 			return true
 		}
 	}
@@ -160,15 +160,15 @@ func randomFlight(seed uint64, maxLen int) (*QUICConn, *sampleLog) {
 	return q, log
 }
 
-// randomRanges returns up to n closed intervals, ascending and disjoint,
-// scattered over [lo, hi].
+// randomRanges returns up to n half-open spans, ascending with a hole
+// before each, scattered over [lo, hi].
 func randomRanges(rng *sim.RNG, n int, lo, hi uint64) [][2]uint64 {
 	var out [][2]uint64
 	step := int(hi-lo)/(n+1) + 1
 	cur := lo
 	for len(out) < n && cur <= hi {
 		start := cur + uint64(rng.Intn(step))
-		end := start + uint64(rng.Intn(step))
+		end := start + 1 + uint64(rng.Intn(step))
 		out = append(out, [2]uint64{start, end})
 		cur = end + 1 + uint64(rng.Intn(step))
 	}
@@ -191,14 +191,14 @@ func TestPropertyAckMergeWalkMatchesScan(t *testing.T) {
 			if head < 4 {
 				return nil
 			}
-			return [][2]uint64{{0, head / 2}, {head/2 + 2, head - 1}}
+			return [][2]uint64{{0, head/2 + 1}, {head/2 + 2, head}}
 		}},
 		{"above-tail", func(_ *sim.RNG, _, tail uint64) [][2]uint64 {
-			return [][2]uint64{{tail + 1, tail + 9}, {tail + 20, tail + 21}}
+			return [][2]uint64{{tail + 1, tail + 10}, {tail + 20, tail + 22}}
 		}},
-		{"everything", func(_ *sim.RNG, _, tail uint64) [][2]uint64 { return [][2]uint64{{0, tail + 5}} }},
+		{"everything", func(_ *sim.RNG, _, tail uint64) [][2]uint64 { return [][2]uint64{{0, tail + 6}} }},
 		{"retired-and-head", func(_ *sim.RNG, head, tail uint64) [][2]uint64 {
-			return [][2]uint64{{0, head + (tail-head)/3}}
+			return [][2]uint64{{0, head + (tail-head)/3 + 1}}
 		}},
 		{"few", func(rng *sim.RNG, head, tail uint64) [][2]uint64 {
 			return randomRanges(rng, 1+rng.Intn(4), head-min(head, 5), tail+5)
@@ -216,7 +216,7 @@ func TestPropertyAckMergeWalkMatchesScan(t *testing.T) {
 				head, tail = fl[0].pn, fl[len(fl)-1].pn
 			}
 			p := &QUICPacket{Ack: true, AckRanges: sh.ranges(sim.NewRNG(seed^0xacc), head, tail)}
-			got.checkAckRanges(p) // the generator must keep the walk's precondition
+			got.checkSpans("ack-ranges", "generator", p.AckRanges, 0) // the generator must keep the walk's precondition
 			// The same ACK twice: a wire duplicate must find nothing left.
 			for round := 0; round < 2; round++ {
 				where := fmt.Sprintf("%s seed %d round %d", sh.name, seed, round)
@@ -369,12 +369,15 @@ func TestInvariantCatchesQUICCorruption(t *testing.T) {
 		}
 	}
 	// Unsorted ranges would make the merge-walk skip records the scan
-	// found; the checker rejects them at the door.
-	got := captureViolations(t)
+	// found; the checker rejects them at the door. Touching ranges are
+	// what a receiver that failed to merge a filled hole would send.
 	q, _ := randomFlight(3, 50)
-	q.checkAckRanges(&QUICPacket{Ack: true, AckRanges: [][2]uint64{{10, 20}, {15, 30}}})
-	if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == "ack-ranges" }) {
-		t.Errorf("overlapping ACK ranges not caught; violations: %s", rules(*got))
+	for _, forged := range [][][2]uint64{{{10, 20}, {15, 30}}, {{1, 4}, {4, 7}}} {
+		got := captureViolations(t)
+		q.checkSpans("ack-ranges", "forged", forged, 0)
+		if !slices.ContainsFunc(*got, func(v InvariantViolation) bool { return v.Rule == "ack-ranges" }) {
+			t.Errorf("ACK ranges %v not caught; violations: %s", forged, rules(*got))
+		}
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 	"spdier/internal/sim"
 )
 
-// sparseStreamsDigest is TestQUICSparseStreamsPinned's FNV-1a digest,
-// recorded when each endpoint kept a map of heap stream records.
-const sparseStreamsDigest = 0x3bb78eab2b2e6181
+// sparseStreamsDigest is TestQUICSparseStreamsPinned's FNV-1a digest.
+// It hashes each ACK's ranges as the wire carries them: the half-open
+// spans of the receiver's received-PN set.
+const sparseStreamsDigest = 0xf0b4acd2ce6ecf0d
 
 // pinHash writes uint64s little-endian into an FNV-1a hash.
 type pinHash struct{ h hash.Hash64 }
@@ -31,8 +32,9 @@ func (p pinHash) put(vs ...uint64) {
 // drops in bursts, reorders and duplicates both ways: every stream's
 // delivery sequence (at, side, stream, bytes), every ACK as it is
 // delivered (sender, largest, ranges) and what the loop fired, hashed
-// together. Lost packet numbers are never re-sent, so the receivers'
-// range sets fill to their cap and the ACKs carry all of them.
+// together. Lost packet numbers are never re-sent, so each loss leaves a
+// hole in the receiver's set for good: the streams are long enough for
+// the set to fill to its cap of 32 spans, and the ACKs carry all of them.
 func TestQUICSparseStreamsPinned(t *testing.T) {
 	loop := sim.NewLoop()
 	im := netem.Impairments{GEGoodToBad: 0.02, GEBadToGood: 0.3, GELossBad: 0.5, ReorderProb: 0.04, DupProb: 0.04}
@@ -78,7 +80,7 @@ func TestQUICSparseStreamsPinned(t *testing.T) {
 		}
 		at := loop.Now()
 		for i, sid := range []uint32{1, 3, 5, 1, 5, 3, 5, 1, 1, 3, 5, 5, 3, 1} {
-			n := 12_000 + 5_000*i
+			n := 12_000 + 15_000*i
 			want[sid] += n
 			at = at.Add(time.Duration(150+90*i) * time.Millisecond)
 			loop.At(at, func() {

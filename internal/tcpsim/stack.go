@@ -1,16 +1,13 @@
 package tcpsim
 
-// Composable stack layers. The transport-interface refactor (ROADMAP
-// item 1) decomposes an endpoint's behaviour into independently
-// selectable layers — congestion control, loss recovery, idle policy,
-// undo policy, instrumentation — that compose onto a Config instead of
-// being hand-assigned flag by flag at every call site. The Config fields
-// themselves are unchanged, so a composed stack is field-for-field (and
-// therefore simulation-for-simulation) identical to the legacy direct
-// assignments; the layering-equivalence tests in internal/experiment pin
-// that equivalence trace by trace.
+// Composable stack layers. An endpoint's behaviour is a set of
+// independently selectable layers — congestion control, loss recovery,
+// idle policy, undo policy, instrumentation — that compose onto a Config
+// instead of being assigned flag by flag at every call site. A layer
+// only sets Config fields, so two ways of composing the same stack give
+// the same Config and the same simulation.
 
-// RecoveryPolicy bundles the modern loss-recovery fix arms (PR 6) into
+// RecoveryPolicy bundles the modern loss-recovery fix arms into
 // one composable unit. The zero value is the paper-era stack.
 type RecoveryPolicy struct {
 	// TLP enables tail loss probes (see Config.TLP).

@@ -3,12 +3,12 @@
 // instrumentation — as one Spec, instead of hand-assigning tcpsim.Config
 // flags at every call site.
 //
-// Spec.Apply is *config-level* on purpose: the resulting Config is
-// field-for-field identical to what the legacy direct assignments
-// produced, so the refactor cannot perturb a single RNG draw or event
-// timestamp — which is what lets the golden-report tests pin "composed
-// stack ≡ pre-refactor monolith" byte for byte (see
-// internal/experiment/layering_test.go).
+// Spec.Apply is *config-level* on purpose: it only sets tcpsim.Config
+// fields, so a Spec and the same fields assigned by hand give one
+// Config and one simulation, RNG draw for RNG draw
+// (TestSpecApplyMatchesLegacyAssignments; the layering/… rows of
+// internal/experiment's run pin ledger pin each composed stack event
+// for event).
 //
 // Kind names the wire protocol multiplexing layer above the transport;
 // the browser/proxy pair select their session machinery from it, while
