@@ -140,6 +140,12 @@ type Browser struct {
 	totalConns int
 	connSeq    int
 	names      tcpsim.NameArena // of the pooled connections
+	// Where the pools, their connection slots and the connections'
+	// handles come from: a run pays a chunk per poolChunk pools,
+	// slotChunk slots or handleChunk handles, not an object each.
+	poolSlab   tcpsim.Slab[domainPool]
+	handleSlab tcpsim.Slab[connHandle]
+	slots      tcpsim.Slab[*connHandle]
 	// Counts over the handles in the pools, kept at the four transitions
 	// (established, dispatch 0→1, response 1→0, closeConn) so that neither
 	// a telemetry sample nor a full global pool walks every connection:
@@ -172,6 +178,10 @@ func New(loop *sim.Loop, net *tcpsim.Network, prox *proxy.Proxy, cfg Config, rng
 		rng:     rng,
 		pools:   make(map[string]*domainPool),
 		muxMode: cfg.muxMode(),
+
+		poolSlab:   tcpsim.NewSlab[domainPool](poolChunk),
+		handleSlab: tcpsim.NewSlab[connHandle](handleChunk),
+		slots:      tcpsim.NewSlab[*connHandle](slotChunk),
 	}
 }
 
@@ -246,6 +256,9 @@ type fetch struct {
 	// issued (mux) or when a pooled connection takes it (conn).
 	mux  *muxHandle
 	conn *connHandle
+	// next is the fetch behind this one in its domain's queue, while it
+	// waits there for a connection.
+	next *fetch
 }
 
 // LoadPage begins loading page; done fires at onLoad (or watchdog abort).
@@ -418,20 +431,51 @@ func (b *Browser) scheduleBeacons(page *webpage.Page) {
 
 // --- HTTP mode ---
 
+// domainPool is one domain's share of the connection budget: its
+// connections, and the requests waiting for one in a FIFO threaded
+// through the fetches themselves (fetch.next), so queueing a request
+// allocates nothing — every fetch already lives in its page's slab or in
+// its beacon. The record is cut from the browser's pool slab and its
+// connection slots from the slot slab.
 type domainPool struct {
-	domain  string
-	conns   []*connHandle
-	waiting []*fetch
+	domain     string
+	conns      []*connHandle
+	head, tail *fetch
+	queued     int
 	// idle counts the pool's share of Browser.idleConns, kept at the same
 	// transitions, so a full global pool looks for a socket to steal only
 	// where there is one.
 	idle int
 }
 
+// push queues f behind the pool's waiting requests.
+func (p *domainPool) push(f *fetch) {
+	if p.tail == nil {
+		p.head = f
+	} else {
+		p.tail.next = f
+	}
+	p.tail = f
+	p.queued++
+}
+
+// pop takes the request that has waited longest off the queue.
+func (p *domainPool) pop() *fetch {
+	f := p.head
+	p.head, f.next = f.next, nil
+	if p.head == nil {
+		p.tail = nil
+	}
+	p.queued--
+	return f
+}
+
 // connHandle is the browser's record of one pooled connection, and the
 // only one: the assembler of the response stream and the proxy's end of
 // the connection are part of it, and it is the handler of its own
-// establishment and idle timer.
+// establishment and idle timer. It is cut from the browser's handle slab
+// and lives as long as the run: a closed connection's handle is not
+// reused.
 type connHandle struct {
 	b           *Browser
 	pool        *domainPool
@@ -445,6 +489,16 @@ type connHandle struct {
 	idleTimer   sim.Timer
 }
 
+// The slabs' chunk caps, each the most records that fit an allocator
+// size class with the 8-byte header a pointer-bearing object over 512
+// bytes carries (TestRecordSizes fails when one more would fit). A
+// handle is 232 bytes: 35 are 8,120, 8,128 with the header, in the
+// 8,192-byte class; at 32, where doubling would have stopped, a chunk
+// leaves 760 bytes of the class unused. A pool is 72 bytes: 113 are
+// 8,144 in the same class. A slot is a pointer: 1,023 are 8,192 with
+// the header, the slots of 170 pools at the default budget of six.
+const handleChunk, poolChunk, slotChunk = 35, 113, 1023
+
 // idle reports whether the connection could take a request right now
 // and has none: what the global pool may reclaim.
 func (h *connHandle) idle() bool { return h.established && h.outstanding == 0 && !h.closed }
@@ -452,7 +506,8 @@ func (h *connHandle) idle() bool { return h.established && h.outstanding == 0 &&
 func (b *Browser) pool(domain string) *domainPool {
 	p, ok := b.pools[domain]
 	if !ok {
-		p = &domainPool{domain: domain}
+		p = b.poolSlab.New()
+		p.domain = domain
 		b.pools[domain] = p
 		b.poolOrder = append(b.poolOrder, p)
 	}
@@ -465,7 +520,7 @@ func (b *Browser) pool(domain string) *domainPool {
 // dispatch and no connection to open.
 func (b *Browser) pumpAll() {
 	for _, p := range b.poolOrder {
-		if len(p.waiting) > 0 {
+		if p.queued > 0 {
 			b.pumpPool(p)
 		}
 	}
@@ -473,24 +528,19 @@ func (b *Browser) pumpAll() {
 
 func (b *Browser) requestHTTP(f *fetch) {
 	p := b.pool(f.Obj.Domain)
-	p.waiting = append(p.waiting, f)
+	p.push(f)
 	b.pumpPool(p)
 }
 
+// pumpPool hands p's waiting requests, oldest first, to connections that
+// can take one, then opens connections for those still waiting.
 func (b *Browser) pumpPool(p *domainPool) {
-	for len(p.waiting) > 0 {
+	for p.queued > 0 {
 		h := b.dispatchable(p)
 		if h == nil {
 			break
 		}
-		// Popped by sliding the queue down, not by re-slicing from the
-		// front: the array keeps its capacity, so a pool's queue stops
-		// regrowing every time it has drained.
-		f := p.waiting[0]
-		n := copy(p.waiting, p.waiting[1:])
-		p.waiting[n] = nil
-		p.waiting = p.waiting[:n]
-		b.dispatch(h, f)
+		b.dispatch(h, p.pop())
 	}
 	// Open connections for queued requests not already covered by an
 	// in-progress handshake, within the per-domain and global budgets.
@@ -500,7 +550,7 @@ func (b *Browser) pumpPool(p *domainPool) {
 			connecting++
 		}
 	}
-	for need := len(p.waiting) - connecting; need > 0; need-- {
+	for need := p.queued - connecting; need > 0; need-- {
 		if len(p.conns) >= b.cfg.MaxConnsPerDomain {
 			break
 		}
@@ -523,7 +573,7 @@ func (b *Browser) reclaimIdleConn(needy *domainPool) bool {
 		return false
 	}
 	for _, p := range b.poolOrder {
-		if p == needy || p.idle == 0 || len(p.waiting) > 0 {
+		if p == needy || p.idle == 0 || p.queued > 0 {
 			continue
 		}
 		for _, h := range p.conns {
@@ -563,11 +613,12 @@ func (b *Browser) openConn(p *domainPool) {
 	b.connSeq++
 	b.totalConns++
 	if p.conns == nil {
-		p.conns = make([]*connHandle, 0, b.cfg.MaxConnsPerDomain) // the pool's budget: it never regrows
+		p.conns = b.slots.Take(b.cfg.MaxConnsPerDomain)[:0] // the pool's budget: it never regrows
 	}
 	id := b.connName(b.connSeq, p.domain)
 	client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, id, "device")
-	h := &connHandle{b: b, pool: p, id: id, client: client}
+	h := b.handleSlab.New()
+	h.b, h.pool, h.id, h.client = b, p, id, client
 	h.asm.Attach(client)
 	h.hc.Init(b.prox, server, &h.asm)
 	b.proxyConns = append(b.proxyConns, server)

@@ -308,7 +308,7 @@ func TestSocketStealingUnblocksNewDomains(t *testing.T) {
 			watch = func() {
 				if b.totalConns == cfg.MaxTotalConns && b.idleConns == 0 {
 					for _, p := range b.poolOrder {
-						if len(p.waiting) > 0 && len(p.conns) < cfg.MaxConnsPerDomain {
+						if p.queued > 0 && len(p.conns) < cfg.MaxConnsPerDomain {
 							starved = true
 						}
 					}

@@ -1,9 +1,12 @@
 package browser
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
+	"spdier/internal/proxy"
 	"spdier/internal/tcpsim"
 	"spdier/internal/trace"
 )
@@ -91,18 +94,69 @@ func connCycle(tb testing.TB, idleOut bool) func() {
 // TestOpenConnAllocations is what one pooled HTTP connection costs from
 // open to closed — handshake, one request and its response, the idle
 // timer, both FINs — over what the request costs on a connection that is
-// already open: the pair record in tcpsim and the handle here, with the
-// names cut from shared chunks and every array on loan from the run (it
-// was 29 objects). The budget of 4 leaves room for what grows now and
-// then: the lists of connections, the name chunks, the wheel's buckets
-// under timers forty seconds apart.
+// already open. Nothing of it is an object of its own: the pair record
+// comes from tcpsim's pair slab and the handle from the browser's
+// handle slab, the names are cut from shared chunks and every array is
+// on loan from the run (it was 29 objects). It reads 0; the budget of 1
+// leaves room for what grows now and then — the lists of connections, a
+// chunk of a slab, the wheel's buckets under timers forty seconds apart
+// — and for nothing that comes with every connection.
 func TestOpenConnAllocations(t *testing.T) {
 	invOn = false
 	defer EnableInvariants()
 	base := testing.AllocsPerRun(20, connCycle(t, false))
 	full := testing.AllocsPerRun(20, connCycle(t, true))
 	t.Logf("a load on an open connection allocates %v objects, on a new one %v: %v for the connection", base, full, full-base)
-	if full-base > 4 {
-		t.Fatalf("a connection costs %v objects from open to closed, budget 4", full-base)
+	if full-base > 1 {
+		t.Fatalf("a connection costs %v objects from open to closed, budget 1", full-base)
 	}
+}
+
+// TestRecordSizes holds the records a pooled request is made of to the
+// sizes the slabs were fitted to, and each slab's cap to its size class.
+// A fetch embeds its proxy.Exchange and a queue link in 152 bytes, which
+// the exchange's 104 make room for; every arm carves one per object. A handle, a pool and a connection
+// slot are cut from chunks of handleChunk, poolChunk and slotChunk; each
+// cap must fill its chunk's class, so that one record more would move
+// the chunk to the next.
+func TestRecordSizes(t *testing.T) {
+	if s := unsafe.Sizeof(fetch{}); s > 152 {
+		t.Errorf("fetch is %d bytes, want at most 152", s)
+	}
+	if s := unsafe.Sizeof(proxy.Exchange{}); s > 104 {
+		t.Errorf("proxy.Exchange is %d bytes, want at most 104", s)
+	}
+	for _, c := range []struct {
+		name  string
+		size  uintptr
+		limit int
+		chunk func(n int) uint64
+	}{
+		{"connHandle", unsafe.Sizeof(connHandle{}), handleChunk, chunkBytes[connHandle]},
+		{"domainPool", unsafe.Sizeof(domainPool{}), poolChunk, chunkBytes[domainPool]},
+		{"slot", unsafe.Sizeof((*connHandle)(nil)), slotChunk, chunkBytes[*connHandle]},
+	} {
+		full, over := c.chunk(c.limit), c.chunk(c.limit+1)
+		t.Logf("%s: %d bytes; a chunk of %d takes %d bytes of heap, %d bytes a record; of %d, %d", c.name, c.size, c.limit, full, full/uint64(c.limit), c.limit+1, over)
+		if full == over {
+			t.Errorf("%s: a chunk of %d lands in the %d-byte class, which holds one more: refit the cap", c.name, c.limit, full)
+		}
+	}
+}
+
+// chunkSink keeps chunkBytes' chunks on the heap.
+var chunkSink unsafe.Pointer
+
+// chunkBytes is what the allocator takes for a slab's chunk of n Ts.
+func chunkBytes[T any](n int) uint64 {
+	const rounds = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		s := tcpsim.NewSlab[T](n)
+		chunkSink = unsafe.Pointer(&s.Take(n)[0])
+	}
+	runtime.ReadMemStats(&after)
+	chunkSink = nil
+	return (after.TotalAlloc - before.TotalAlloc) / rounds
 }

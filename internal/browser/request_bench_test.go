@@ -40,33 +40,71 @@ func flatPage(objects, domains int) *webpage.Page {
 	return page
 }
 
+// httpCycle returns a function that loads page once in a new world, on
+// a browser that opens every connection the page needs.
+func httpCycle(tb testing.TB, page *webpage.Page) func() {
+	cfg := DefaultConfig(ModeHTTP)
+	cfg.Beacons = false
+	return func() {
+		w := newWorld(1, false)
+		br := w.browser(cfg, 3)
+		var rec *trace.PageRecord
+		br.LoadPage(page, func(pr *trace.PageRecord) { rec = pr })
+		w.loop.Run(sim.Time(cfg.PageTimeout))
+		if rec == nil || rec.Aborted || len(rec.Objects) != len(page.Objects) {
+			tb.Fatalf("load did not complete: %+v", rec)
+		}
+	}
+}
+
+// httpDomains are the two spreads of BenchmarkHTTPRequestCycle's page.
+var httpDomains = []int{4, 40}
+
 func BenchmarkHTTPRequestCycle(b *testing.B) {
 	const objects = 120
 	invOn = false
 	defer EnableInvariants()
-	for _, domains := range []int{4, 40} {
+	for _, domains := range httpDomains {
 		page := flatPage(objects, domains)
 		b.Run(fmt.Sprintf("domains=%d", domains), func(b *testing.B) {
-			cfg := DefaultConfig(ModeHTTP)
-			cfg.Beacons = false
+			load := httpCycle(b, page)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := newWorld(1, false)
-				br := w.browser(cfg, 3)
-				var rec *trace.PageRecord
-				br.LoadPage(page, func(pr *trace.PageRecord) { rec = pr })
-				w.loop.Run(sim.Time(cfg.PageTimeout))
-				if rec == nil || rec.Aborted || len(rec.Objects) != objects {
-					b.Fatalf("load did not complete: %+v", rec)
-				}
+				load()
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			requests := float64(b.N * objects)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/requests, "ns/request")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/requests, "allocs/request")
+		})
+	}
+}
+
+// TestHTTPRequestCycleAllocations is BenchmarkHTTPRequestCycle's
+// allocations per request as a budget: the world, the browser and the
+// page's slabs shared out over 120 requests, and per request its
+// exchange's steps, its two head sizes and the proxy's books. Neither a
+// connection nor a domain costs an object of its own — pairs, handles,
+// pools and their connection slots come from per-run slabs, and a
+// waiting request is queued through its own fetch — so spreading the
+// page over forty domains, which opens more connections and waits on
+// stolen sockets, costs less than one object a request more than over
+// four.
+func TestHTTPRequestCycleAllocations(t *testing.T) {
+	const objects = 120
+	budget := map[int]float64{4: 2.5, 40: 3.25}
+	for _, domains := range httpDomains {
+		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
+			invOn = false
+			defer EnableInvariants()
+			perRequest := testing.AllocsPerRun(5, httpCycle(t, flatPage(objects, domains))) / objects
+			t.Logf("%d domains: %.2f objects a request", domains, perRequest)
+			if perRequest > budget[domains] {
+				t.Fatalf("%d domains: a request allocates %.2f objects end to end, budget %.2f", domains, perRequest, budget[domains])
+			}
 		})
 	}
 }

@@ -35,12 +35,14 @@ type Exchange struct {
 
 	// The response on its way out. A session's pump writes it a chunk at
 	// a time by priority; an HTTP connection commits it whole, in request
-	// order (seq).
+	// order (seq). started sits between priority and sid, in padding
+	// those two leave, which keeps the record at 104 bytes and lets the
+	// browser's fetch embed it and a queue link in 152 (TestRecordSizes).
 	priority spdy.Priority
+	started  bool
 	sid      uint32
 	seq      int
 	headSize int // 0 until the head has been priced
-	started  bool
 	// remaining counts body bytes not yet written, inflight body writes
 	// not yet landed at the client: chunks of one object may ride
 	// different connections and land out of order, so the body is

@@ -269,7 +269,10 @@ func (m *Machine) accrueEnergy() {
 	now := m.loop.Now()
 	dt := now.Sub(m.lastPowerAt).Seconds()
 	if dt > 0 {
-		m.energyMJ += m.profile.PowerMW[m.state] * dt
+		// The conversion rounds the product on its own, so no
+		// architecture may fuse it with the sum (sim's
+		// TestNoFusedMultiplyAdd).
+		m.energyMJ += float64(m.profile.PowerMW[m.state] * dt)
 		m.lastPowerAt = now
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestNoFusedMultiplyAdd cross-compiles this package and tcpsim for
-// arm64 and fails on any fused multiply-add in their assembly. The Go
+// TestNoFusedMultiplyAdd cross-compiles this package, tcpsim and rrc
+// for arm64 and fails on any fused multiply-add in their assembly. The Go
 // spec lets a compiler fuse x*y + z into one instruction that rounds
 // once; amd64 does not, arm64 does, and a fused draw or window would
 // differ in its last bit from the one every pin was recorded with. An
@@ -25,6 +25,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	for _, pkg := range []struct{ dir, symbol string }{
 		{".", "(*RNG).Norm STEXT"},
 		{"../tcpsim", "(*Cubic).OnAckCA STEXT"},
+		{"../rrc", "(*Machine).accrueEnergy STEXT"},
 	} {
 		cmd := exec.Command(gocmd, "build", "-gcflags=-S", pkg.dir)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")

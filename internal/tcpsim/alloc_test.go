@@ -244,32 +244,36 @@ func TestQUICStreamRecordAllocations(t *testing.T) {
 }
 
 // TestNewPairAllocations: both endpoints of a TCP connection, their
-// congestion controllers and their names are one allocation (they were
-// twelve), with the network's list of connections and the name chunk
-// growing now and then on top.
+// congestion controllers and their names cost no object of their own
+// (they were twelve): the pair is cut from the network's pair
+// slab and the names from its name chunks. What is left is a chunk of
+// either now and then and the network's list of connections growing,
+// which over a thousand pairs averages under one object a pair.
 func TestNewPairAllocations(t *testing.T) {
 	nw := blackholeNet()
 	cfg := DefaultConfig()
 	cfg.Metrics = NewMetricsCache()
 	cfg.Metrics.Store("d", MetricsEntry{Ssthresh: 20, SRTT: 80 * time.Millisecond, RTTVar: 10 * time.Millisecond})
 	withoutInvariants(func() {
-		if n := testing.AllocsPerRun(1000, func() { nw.NewConnPair(cfg, cfg, "h001.example.org", "d") }); n > 2 {
-			t.Fatalf("NewConnPair allocates %v objects, want at most 2", n)
+		if n := testing.AllocsPerRun(1000, func() { nw.NewConnPair(cfg, cfg, "h001.example.org", "d") }); n > 0 {
+			t.Fatalf("NewConnPair allocates %v objects, want 0", n)
 		}
 	})
 }
 
-// TestConnSize: a Conn must stay in the allocator's 896-byte class and a
-// pair in the 1,792-byte one, counting the 8-byte header the allocator
-// gives a pointer-bearing object over 512 bytes; the next class is
-// 2,048, an eighth more for every connection a Result keeps.
+// TestConnSize: a pair in a slab carries no allocator header, so the
+// size-class argument is the chunk's: pairChunk pairs with the 8-byte
+// header the allocator gives a pointer-bearing object over 512 bytes
+// must stay in the 28,672-byte class, 1,792 bytes a pair — the next is
+// 32,768, an eighth more for every connection a Result keeps. A Conn
+// is held to 888 bytes on its own: the 896-byte class less the header.
 func TestConnSize(t *testing.T) {
 	const header = 8
 	if s := unsafe.Sizeof(Conn{}); s+header > 896 {
 		t.Errorf("Conn is %d bytes, want at most %d", s, 896-header)
 	}
-	if s := unsafe.Sizeof(connPair{}); s+header > 1792 {
-		t.Errorf("connPair is %d bytes, want at most %d", s, 1792-header)
+	if s := unsafe.Sizeof([pairChunk]connPair{}); s+header > 28672 {
+		t.Errorf("a chunk of %d pairs is %d bytes, want at most %d", pairChunk, s, 28672-header)
 	}
 	// And what the allocator makes of it.
 	withoutInvariants(func() {
@@ -284,7 +288,7 @@ func TestConnSize(t *testing.T) {
 		per := (after.TotalAlloc - before.TotalAlloc) / 1000
 		t.Logf("a pair takes %d bytes of heap", per)
 		if per > 1792+32 {
-			t.Errorf("a pair takes %d bytes of heap, want the 1,792-byte class and its share of the name chunks", per)
+			t.Errorf("a pair takes %d bytes of heap, want its 1,792-byte share of a chunk and of the name chunks", per)
 		}
 	})
 }

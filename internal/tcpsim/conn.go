@@ -130,7 +130,8 @@ type Network struct {
 	queues  shelf[expected]
 	// The arrays of QUIC ACK ranges no ACK on the wire holds (takeRanges).
 	ranges []*[quicMaxAckRanges][2]uint64
-	names  NameArena // of the TCP endpoints
+	names  NameArena      // of the TCP endpoints
+	pairs  Slab[connPair] // the TCP endpoints themselves
 }
 
 // retireSeg and retirePkt take back a unit the link is done with:
@@ -236,7 +237,7 @@ func (c *Conn) finish() {
 
 // NewNetwork installs segment demultiplexers on both directions of path.
 func NewNetwork(loop *sim.Loop, path *netem.Path) *Network {
-	n := &Network{loop: loop, path: path}
+	n := &Network{loop: loop, path: path, pairs: NewSlab[connPair](pairChunk)}
 	deliver := func(p netem.Payload) {
 		// TCP segments and QUIC packets share the path (and may share it
 		// with non-transport traffic such as the Figure 14 keep-alive
@@ -263,22 +264,28 @@ func (n *Network) Loop() *sim.Loop { return n.loop }
 // Path returns the underlying emulated path.
 func (n *Network) Path() *netem.Path { return n.path }
 
-// connPair is the one allocation behind a TCP connection: both
-// endpoints and, when they run the built-in CUBIC, both controllers.
-// Two 808-byte Conns and two 72-byte Cubics are 1,760 bytes, which with
-// the allocator's 8-byte header for a pointer-bearing object of this
-// size is 24 short of its 1,792-byte class; the next is 2,048
-// (TestConnSize).
+// connPair is the one record behind a TCP connection: both endpoints
+// and, when they run the built-in CUBIC, both controllers. It costs no
+// allocation of its own: the network cuts it from its pair slab, so the
+// allocator's size classes bear on the chunk, not on the record. Two
+// 808-byte Conns and two 72-byte Cubics are 1,760 bytes; pairChunk of
+// them are 28,160, 28,168 with the 8-byte header the allocator gives a
+// pointer-bearing object of this size, in the 28,672-byte class: 1,792
+// bytes a pair, what a lone pair cost with its header. One more pair
+// would take the chunk to the 32,768 class (TestConnSize).
 type connPair struct {
 	client, server Conn
 	cubic          [2]Cubic
 }
 
+// pairChunk caps the pair slab's chunks, sized in connPair's comment.
+const pairChunk = 16
+
 // NewConnPair creates a client endpoint (side A, the device) and server
 // endpoint (side B, the proxy) wired through the network. dest keys the
 // server's metrics cache. The connection is idle until client.Connect().
 func (n *Network) NewConnPair(clientCfg, serverCfg Config, id, dest string) (client, server *Conn) {
-	p := new(connPair)
+	p := n.pairs.New()
 	client, server = &p.client, &p.server
 	names := n.names.Cut(id, ":c", id, ":s")
 	client.init(n, clientCfg, names[:len(names)/2], dest, &p.cubic[0])
