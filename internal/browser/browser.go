@@ -146,6 +146,11 @@ type Browser struct {
 	poolSlab   tcpsim.Slab[domainPool]
 	handleSlab tcpsim.Slab[connHandle]
 	slots      tcpsim.Slab[*connHandle]
+	// Where the beacons and their objects come from: two slabs, because
+	// the proxy's log keeps a beacon's object and must not keep the
+	// browser, which every beacon points at.
+	beacons    tcpsim.Slab[beacon]
+	beaconObjs tcpsim.Slab[webpage.Object]
 	// Counts over the handles in the pools, kept at the four transitions
 	// (established, dispatch 0→1, response 1→0, closeConn) so that neither
 	// a telemetry sample nor a full global pool walks every connection:
@@ -182,6 +187,8 @@ func New(loop *sim.Loop, net *tcpsim.Network, prox *proxy.Proxy, cfg Config, rng
 		poolSlab:   tcpsim.NewSlab[domainPool](poolChunk),
 		handleSlab: tcpsim.NewSlab[connHandle](handleChunk),
 		slots:      tcpsim.NewSlab[*connHandle](slotChunk),
+		beacons:    tcpsim.NewSlab[beacon](beaconChunk),
+		beaconObjs: tcpsim.NewSlab[webpage.Object](beaconObjChunk),
 	}
 }
 
@@ -397,12 +404,20 @@ func (b *Browser) afterPage(pl *pageLoad) {
 
 // beacon is one post-load transfer: a fetch no page waits for, with the
 // record it is for. It is the handler of its own timer. The object is
-// not part of it: the proxy's log keeps the object, and must not keep
-// the browser with it.
+// not part of it, nor of its slab: the proxy's log keeps the object,
+// and must not keep the browser with it.
 type beacon struct {
 	fetch
 	rec trace.ObjectRecord
 }
+
+// The beacon slabs' chunk caps, fitted to the 8,192-byte class with the
+// header as the others are (TestRecordSizes): a beacon is 208 bytes, 39
+// are 8,120 with the header; an object is 88, 93 are 8,192.
+const beaconChunk, beaconObjChunk = 39, 93
+
+// beaconPaths are the beacons' request paths, one per beacon of a page.
+var beaconPaths = [...]string{"/beacon/0", "/beacon/1", "/beacon/2"}
 
 func (bc *beacon) Call() {
 	bc.rec.Discovered = bc.b.loop.Now()
@@ -413,17 +428,20 @@ func (bc *beacon) Call() {
 // ad refreshes) that keep poking the radio during think time.
 func (b *Browser) scheduleBeacons(page *webpage.Page) {
 	n := 2 + b.rng.Intn(2)
+	bcs, objs := b.beacons.Take(n), b.beaconObjs.Take(n)
 	at := b.loop.Now()
-	for i := 0; i < n; i++ {
+	for i := range bcs {
 		at = at.Add(time.Duration(5+b.rng.Intn(14)) * time.Second)
-		obj := &webpage.Object{
+		obj := &objs[i]
+		*obj = webpage.Object{
 			ID:     10000 + i,
 			Kind:   webpage.KindText,
 			Size:   300 + b.rng.Intn(1200),
 			Domain: page.Main().Domain,
-			Path:   "/beacon/" + strconv.Itoa(i),
+			Path:   beaconPaths[i],
 		}
-		bc := &beacon{rec: trace.ObjectRecord{Obj: obj}}
+		bc := &bcs[i]
+		bc.rec.Obj = obj
 		bc.Obj, bc.Client, bc.b, bc.or = obj, &bc.fetch, b, &bc.rec
 		b.loop.AtCall(at, bc)
 	}

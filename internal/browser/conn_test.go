@@ -9,6 +9,7 @@ import (
 	"spdier/internal/proxy"
 	"spdier/internal/tcpsim"
 	"spdier/internal/trace"
+	"spdier/internal/webpage"
 )
 
 // TestConnNames pins how a pooled HTTP connection is named: "h" and the
@@ -115,10 +116,12 @@ func TestOpenConnAllocations(t *testing.T) {
 // TestRecordSizes holds the records a pooled request is made of to the
 // sizes the slabs were fitted to, and each slab's cap to its size class.
 // A fetch embeds its proxy.Exchange and a queue link in 152 bytes, which
-// the exchange's 104 make room for; every arm carves one per object. A handle, a pool and a connection
-// slot are cut from chunks of handleChunk, poolChunk and slotChunk; each
-// cap must fill its chunk's class, so that one record more would move
-// the chunk to the next.
+// the exchange's 104 make room for; every arm carves one per object. A
+// handle, a pool and a connection slot are cut from chunks of
+// handleChunk, poolChunk and slotChunk, a beacon and its object from
+// chunks of beaconChunk and beaconObjChunk; each cap must fill its
+// chunk's class, so that one record more would move the chunk to the
+// next.
 func TestRecordSizes(t *testing.T) {
 	if s := unsafe.Sizeof(fetch{}); s > 152 {
 		t.Errorf("fetch is %d bytes, want at most 152", s)
@@ -135,6 +138,8 @@ func TestRecordSizes(t *testing.T) {
 		{"connHandle", unsafe.Sizeof(connHandle{}), handleChunk, chunkBytes[connHandle]},
 		{"domainPool", unsafe.Sizeof(domainPool{}), poolChunk, chunkBytes[domainPool]},
 		{"slot", unsafe.Sizeof((*connHandle)(nil)), slotChunk, chunkBytes[*connHandle]},
+		{"beacon", unsafe.Sizeof(beacon{}), beaconChunk, chunkBytes[beacon]},
+		{"beacon object", unsafe.Sizeof(webpage.Object{}), beaconObjChunk, chunkBytes[webpage.Object]},
 	} {
 		full, over := c.chunk(c.limit), c.chunk(c.limit+1)
 		t.Logf("%s: %d bytes; a chunk of %d takes %d bytes of heap, %d bytes a record; of %d, %d", c.name, c.size, c.limit, full, full/uint64(c.limit), c.limit+1, over)

@@ -1,0 +1,50 @@
+package experiment
+
+import (
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"spdier/internal/browser"
+)
+
+// TestRunAllocationsPerPage holds each arm's one-shot Run, the call the
+// benchmark's arm workloads make with no arena, to a budget of heap
+// objects a page: five seeds after one warm-up run, lean probe, pages
+// generated inside Run. Every budget is the count measured when it was
+// set (in the comment beside it), plus 5%. A slab that stops taking its
+// records' place moves the count by far more: with a heap object per
+// wire unit, SACK or ranges array and beacon record, the four arms read
+// 85.6, 66.6, 66.3 and 157.0.
+func TestRunAllocationsPerPage(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("sync.Pool drops a quarter of its Puts at random under the race detector, so the SPDY arm's count varies")
+	}
+	for _, c := range []struct {
+		mode    browser.Mode
+		network NetworkKind
+		budget  float64
+	}{
+		{browser.ModeHTTP, NetWiFi, 62.1}, // 59.1
+		{browser.ModeSPDY, Net3G, 41.7},   // 39.7
+		{browser.ModeH2, NetLTE, 44.8},    // 42.7
+		{browser.ModeQUIC, Net3G, 113.9},  // 108.5
+	} {
+		opts := Options{Mode: c.mode, Network: c.network, LeanProbe: true}
+		Run(opts)
+		pages := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for seed := uint64(1); seed <= 5; seed++ {
+			opts.Seed = seed
+			pages += len(Run(opts).Pages)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / float64(pages)
+		t.Logf("%s/%s: %.1f objects a page over %d pages (budget %.1f)", c.mode, c.network, per, pages, c.budget)
+		if per > c.budget {
+			t.Errorf("%s/%s: a page allocates %.1f objects, budget %.1f", c.mode, c.network, per, c.budget)
+		}
+	}
+}

@@ -48,7 +48,8 @@ func StartOrigin(addr string) (*Origin, error) {
 // Addr returns the listening address.
 func (o *Origin) Addr() string { return o.ln.Addr().String() }
 
-// Served returns the number of requests answered.
+// Served returns the number of requests answered, each counted as its
+// response starts out.
 func (o *Origin) Served() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -82,12 +83,16 @@ func (o *Origin) serve(conn net.Conn) {
 			return
 		}
 		resp := o.respond(req)
-		if _, err := conn.Write(resp.Marshal()); err != nil {
-			return
-		}
+		// Counted before the write: once the bytes are out, a proxy can
+		// forward them and a client hold the body before this goroutine
+		// runs again, and a caller that has the response must find it
+		// counted.
 		o.mu.Lock()
 		o.served++
 		o.mu.Unlock()
+		if _, err := conn.Write(resp.Marshal()); err != nil {
+			return
+		}
 		if strings.EqualFold(req.Headers["Connection"], "close") {
 			return
 		}

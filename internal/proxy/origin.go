@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"spdier/internal/sim"
+	"spdier/internal/tcpsim"
 	"spdier/internal/trace"
 	"spdier/internal/webpage"
 )
@@ -110,13 +111,20 @@ type Proxy struct {
 	Loop    *sim.Loop
 	Origin  *Origin
 	Records []*trace.ProxyRecord
-	// slab is what is left of the records reserved by ExpectPage.
-	slab []trace.ProxyRecord
+	// slab is what is left of the records reserved by ExpectPage; loose
+	// is where the records of requests nobody announced are carved.
+	slab  []trace.ProxyRecord
+	loose tcpsim.Slab[trace.ProxyRecord]
 }
+
+// looseChunk caps the loose records' chunks: a record is 48 bytes and
+// holds a pointer, so 170 are 8,160, 8,168 with the allocator's header,
+// in the 8,192-byte class (TestLooseRecordChunk).
+const looseChunk = 170
 
 // New creates a proxy host with the given origin model.
 func New(loop *sim.Loop, origin *Origin) *Proxy {
-	return &Proxy{Loop: loop, Origin: origin}
+	return &Proxy{Loop: loop, Origin: origin, loose: tcpsim.NewSlab[trace.ProxyRecord](looseChunk)}
 }
 
 // ExpectPage reserves log entries for a page of n objects about to be
@@ -129,13 +137,14 @@ func (p *Proxy) ExpectPage(n int) {
 }
 
 // record logs a request for obj arriving now and returns its entry. A
-// request nobody announced (a beacon, a test's) gets one of its own.
+// request nobody announced (a beacon, a test's) gets one from the loose
+// slab.
 func (p *Proxy) record(obj *webpage.Object) *trace.ProxyRecord {
 	var r *trace.ProxyRecord
 	if len(p.slab) > 0 {
 		r, p.slab = &p.slab[0], p.slab[1:]
 	} else {
-		r = new(trace.ProxyRecord)
+		r = p.loose.New()
 	}
 	r.Obj, r.ReqArrived = obj, p.Loop.Now()
 	p.Records = append(p.Records, r)

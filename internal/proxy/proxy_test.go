@@ -1,8 +1,10 @@
 package proxy
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"spdier/internal/netem"
 	"spdier/internal/sim"
@@ -132,7 +134,8 @@ func TestOriginTimingBounds(t *testing.T) {
 }
 
 // TestRecordsComeFromThePageSlab: the log entries of an announced page
-// are carved from one allocation; a request beyond it gets its own.
+// are carved from one allocation; a request beyond it gets one from the
+// loose slab (TestLooseRecordChunk).
 func TestRecordsComeFromThePageSlab(t *testing.T) {
 	w := newWorld(1, 10_000_000)
 	o := obj(1, 1000, webpage.KindImg)
@@ -157,6 +160,33 @@ func TestRecordsComeFromThePageSlab(t *testing.T) {
 	w.prox.ExpectPage(2)
 	if r := w.prox.record(o); seen[r] {
 		t.Fatal("an entry of the first page was handed out for the second")
+	}
+}
+
+// TestLooseRecordChunk: the log entries of requests nobody announced
+// are carved from chunks that double up to looseChunk records, the most
+// that fit the allocator's 8,192-byte class with the 8-byte header a
+// pointer-bearing chunk carries; one more must not fit.
+func TestLooseRecordChunk(t *testing.T) {
+	const class, header = 8192, 8
+	size := unsafe.Sizeof(trace.ProxyRecord{})
+	if full, over := looseChunk*size+header, (looseChunk+1)*size+header; full > class || over <= class {
+		t.Errorf("a record is %d bytes: a chunk of %d takes %d, of %d %d; want the first in the %d-byte class and the second past it",
+			size, looseChunk, full, looseChunk+1, over, class)
+	}
+	w := newWorld(1, 10_000_000)
+	o := obj(1, 1000, webpage.KindImg)
+	const n = 2 * looseChunk
+	w.prox.Records = make([]*trace.ProxyRecord, 0, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		w.prox.record(o)
+	}
+	runtime.ReadMemStats(&after)
+	// Chunks of 1, 2, 4 … 128 hold 255 records, two of 170 the rest.
+	if got := after.Mallocs - before.Mallocs; got > 10 {
+		t.Fatalf("%d unannounced requests allocate %d objects, want at most 10", n, got)
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// TestNoFusedMultiplyAdd cross-compiles this package, tcpsim and rrc
-// for arm64 and fails on any fused multiply-add in their assembly. The Go
-// spec lets a compiler fuse x*y + z into one instruction that rounds
-// once; amd64 does not, arm64 does, and a fused draw or window would
+// TestNoFusedMultiplyAdd cross-compiles this package, tcpsim, rrc and
+// webpage for arm64 and fails on any fused multiply-add in their
+// assembly. The Go spec lets a compiler fuse x*y + z into one
+// instruction that rounds once; amd64 does not, arm64 does, and a
+// fused draw or window would
 // differ in its last bit from the one every pin was recorded with. An
 // explicit float64(x*y) forbids the fusion. Cross-compiling needs
 // nothing beyond the toolchain.
@@ -26,6 +27,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		{".", "(*RNG).Norm STEXT"},
 		{"../tcpsim", "(*Cubic).OnAckCA STEXT"},
 		{"../rrc", "(*Machine).accrueEnergy STEXT"},
+		{"../webpage", "webpage.Generate STEXT"},
 	} {
 		cmd := exec.Command(gocmd, "build", "-gcflags=-S", pkg.dir)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")

@@ -261,6 +261,38 @@ func TestNewPairAllocations(t *testing.T) {
 	})
 }
 
+// TestWireChunkSizes: each wire slab's cap is the most records that fit
+// the allocator's 8,192-byte class, counting the 8-byte header a chunk
+// carries when its record holds a pointer (every chunk here is over the
+// 512 bytes below which none does). One record more must not fit.
+func TestWireChunkSizes(t *testing.T) {
+	const class, header = 8192, 8
+	for _, c := range []struct {
+		name     string
+		size     uintptr
+		pointers bool
+		limit    int
+	}{
+		{"Segment", unsafe.Sizeof(Segment{}), true, wireChunk},
+		{"QUICPacket", unsafe.Sizeof(QUICPacket{}), true, wireChunk},
+		{"SACK array", unsafe.Sizeof([maxSackBlocks][2]uint64{}), false, sackChunk},
+		{"ranges array", unsafe.Sizeof([quicMaxAckRanges][2]uint64{}), false, rangeChunk},
+	} {
+		h := uintptr(0)
+		if c.pointers {
+			h = header
+		}
+		full, over := uintptr(c.limit)*c.size+h, uintptr(c.limit+1)*c.size+h
+		t.Logf("%s: %d bytes; a chunk of %d takes %d bytes", c.name, c.size, c.limit, full)
+		if full > class {
+			t.Errorf("%s: a chunk of %d takes %d bytes, over the %d-byte class", c.name, c.limit, full, class)
+		}
+		if over <= class {
+			t.Errorf("%s: a chunk of %d would take %d bytes, still in the %d-byte class: refit the cap", c.name, c.limit+1, over, class)
+		}
+	}
+}
+
 // TestConnSize: a pair in a slab carries no allocator header, so the
 // size-class argument is the chunk's: pairChunk pairs with the 8-byte
 // header the allocator gives a pointer-bearing object over 512 bytes

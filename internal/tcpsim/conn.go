@@ -128,11 +128,24 @@ type Network struct {
 	// attached to them.
 	windows shelf[sentSeg]
 	queues  shelf[expected]
-	// The arrays of QUIC ACK ranges no ACK on the wire holds (takeRanges).
-	ranges []*[quicMaxAckRanges][2]uint64
-	names  NameArena      // of the TCP endpoints
-	pairs  Slab[connPair] // the TCP endpoints themselves
+	// The arrays of QUIC ACK ranges no ACK on the wire holds, and the
+	// slab a new one is carved from when none is (takeRanges); the slab
+	// of segments' SACK arrays (sackArray).
+	ranges    []*[quicMaxAckRanges][2]uint64
+	rangeSlab Slab[[quicMaxAckRanges][2]uint64]
+	sacks     Slab[[maxSackBlocks][2]uint64]
+	names     NameArena      // of the TCP endpoints
+	pairs     Slab[connPair] // the TCP endpoints themselves
 }
+
+// The wire slabs' chunk caps, each the most records that fit the
+// allocator's 8,192-byte class (TestWireChunkSizes fails when one more
+// would fit). A Segment and a QUICPacket are 120 bytes and hold
+// pointers: 68 are 8,160 bytes, 8,168 with the 8-byte header a
+// pointer-bearing object over 512 bytes carries. A SACK array is 64
+// bytes and a ranges array 512, neither with a pointer, so neither with
+// a header: 128 and 16 are 8,192.
+const wireChunk, sackChunk, rangeChunk = 68, 128, 16
 
 // retireSeg and retirePkt take back a unit the link is done with:
 // delivered and handled, or refused. They recycle it here, on the
@@ -169,7 +182,19 @@ func (n *Network) takeRanges() [][2]uint64 {
 		n.ranges = n.ranges[:k]
 		return a[:0]
 	}
-	return new([quicMaxAckRanges][2]uint64)[:0]
+	return n.rangeSlab.New()[:0]
+}
+
+// sackArray returns the empty array seg's option of the given number of
+// blocks is to be written into: seg's own, or, when seg is about to
+// carry blocks in one smaller than the most an option holds, a full one
+// from the network's slab, which seg then keeps through recycling. An
+// array costs its share of a chunk, not an object and its regrowth.
+func (n *Network) sackArray(seg *Segment, blocks int) [][2]uint64 {
+	if blocks > 0 && cap(seg.Sack) < maxSackBlocks {
+		return n.sacks.New()[:0]
+	}
+	return seg.Sack[:0]
 }
 
 // LiveSegments returns the number of outstanding pool segments and QUIC
@@ -181,8 +206,9 @@ func (n *Network) LiveSegments() int { return n.segs.live + n.qpkts.live }
 func (n *Network) Conns() []*Conn { return n.conns }
 
 // ReleaseRuntime frees simulation-time state a finished run no longer
-// needs — the segment pool, the shelves, and what any connection still
-// open holds: queues, scratch buffers, application callbacks — while
+// needs — the wire pools and their slabs, the shelves, and what any
+// connection still open holds: queues, scratch buffers, application
+// callbacks — while
 // keeping every counter and accessor that results read (Conns, Path,
 // Retransmits, String). A memoized Result then retains statistics, not
 // the closure graph of the whole run. A TCP connection that finished
@@ -196,9 +222,11 @@ func (n *Network) ReleaseRuntime() {
 	for _, q := range n.qconns {
 		q.releaseRuntime()
 	}
-	n.segs.free = nil
-	n.qpkts.free = nil
-	n.windows, n.queues, n.ranges = shelf[sentSeg]{}, shelf[expected]{}, nil
+	n.segs.free, n.segs.slab = nil, Slab[Segment]{}
+	n.qpkts.free, n.qpkts.slab = nil, Slab[QUICPacket]{}
+	n.ranges, n.rangeSlab = nil, Slab[[quicMaxAckRanges][2]uint64]{}
+	n.sacks = Slab[[maxSackBlocks][2]uint64]{}
+	n.windows, n.queues = shelf[sentSeg]{}, shelf[expected]{}
 	n.names = NameArena{}
 }
 
@@ -237,7 +265,15 @@ func (c *Conn) finish() {
 
 // NewNetwork installs segment demultiplexers on both directions of path.
 func NewNetwork(loop *sim.Loop, path *netem.Path) *Network {
-	n := &Network{loop: loop, path: path, pairs: NewSlab[connPair](pairChunk)}
+	n := &Network{
+		loop:      loop,
+		path:      path,
+		segs:      freeList[Segment]{slab: NewSlab[Segment](wireChunk)},
+		qpkts:     freeList[QUICPacket]{slab: NewSlab[QUICPacket](wireChunk)},
+		rangeSlab: NewSlab[[quicMaxAckRanges][2]uint64](rangeChunk),
+		sacks:     NewSlab[[maxSackBlocks][2]uint64](sackChunk),
+		pairs:     NewSlab[connPair](pairChunk),
+	}
 	deliver := func(p netem.Payload) {
 		// TCP segments and QUIC packets share the path (and may share it
 		// with non-transport traffic such as the Figure 14 keep-alive
@@ -1007,7 +1043,8 @@ func (c *Conn) sendAck(delayed bool) {
 	// The SACK option of RFC 2018, ascending. The blocks are copied into
 	// the segment's own recycled array: the segment is in flight while
 	// this endpoint's buffer changes.
-	seg.Sack = append(seg.Sack[:0], c.ooo[:min(4, len(c.ooo))]...)
+	blocks := c.ooo[:min(maxSackBlocks, len(c.ooo))]
+	seg.Sack = append(c.net.sackArray(seg, len(blocks)), blocks...)
 	seg.TSEcr = c.tsRecent
 	seg.Delayed = delayed
 	if invOn {

@@ -245,8 +245,8 @@ func (c *Conn) checkReceiver(where string) {
 // the segment carries. The sender checks every ACK it takes; the
 // receiver every option it sends (checkSackEmitted).
 func (c *Conn) checkSackShape(where string, seg *Segment) {
-	if len(seg.Sack) > 4 {
-		c.violateConn("sack-shape", "%s: %d SACK blocks %v, at most 4", where, len(seg.Sack), seg.Sack)
+	if len(seg.Sack) > maxSackBlocks {
+		c.violateConn("sack-shape", "%s: %d SACK blocks %v, at most %d", where, len(seg.Sack), seg.Sack, maxSackBlocks)
 	}
 	c.checkSpans("sack-shape", where, seg.Sack, seg.Ack+1)
 }
@@ -256,7 +256,7 @@ func (c *Conn) checkSackShape(where string, seg *Segment) {
 // buffer's first four spans.
 func (c *Conn) checkSackEmitted(seg *Segment) {
 	c.checkSackShape("sendAck", seg)
-	if want := c.ooo[:min(4, len(c.ooo))]; !slices.Equal(seg.Sack, want) {
+	if want := c.ooo[:min(maxSackBlocks, len(c.ooo))]; !slices.Equal(seg.Sack, want) {
 		c.violateConn("sack-shape", "sendAck: blocks %v are not the buffer's first spans %v", seg.Sack, want)
 	}
 }

@@ -3,7 +3,10 @@ package tcpsim
 // freeList is the pool behind a Network's wire units. A unit lives
 // exactly one send→link→deliver cycle: the endpoint's transmit hands it
 // to the link, the network's demuxer puts it back after the handler
-// returns, so steady-state traffic allocates none at all.
+// returns, so steady-state traffic allocates none at all. A miss — the
+// list is empty while more units are in flight than ever before this
+// run — is carved from the list's slab, so even the run's peak costs a
+// chunk per wireChunk units, not an object each.
 //
 // live counts units handed out by get and not yet retired through put.
 // Every unit retires exactly once — delivered, dropped at the
@@ -19,10 +22,12 @@ package tcpsim
 // dictionary and is never inlined.
 type freeList[T any] struct {
 	free []*T
+	slab Slab[T]
 	live int
 }
 
-// get returns a zeroed unit, recycled when possible.
+// get returns a zeroed unit, recycled when possible. With pooling off
+// every unit is carved afresh, so no address is ever reused.
 func (f *freeList[T]) get() *T {
 	f.live++
 	if ln := len(f.free); segPooling && ln > 0 {
@@ -30,7 +35,7 @@ func (f *freeList[T]) get() *T {
 		f.free = f.free[:ln-1]
 		return p
 	}
-	return new(T)
+	return f.slab.New()
 }
 
 // put takes back a recycled unit.

@@ -2,6 +2,8 @@ package tcpsim
 
 import (
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -74,6 +76,52 @@ func TestFreeListBalancesAcrossTransports(t *testing.T) {
 	if down.DroppedQueue == 0 || down.Duplicated == 0 {
 		t.Fatalf("the drop and duplicate paths were not exercised: %+v", down)
 	}
+}
+
+// TestReleasedNetworkKeepsNoWireChunk: once a run is over and its
+// network released, nothing the network keeps reaches a chunk of its
+// wire slabs — segments, QUIC packets, SACK arrays, ACK-range arrays. A
+// pointer to one unit keeps its whole chunk, 8 KB, not the unit's 120
+// bytes, so a Result holding its network must be shown to hold none.
+func TestReleasedNetworkKeepsNoWireChunk(t *testing.T) {
+	loop := sim.NewLoop()
+	link := netem.LinkConfig{BandwidthBPS: 3_000_000, Delay: 20 * time.Millisecond, QueueBytes: 6 << 10, LossRate: 0.02}
+	cfg := netem.PathConfig{Up: link, Down: link}.WithImpairments(netem.Impairments{ReorderProb: 0.03, DupProb: 0.05})
+	nw := NewNetwork(loop, netem.NewPath(loop, cfg, sim.NewRNG(5), nil))
+	tc, ts := nw.NewConnPair(DefaultConfig(), DefaultConfig(), "t", "d")
+	tc.OnDeliver(func(int) {})
+	tc.OnEstablished(func() { ts.Write(300 << 10) })
+	tc.Connect()
+	qc, qs := nw.NewQUICPair(DefaultConfig(), DefaultConfig(), "q", "d")
+	qc.OnEstablished(func() { qs.WriteStream(1, 300<<10) })
+	qc.Connect()
+	loop.RunUntilIdle()
+
+	var freed [4]atomic.Bool
+	for i, carved := range []int{len(nw.segs.slab.chunk), len(nw.qpkts.slab.chunk), len(nw.sacks.chunk), len(nw.rangeSlab.chunk)} {
+		if carved == 0 {
+			t.Fatalf("wire slab %d carved nothing: the traffic did not reach it", i)
+		}
+	}
+	runtime.SetFinalizer(&nw.segs.slab.chunk[0], func(*Segment) { freed[0].Store(true) })
+	runtime.SetFinalizer(&nw.qpkts.slab.chunk[0], func(*QUICPacket) { freed[1].Store(true) })
+	runtime.SetFinalizer(&nw.sacks.chunk[0], func(*[maxSackBlocks][2]uint64) { freed[2].Store(true) })
+	runtime.SetFinalizer(&nw.rangeSlab.chunk[0], func(*[quicMaxAckRanges][2]uint64) { freed[3].Store(true) })
+
+	loop.Release()
+	nw.ReleaseRuntime()
+	tc, ts, qc, qs, loop = nil, nil, nil, nil, nil
+	all := func() bool { return freed[0].Load() && freed[1].Load() && freed[2].Load() && freed[3].Load() }
+	for i := 0; i < 100 && !all(); i++ {
+		runtime.GC()
+		runtime.Gosched()
+	}
+	for i, what := range []string{"segment", "QUIC packet", "SACK array", "ACK-range array"} {
+		if !freed[i].Load() {
+			t.Errorf("the released network still reaches its %s chunk", what)
+		}
+	}
+	runtime.KeepAlive(nw)
 }
 
 // TestRecycledUnitKeepsOnlyItsSliceCapacity: a unit recycled and retired

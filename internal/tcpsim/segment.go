@@ -29,6 +29,10 @@ const (
 // timestamps, rounded).
 const headerBytes = 40
 
+// maxSackBlocks is the most SACK blocks an option carries (RFC 2018
+// with timestamps), and so the size of a segment's SACK array.
+const maxSackBlocks = 4
+
 // segPooling gates segment recycling. Tests set it to false to prove
 // pooled and unpooled runs are bit-for-bit identical; production code
 // never touches it.
@@ -68,12 +72,14 @@ func (s *Segment) wireSize() int { return headerBytes + s.Len + s.CtrlLen }
 // array.
 func (s *Segment) DupPayload() netem.Payload {
 	var cp *Segment
+	var sack [][2]uint64
 	if s.to != nil {
 		cp = s.to.newSeg()
+		sack = s.to.net.sackArray(cp, len(s.Sack))
 	} else {
 		cp = &Segment{}
 	}
-	sack := append(cp.Sack[:0], s.Sack...)
+	sack = append(sack, s.Sack...)
 	*cp = *s
 	cp.Sack = sack
 	// Delayed is evidence about the *receiver's* ACK generation (it feeds

@@ -169,7 +169,7 @@ func round(f float64) int {
 // reports ("numbers are averaged across runs").
 func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	jitter := func(f float64) int {
-		n := round(f * (0.92 + 0.16*rng.Float64()))
+		n := round(float64(f * (0.92 + float64(0.16*rng.Float64()))))
 		return n
 	}
 
@@ -187,7 +187,7 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 
 	// Size budget: the main document gets a healthy share, the rest is
 	// log-normally spread so a few large images dominate, as real pages do.
-	totalBytes := spec.AvgSizeKB * 1024 * (0.92 + 0.16*rng.Float64())
+	totalBytes := float64(spec.AvgSizeKB * 1024 * (0.92 + float64(0.16*rng.Float64())))
 	mainShare := 0.08
 	if total < 10 {
 		mainShare = 0.4
