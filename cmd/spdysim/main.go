@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strconv"
 	"time"
 
 	"spdier/internal/browser"
@@ -67,15 +66,11 @@ func main() {
 		fabricWorker = flag.Bool("fabric-worker", false,
 			"internal: run as a fabric worker process (reads jobs on stdin, writes frames on stdout)")
 
-		probestride = flag.Int("probestride", experiment.DefaultProbeStride(),
-			"retain every Nth bulk (ack/send) tcp_probe sample; 1 keeps all (counters stay exact regardless)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceout   = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
-
-	experiment.SetDefaultProbeStride(*probestride)
 
 	if *fabricWorker {
 		// Hidden re-exec mode: the fabric coordinator spawns copies of
@@ -202,7 +197,7 @@ func main() {
 		}
 		coord, err = fabric.NewCoordinator(fabric.Config{
 			Workers:       *fabricN,
-			WorkerCmd:     []string{exe, "-fabric-worker", "-probestride", strconv.Itoa(*probestride)},
+			WorkerCmd:     []string{exe, "-fabric-worker"},
 			CheckpointDir: *checkpoint,
 			Resume:        *resume,
 			OnProgress:    runner.NoteExternalRuns,

@@ -111,7 +111,7 @@ func TestCacheKeyPartition(t *testing.T) {
 			Mode: browser.ModeHTTP, Network: Net3G, Sites: webpage.Table1(),
 			ThinkTime: 60 * time.Second, PingInterval: 2 * time.Second, PingBytes: 600,
 			CC: "cubic", SPDYSessions: 1, SampleEvery: 500 * time.Millisecond,
-			ProbeStride: DefaultProbeStride(),
+			ProbeStride: defaultProbeStride,
 		}},
 		{"unit promotion scale", "default", Options{PromotionScale: 1}},
 		{"disabled non-zero impairments", "default", Options{Impair: disabled}},

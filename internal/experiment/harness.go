@@ -116,9 +116,9 @@ type Options struct {
 	SampleEvery time.Duration
 
 	// ProbeStride downsamples bulk (ack/send) tcp_probe samples: every
-	// stride-th one is retained. 0 selects the package default
-	// (DefaultProbeStride); 1 retains everything. Rare events and all
-	// aggregate statistics are unaffected — see tcpsim.Recorder.
+	// stride-th one is retained. 0 selects defaultProbeStride; 1 retains
+	// everything. Rare events and all aggregate statistics are
+	// unaffected — see tcpsim.Recorder.
 	ProbeStride int
 
 	// LeanProbe retains only rare tcp_probe events (no bulk ack/send
@@ -134,21 +134,7 @@ type Options struct {
 // Options.ProbeStride is zero. Stride 4 keeps figure traces dense while
 // shrinking a cached full-sweep recorder by roughly another 3× on top of
 // the columnar layout.
-var defaultProbeStride = 4
-
-// SetDefaultProbeStride replaces the package-wide default bulk-sample
-// stride (n < 1 selects 1, i.e. retain everything). It backs the
-// -probestride flag of cmd/spdysim; changing it invalidates nothing in
-// flight but affects only subsequently started runs.
-func SetDefaultProbeStride(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultProbeStride = n
-}
-
-// DefaultProbeStride reports the current package default stride.
-func DefaultProbeStride() int { return defaultProbeStride }
+const defaultProbeStride = 4
 
 func (o Options) withDefaults() Options {
 	if o.Mode == "" {

@@ -102,8 +102,8 @@ type Link struct {
 	// backwards; arrivals are clamped to lastArrival) and the event loop
 	// breaks time ties in scheduling order, so events fire in exactly the
 	// order the rings were pushed.
-	txq       intRing      // wire sizes awaiting end-of-serialization
-	arrivals  deliveryRing // payloads awaiting delivery at the far end
+	txq       ring[int]      // wire sizes awaiting end-of-serialization
+	arrivals  ring[delivery] // payloads awaiting delivery at the far end
 	onTxDone  func()
 	onArrival func()
 
@@ -260,16 +260,15 @@ type delivery struct {
 	size int
 }
 
-// intRing and deliveryRing are minimal power-of-two FIFO rings. They
-// exist so the per-packet dequeue and delivery bookkeeping costs zero
-// allocations in steady state.
-
-type intRing struct {
-	buf     []int
+// ring is a minimal power-of-two FIFO. It exists so the per-packet
+// dequeue and delivery bookkeeping costs zero allocations in steady
+// state.
+type ring[T any] struct {
+	buf     []T
 	head, n int
 }
 
-func (r *intRing) push(v int) {
+func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -277,45 +276,20 @@ func (r *intRing) push(v int) {
 	r.n++
 }
 
-func (r *intRing) pop() int {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
-func (r *intRing) grow() {
-	nb := make([]int, max(2*len(r.buf), 16))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = nb, 0
-}
-
-type deliveryRing struct {
-	buf     []delivery
-	head, n int
-}
-
-func (r *deliveryRing) push(v delivery) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-func (r *deliveryRing) pop() delivery {
+// pop zeroes the slot it empties, so a queued payload is not kept
+// alive by the ring.
+func (r *ring[T]) pop() T {
 	i := r.head
 	v := r.buf[i]
-	r.buf[i] = delivery{} // drop the payload reference
+	var zero T
+	r.buf[i] = zero
 	r.head = (i + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
 }
 
-func (r *deliveryRing) grow() {
-	nb := make([]delivery, max(2*len(r.buf), 16))
+func (r *ring[T]) grow() {
+	nb := make([]T, max(2*len(r.buf), 16))
 	for i := 0; i < r.n; i++ {
 		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestNoFusedMultiplyAdd cross-compiles this package, tcpsim, rrc and
-// webpage for arm64 and fails on any fused multiply-add in their
+// TestNoFusedMultiplyAdd cross-compiles this package, tcpsim, rrc,
+// webpage and stats for arm64 and fails on any fused multiply-add in their
 // assembly. The Go spec lets a compiler fuse x*y + z into one
 // instruction that rounds once; amd64 does not, arm64 does, and a
 // fused draw or window would
@@ -28,6 +28,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		{"../tcpsim", "(*Cubic).OnAckCA STEXT"},
 		{"../rrc", "(*Machine).accrueEnergy STEXT"},
 		{"../webpage", "webpage.Generate STEXT"},
+		{"../stats", "stats.quantileSorted STEXT"},
 	} {
 		cmd := exec.Command(gocmd, "build", "-gcflags=-S", pkg.dir)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")

@@ -3,6 +3,10 @@
 // confidence intervals (Figure 4), empirical CDFs (Figure 14),
 // per-second binned series (Figure 9) and relative differences
 // (Figure 15).
+//
+// Every product that meets a sum is rounded on its own, float64(x*y),
+// so no architecture fuses the two and every summary is the same bits
+// on arm64 as on amd64 (sim's TestNoFusedMultiplyAdd).
 package stats
 
 import (
@@ -31,7 +35,7 @@ func StdDev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
@@ -64,13 +68,13 @@ func quantileSorted(s []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[len(s)-1]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // Quantiles returns the q-quantile for each requested q, copying and

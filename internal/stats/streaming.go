@@ -31,7 +31,7 @@ func (m *Moments) Add(x float64) {
 	m.n++
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
+	m.m2 += float64(delta * (x - m.mean))
 }
 
 // Merge folds another accumulator in. Merging shard states in a fixed
@@ -157,7 +157,7 @@ func (s *QuantileSketch) insert(x float64) {
 	for x < s.lo {
 		s.growDown()
 	}
-	for x >= s.lo+s.width*float64(sketchBins) {
+	for x >= s.lo+float64(s.width*float64(sketchBins)) {
 		s.growUp()
 	}
 	i := int((x - s.lo) / s.width)
@@ -185,7 +185,7 @@ func (s *QuantileSketch) growDown() {
 	for i := 0; i < sketchBins/2; i++ {
 		next[sketchBins/2+i] = s.bins[2*i] + s.bins[2*i+1]
 	}
-	oldRange := s.width * float64(sketchBins)
+	oldRange := float64(s.width * float64(sketchBins))
 	s.bins = next
 	s.width *= 2
 	s.lo -= oldRange
@@ -209,7 +209,7 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.max
 	}
-	rank := q * float64(s.n-1)
+	rank := float64(q * float64(s.n-1))
 	var cum float64
 	for i, c := range s.bins {
 		if c == 0 {
@@ -217,7 +217,7 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 		}
 		fc := float64(c)
 		if rank < cum+fc {
-			v := s.lo + float64(i)*s.width + s.width*(rank-cum)/fc
+			v := s.lo + float64(float64(i)*s.width) + s.width*(rank-cum)/fc
 			if v < s.min {
 				v = s.min
 			}
@@ -275,11 +275,11 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) {
 		if c == 0 {
 			continue
 		}
-		mid := o.lo + (float64(i)+0.5)*o.width
+		mid := o.lo + float64((float64(i)+0.5)*o.width)
 		for mid < s.lo {
 			s.growDown()
 		}
-		for mid >= s.lo+s.width*float64(sketchBins) {
+		for mid >= s.lo+float64(s.width*float64(sketchBins)) {
 			s.growUp()
 		}
 		j := int((mid - s.lo) / s.width)
@@ -353,7 +353,7 @@ func (h *Hist) At(x float64) float64 {
 	}
 	est := float64(cum)
 	if i < len(h.bins) {
-		est += (x/h.width - float64(i)) * float64(h.bins[i])
+		est += float64((x/h.width - float64(i)) * float64(h.bins[i]))
 	}
 	if p := est / float64(h.n); p < 1 {
 		return p

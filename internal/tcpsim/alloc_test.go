@@ -213,8 +213,9 @@ func TestQUICAckAllocations(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("an ACK of %d ranges, sent and handled, allocates %v objects, want 0", quicMaxAckRanges, n)
 		}
-		if nw.LiveSegments() != 0 || len(nw.ranges) == 0 {
-			t.Fatalf("after the ACKs: %d packets live, %d range arrays back on the network", nw.LiveSegments(), len(nw.ranges))
+		if nw.LiveSegments() != 0 || nw.ranges.live != 0 || len(nw.ranges.free) == 0 {
+			t.Fatalf("after the ACKs: %d packets and %d range arrays live, %d back on the network",
+				nw.LiveSegments(), nw.ranges.live, len(nw.ranges.free))
 		}
 	})
 }

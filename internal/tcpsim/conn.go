@@ -128,14 +128,12 @@ type Network struct {
 	// attached to them.
 	windows shelf[sentSeg]
 	queues  shelf[expected]
-	// The arrays of QUIC ACK ranges no ACK on the wire holds, and the
-	// slab a new one is carved from when none is (takeRanges); the slab
-	// of segments' SACK arrays (sackArray).
-	ranges    []*[quicMaxAckRanges][2]uint64
-	rangeSlab Slab[[quicMaxAckRanges][2]uint64]
-	sacks     Slab[[maxSackBlocks][2]uint64]
-	names     NameArena      // of the TCP endpoints
-	pairs     Slab[connPair] // the TCP endpoints themselves
+	// The arrays of QUIC ACK ranges lent to the ACKs on the wire
+	// (takeRanges); the slab of segments' SACK arrays (sackArray).
+	ranges freeList[[quicMaxAckRanges][2]uint64]
+	sacks  Slab[[maxSackBlocks][2]uint64]
+	names  NameArena      // of the TCP endpoints
+	pairs  Slab[connPair] // the TCP endpoints themselves
 }
 
 // The wire slabs' chunk caps, each the most records that fit the
@@ -163,27 +161,20 @@ func (n *Network) retireSeg(s *Segment) {
 }
 
 func (n *Network) retirePkt(p *QUICPacket) {
+	if r := p.AckRanges; cap(r) == quicMaxAckRanges {
+		n.ranges.put((*[quicMaxAckRanges][2]uint64)(r[:quicMaxAckRanges]))
+	}
 	if segPooling {
-		if r := p.AckRanges; cap(r) == quicMaxAckRanges {
-			n.ranges = append(n.ranges, (*[quicMaxAckRanges][2]uint64)(r[:quicMaxAckRanges]))
-		}
 		p.recycle()
 	}
 	n.qpkts.put(p)
 }
 
 // takeRanges lends an ACK an empty array with room for the most ranges
-// it can carry: one a retired ACK gave back, new if none did. So a run
-// holds arrays for the ACKs in flight at once, not one for every packet
-// in the pool.
-func (n *Network) takeRanges() [][2]uint64 {
-	if k := len(n.ranges) - 1; k >= 0 {
-		a := n.ranges[k]
-		n.ranges = n.ranges[:k]
-		return a[:0]
-	}
-	return n.rangeSlab.New()[:0]
-}
+// it can carry: one a retired ACK gave back, carved if none did. So a
+// run holds arrays for the ACKs in flight at once, not one for every
+// packet in the pool.
+func (n *Network) takeRanges() [][2]uint64 { return n.ranges.get()[:0] }
 
 // sackArray returns the empty array seg's option of the given number of
 // blocks is to be written into: seg's own, or, when seg is about to
@@ -224,7 +215,7 @@ func (n *Network) ReleaseRuntime() {
 	}
 	n.segs.free, n.segs.slab = nil, Slab[Segment]{}
 	n.qpkts.free, n.qpkts.slab = nil, Slab[QUICPacket]{}
-	n.ranges, n.rangeSlab = nil, Slab[[quicMaxAckRanges][2]uint64]{}
+	n.ranges.free, n.ranges.slab = nil, Slab[[quicMaxAckRanges][2]uint64]{}
 	n.sacks = Slab[[maxSackBlocks][2]uint64]{}
 	n.windows, n.queues = shelf[sentSeg]{}, shelf[expected]{}
 	n.names = NameArena{}
@@ -266,13 +257,13 @@ func (c *Conn) finish() {
 // NewNetwork installs segment demultiplexers on both directions of path.
 func NewNetwork(loop *sim.Loop, path *netem.Path) *Network {
 	n := &Network{
-		loop:      loop,
-		path:      path,
-		segs:      freeList[Segment]{slab: NewSlab[Segment](wireChunk)},
-		qpkts:     freeList[QUICPacket]{slab: NewSlab[QUICPacket](wireChunk)},
-		rangeSlab: NewSlab[[quicMaxAckRanges][2]uint64](rangeChunk),
-		sacks:     NewSlab[[maxSackBlocks][2]uint64](sackChunk),
-		pairs:     NewSlab[connPair](pairChunk),
+		loop:   loop,
+		path:   path,
+		segs:   freeList[Segment]{slab: NewSlab[Segment](wireChunk)},
+		qpkts:  freeList[QUICPacket]{slab: NewSlab[QUICPacket](wireChunk)},
+		ranges: freeList[[quicMaxAckRanges][2]uint64]{slab: NewSlab[[quicMaxAckRanges][2]uint64](rangeChunk)},
+		sacks:  NewSlab[[maxSackBlocks][2]uint64](sackChunk),
+		pairs:  NewSlab[connPair](pairChunk),
 	}
 	deliver := func(p netem.Payload) {
 		// TCP segments and QUIC packets share the path (and may share it

@@ -13,20 +13,22 @@ package tcpsim
 // queue/loss/burst stage, or duplicated-and-delivered — so a quiesced
 // network must read zero; anything else is a pool leak or a double free.
 //
-// T is Segment or QUICPacket. A unit is recycled before it is put —
-// back to the zero value, a segment keeping only the backing array of
-// its SACK blocks so later ACKs reuse it, a packet nothing: its ACK
-// ranges array was on loan and goes back to the network
-// (Network.takeRanges) — by Network.retireSeg and retirePkt, not by
-// put: a method called through a type parameter goes through the
-// dictionary and is never inlined.
+// T is Segment or QUICPacket, recycled before it is put — back to the
+// zero value, a segment keeping only the backing array of its SACK
+// blocks so later ACKs reuse it, a packet nothing: its ACK ranges array
+// was on loan and goes back to the network (Network.takeRanges) — by
+// Network.retireSeg and retirePkt, not by put: a method called through
+// a type parameter goes through the dictionary and is never inlined.
+// T is also that array of ranges, put back by retirePkt as it is: the
+// next ACK takes it empty and writes only the ranges it appends.
 type freeList[T any] struct {
 	free []*T
 	slab Slab[T]
 	live int
 }
 
-// get returns a zeroed unit, recycled when possible. With pooling off
+// get returns a unit, recycled as it was put when possible, else a
+// zero one carved from the slab. With pooling off
 // every unit is carved afresh, so no address is ever reused.
 func (f *freeList[T]) get() *T {
 	f.live++

@@ -31,7 +31,7 @@ func TestFreeListBalancesAcrossTransports(t *testing.T) {
 	for range 256 {
 		a := new([quicMaxAckRanges][2]uint64)
 		stock[a] = true
-		nw.ranges = append(nw.ranges, a)
+		nw.ranges.free = append(nw.ranges.free, a)
 	}
 
 	tls := DefaultConfig()
@@ -50,14 +50,15 @@ func TestFreeListBalancesAcrossTransports(t *testing.T) {
 	qc.Connect()
 	loop.RunUntilIdle()
 
-	if nw.segs.live != 0 || nw.qpkts.live != 0 || nw.LiveSegments() != 0 {
-		t.Fatalf("after quiescing: %d segments and %d packets live (negative = double free)", nw.segs.live, nw.qpkts.live)
+	if nw.segs.live != 0 || nw.qpkts.live != 0 || nw.ranges.live != 0 || nw.LiveSegments() != 0 {
+		t.Fatalf("after quiescing: %d segments, %d packets and %d range arrays live (negative = double free)",
+			nw.segs.live, nw.qpkts.live, nw.ranges.live)
 	}
 	if len(nw.segs.free) == 0 || len(nw.qpkts.free) == 0 {
 		t.Fatalf("nothing was recycled: %d segments, %d packets on the free lists", len(nw.segs.free), len(nw.qpkts.free))
 	}
 	back := map[*[quicMaxAckRanges][2]uint64]bool{}
-	for _, a := range nw.ranges {
+	for _, a := range nw.ranges.free {
 		if !stock[a] || back[a] {
 			t.Fatalf("range array %p is back twice or was never lent from the stock", a)
 		}
@@ -98,7 +99,7 @@ func TestReleasedNetworkKeepsNoWireChunk(t *testing.T) {
 	loop.RunUntilIdle()
 
 	var freed [4]atomic.Bool
-	for i, carved := range []int{len(nw.segs.slab.chunk), len(nw.qpkts.slab.chunk), len(nw.sacks.chunk), len(nw.rangeSlab.chunk)} {
+	for i, carved := range []int{len(nw.segs.slab.chunk), len(nw.qpkts.slab.chunk), len(nw.sacks.chunk), len(nw.ranges.slab.chunk)} {
 		if carved == 0 {
 			t.Fatalf("wire slab %d carved nothing: the traffic did not reach it", i)
 		}
@@ -106,7 +107,7 @@ func TestReleasedNetworkKeepsNoWireChunk(t *testing.T) {
 	runtime.SetFinalizer(&nw.segs.slab.chunk[0], func(*Segment) { freed[0].Store(true) })
 	runtime.SetFinalizer(&nw.qpkts.slab.chunk[0], func(*QUICPacket) { freed[1].Store(true) })
 	runtime.SetFinalizer(&nw.sacks.chunk[0], func(*[maxSackBlocks][2]uint64) { freed[2].Store(true) })
-	runtime.SetFinalizer(&nw.rangeSlab.chunk[0], func(*[quicMaxAckRanges][2]uint64) { freed[3].Store(true) })
+	runtime.SetFinalizer(&nw.ranges.slab.chunk[0], func(*[quicMaxAckRanges][2]uint64) { freed[3].Store(true) })
 
 	loop.Release()
 	nw.ReleaseRuntime()
@@ -154,9 +155,9 @@ func TestRecycledUnitKeepsOnlyItsSliceCapacity(t *testing.T) {
 	if a := nw.takeRanges(); unsafe.SliceData(a) != unsafe.SliceData(ranges) || len(a) != 0 {
 		t.Fatalf("the packet's ranges array is not what the next loan gets: %v (cap %d)", a, cap(a))
 	}
-	if nw.segs.live != 1 || nw.qpkts.live != 1 || len(nw.ranges) != 0 {
-		t.Fatalf("live counts %d/%d and %d range arrays shelved with one unit of each and the array handed out",
-			nw.segs.live, nw.qpkts.live, len(nw.ranges))
+	if nw.segs.live != 1 || nw.qpkts.live != 1 || nw.ranges.live != 1 || len(nw.ranges.free) != 0 {
+		t.Fatalf("live counts %d/%d/%d and %d range arrays shelved with one unit of each and the array handed out",
+			nw.segs.live, nw.qpkts.live, nw.ranges.live, len(nw.ranges.free))
 	}
 }
 

@@ -6,80 +6,43 @@ import (
 
 // ProbeEvent labels why a probe sample was taken, mirroring what the
 // paper extracted from the tcp_probe kernel module and tcpdump.
-type ProbeEvent string
+//
+// Append-only: the value is what a Recorder's columns store and what
+// its counts are indexed by, and String's name is what every printed
+// sample carries, so reordering or inserting would silently relabel
+// historical traces and golden reports.
+type ProbeEvent uint8
 
 const (
-	EvAck         ProbeEvent = "ack"
-	EvSend        ProbeEvent = "send"
-	EvRetransmit  ProbeEvent = "retransmit"  // RTO-driven
-	EvFastRetx    ProbeEvent = "fastretx"    // triple-dupack
-	EvIdleRestart ProbeEvent = "idlerestart" // cwnd validation after idle
-	EvRTTReset    ProbeEvent = "rttreset"    // the §6.2.1 fix firing
-	EvEstablished ProbeEvent = "established"
-	EvSpurious    ProbeEvent = "spurious" // retransmit later proven unnecessary
-	EvUndo        ProbeEvent = "undo"     // DSACK proved the episode spurious; cwnd/ssthresh restored
-	EvTLPProbe    ProbeEvent = "tlpprobe" // tail loss probe fired (PTO before the RTO)
-	EvRACKRetx    ProbeEvent = "rackretx" // retransmission of a RACK-marked segment
-	EvFRTOUndo    ProbeEvent = "frtoundo" // F-RTO verdict: timeout spurious; full Eifel undo
+	EvAck ProbeEvent = iota
+	EvSend
+	EvRetransmit  // RTO-driven
+	EvFastRetx    // triple-dupack
+	EvIdleRestart // cwnd validation after idle
+	EvRTTReset    // the §6.2.1 fix firing
+	EvEstablished
+	EvSpurious // retransmit later proven unnecessary
+	EvUndo     // DSACK proved the episode spurious; cwnd/ssthresh restored
+	EvTLPProbe // tail loss probe fired (PTO before the RTO)
+	EvRACKRetx // retransmission of a RACK-marked segment
+	EvFRTOUndo // F-RTO verdict: timeout spurious; full Eifel undo
+	numEvents
 )
 
-// evCodes assigns each event a compact code for columnar storage.
-// Append-only: the code is the array index, and retained recorder
-// columns store codes, so reordering or inserting would silently
-// relabel historical traces and golden reports.
-var evCodes = [...]ProbeEvent{
-	EvAck, EvSend, EvRetransmit, EvFastRetx, EvIdleRestart,
-	EvRTTReset, EvEstablished, EvSpurious, EvUndo,
-	EvTLPProbe, EvRACKRetx, EvFRTOUndo,
+var eventNames = [numEvents]string{
+	"ack", "send", "retransmit", "fastretx", "idlerestart", "rttreset",
+	"established", "spurious", "undo", "tlpprobe", "rackretx", "frtoundo",
 }
 
-// evCode is ev's index in evCodes (TestEventCodes holds the two to each
-// other). It runs once per sample, so it is a switch, which compiles to
-// a dispatch on the length and inline compares, and not a scan of the
-// array, which called the runtime's string compare for every entry it
-// passed.
-func evCode(ev ProbeEvent) uint8 {
-	switch ev {
-	case EvAck:
-		return 0
-	case EvSend:
-		return 1
-	case EvRetransmit:
-		return 2
-	case EvFastRetx:
-		return 3
-	case EvIdleRestart:
-		return 4
-	case EvRTTReset:
-		return 5
-	case EvEstablished:
-		return 6
-	case EvSpurious:
-		return 7
-	case EvUndo:
-		return 8
-	case EvTLPProbe:
-		return 9
-	case EvRACKRetx:
-		return 10
-	case EvFRTOUndo:
-		return 11
-	}
-	// Unknown events (none exist today) share a sentinel code.
-	return uint8(len(evCodes))
-}
+// String returns the event's tcp_probe-style name.
+func (e ProbeEvent) String() string { return eventNames[e] }
 
-func evFromCode(c uint8) ProbeEvent {
-	if int(c) < len(evCodes) {
-		return evCodes[c]
-	}
-	return ProbeEvent("unknown")
-}
-
-// Events lists every probe event class, in stable code order.
+// Events lists every probe event class, in code order.
 func Events() []ProbeEvent {
-	out := make([]ProbeEvent, len(evCodes))
-	copy(out, evCodes[:])
+	out := make([]ProbeEvent, numEvents)
+	for i := range out {
+		out[i] = ProbeEvent(i)
+	}
 	return out
 }
 
@@ -101,41 +64,28 @@ type Probe interface {
 	Sample(ProbeSample)
 }
 
-// Consumer receives every sample offered to a Recorder, before any
-// retention policy is applied. It lets streaming pipelines observe the
-// full probe stream without the Recorder materializing it.
-type Consumer interface {
-	Consume(ProbeSample)
-}
-
 // Recorder is a Probe that retains samples in struct-of-arrays columnar
 // form: parallel slices with narrow element types (~34 bytes/sample
-// instead of ~80 for the boxed struct), with connection IDs interned.
+// instead of 72 for the boxed struct), with connection IDs interned.
 //
-// A stride > 1 additionally downsamples the two bulk event classes
-// (EvAck, EvSend), retaining every stride-th one. Rare events —
+// keep downsamples the two bulk event classes (EvAck, EvSend),
+// retaining every keep-th one, or none when keep is 0. Rare events —
 // retransmissions, idle restarts, undos, RTT resets, establishment,
 // spurious arrivals — are always retained, so event counting, burst
 // analysis and the figures' event ledgers are unaffected. Aggregate
 // statistics (Counts, MeanCwnd, MaxCwnd) are maintained over every
 // sample offered, downsampled or not, so they are exact regardless of
-// stride.
+// keep.
 type Recorder struct {
-	// counts is indexed by event code; the extra slot absorbs unknown
-	// events. An array lookup per sample instead of a string-keyed map
-	// access — Sample runs inline with the event loop.
-	counts [len(evCodes) + 1]int
+	counts [numEvents]int // indexed by event
 
-	stride   int  // retain every stride-th bulk sample; <=1 keeps all
-	rareOnly bool // drop all bulk samples; rare events still retained
-	bulkSeen int  // bulk samples offered, for stride selection
-
-	sink Consumer // optional tee observing every sample offered
+	keep     int // retain every keep-th bulk sample; 0 retains none
+	bulkSeen int // bulk samples offered, for keep selection
 
 	// Columnar sample storage.
 	at       []sim.Time
 	conn     []uint16
-	event    []uint8
+	event    []ProbeEvent
 	cwnd     []float32
 	ssthresh []float32
 	inflight []int32
@@ -162,13 +112,7 @@ func NewRecorder() *Recorder { return NewRecorderStride(1) }
 // NewRecorderStride returns an empty Recorder that retains every
 // stride-th bulk (ack/send) sample. stride <= 1 retains everything.
 func NewRecorderStride(stride int) *Recorder {
-	if stride < 1 {
-		stride = 1
-	}
-	return &Recorder{
-		stride:  stride,
-		connIdx: make(map[string]uint16),
-	}
+	return &Recorder{keep: max(stride, 1), connIdx: make(map[string]uint16)}
 }
 
 // NewRecorderRareOnly returns a Recorder that retains no bulk (ack/send)
@@ -178,33 +122,21 @@ func NewRecorderStride(stride int) *Recorder {
 // (Counts, MeanCwnd, MaxCwnd, TotalSamples) are identical to a full
 // Recorder's. This is the bounded-memory mode the streaming sweep path
 // uses: aggregate-only experiments never materialize the columnar trace.
-func NewRecorderRareOnly() *Recorder {
-	r := NewRecorderStride(1)
-	r.rareOnly = true
-	return r
-}
-
-// SetConsumer installs a tee that observes every sample offered,
-// regardless of the retention policy. A nil consumer removes the tee.
-func (r *Recorder) SetConsumer(c Consumer) { r.sink = c }
+func NewRecorderRareOnly() *Recorder { return &Recorder{connIdx: make(map[string]uint16)} }
 
 // RareOnly reports whether bulk samples are dropped entirely.
-func (r *Recorder) RareOnly() bool { return r.rareOnly }
+func (r *Recorder) RareOnly() bool { return r.keep == 0 }
 
 // Sample implements Probe.
 func (r *Recorder) Sample(s ProbeSample) {
-	code := evCode(s.Event)
-	r.counts[code]++
+	r.counts[s.Event]++
 	r.total++
 	r.cwndSum += s.Cwnd
 	if s.Cwnd > r.cwndMax {
 		r.cwndMax = s.Cwnd
 	}
-	if r.sink != nil {
-		r.sink.Consume(s)
-	}
 	if s.Event == EvAck || s.Event == EvSend {
-		keep := !r.rareOnly && r.bulkSeen%r.stride == 0
+		keep := r.keep != 0 && r.bulkSeen%r.keep == 0
 		r.bulkSeen++
 		if !keep {
 			return
@@ -223,7 +155,7 @@ func (r *Recorder) Sample(s ProbeSample) {
 	}
 	r.at = append(r.at, s.At)
 	r.conn = append(r.conn, ci)
-	r.event = append(r.event, code)
+	r.event = append(r.event, s.Event)
 	r.cwnd = append(r.cwnd, float32(s.Cwnd))
 	r.ssthresh = append(r.ssthresh, float32(s.Ssthresh))
 	r.inflight = append(r.inflight, int32(s.InFlight))
@@ -235,18 +167,15 @@ func (r *Recorder) Sample(s ProbeSample) {
 func (r *Recorder) Len() int { return len(r.at) }
 
 // TotalSamples reports how many samples were offered, including bulk
-// samples dropped by the stride.
+// samples dropped by the downsampling.
 func (r *Recorder) TotalSamples() int { return r.total }
-
-// Stride returns the configured bulk downsampling stride.
-func (r *Recorder) Stride() int { return r.stride }
 
 // Get reassembles the i-th retained sample.
 func (r *Recorder) Get(i int) ProbeSample {
 	return ProbeSample{
 		At:       r.at[i],
 		ConnID:   r.connIDs[r.conn[i]],
-		Event:    evFromCode(r.event[i]),
+		Event:    r.event[i],
 		Cwnd:     float64(r.cwnd[i]),
 		Ssthresh: float64(r.ssthresh[i]),
 		InFlight: int(r.inflight[i]),
@@ -266,8 +195,8 @@ func (r *Recorder) Each(fn func(ProbeSample) bool) {
 }
 
 // Count reports how many samples of the given event class were offered
-// (exact regardless of stride).
-func (r *Recorder) Count(ev ProbeEvent) int { return r.counts[evCode(ev)] }
+// (exact regardless of downsampling).
+func (r *Recorder) Count(ev ProbeEvent) int { return r.counts[ev] }
 
 // Retransmissions reports the total retransmission count across every
 // cause — timeout, fast retransmit, tail loss probes and RACK-driven
@@ -286,9 +215,8 @@ func (r *Recorder) SpuriousRetransmissions() int { return r.Count(EvSpurious) }
 // Filter returns the retained samples matching the given event.
 func (r *Recorder) Filter(ev ProbeEvent) []ProbeSample {
 	var out []ProbeSample
-	code := evCode(ev)
 	for i := range r.at {
-		if r.event[i] == code {
+		if r.event[i] == ev {
 			out = append(out, r.Get(i))
 		}
 	}
@@ -301,7 +229,7 @@ func (r *Recorder) Filter(ev ProbeEvent) []ProbeSample {
 func (r *Recorder) MaxCwnd() float64 { return r.cwndMax }
 
 // MeanCwnd returns the average congestion window across all samples
-// offered (Table 2's "Avg cwnd" row). Exact regardless of stride.
+// offered (Table 2's "Avg cwnd" row). Exact regardless of downsampling.
 func (r *Recorder) MeanCwnd() float64 {
 	if r.total == 0 {
 		return 0
