@@ -165,11 +165,6 @@ type Browser struct {
 	mux     []*muxHandle
 	reqSeq  int
 
-	// All proxy-side endpoints ever created, for fleet-wide metrics
-	// (bytes in flight, concurrent connection counts).
-	proxyConns []*tcpsim.Conn
-	proxyQUIC  []*tcpsim.QUICConn
-
 	cur *pageLoad
 }
 
@@ -191,12 +186,6 @@ func New(loop *sim.Loop, net *tcpsim.Network, prox *proxy.Proxy, cfg Config, rng
 		beaconObjs: tcpsim.NewSlab[webpage.Object](beaconObjChunk),
 	}
 }
-
-// ProxyConns returns every proxy-side TCP endpoint created so far.
-func (b *Browser) ProxyConns() []*tcpsim.Conn { return b.proxyConns }
-
-// ProxyQUICConns returns every proxy-side QUIC endpoint created so far.
-func (b *Browser) ProxyQUICConns() []*tcpsim.QUICConn { return b.proxyQUIC }
 
 // ActiveConns counts currently established HTTP connections plus
 // multiplexed sessions (the paper's "42.6 concurrent TCP connections"
@@ -639,7 +628,6 @@ func (b *Browser) openConn(p *domainPool) {
 	h.b, h.pool, h.id, h.client = b, p, id, client
 	h.asm.Attach(client)
 	h.hc.Init(b.prox, server, &h.asm)
-	b.proxyConns = append(b.proxyConns, server)
 	p.conns = append(p.conns, h)
 	client.OnEstablishedCall((*connEstablished)(h))
 	client.Connect()
@@ -859,14 +847,12 @@ func (b *Browser) openMux() {
 			client.OnStreamDeliver(streams.Deliver)
 			h.client, h.server, h.write = client, server, client.WriteStream
 			h.link = h.sess.AddQUICLink(server, streams)
-			b.proxyQUIC = append(b.proxyQUIC, server)
 		} else {
 			client, server := b.net.NewConnPair(b.cfg.ClientTCP, b.cfg.ProxyTCP, h.id, "device")
 			asm := &tcpsim.StreamAssembler{}
 			asm.Attach(client)
 			h.client, h.server, h.write = client, server, func(_ uint32, n int) { client.Write(n) }
 			h.link = h.sess.AddLink(server, asm)
-			b.proxyConns = append(b.proxyConns, server)
 		}
 		if m.zlibRequests {
 			oracle := b.cfg.Shelf.NewSizeOracle()

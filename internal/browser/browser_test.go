@@ -127,8 +127,8 @@ func TestSPDYUsesSingleSessionAcrossPages(t *testing.T) {
 	if len(b.mux) != 1 {
 		t.Fatalf("%d sessions", len(b.mux))
 	}
-	if got := len(b.ProxyConns()); got != 1 {
-		t.Fatalf("%d proxy conns", got)
+	if got := len(w.net.Conns()); got != 2 {
+		t.Fatalf("%d TCP endpoints, want one pair", got)
 	}
 }
 
@@ -252,10 +252,8 @@ func TestIdleConnectionsClose(t *testing.T) {
 		t.Fatalf("budget accounting leaked: total %d, established %d, idle %d",
 			b.totalConns, b.establishedConns, b.idleConns)
 	}
-	for _, c := range b.ProxyConns() {
-		if !c.Drained() {
-			t.Fatalf("%s closed but not drained: %v", c.ID(), c)
-		}
+	if n := w.net.HeldPairs(); n != 0 {
+		t.Fatalf("%d of %d connections closed but not over: their records are still held", n, b.connSeq)
 	}
 }
 
@@ -433,16 +431,16 @@ func TestActiveConnsAcrossModes(t *testing.T) {
 			got := b.ActiveConns()
 			switch mode {
 			case ModeHTTP:
-				if got < 2 || got != b.totalConns || len(b.ProxyConns()) != b.connSeq {
-					t.Fatalf("%d active of %d open, %d of %d endpoints listed", got, b.totalConns, len(b.ProxyConns()), b.connSeq)
+				if got < 2 || got != b.totalConns || len(w.net.Conns()) != 2*b.connSeq {
+					t.Fatalf("%d active of %d open, %d endpoints listed for %d connections", got, b.totalConns, len(w.net.Conns()), b.connSeq)
 				}
 			case ModeQUIC:
-				if got != 1 || len(b.ProxyQUICConns()) != 1 || len(b.ProxyConns()) != 0 {
-					t.Fatalf("%d active, %d QUIC and %d TCP endpoints", got, len(b.ProxyQUICConns()), len(b.ProxyConns()))
+				if got != 1 || len(w.net.QUICConns()) != 2 || len(w.net.Conns()) != 0 {
+					t.Fatalf("%d active, %d QUIC and %d TCP endpoints", got, len(w.net.QUICConns()), len(w.net.Conns()))
 				}
 			default:
-				if got != 1 || len(b.ProxyConns()) != 1 {
-					t.Fatalf("%d active over %d TCP endpoints", got, len(b.ProxyConns()))
+				if got != 1 || len(w.net.Conns()) != 2 {
+					t.Fatalf("%d active over %d TCP endpoints", got, len(w.net.Conns()))
 				}
 			}
 			for _, h := range b.mux {
@@ -468,8 +466,8 @@ func TestActiveConnsAcrossModes(t *testing.T) {
 // session's two deflate contexts alone are 1.4 MB). Records point into
 // slabs and at objects, so the test is that nothing they point into
 // also holds a way back: the beacons' objects, which only the proxy's
-// log outlives, are the case that did. The network keeps every Conn, and
-// a Conn must not keep its handle: the HTTP case loads a page of forty
+// log outlives, are the case that did. A Conn must not keep its handle
+// while the network holds its pair: the HTTP case loads a page of forty
 // domains, so that connections close both ways — stolen for another
 // domain while the page loads (the global budget is 32), and idled out
 // after it — and every pair has retired or is retired by ReleaseRuntime.

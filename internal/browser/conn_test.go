@@ -42,7 +42,7 @@ func TestConnNames(t *testing.T) {
 			t.Errorf("connection %d: the object's record names it %q, want %q", seq, got, want)
 		}
 		conns := w.net.Conns()
-		if len(conns) != 2 || conns[0].ID() != want+":c" || conns[1].ID() != want+":s" {
+		if len(conns) != 2 || conns[0].ID != want+":c" || conns[1].ID != want+":s" {
 			t.Errorf("connection %d: endpoints %v, want %s:c and %s:s", seq, conns, want, want)
 		}
 		if probe.Len() == 0 {

@@ -34,6 +34,8 @@ func arenaRuns() []pinRun {
 // runs on one arena, forward, reversed and interleaved across arms and
 // seeds, each give the ledger row of a fresh Run — whatever the runs
 // before it left in the loop storage and on the shelf.
+//
+// gate: race-repeat
 func TestArenaRunOrderPermutation(t *testing.T) {
 	ledger, runs := loadPins(t), arenaRuns()
 	if len(runs) != 3*len(arenaArms) {
@@ -237,6 +239,8 @@ func TestResultsDoNotPinTheArena(t *testing.T) {
 // TestEverySimulationTakesAToken: with the only token of NewRunner(1)
 // held, no entry point may simulate; given back, each completes, which
 // it could not if it took a second token while holding one.
+//
+// gate: race-repeat
 func TestEverySimulationTakesAToken(t *testing.T) {
 	base := Options{Mode: browser.ModeHTTP, Network: NetWiFi, Sites: webpage.Table1()[:1]}
 	h := Harness{Runs: 1, Seed: 1}

@@ -112,10 +112,13 @@ func TestDebugCalibration(t *testing.T) {
 		for i, pr := range res.Records {
 			t.Logf("    page %2d %-22s plt=%6.2fs objs=%d", i, pr.Page.Name, pr.PLT().Seconds(), len(pr.Objects))
 		}
-		// Dump any proxy-side connection still holding data at the end.
-		for _, c := range res.Net.Conns() {
-			if c.BufferedBytes() > 0 || c.InFlightBytes() > 0 {
-				t.Logf("  wedged: %v peerWnd=%d rto=%v", c, c.PeerWnd(), c.RTO())
+		// Dump any connection one of whose ends wrote bytes the other
+		// never took delivery of: it was still holding data at the end.
+		conns := res.Net.Conns() // client, server, client, server, …
+		for i := 0; i+1 < len(conns); i += 2 {
+			c, s := conns[i], conns[i+1]
+			if c.BytesSentApp != s.BytesRcvdApp || s.BytesSentApp != c.BytesRcvdApp {
+				t.Logf("  wedged: %+v\n          %+v", c, s)
 			}
 		}
 		// Where in the 60 s page cycle do RTO retransmissions fall?

@@ -41,7 +41,7 @@ func runPipelining(h Harness) *Report {
 				agg.pltN++
 				for _, or := range rec.Objects {
 					if or.Done != 0 {
-						agg.initSum += or.Init().Seconds() * 1000
+						agg.initSum += float64(or.Init().Seconds() * 1000)
 						agg.initN++
 					}
 				}

@@ -37,10 +37,10 @@ func runFig5(h Harness) *Report {
 					if or.Done == 0 {
 						continue
 					}
-					acc[0] += or.Init().Seconds() * 1000
-					acc[1] += or.Send().Seconds() * 1000
-					acc[2] += or.Wait().Seconds() * 1000
-					acc[3] += or.Recv().Seconds() * 1000
+					acc[0] += float64(or.Init().Seconds() * 1000)
+					acc[1] += float64(or.Send().Seconds() * 1000)
+					acc[2] += float64(or.Wait().Seconds() * 1000)
+					acc[3] += float64(or.Recv().Seconds() * 1000)
 					counts[site]++
 				}
 				perSite[site] = acc

@@ -27,7 +27,7 @@ func runTable1(h Harness) *Report {
 			rng := sim.NewRNG(h.Seed + uint64(i))
 			page := webpage.Generate(spec, rng.Fork(uint64(spec.Index)))
 			objs += float64(len(page.Objects))
-			kb += float64(page.TotalBytes()) / 1024
+			kb += float64(float64(page.TotalBytes()) / 1024)
 			doms += float64(len(page.Domains()))
 			text += float64(page.CountKind(webpage.KindHTML) + page.CountKind(webpage.KindText))
 			jscss += float64(page.CountKind(webpage.KindJS) + page.CountKind(webpage.KindCSS))

@@ -34,7 +34,7 @@ func runFig10(h Harness) *Report {
 			if rec == nil {
 				continue
 			}
-			start := float64(i) * 60
+			start := float64(float64(i) * 60)
 			var sum, n float64
 			for _, s := range res.Samples {
 				t := s.At.Seconds()
@@ -58,9 +58,9 @@ func runFig10(h Harness) *Report {
 		mx, my := stats.Mean(xs), stats.Mean(ys)
 		var num, dx, dy float64
 		for i := range xs {
-			num += (xs[i] - mx) * (ys[i] - my)
-			dx += (xs[i] - mx) * (xs[i] - mx)
-			dy += (ys[i] - my) * (ys[i] - my)
+			num += float64((xs[i] - mx) * (ys[i] - my))
+			dx += float64((xs[i] - mx) * (xs[i] - mx))
+			dy += float64((ys[i] - my) * (ys[i] - my))
 		}
 		if dx == 0 || dy == 0 {
 			return 0

@@ -256,34 +256,6 @@ func (r *Result) ThroughputSeries() *stats.BinSeries {
 	return s
 }
 
-// inFlightMeter sums InFlightBytes over the browser's proxy-side TCP
-// endpoints, a list that only grows — some 1,400 entries by the end of
-// an HTTP session, at most 32 of them open. It visits each endpoint
-// until it has been closed and has drained, after which its
-// contribution is zero for good, so a sample costs the connections
-// still open rather than every connection the session ever made.
-type inFlightMeter struct {
-	seen int            // conns[:seen] have been taken into live
-	live []*tcpsim.Conn // endpoints that may still hold unacknowledged bytes
-}
-
-// sum returns the total over conns, which must be the same append-only
-// list on every call.
-func (m *inFlightMeter) sum(conns []*tcpsim.Conn) int {
-	m.live = append(m.live, conns[m.seen:]...)
-	m.seen = len(conns)
-	total := 0
-	keep := m.live[:0]
-	for _, c := range m.live {
-		total += c.InFlightBytes()
-		if !c.Drained() {
-			keep = append(keep, c)
-		}
-	}
-	m.live = keep
-	return total
-}
-
 // buildNetwork assembles the radio, path and TCP demux for the run,
 // applying the Options' path modifiers (impairments, extra latency,
 // scaled promotion delays, zeroed residual loss).
@@ -442,16 +414,11 @@ func run(opts Options, a *runArena, tap func(*tcpsim.Network)) *Result {
 	if opts.SampleEvery > 0 {
 		res.Samples = make([]Sample, 0, int(end/sim.Time(opts.SampleEvery))+1)
 	}
-	var tcpInFlight inFlightMeter
 	var sampler func()
 	sampler = func() {
-		inflight := tcpInFlight.sum(br.ProxyConns())
-		for _, c := range br.ProxyQUICConns() {
-			inflight += c.InFlightBytes()
-		}
 		res.Samples = append(res.Samples, Sample{
 			At:            loop.Now(),
-			InFlightBytes: inflight,
+			InFlightBytes: net.ServerInFlightBytes(),
 			DownlinkBytes: net.Path().BtoA.Stats().Bytes,
 			ActiveConns:   br.ActiveConns(),
 		})

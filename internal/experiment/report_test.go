@@ -52,6 +52,7 @@ func TestGetUnknownExperiment(t *testing.T) {
 	}
 }
 
+// gate: race-repeat
 func TestSweepUsesDistinctSeeds(t *testing.T) {
 	h := Harness{Runs: 2, Seed: 10}
 	results := sweepStats(h, Options{Network: NetWiFi})

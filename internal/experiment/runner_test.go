@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,45 +128,80 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	reuse.ResetCache()
 	reused := sweepResults(reuse, h, base)
 
-	// Unpooled: the free lists disabled entirely, every event and segment
-	// freshly allocated.
-	sim.SetEventRecycling(false)
-	tcpsim.SetSegmentPooling(false)
-	unpooled := sweepResults(NewRunner(1), h, base)
-	sim.SetEventRecycling(true)
-	tcpsim.SetSegmentPooling(true)
+	unpooled := unpooledSweep(h, base)
 
 	for name, got := range map[string][]*Result{
 		"parallel": par, "pooled-after-reuse": reused, "unpooled": unpooled,
 	} {
-		if len(serial) != len(got) {
-			t.Fatalf("%s: length %d vs %d", name, len(serial), len(got))
+		compareSweeps(t, name, serial, got)
+	}
+}
+
+// TestUnpooledHTTPMatchesPooled is the unpooled leg on the HTTP arm over
+// 3G, whose pool of short connections reuses a pair's record once the
+// pair is over (pooled) or never (unpooled): some 70 connections a page,
+// with the radio's promotion stalls holding their segments on the wire.
+// The SPDY arm's one connection never gives its record back, so only
+// this arm shows a read through a record that another connection holds
+// by now — most plainly in the sampler's bytes in flight, which sums
+// over the records held.
+func TestUnpooledHTTPMatchesPooled(t *testing.T) {
+	h := Harness{Runs: 2, Seed: 11}
+	base := Options{Mode: browser.ModeHTTP, Network: Net3G, Sites: webpage.Table1()[:8]}
+	compareSweeps(t, "unpooled", sweepResults(NewRunner(1), h, base), unpooledSweep(h, base))
+}
+
+// unpooledSweep runs the sweep serially with the free lists disabled
+// entirely: every event and segment freshly allocated, and no TCP pair's
+// record reused.
+func unpooledSweep(h Harness, base Options) []*Result {
+	sim.SetEventRecycling(false)
+	tcpsim.SetSegmentPooling(false)
+	defer sim.SetEventRecycling(true)
+	defer tcpsim.SetSegmentPooling(true)
+	return sweepResults(NewRunner(1), h, base)
+}
+
+// compareSweeps holds got to serial run by run: seeds in order, every
+// page's PLT, retransmissions, every telemetry sample's values, the
+// duration, every TCP endpoint's counters and the full probe trace.
+func compareSweeps(t *testing.T, name string, serial, got []*Result) {
+	t.Helper()
+	if len(serial) != len(got) {
+		t.Fatalf("%s: length %d vs %d", name, len(serial), len(got))
+	}
+	for i := range serial {
+		s, g := serial[i], got[i]
+		if s.Opts.Seed != g.Opts.Seed {
+			t.Fatalf("%s run %d: seed %d vs %d (ordering broken)", name, i, s.Opts.Seed, g.Opts.Seed)
 		}
-		for i := range serial {
-			s, g := serial[i], got[i]
-			if s.Opts.Seed != g.Opts.Seed {
-				t.Fatalf("%s run %d: seed %d vs %d (ordering broken)", name, i, s.Opts.Seed, g.Opts.Seed)
-			}
-			sp, gp := s.PLTSeconds(), g.PLTSeconds()
-			if len(sp) != len(gp) {
-				t.Fatalf("%s run %d: %d vs %d pages", name, i, len(sp), len(gp))
-			}
-			for j := range sp {
-				if sp[j] != gp[j] {
-					t.Fatalf("%s run %d page %d: PLT %v vs %v", name, i, j, sp[j], gp[j])
-				}
-			}
-			if s.Retransmissions() != g.Retransmissions() {
-				t.Fatalf("%s run %d: retx %d vs %d", name, i, s.Retransmissions(), g.Retransmissions())
-			}
-			if len(s.Samples) != len(g.Samples) {
-				t.Fatalf("%s run %d: %d vs %d samples", name, i, len(s.Samples), len(g.Samples))
-			}
-			if s.Duration != g.Duration {
-				t.Fatalf("%s run %d: duration %v vs %v", name, i, s.Duration, g.Duration)
-			}
-			compareRecorders(t, name, i, s.Recorder, g.Recorder)
+		sp, gp := s.PLTSeconds(), g.PLTSeconds()
+		if len(sp) != len(gp) {
+			t.Fatalf("%s run %d: %d vs %d pages", name, i, len(sp), len(gp))
 		}
+		for j := range sp {
+			if sp[j] != gp[j] {
+				t.Fatalf("%s run %d page %d: PLT %v vs %v", name, i, j, sp[j], gp[j])
+			}
+		}
+		if s.Retransmissions() != g.Retransmissions() {
+			t.Fatalf("%s run %d: retx %d vs %d", name, i, s.Retransmissions(), g.Retransmissions())
+		}
+		if len(s.Samples) != len(g.Samples) {
+			t.Fatalf("%s run %d: %d vs %d samples", name, i, len(s.Samples), len(g.Samples))
+		}
+		for j := range s.Samples {
+			if s.Samples[j] != g.Samples[j] {
+				t.Fatalf("%s run %d sample %d: %+v vs %+v", name, i, j, s.Samples[j], g.Samples[j])
+			}
+		}
+		if s.Duration != g.Duration {
+			t.Fatalf("%s run %d: duration %v vs %v", name, i, s.Duration, g.Duration)
+		}
+		if !slices.Equal(s.Net.Conns(), g.Net.Conns()) {
+			t.Fatalf("%s run %d: TCP endpoint counters diverge", name, i)
+		}
+		compareRecorders(t, name, i, s.Recorder, g.Recorder)
 	}
 }
 
@@ -192,6 +228,7 @@ func compareRecorders(t *testing.T, name string, run int, want, got *tcpsim.Reco
 	}
 }
 
+// gate: race-repeat
 func TestSweepMemoizesAcrossCalls(t *testing.T) {
 	r := NewRunner(2)
 	h := Harness{Runs: 3, Seed: 1}
@@ -319,6 +356,8 @@ func TestRunShortThinkTimeCompletesAllRecords(t *testing.T) {
 
 // TestSweepSharedRunnerParallelism sanity-checks the package-level
 // helpers the experiments use.
+//
+// gate: race-repeat
 func TestSweepSharedRunnerParallelism(t *testing.T) {
 	if DefaultRunner().Parallelism() < 1 {
 		t.Fatal("shared runner has no workers")
@@ -349,6 +388,8 @@ func raiseMax(m *atomic.Int64, v int64) {
 // depends on the index, so items finish out of order: emit must still
 // see index order on the caller's goroutine, no more than width items may
 // run at once, and no more than window may be started but not emitted.
+//
+// gate: race-repeat
 func TestOrderedFanOut(t *testing.T) {
 	caller := goroutineID()
 	for _, n := range []int{0, 1, 2, 7, 20} {

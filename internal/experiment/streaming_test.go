@@ -72,6 +72,8 @@ func runStatsDigest(rs *RunStats) string { return fmt.Sprintf("%+v", *rs) }
 // seed order and be bit-identical to the unmemoized runs at any run count
 // and pool width, including when lean runs replay from the aggregate
 // cache.
+//
+// gate: race-repeat
 func TestSweepStatsParallelMatchesSerial(t *testing.T) {
 	h := Harness{Seed: 11}
 	base := Options{Mode: browser.ModeSPDY, Network: NetWiFi, Sites: webpage.Table1()[:1]}
@@ -144,6 +146,8 @@ func (f *momentsFolder) Merge(o Folder) {
 // TestSweepStreamParallelMatchesSerial: the merged accumulator state must
 // be bit-identical whether shards fill serially or across the worker
 // pool. Runs > sweepShardSize forces a real multi-shard merge.
+//
+// gate: race-repeat
 func TestSweepStreamParallelMatchesSerial(t *testing.T) {
 	h := Harness{Runs: sweepShardSize + 3, Seed: 2}
 	base := Options{Mode: browser.ModeHTTP, Network: NetWiFi, Sites: webpage.Table1()[:2]}
@@ -163,6 +167,8 @@ func TestSweepStreamParallelMatchesSerial(t *testing.T) {
 // TestSweepEachOrderAndEquality: SweepEach must deliver, in seed order,
 // Results bit-identical to the unmemoized runs at any run count and pool
 // width.
+//
+// gate: race-repeat
 func TestSweepEachOrderAndEquality(t *testing.T) {
 	h := Harness{Seed: 21}
 	base := Options{Mode: browser.ModeSPDY, Network: NetWiFi, Sites: webpage.Table1()[:1]}
@@ -263,6 +269,8 @@ func (f *overlapFolder) Merge(o Folder) { f.n += o.(*overlapFolder).n }
 // TestDeclinedShardsRespectParallelism: the dispatch width may follow the
 // executor's worker count, but a shard it declines folds in-process under
 // the runner's own pool, never at the wider fabric width.
+//
+// gate: race-repeat
 func TestDeclinedShardsRespectParallelism(t *testing.T) {
 	h := Harness{Runs: 6 * sweepShardSize, Seed: 1}
 	base := Options{Mode: browser.ModeHTTP, Network: NetWiFi, Sites: webpage.Table1()[:1]}
@@ -305,6 +313,8 @@ func TestDeclinedShardsRespectParallelism(t *testing.T) {
 // simulating; under a chunk barrier it waited for seed 1. Seeds 0, 2 and
 // 3 replay from the cache and seed 1 simulates a full session, so seed 2
 // has finished by the time seed 1 is delivered.
+//
+// gate: race-repeat
 func TestSweepEachSlowSeedDoesNotHoldBackTheNext(t *testing.T) {
 	h := Harness{Runs: 4, Seed: 1}
 	base := Options{Mode: browser.ModeHTTP, Network: Net3G}

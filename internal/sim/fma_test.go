@@ -10,8 +10,8 @@ import (
 )
 
 // TestNoFusedMultiplyAdd cross-compiles this package, tcpsim, rrc,
-// webpage and stats for arm64 and fails on any fused multiply-add in their
-// assembly. The Go spec lets a compiler fuse x*y + z into one
+// webpage, stats and experiment for arm64 and fails on any fused
+// multiply-add in their assembly. The Go spec lets a compiler fuse x*y + z into one
 // instruction that rounds once; amd64 does not, arm64 does, and a
 // fused draw or window would
 // differ in its last bit from the one every pin was recorded with. An
@@ -29,6 +29,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		{"../rrc", "(*Machine).accrueEnergy STEXT"},
 		{"../webpage", "webpage.Generate STEXT"},
 		{"../stats", "stats.quantileSorted STEXT"},
+		{"../experiment", "experiment.Run STEXT"},
 	} {
 		cmd := exec.Command(gocmd, "build", "-gcflags=-S", pkg.dir)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")

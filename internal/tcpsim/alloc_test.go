@@ -278,6 +278,7 @@ func TestWireChunkSizes(t *testing.T) {
 		{"QUICPacket", unsafe.Sizeof(QUICPacket{}), true, wireChunk},
 		{"SACK array", unsafe.Sizeof([maxSackBlocks][2]uint64{}), false, sackChunk},
 		{"ranges array", unsafe.Sizeof([quicMaxAckRanges][2]uint64{}), false, rangeChunk},
+		{"ConnStats", unsafe.Sizeof(ConnStats{}), true, tableChunk},
 	} {
 		h := uintptr(0)
 		if c.pointers {
@@ -298,8 +299,11 @@ func TestWireChunkSizes(t *testing.T) {
 // size-class argument is the chunk's: pairChunk pairs with the 8-byte
 // header the allocator gives a pointer-bearing object over 512 bytes
 // must stay in the 28,672-byte class, 1,792 bytes a pair — the next is
-// 32,768, an eighth more for every connection a Result keeps. A Conn
-// is held to 888 bytes on its own: the 896-byte class less the header.
+// 32,768, an eighth more for every pair a run holds at once. A Conn is
+// held to 888 bytes on its own: the 896-byte class less the header.
+// Beside its record a pair adds, for as long as the run, its two
+// endpoints' records to the network's table (Conns), held to their own
+// budget: 8,192 bytes a tableChunk of them.
 func TestConnSize(t *testing.T) {
 	const header = 8
 	if s := unsafe.Sizeof(Conn{}); s+header > 896 {
@@ -308,20 +312,36 @@ func TestConnSize(t *testing.T) {
 	if s := unsafe.Sizeof([pairChunk]connPair{}); s+header > 28672 {
 		t.Errorf("a chunk of %d pairs is %d bytes, want at most %d", pairChunk, s, 28672-header)
 	}
-	// And what the allocator makes of it.
+	// And what the allocator makes of it. The table grows the same way
+	// whoever adds to it, so what it takes for 2,000 records on its own
+	// is its share of the 1,000 pairs, and the rest is theirs.
 	withoutInvariants(func() {
-		var before, after runtime.MemStats
+		var before, after, tableBefore, tableAfter runtime.MemStats
 		nw := blackholeNet()
-		nw.conns = make([]*Conn, 0, 2048)
+		nw.held = make([]*connPair, 0, 1024)
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 1000; i++ {
 			nw.NewConnPair(DefaultConfig(), DefaultConfig(), "size", "d")
 		}
 		runtime.ReadMemStats(&after)
-		per := (after.TotalAlloc - before.TotalAlloc) / 1000
-		t.Logf("a pair takes %d bytes of heap", per)
+		var table connTable
+		runtime.ReadMemStats(&tableBefore)
+		for i := 0; i < 2000; i++ {
+			table.add("size")
+		}
+		runtime.ReadMemStats(&tableAfter)
+		tableBytes := tableAfter.TotalAlloc - tableBefore.TotalAlloc
+		per := (after.TotalAlloc - before.TotalAlloc - tableBytes) / 1000
+		t.Logf("a pair takes %d bytes of heap, and %d of the table's", per, tableBytes/1000)
 		if per > 1792+32 {
 			t.Errorf("a pair takes %d bytes of heap, want its 1,792-byte share of a chunk and of the name chunks", per)
+		}
+		// The table's share: two records a pair of a full 8,192-byte
+		// chunk, and 21 bytes a pair over these 1,000 for the first
+		// chunk's doubling (2 to 64 records, 12,096 bytes), the last
+		// chunk's empty end and the list of chunks.
+		if tp := tableBytes / 1000; tp > 2*8192/tableChunk+21 {
+			t.Errorf("the table takes %d bytes a pair, want at most %d", tp, 2*8192/tableChunk+21)
 		}
 	})
 }

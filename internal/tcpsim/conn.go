@@ -119,7 +119,6 @@ const (
 type Network struct {
 	loop   *sim.Loop
 	path   *netem.Path
-	conns  []*Conn
 	qconns []*QUICConn
 	segs   freeList[Segment]
 	qpkts  freeList[QUICPacket]
@@ -134,6 +133,18 @@ type Network struct {
 	sacks  Slab[[maxSackBlocks][2]uint64]
 	names  NameArena      // of the TCP endpoints
 	pairs  Slab[connPair] // the TCP endpoints themselves
+	// held lists the pairs whose records are in use, in no particular
+	// order (each end knows its place, Conn.held); spare, the records
+	// pairs that were over gave back (Conn.release), which NewConnPair
+	// takes before carving from pairs; table, what Conns reports, one
+	// record an endpoint. finished counts the pairs finish has retired:
+	// a second run of its body would leave nothing else to see (an empty
+	// flight shelves no array, retire clears what is clear, over is set),
+	// so the count is the only witness that it runs once a pair.
+	held     []*connPair
+	spare    []*connPair
+	table    connTable
+	finished int
 }
 
 // The wire slabs' chunk caps, each the most records that fit the
@@ -154,6 +165,9 @@ const wireChunk, sackChunk, rangeChunk = 68, 128, 16
 // different bytes pooled and unpooled, and the tests that compare the
 // two modes see it.
 func (n *Network) retireSeg(s *Segment) {
+	if to := s.to; to != nil {
+		to.wireIn-- // its caller then offers to's pair back (Conn.release)
+	}
 	if segPooling {
 		s.recycle()
 	}
@@ -193,23 +207,57 @@ func (n *Network) sackArray(seg *Segment, blocks int) [][2]uint64 {
 // values indicate a double free).
 func (n *Network) LiveSegments() int { return n.segs.live + n.qpkts.live }
 
-// Conns returns every connection endpoint created through this network.
-func (n *Network) Conns() []*Conn { return n.conns }
+// Conns returns a record of every TCP endpoint created through this
+// network, client then server for each pair, in the order the pairs were
+// made: its name and its counters as they stand, or as they stood when
+// the pair's record went back to the network. It is a copy; no record
+// leads to a Conn, so none can be read after its record has been reused.
+func (n *Network) Conns() []ConnStats {
+	for _, p := range n.held {
+		p.note()
+	}
+	return n.table.all()
+}
+
+// ServerInFlightBytes returns the bytes the server ends of the network's
+// TCP and QUIC connections have sent and not had acknowledged (Figure
+// 10's metric, the proxy's side). Of TCP it walks the pairs still held:
+// a pair that gave its record back is over, and both its ends have
+// nothing in flight. QUIC records are never reused; qconns lists each
+// pair client then server.
+func (n *Network) ServerInFlightBytes() int {
+	total := 0
+	for _, p := range n.held {
+		total += p.server.InFlightBytes()
+	}
+	for i := 1; i < len(n.qconns); i += 2 {
+		total += n.qconns[i].InFlightBytes()
+	}
+	return total
+}
+
+// HeldPairs returns the number of TCP pairs whose records the network
+// holds: those still open, and those over but still reachable by a
+// segment on the wire or a pending timer.
+func (n *Network) HeldPairs() int { return len(n.held) }
 
 // ReleaseRuntime frees simulation-time state a finished run no longer
-// needs — the wire pools and their slabs, the shelves, and what any
-// connection still open holds: queues, scratch buffers, application
-// callbacks — while
-// keeping every counter and accessor that results read (Conns, Path,
-// Retransmits, String). A memoized Result then retains statistics, not
-// the closure graph of the whole run. A TCP connection that finished
-// during the run gave all of that up then; the others retire here, the
-// same way.
+// needs — the wire pools and their slabs, the shelves, the pair records
+// and what any connection still open holds: queues, scratch buffers,
+// application callbacks — while keeping what results read (Conns,
+// QUICConns, Path). A memoized Result then retains statistics, not the
+// closure graph of the whole run. A TCP connection that finished during
+// the run gave all of that up then; the others retire here, the same
+// way, and their counters go into the table as they stand.
 func (n *Network) ReleaseRuntime() {
-	for _, c := range n.conns {
-		c.retire()
-		c.cfg.Probe = nil // the run is over: no sample will be taken
+	for _, p := range n.held {
+		for _, c := range [...]*Conn{&p.client, &p.server} {
+			c.retire()
+			c.cfg.Probe = nil // the run is over: no sample will be taken
+		}
+		p.note()
 	}
+	n.held, n.spare, n.pairs = nil, nil, Slab[connPair]{}
 	for _, q := range n.qconns {
 		q.releaseRuntime()
 	}
@@ -244,14 +292,71 @@ func (c *Conn) retire() {
 // can still arrive — a stale retransmission, a second FIN — is answered
 // from the counters and sequence state that stay, as it always was. A
 // pair whose FIN was lost never gets here and waits for ReleaseRuntime.
-// The caller has checked that this end is closing and holds a FIN.
+// It runs once a pair: over marks both ends. The caller has checked
+// that this end is closing and holds a FIN.
 func (c *Conn) finish() {
-	if p := c.peer; p.finRcvd && c.Drained() && p.Drained() {
+	if p := c.peer; !c.over && p.finRcvd && c.Drained() && p.Drained() {
 		for _, e := range [...]*Conn{c, p} {
 			e.net.windows.put(e.inflight.surrender()) // empty: e is drained
 			e.retire()
+			e.over = true
 		}
+		c.net.finished++
+		c.release()
 	}
+}
+
+// release gives the pair's record back to its network at the first
+// instant nothing can reach it any more, for NewConnPair to reuse: the
+// pair is over (finish), no segment or wire duplicate addressed to
+// either end is on the wire (wireIn, raised by transmit and DupPayload
+// and lowered by retireSeg), and no timer of either end is pending —
+// every one of them is the Conn itself under another type, so it would
+// fire into whatever connection the record held by then. It is called
+// where the last of the three can come true: at the end of finish,
+// after a segment addressed to the pair has retired (the demuxer and a
+// refused send; retireSeg itself stays small enough to inline) and as
+// a retry timer fires. The counters go into the table
+// as they stand; they cannot change any more. With pooling off the
+// record is never reused, so no two connections of a run share an
+// address (the determinism tests compare the two modes). The test of
+// over is all an open connection's segments and timers pay: it inlines.
+func (c *Conn) release() {
+	if c.over {
+		c.giveBack()
+	}
+}
+
+func (c *Conn) giveBack() {
+	p := c.peer
+	if c.held < 0 || c.wireIn != 0 || p.wireIn != 0 || c.timerPending() || p.timerPending() {
+		return
+	}
+	n := c.net
+	pair := n.held[c.held]
+	pair.note()
+	last := len(n.held) - 1
+	moved := n.held[last]
+	moved.client.held, moved.server.held = c.held, c.held
+	n.held[c.held] = moved
+	n.held[last] = nil
+	n.held = n.held[:last]
+	c.held, p.held = -1, -1
+	if segPooling {
+		n.spare = append(n.spare, pair)
+	}
+}
+
+// timerPending reports whether a timer of the endpoint is pending.
+func (c *Conn) timerPending() bool {
+	return c.synArmed || c.rtoTimer.Pending() || c.tlp.timer.Pending() || c.delayedAck.Pending()
+}
+
+// note writes both endpoints' counters into the network's table.
+func (p *connPair) note() {
+	t := &p.client.net.table
+	*t.at(p.client.stat) = p.client.stats()
+	*t.at(p.server.stat) = p.server.stats()
 }
 
 // NewNetwork installs segment demultiplexers on both directions of path.
@@ -274,6 +379,7 @@ func NewNetwork(loop *sim.Loop, path *netem.Path) *Network {
 			to := v.to
 			to.handleSegment(v)
 			n.retireSeg(v)
+			to.release()
 		case *QUICPacket:
 			to := v.to
 			to.handlePacket(v)
@@ -312,7 +418,7 @@ const pairChunk = 16
 // endpoint (side B, the proxy) wired through the network. dest keys the
 // server's metrics cache. The connection is idle until client.Connect().
 func (n *Network) NewConnPair(clientCfg, serverCfg Config, id, dest string) (client, server *Conn) {
-	p := n.pairs.New()
+	p := n.pair()
 	client, server = &p.client, &p.server
 	names := n.names.Cut(id, ":c", id, ":s")
 	client.init(n, clientCfg, names[:len(names)/2], dest, &p.cubic[0])
@@ -320,18 +426,38 @@ func (n *Network) NewConnPair(clientCfg, serverCfg Config, id, dest string) (cli
 	client.isClient = true
 	client.peer, server.peer = server, client
 	client.out, server.out = n.path.AtoB, n.path.BtoA
-	n.conns = append(n.conns, client, server)
+	client.stat, server.stat = n.table.add(client.id), n.table.add(server.id)
+	client.held, server.held = int32(len(n.held)), int32(len(n.held))
+	n.held = append(n.held, p)
 	return client, server
 }
 
-// PeerWnd returns the last advertised peer receive window.
-func (c *Conn) PeerWnd() int { return c.peerWnd }
+// pair returns a zero pair record: the last one given back if any was,
+// else a new one from the slab.
+func (n *Network) pair() *connPair {
+	k := len(n.spare) - 1
+	if k < 0 {
+		return n.pairs.New()
+	}
+	p := n.spare[k]
+	n.spare[k] = nil
+	n.spare = n.spare[:k]
+	*p = connPair{}
+	return p
+}
 
 // Conn is one endpoint of a simulated TCP connection.
 type Conn struct {
 	sender
 
 	isClient bool
+	// What decides when the pair's record goes back to the network
+	// (release), in the padding isClient leaves: over once finish has
+	// run, synArmed while a SYN or SYN-ACK retry is pending, wireIn the
+	// segments and wire duplicates addressed to this end not yet retired.
+	over     bool
+	synArmed bool
+	wireIn   int32
 	peer     *Conn
 	out      *netem.Link
 	net      *Network
@@ -396,6 +522,7 @@ type Conn struct {
 	delayedAck   sim.Timer
 	segsSinceAck int
 	pendingDsack bool
+	stat         int32 // the endpoint's record in the network's table (Conns)
 	// tsRecent is the RFC 7323 TS.Recent value: the send timestamp of
 	// the last segment that advanced the in-order window; echoed on
 	// every ACK so the peer samples true round trips even when a single
@@ -403,6 +530,7 @@ type Conn struct {
 	tsRecent sim.Time
 	finRcvd  bool
 	tlsStep  uint8 // how far the modeled TLS exchange has got (handleTLS)
+	held     int32 // the pair's place in the network's held list; -1 once given back
 
 	onClose func()
 
@@ -452,19 +580,36 @@ func (t *delayedAckTimeout) Call() {
 	}
 }
 
+// The two retry timers end by offering the pair's record back (release):
+// nothing cancels them once the handshake is done, so one can still be
+// pending when the pair is over, the last thing that could reach it.
+// The other three never are: the RTO and the probe timer stop when the
+// flight empties, the delayed ACK when an ACK leaves, and finish needs
+// both flights empty and acknowledged.
 func (t *synTimeout) Call() {
-	if c := (*Conn)(t); c.state == stSynSent {
+	c := (*Conn)(t)
+	c.synArmed = false
+	if c.state == stSynSent {
 		c.sendSYN()
 	}
+	c.release()
 }
 
 func (t *synAckTimeout) Call() {
 	c := (*Conn)(t)
-	if c.state != stSynRcvd {
-		return
+	c.synArmed = false
+	if c.state == stSynRcvd {
+		c.transmitSynAck()
+		c.armSynRetry((*synAckTimeout)(c))
 	}
-	c.transmitSynAck()
-	c.loop.AfterCall(c.cfg.InitialRTO, t)
+	c.release()
+}
+
+// armSynRetry arms the SYN or SYN-ACK retry, InitialRTO from now. No
+// handle is kept: at most one is pending, and synArmed says whether.
+func (c *Conn) armSynRetry(h sim.Handler) {
+	c.synArmed = true
+	c.loop.AfterCall(c.cfg.InitialRTO, h)
 }
 
 // receiver is where a connection's in-order bytes go: a function
@@ -525,7 +670,7 @@ func (c *Conn) sendSYN() {
 	syn := c.newSeg()
 	syn.Flags = flagSYN
 	c.transmit(syn)
-	c.loop.AfterCall(c.cfg.InitialRTO, (*synTimeout)(c))
+	c.armSynRetry((*synTimeout)(c))
 }
 
 // Write queues n application bytes for transmission.
@@ -678,8 +823,10 @@ func (c *Conn) newSeg() *Segment {
 func (c *Conn) transmit(seg *Segment) {
 	seg.From = c.id
 	seg.to = c.peer
+	c.peer.wireIn++
 	if !c.out.Send(seg, seg.wireSize()) && c.net != nil {
 		c.net.retireSeg(seg)
+		c.peer.release()
 	}
 }
 
@@ -844,7 +991,7 @@ func (c *Conn) handleSYN() {
 		// Retransmit the SYN-ACK until the handshake completes: if the
 		// client's final ACK is lost and the application never sends
 		// upstream data, this timer is the only way out of SYN_RCVD.
-		c.loop.AfterCall(c.cfg.InitialRTO, (*synAckTimeout)(c))
+		c.armSynRetry((*synAckTimeout)(c))
 	}
 	c.transmitSynAck()
 }

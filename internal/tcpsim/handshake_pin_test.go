@@ -146,6 +146,7 @@ func lateArrivals(t *testing.T) string {
 		seg := w.net.segs.get()
 		fill(seg)
 		seg.From, seg.to = server.id, client
+		client.wireIn++ // as transmit counts what it puts on the wire
 		client.handleSegment(seg)
 		w.net.retireSeg(seg)
 	}

@@ -76,6 +76,7 @@ func (s *Segment) DupPayload() netem.Payload {
 	if s.to != nil {
 		cp = s.to.newSeg()
 		sack = s.to.net.sackArray(cp, len(s.Sack))
+		s.to.wireIn++ // the copy is addressed to the same end
 	} else {
 		cp = &Segment{}
 	}

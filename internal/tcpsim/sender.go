@@ -77,9 +77,6 @@ func (s *sender) init(loop *sim.Loop, cfg Config, id, dest string, cubic *Cubic)
 	}
 }
 
-// ID returns the connection identifier used in traces.
-func (s *sender) ID() string { return s.id }
-
 // Cwnd returns the congestion window in segments.
 func (s *sender) Cwnd() float64 { return s.cwnd }
 

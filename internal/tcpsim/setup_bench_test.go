@@ -19,7 +19,7 @@ func BenchmarkNewPair(b *testing.B) {
 		b.ReportAllocs()
 		withoutInvariants(func() {
 			for i := 0; i < b.N; i++ {
-				nw.conns = nw.conns[:0]
+				nw.held = nw.held[:0]
 				nw.NewConnPair(cfg, cfg, "b", "d")
 			}
 		})
