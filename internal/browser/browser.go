@@ -202,17 +202,23 @@ func (b *Browser) ActiveConns() int {
 
 // --- page load bookkeeping ---
 
+// pageLoad is the browser's working record of one page while it loads.
+// Only the page record and its object records outlive it in a Result;
+// the record itself, its fetch slab and its revealer bits go to the next
+// page once this one has drained (lend).
 type pageLoad struct {
+	b              *Browser
 	page           *webpage.Page
 	rec            *trace.PageRecord
 	outstanding    int
 	pendingReveals int
 	finished       bool
-	done           func(*trace.PageRecord)
+	done           Loaded
 	watchdog       sim.Timer
 	// One fetch and one record per object of the page, carved in
 	// discovery order: the page's requests cost two slabs, not a handful
-	// of objects each.
+	// of objects each. The records are the page's (its PageRecord points
+	// into them); the fetches are the browser's and serve page after page.
 	fetches []fetch
 	records []trace.ObjectRecord
 	// revealers has bit id set when the object with that id is the parent
@@ -221,24 +227,68 @@ type pageLoad struct {
 	revealers []uint64
 }
 
-// revealerBits marks the ids of page's objects that reveal others.
-func revealerBits(page *webpage.Page) []uint64 {
+// A Loaded is told a page's record at its onLoad, or at the watchdog's
+// abort.
+type Loaded interface{ Loaded(*trace.PageRecord) }
+
+// loadedFunc adapts LoadPage's callback to Loaded; a func is
+// pointer-shaped, so the adapter costs no allocation.
+type loadedFunc func(*trace.PageRecord)
+
+func (f loadedFunc) Loaded(rec *trace.PageRecord) { f(rec) }
+
+// markRevealers sets pl.revealers to the ids of page's objects that
+// reveal others.
+func (pl *pageLoad) markRevealers(page *webpage.Page) {
 	top := 0
 	for _, o := range page.Objects {
 		top = max(top, o.Parent)
 	}
-	bits := make([]uint64, top/64+1)
+	bits := zeroed(pl.revealers, top/64+1)
 	for _, o := range page.Objects {
 		if o.Parent >= 0 {
 			bits[o.Parent/64] |= 1 << (o.Parent % 64)
 		}
 	}
-	return bits
+	pl.revealers = bits
 }
 
 // reveals reports whether the object with the given id has children.
 func (pl *pageLoad) reveals(id int) bool {
 	return id >= 0 && id/64 < len(pl.revealers) && pl.revealers[id/64]&(1<<(id%64)) != 0
+}
+
+// drained reports whether nothing of the page's load is left to run: no
+// response on its way and no processing delay pending. Only then does no
+// fetch of its slab sit in a queue, an exchange or a timer of the loop.
+func (pl *pageLoad) drained() bool { return pl.outstanding == 0 && pl.pendingReveals == 0 }
+
+// lend returns the working record for a page of n objects: the previous
+// page's, zeroed, when that page has drained, else a new one. A page cut
+// short by the watchdog with responses still on their way keeps its
+// record and its slab, which those responses land in; the next page
+// allocates its own. Reuse moves no event: the slab is written only by
+// the new page's discoveries, in the order they would write a fresh one.
+func (b *Browser) lend(n int) *pageLoad {
+	pl := b.cur
+	if pl == nil || !pl.drained() {
+		pl = new(pageLoad)
+	} else if invOn {
+		b.checkLent(pl)
+	}
+	*pl = pageLoad{b: b, fetches: zeroed(pl.fetches, n), revealers: pl.revealers}
+	return pl
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// array when it holds n.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // fetch is one object on its way to the browser: the exchange the proxy
@@ -260,26 +310,40 @@ type fetch struct {
 // LoadPage begins loading page; done fires at onLoad (or watchdog abort).
 // Loads must not overlap: callers space them out (60 s in the paper).
 func (b *Browser) LoadPage(page *webpage.Page, done func(*trace.PageRecord)) {
-	n := len(page.Objects)
-	pl := &pageLoad{
-		page:      page,
-		rec:       &trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: make([]*trace.ObjectRecord, 0, n)},
-		done:      done,
-		fetches:   make([]fetch, n),
-		records:   make([]trace.ObjectRecord, n),
-		revealers: revealerBits(page),
+	var l Loaded
+	if done != nil {
+		l = loadedFunc(done)
 	}
+	b.Load(page, l)
+}
+
+// Load is LoadPage with a Loaded, which a caller can keep in a record
+// of its own instead of a closure a page.
+func (b *Browser) Load(page *webpage.Page, done Loaded) {
+	n := len(page.Objects)
+	pl := b.lend(n)
+	pl.page, pl.done = page, done
+	pl.rec = &trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: make([]*trace.ObjectRecord, 0, n)}
+	pl.records = make([]trace.ObjectRecord, n)
+	pl.markRevealers(page)
 	b.prox.ExpectPage(n)
 	b.cur = pl
-	pl.watchdog = b.loop.After(b.cfg.PageTimeout, func() {
-		if !pl.finished {
-			pl.finished = true
-			pl.rec.Aborted = true
-			pl.rec.OnLoad = b.loop.Now()
-			b.afterPage(pl)
-		}
-	})
+	pl.watchdog = b.loop.AfterCall(b.cfg.PageTimeout, (*watchdog)(pl))
 	b.discover(pl, page.Main())
+}
+
+// watchdog is a page's load timer running out: a page not finished by
+// then is aborted, and its record handed over as it stands.
+type watchdog pageLoad
+
+func (w *watchdog) Call() {
+	pl := (*pageLoad)(w)
+	if !pl.finished {
+		pl.finished = true
+		pl.rec.Aborted = true
+		pl.rec.OnLoad = pl.b.loop.Now()
+		pl.b.afterPage(pl)
+	}
 }
 
 func (b *Browser) discover(pl *pageLoad, obj *webpage.Object) {
@@ -353,8 +417,8 @@ func (b *Browser) objectDone(f *fetch) {
 }
 
 // reveal is a fetched object's processing delay running out: the
-// browser discovers the objects it references (webpage.Page.Children,
-// in page order).
+// browser discovers the objects it references, those whose
+// webpage.Object.Parent is its id, in page order.
 type reveal fetch
 
 func (r *reveal) Call() {
@@ -387,7 +451,7 @@ func (b *Browser) afterPage(pl *pageLoad) {
 		b.scheduleBeacons(pl.page)
 	}
 	if pl.done != nil {
-		pl.done(pl.rec)
+		pl.done.Loaded(pl.rec)
 	}
 }
 

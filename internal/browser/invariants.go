@@ -5,7 +5,8 @@ import "fmt"
 // Pool-accounting checker, after tcpsim's: the package's tests switch it
 // on in TestMain and every HTTP establish, dispatch, response and close
 // then holds the maintained connection counts to the walks they
-// replaced. The checks are pure reads; enabling them cannot perturb a
+// replaced, and a page record lent to the next page is held to the
+// drain rule (checkLent). The checks are pure reads; enabling them cannot perturb a
 // simulation, only observe it.
 //
 // invOn is written only from EnableInvariants, which must not race with
@@ -51,5 +52,23 @@ func (b *Browser) checkFlow(where string) {
 		if err := h.sess.CheckFlowConservation(); err != nil {
 			panic(fmt.Sprintf("browser invariant flow-credit violated at %v at %s on %s: %v", b.loop.Now(), where, h.id, err))
 		}
+	}
+}
+
+// checkLent holds a drained page to what lending its record assumes: the
+// page is over, its watchdog is not pending, and no fetch of its slab is
+// waiting in a domain queue or for its response — recounted from the
+// object records, whose Done only a landed response sets, not taken from
+// the outstanding count the drain rule reads.
+func (b *Browser) checkLent(pl *pageLoad) {
+	waiting := 0
+	for i := range pl.rec.Objects {
+		if f := &pl.fetches[i]; f.next != nil || f.or.Done == 0 {
+			waiting++
+		}
+	}
+	if !pl.finished || pl.watchdog.Pending() || waiting != 0 {
+		panic(fmt.Sprintf("browser invariant page-lend violated at %v: lending %s's record (finished %t, watchdog pending %t) with %d of %d fetches still waiting",
+			b.loop.Now(), pl.page.Name, pl.finished, pl.watchdog.Pending(), waiting, len(pl.rec.Objects)))
 	}
 }

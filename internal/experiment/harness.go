@@ -297,12 +297,15 @@ func buildNetwork(loop *sim.Loop, o Options, rng *sim.RNG) (*tcpsim.Network, *rr
 }
 
 // GeneratePages builds the run's page set: deterministic for a given
-// seed, identical across protocol modes so comparisons are paired.
+// seed, identical across protocol modes so comparisons are paired. The
+// pages are built on one Generator, so what a page's generation needs
+// only while it runs is allocated once for the set.
 func GeneratePages(sites []webpage.SiteSpec, seed uint64) []*webpage.Page {
 	pages := make([]*webpage.Page, len(sites))
 	base := sim.NewRNG(seed)
+	var g webpage.Generator
 	for i, spec := range sites {
-		pages[i] = webpage.Generate(spec, base.Fork(uint64(spec.Index)))
+		pages[i] = g.Generate(spec, base.Fork(uint64(spec.Index)))
 	}
 	return pages
 }
@@ -311,6 +314,17 @@ func GeneratePages(sites []webpage.SiteSpec, seed uint64) []*webpage.Page {
 func VisitOrder(n int) []int {
 	return sim.NewRNG(visitOrderSeed).Perm(n)
 }
+
+// visit is one page of a session: the loop's event that starts loading
+// it, and the browser's Loaded for it, which files its record.
+type visit struct {
+	br   *browser.Browser
+	page *webpage.Page
+	rec  **trace.PageRecord
+}
+
+func (v *visit) Call()                        { v.br.Load(v.page, v) }
+func (v *visit) Loaded(rec *trace.PageRecord) { *v.rec = rec }
 
 // Run executes one full measurement session and returns its Result; run
 // also takes its loop's storage and its SPDY zlib contexts from a, when
@@ -389,13 +403,12 @@ func run(opts Options, a *runArena, tap func(*tcpsim.Network)) *Result {
 
 	// Schedule page visits opts.ThinkTime apart.
 	records := make([]*trace.PageRecord, len(order))
+	visits := make([]visit, len(order))
+	res.Pages = make([]*webpage.Page, len(order))
 	for i, pi := range order {
-		i, pi := i, pi
-		page := pages[pi]
-		res.Pages = append(res.Pages, page)
-		loop.At(sim.Time(i)*sim.Time(opts.ThinkTime), func() {
-			br.LoadPage(page, func(pr *trace.PageRecord) { records[i] = pr })
-		})
+		res.Pages[i] = pages[pi]
+		visits[i] = visit{br: br, page: pages[pi], rec: &records[i]}
+		loop.AtCall(sim.Time(i)*sim.Time(opts.ThinkTime), &visits[i])
 	}
 
 	// Keep-alive pinger (Figure 14).

@@ -80,12 +80,19 @@ func (r *RNG) Exp(mean float64) float64 {
 // Perm returns a random permutation of [0,n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a random permutation of [0,len(p)), drawing
+// exactly what Perm(len(p)) draws: a caller that keeps its slice from
+// one permutation to the next gets Perm's values without its allocation.
+func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -306,6 +307,39 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(check, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPermIntoMatchesPerm holds PermInto, on a slice left dirty by an
+// earlier permutation, to Perm and to the Fisher–Yates loop Perm ran
+// before it was written over PermInto: the same permutation, and the
+// RNG left where Perm leaves it (the next draw is equal).
+func TestPermIntoMatchesPerm(t *testing.T) {
+	reference := func(r *RNG, n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		for i := n - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			p[i], p[j] = p[j], p[i]
+		}
+		return p
+	}
+	scratch := NewRNG(1).Perm(400)
+	for _, n := range []int{0, 1, 2, 7, 128, 323} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			a, b, c := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+			want, perm := reference(a, n), b.Perm(n)
+			got := scratch[:n]
+			c.PermInto(got)
+			if !slices.Equal(got, want) || !slices.Equal(perm, want) {
+				t.Fatalf("n=%d seed %d: PermInto %v, Perm %v, reference %v", n, seed, got, perm, want)
+			}
+			if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != z || y != z {
+				t.Fatalf("n=%d seed %d: next draw after reference %d, Perm %d, PermInto %d", n, seed, x, y, z)
+			}
+		}
 	}
 }
 

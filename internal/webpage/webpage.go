@@ -105,17 +105,6 @@ func (p *Page) MaxWave() int {
 	return m
 }
 
-// Children returns the objects revealed by processing object id.
-func (p *Page) Children(id int) []*Object {
-	var out []*Object
-	for _, o := range p.Objects {
-		if o.Parent == id {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // SiteSpec is one row of Table 1.
 type SiteSpec struct {
 	Index     int
@@ -166,8 +155,42 @@ func round(f float64) int {
 // Generate builds a page matching spec's marginals. The same spec and
 // seed always yield the same page; different runs perturb counts and
 // sizes slightly via rng, matching the run-to-run variation the paper
-// reports ("numbers are averaged across runs").
+// reports ("numbers are averaged across runs"). It is a Generator's
+// Generate on fresh scratch.
 func Generate(spec SiteSpec, rng *sim.RNG) *Page {
+	var g Generator
+	return g.Generate(spec, rng)
+}
+
+// Generator builds pages one after another on the same scratch: the name
+// buffer and its index, each object's domain, the kinds and their
+// shuffle, and the revealer ids die with the page, so the next page of a
+// run writes over them instead of allocating its own. What a page keeps —
+// the page, its object slab and pointer slice, the string its names
+// (its own among them) are cut from — is still its own. The zero value
+// is ready; a Generator is not safe for concurrent use.
+type Generator struct {
+	names    []byte
+	ends     []int
+	domainOf []int
+	kinds    []Kind
+	perm     []int
+	ids      []int
+}
+
+// scratch returns s with length n, reusing its array when it holds n.
+// Its elements are whatever an earlier page left: the caller writes each
+// before reading it.
+func scratch[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Generate is the package's Generate on g's scratch: the same page for
+// the same spec and rng, whatever g built before.
+func (g *Generator) Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	jitter := func(f float64) int {
 		n := round(float64(f * (0.92 + float64(0.16*rng.Float64()))))
 		return n
@@ -197,12 +220,13 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 		mainSize = 4096
 	}
 
-	// Every name the page needs — its domains, then a path per object —
-	// is written into one buffer and cut out of the one string made from
-	// it at the end, and the objects come from one slab: a page costs a
-	// fixed number of allocations, not a few per object.
-	names := make([]byte, 0, 32*nDomains+12*total)
-	ends := make([]int, 1, nDomains+total) // names[ends[i]:ends[i+1]] is the i-th name
+	// Every name the page needs — its domains, a path per object, then
+	// its own — is written into one buffer and cut out of the one string
+	// made from it at the end, and the objects come from one slab: a page
+	// costs a fixed number of allocations, not a few per object.
+	names := scratch(g.names, 32*nDomains+12*total+8+len(spec.Category))[:0]
+	ends := scratch(g.ends, nDomains+total+1)[:1] // names[ends[i]:ends[i+1]] is the i-th name
+	ends[0] = 0
 
 	// Domains: primary first, then third parties; object assignment is
 	// skewed toward the primary domain like real pages (CDN + trackers).
@@ -236,12 +260,12 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	}
 
 	page := &Page{
-		Name:     fmt.Sprintf("site%02d-%s", spec.Index, spec.Category),
 		Category: spec.Category,
 		Objects:  make([]*Object, 0, total),
 	}
 	slab := make([]Object, total)
-	domainOf := make([]int, total) // each object's domain, by index, until the names are cut
+	domainOf := scratch(g.domainOf, total) // each object's domain, by index, until the names are cut
+	domainOf[0] = 0                        // the main document's, on the primary domain
 	slab[0] = Object{
 		ID:              0,
 		Kind:            KindHTML,
@@ -254,7 +278,7 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	page.Objects = append(page.Objects, &slab[0])
 
 	// Build the remaining objects with kinds in a deterministic shuffle.
-	kinds := make([]Kind, 0, total-1)
+	kinds := scratch(g.kinds, total-1)[:0]
 	for i := 0; i < nText-1; i++ {
 		kinds = append(kinds, KindText)
 	}
@@ -268,7 +292,8 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	for i := 0; i < nImg; i++ {
 		kinds = append(kinds, KindImg)
 	}
-	perm := rng.Perm(len(kinds))
+	perm := scratch(g.perm, len(kinds))
+	rng.PermInto(perm)
 
 	restBytes := totalBytes - float64(mainSize)
 	if restBytes < 0 {
@@ -291,7 +316,7 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	// each wave in its own stretch of one array (no wave can hold more
 	// than every script and stylesheet; wave 0 holds the main document).
 	var revealers [4][]int
-	ids := make([]int, len(revealers)*(nJSCSS+1))
+	ids := scratch(g.ids, len(revealers)*(nJSCSS+1))
 	for w := range revealers {
 		revealers[w] = ids[w*(nJSCSS+1) : w*(nJSCSS+1) : (w+1)*(nJSCSS+1)]
 	}
@@ -367,10 +392,22 @@ func Generate(spec SiteSpec, rng *sim.RNG) *Page {
 		}
 	}
 
+	// The page's name, fmt.Sprintf("site%02d-%s", spec.Index, spec.Category).
+	names = append(names, "site"...)
+	if spec.Index >= 0 && spec.Index < 10 {
+		names = append(names, '0')
+	}
+	names = strconv.AppendInt(names, int64(spec.Index), 10)
+	names = append(names, '-')
+	names = append(names, spec.Category...)
+	ends = append(ends, len(names))
+	g.names, g.ends, g.domainOf, g.kinds, g.perm, g.ids = names, ends, domainOf, kinds, perm, ids
+
 	// Cut the names: domain d is the d-th, object id's path the
-	// (nDomains-1+id)-th.
+	// (nDomains-1+id)-th, the page's the last.
 	all := string(names)
 	name := func(i int) string { return all[ends[i]:ends[i+1]] }
+	page.Name = name(len(ends) - 2)
 	for id, o := range page.Objects {
 		o.Domain = name(domainOf[id])
 		if id > 0 {
