@@ -9,7 +9,8 @@ import (
 // (seed 1, page by page in request order: the blocks one SPDY connection
 // compresses in a run) per iteration, on a fresh oracle as
 // browser.openMux and proxy.zlibHead make one per connection, and
-// reports the cost per frame.
+// reports the cost per frame and the bytes allocated per session, most
+// of them the oracle's zlib context.
 func BenchmarkSizeOracle(b *testing.B) {
 	objs := table1Session(1)
 	b.Run("request", func(b *testing.B) {
@@ -44,4 +45,5 @@ func benchSession(b *testing.B, frames int, session func()) {
 	total := float64(b.N * frames)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/frame")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/frame")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(b.N), "KiB/session")
 }

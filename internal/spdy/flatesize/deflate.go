@@ -7,10 +7,19 @@
 // this Write+Flush on this stream? It is a size-only port of go1.24's
 // compress/flate (deflate.go, huffman_bit_writer.go, huffman_code.go,
 // token.go). Everything that decides the token stream or the cost of a
-// block is kept line for line; everything that only produces bytes —
-// the token slice, the bit buffer, code assignment, Adler-32 — is gone,
-// and levels other than 9 with it. DESIGN.md §6 "Per-request cost (SPDY
-// arm)" has the accounting; FuzzSizeOnlyDeflate holds it to the stdlib.
+// block is kept line for line but the layout of the hash chains. The
+// stdlib keeps a head per 17-bit hash and a link per window slot; here a
+// head is per bucket (the hash's low bucketBits bits) and a position's
+// link word carries the rest of its hash as a tag. A bucket's list is
+// every position inserted under it, latest first, so a hash's chain is
+// the sublist with its tag, in the same order: findMatch walks the
+// bucket, examines and spends a try on only the entries with pos's tag,
+// and stops where the stdlib's walk stops. The context is 266 KiB, a
+// third of what the stdlib's layout takes. Everything that only produces
+// bytes — the token slice, the bit buffer, code assignment, Adler-32 — is
+// gone, and levels other than 9 with it. DESIGN.md §6 "Per-request cost
+// (SPDY arm)" has the accounting; FuzzSizeOnlyDeflate holds it to the
+// stdlib.
 package flatesize
 
 import (
@@ -34,9 +43,17 @@ const (
 	maxFlateBlockTokens = 1 << 14
 	maxStoreBlockSize   = 65535
 	hashBits            = 17 // After 17 performance degrades
-	hashSize            = 1 << hashBits
-	hashMask            = (1 << hashBits) - 1
 	maxHashOffset       = 1 << 24
+
+	// A hash's low bucketBits bits pick its bucket in hashHead; the rest,
+	// its tag, ride at the top of the link word of each position
+	// inserted, above the distance back to the bucket's previous
+	// position. An index+hashOffset stays below maxHashOffset+2*windowSize,
+	// so the tagShift bits hold every distance: none is capped.
+	bucketBits = 14
+	bucketMask = 1<<bucketBits - 1
+	tagShift   = 32 - (hashBits - bucketBits)
+	distMask   = 1<<tagShift - 1
 
 	// Level 9 of the stdlib's table: {good 32, lazy 258, nice 258, chain
 	// 4096, never skip hashing}. good has no effect at this level: the
@@ -53,18 +70,19 @@ const (
 )
 
 // Sizer holds one zlib stream's compression context: the stdlib
-// compressor's window and hash chains, and in place of its token slice
-// and bit writer, the running histogram of the block being built and a
-// count of bits emitted since the last byte boundary.
+// compressor's window and hash chains (as tagged buckets), and in place
+// of its token slice and bit writer, the running histogram of the block
+// being built and a count of bits emitted since the last byte boundary.
 type Sizer struct {
-	// Input hash chains
-	// hashHead[hashValue] contains the largest inputIndex with the specified hash value
-	// If hashHead[hashValue] is within the current window, then
-	// hashPrev[hashHead[hashValue] & windowMask] contains the previous index
-	// with the same hash value.
+	// Input hash chains, by bucket.
+	// hashHead[bucket] holds the largest inputIndex+hashOffset inserted
+	// into the bucket, or 0. If that index is within the current window,
+	// hashLink[index & windowMask] holds its tag (hash>>bucketBits, from
+	// tagShift up) and the distance back to the bucket's previous index
+	// (below).
 	chainHead  int
-	hashHead   [hashSize]uint32
-	hashPrev   [windowSize]uint32
+	hashHead   [1 << bucketBits]uint32
+	hashLink   [windowSize]uint32
 	hashOffset int
 
 	// input window: unprocessed data is window[index:windowEnd]
@@ -94,19 +112,23 @@ type Sizer struct {
 // zlib.NewWriterLevelDict(w, zlib.BestCompression, dict) is.
 func New(dict []byte) *Sizer {
 	s := new(Sizer)
-	s.Reset(dict)
+	s.start(dict)
 	return s
 }
 
 // Reset puts s, whatever stream it has sized, in the state New(dict)
-// returns, without allocating: the ~700 KB context is cleared in place.
+// returns, without allocating: the 266 KiB context is cleared in place.
 func (s *Sizer) Reset(dict []byte) {
-	*s = Sizer{
-		hashOffset: 1,
-		length:     minMatchLength - 1,
-		chainHead:  -1,
-		header:     zlibHeaderSize,
-	}
+	*s = Sizer{}
+	s.start(dict)
+}
+
+// start sets a cleared Sizer up for a stream preset with dict.
+func (s *Sizer) start(dict []byte) {
+	s.hashOffset = 1
+	s.length = minMatchLength - 1
+	s.chainHead = -1
+	s.header = zlibHeaderSize
 	if dict != nil {
 		s.header += zlibDictIDSize
 	}
@@ -155,13 +177,7 @@ func (s *Sizer) fillDeflate(b []byte) int {
 			s.hashOffset -= delta
 			s.chainHead -= delta
 
-			for i, v := range s.hashPrev[:] {
-				if int(v) > delta {
-					s.hashPrev[i] = uint32(int(v) - delta)
-				} else {
-					s.hashPrev[i] = 0
-				}
-			}
+			// Links are relative and need no re-base.
 			for i, v := range s.hashHead[:] {
 				if int(v) > delta {
 					s.hashHead[i] = uint32(int(v) - delta)
@@ -210,20 +226,25 @@ func (s *Sizer) fillWindow(b []byte) {
 }
 
 // insertHash puts the string at window[index:] at the head of its hash
-// chain and returns the previous head.
+// bucket and returns the previous head.
 func (s *Sizer) insertHash(index int) uint32 {
-	hh := &s.hashHead[hash4(s.window[index:index+minMatchLength])&hashMask]
+	h := hash4(s.window[index : index+minMatchLength])
+	hh := &s.hashHead[h&bucketMask]
 	prev := *hh
-	// Our chain should point to the previous value.
-	s.hashPrev[index&windowMask] = prev
-	// Set the head of the hash chain to us.
-	*hh = uint32(index + s.hashOffset)
+	at := index + s.hashOffset
+	// Our link should lead to the previous value.
+	s.hashLink[index&windowMask] = h>>bucketBits<<tagShift | uint32(at) - prev
+	// Set the head of the bucket to us.
+	*hh = uint32(at)
 	return prev
 }
 
 // Try to find a match starting at index whose length is greater than prevSize.
-// We only look at chainCount possibilities before giving up.
-func (s *Sizer) findMatch(pos int, prevHead int, prevLength int, lookahead int) (length, offset int, ok bool) {
+// We only look at chainCount possibilities before giving up. prevHead is
+// the head of pos's bucket before pos was inserted; the walk down the
+// bucket skips the entries whose tag is not pos's, which are not on the
+// stdlib's chain, and tried counts the ones it examines.
+func (s *Sizer) findMatch(pos int, prevHead int, prevLength int, lookahead int) (length, offset, tried int, ok bool) {
 	minMatchLook := maxMatchLength
 	if lookahead < minMatchLook {
 		minMatchLook = lookahead
@@ -235,14 +256,33 @@ func (s *Sizer) findMatch(pos int, prevHead int, prevLength int, lookahead int) 
 	// nice is maxMatchLength, so the lookahead is the tighter cap.
 	nice := minMatchLook
 
-	tries := chain
 	length = prevLength
 
 	wEnd := win[pos+length]
 	wPos := win[pos:]
 	minIndex := pos - windowSize
+	tag := s.hashLink[pos&windowMask] >> tagShift
+	// The link words of the positions above minIndex are theirs, and
+	// minIndex's is pos's now. Below minIndex, or 0, the stdlib's walk has
+	// ended: so has the bucket's, as every later entry is lower still.
+	above := max(minIndex, -1)
 
-	for i := prevHead; tries > 0; tries-- {
+	var link uint32
+	for i := prevHead; ; i -= int(link & distMask) {
+		if i > above {
+			link = s.hashLink[i&windowMask]
+		} else if i == minIndex && i >= 0 {
+			// pos has taken over i's link word, so hash i's string again
+			// for its tag, and end the walk after it: the longest
+			// distance leads below 0.
+			link = hash4(win[i:])>>bucketBits<<tagShift | distMask
+		} else {
+			break
+		}
+		if link>>tagShift != tag {
+			continue
+		}
+		tried++
 		if wEnd == win[i+length] {
 			n := matchLen(win[i:], wPos, minMatchLook)
 
@@ -257,12 +297,7 @@ func (s *Sizer) findMatch(pos int, prevHead int, prevLength int, lookahead int) 
 				wEnd = win[pos+n]
 			}
 		}
-		if i == minIndex {
-			// hashPrev[i & windowMask] has already been overwritten, so stop now.
-			break
-		}
-		i = int(s.hashPrev[i&windowMask]) - s.hashOffset
-		if i < minIndex || i < 0 {
+		if tried == chain {
 			break
 		}
 	}
@@ -340,8 +375,10 @@ func (s *Sizer) deflate() {
 			minIndex = 0
 		}
 
+		// chainHead is the bucket's head: it may be in the window when no
+		// position of index's own hash is, and findMatch then finds nothing.
 		if s.chainHead-s.hashOffset >= minIndex && lookahead > prevLength && prevLength < lazy {
-			if newLength, newOffset, ok := s.findMatch(s.index, s.chainHead-s.hashOffset, minMatchLength-1, lookahead); ok {
+			if newLength, newOffset, _, ok := s.findMatch(s.index, s.chainHead-s.hashOffset, minMatchLength-1, lookahead); ok {
 				s.length = newLength
 				s.offset = newOffset
 			}

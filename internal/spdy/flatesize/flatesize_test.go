@@ -5,6 +5,7 @@ import (
 	"compress/zlib"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // reference is the stream the Sizer claims to price: compress/zlib at
@@ -191,5 +192,19 @@ func TestSizerResetDoesNotAllocate(t *testing.T) {
 		s.Reset(testDict)
 	}); n != 0 {
 		t.Fatalf("BlockSize+Reset allocates %v objects per call", n)
+	}
+}
+
+// TestSizerFootprint: a Sizer is one object of the size measured when
+// the chains became tagged buckets, so that a field added later cannot
+// silently multiply what every SPDY session costs (two contexts, one a
+// direction).
+func TestSizerFootprint(t *testing.T) {
+	const measured, margin = 272208, 256
+	if n := unsafe.Sizeof(Sizer{}); n > measured+margin {
+		t.Errorf("Sizer is %d bytes, want at most %d", n, measured+margin)
+	}
+	if n := testing.AllocsPerRun(10, func() { New(testDict) }); n != 1 {
+		t.Errorf("New makes %v allocations, want 1", n)
 	}
 }

@@ -3,6 +3,7 @@ package spdy
 import (
 	"bytes"
 	"compress/zlib"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -117,6 +118,20 @@ func FuzzSizeOnlyDeflate(f *testing.F) {
 		}
 		f.Add(session)
 	}
+	// Bucket-mates: "aaoc", "ahxq" and "akab" hash apart in 17 bits
+	// (15407, 31791, 80943) and share flatesize's 14-bit bucket, each
+	// followed by a varying byte. The 28 KiB hold some 4,600 "aaoc", so
+	// its chain runs past the 4,096 tries with the other two interleaved.
+	rng := rand.New(rand.NewSource(1))
+	mates := []string{"aaoc", "aaoc", "aaoc", "aaoc", "aaoc", "aaoc", "aaoc", "aaoc", "ahxq", "akab"}
+	collide := []byte{0}
+	for len(collide) < 28<<10 {
+		collide = append(append(collide, mates[rng.Intn(len(mates))]...), byte(rng.Intn(0xff)))
+		if rng.Intn(800) == 0 {
+			collide = append(collide, 0xff)
+		}
+	}
+	f.Add(collide)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sizer := flatesize.New(headerDictionary)
