@@ -151,6 +151,14 @@ type Browser struct {
 	// browser, which every beacon points at.
 	beacons    tcpsim.Slab[beacon]
 	beaconObjs tcpsim.Slab[webpage.Object]
+	// Where the pages' records come from: each page's object records,
+	// its Objects slice and its PageRecord are carved from the run's
+	// chunk, reserved by Expect. widest is the run's largest page, the
+	// size a new fetch slab is made for.
+	objRecs  tcpsim.Slab[trace.ObjectRecord]
+	objPtrs  tcpsim.Slab[*trace.ObjectRecord]
+	pageRecs tcpsim.Slab[trace.PageRecord]
+	widest   int
 	// Counts over the handles in the pools, kept at the four transitions
 	// (established, dispatch 0→1, response 1→0, closeConn) so that neither
 	// a telemetry sample nor a full global pool walks every connection:
@@ -215,12 +223,14 @@ type pageLoad struct {
 	finished       bool
 	done           Loaded
 	watchdog       sim.Timer
-	// One fetch and one record per object of the page, carved in
-	// discovery order: the page's requests cost two slabs, not a handful
-	// of objects each. The records are the page's (its PageRecord points
-	// into them); the fetches are the browser's and serve page after page.
+	// One fetch, one record and one proxy log entry per object of the
+	// page, carved in discovery order: the page's requests cost no
+	// object of their own. The records and log entries are the page's,
+	// cut from the run's (its PageRecord and the proxy's log point into
+	// them); the fetches are the browser's and serve page after page.
 	fetches []fetch
 	records []trace.ObjectRecord
+	logs    []trace.ProxyRecord
 	// revealers has bit id set when the object with that id is the parent
 	// of another: whether a completed fetch has children to reveal is one
 	// bit, not a walk over the page.
@@ -244,7 +254,7 @@ func (pl *pageLoad) markRevealers(page *webpage.Page) {
 	for _, o := range page.Objects {
 		top = max(top, o.Parent)
 	}
-	bits := zeroed(pl.revealers, top/64+1)
+	bits := zeroed(pl.revealers, top/64+1, (pl.b.widest+63)/64)
 	for _, o := range page.Objects {
 		if o.Parent >= 0 {
 			bits[o.Parent/64] |= 1 << (o.Parent % 64)
@@ -267,8 +277,10 @@ func (pl *pageLoad) drained() bool { return pl.outstanding == 0 && pl.pendingRev
 // page's, zeroed, when that page has drained, else a new one. A page cut
 // short by the watchdog with responses still on their way keeps its
 // record and its slab, which those responses land in; the next page
-// allocates its own. Reuse moves no event: the slab is written only by
-// the new page's discoveries, in the order they would write a fresh one.
+// allocates its own. A slab is made for the run's largest page (Expect),
+// so one lent page after page does not grow. Reuse moves no event: the
+// slab is written only by the new page's discoveries, in the order they
+// would write a fresh one.
 func (b *Browser) lend(n int) *pageLoad {
 	pl := b.cur
 	if pl == nil || !pl.drained() {
@@ -276,15 +288,15 @@ func (b *Browser) lend(n int) *pageLoad {
 	} else if invOn {
 		b.checkLent(pl)
 	}
-	*pl = pageLoad{b: b, fetches: zeroed(pl.fetches, n), revealers: pl.revealers}
+	*pl = pageLoad{b: b, fetches: zeroed(pl.fetches, n, b.widest), revealers: pl.revealers}
 	return pl
 }
 
 // zeroed returns s with length n and every element zero, reusing its
-// array when it holds n.
-func zeroed[T any](s []T, n int) []T {
+// array when it holds n, else in a new one that holds at least size.
+func zeroed[T any](s []T, n, size int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, size))
 	}
 	s = s[:n]
 	clear(s)
@@ -317,16 +329,41 @@ func (b *Browser) LoadPage(page *webpage.Page, done func(*trace.PageRecord)) {
 	b.Load(page, l)
 }
 
+// Expect sizes the run's record stores once, from pages, the whole page
+// set, before the first of them loads: their object records, Objects
+// slices and PageRecords come from one chunk each, a fetch slab holds
+// the largest of them, and the proxy's log every request they and their
+// beacons can make. A page loaded without it, or past what it reserved,
+// gets records of its own, as each page did before. The stores hand a
+// page the same zero records wherever they are cut from, so Expect moves
+// no event.
+func (b *Browser) Expect(pages []*webpage.Page) {
+	objects := 0
+	for _, p := range pages {
+		objects += len(p.Objects)
+		b.widest = max(b.widest, len(p.Objects))
+	}
+	b.objRecs.Reserve(objects)
+	b.objPtrs.Reserve(objects)
+	b.pageRecs.Reserve(len(pages))
+	requests := objects
+	if b.cfg.Beacons {
+		requests += len(beaconPaths) * len(pages)
+	}
+	b.prox.ExpectRun(requests)
+}
+
 // Load is LoadPage with a Loaded, which a caller can keep in a record
 // of its own instead of a closure a page.
 func (b *Browser) Load(page *webpage.Page, done Loaded) {
 	n := len(page.Objects)
 	pl := b.lend(n)
 	pl.page, pl.done = page, done
-	pl.rec = &trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: make([]*trace.ObjectRecord, 0, n)}
-	pl.records = make([]trace.ObjectRecord, n)
+	pl.rec = b.pageRecs.New()
+	*pl.rec = trace.PageRecord{Page: page, Start: b.loop.Now(), Objects: b.objPtrs.Take(n)[:0]}
+	pl.records = b.objRecs.Take(n)
+	pl.logs = b.prox.ExpectPage(n)
 	pl.markRevealers(page)
-	b.prox.ExpectPage(n)
 	b.cur = pl
 	pl.watchdog = b.loop.AfterCall(b.cfg.PageTimeout, (*watchdog)(pl))
 	b.discover(pl, page.Main())
@@ -358,6 +395,7 @@ func (b *Browser) discover(pl *pageLoad, obj *webpage.Object) {
 	pl.rec.Objects = append(pl.rec.Objects, or)
 	pl.outstanding++
 	f.Obj, f.Client, f.b, f.pl, f.or = obj, f, b, pl, or
+	f.LogTo(&pl.logs[i])
 	b.request(f)
 }
 

@@ -1,6 +1,8 @@
 package browser
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -94,10 +96,146 @@ func TestAbortedPageKeepsItsFetches(t *testing.T) {
 	}
 }
 
+// TestPageRecordsAreDisjoint: what Load carves for a page from the run's
+// stores — its object records, its Objects slice and the proxy's log
+// entries for its requests — lies in a range that no other page's
+// overlaps, and an append past a page's Objects capacity lands in an
+// array of its own. Pages are cut off as in
+// TestAbortedPageKeepsItsFetches, so responses of one page land while
+// the next loads; the run is made three ways on every arm: with every
+// page passed to Expect, with the largest left out (it and the pages
+// after it are carved past the reservation), and with no Expect at all.
+func TestPageRecordsAreDisjoint(t *testing.T) {
+	const pages, spacing = 14, 4 * time.Second
+	for _, mode := range []Mode{ModeHTTP, ModeSPDY, ModeH2, ModeQUIC} {
+		for _, expect := range []string{"all", "all-but-largest", "none"} {
+			t.Run(string(mode)+"/"+expect, func(t *testing.T) {
+				w := lossyWorld(4)
+				cfg := DefaultConfig(mode)
+				cfg.PageTimeout = 3 * time.Second
+				b := w.browser(cfg, 3)
+				specs := webpage.Table1()
+				var g webpage.Generator
+				set := make([]*webpage.Page, pages)
+				pageOf := map[*webpage.Object]int{}
+				largest := 0
+				for i := range set {
+					set[i] = g.Generate(specs[(i*7)%len(specs)], sim.NewRNG(uint64(i)))
+					for _, o := range set[i].Objects {
+						pageOf[o] = i
+					}
+					if len(set[i].Objects) > len(set[largest].Objects) {
+						largest = i
+					}
+				}
+				switch expect {
+				case "all":
+					b.Expect(set)
+				case "all-but-largest":
+					b.Expect(slices.Delete(slices.Clone(set), largest, largest+1))
+				}
+				recs := make([]*trace.PageRecord, pages)
+				for i, page := range set {
+					w.loop.At(sim.Time(i)*sim.Time(spacing), func() {
+						b.LoadPage(page, func(pr *trace.PageRecord) { recs[i] = pr })
+					})
+				}
+				w.loop.Run(sim.Time(pages)*sim.Time(spacing) + sim.Time(10*time.Minute))
+
+				var objRecs, objPtrs, logs []span
+				lateResponses, lateRequests := 0, 0 // landed or arrived after the next page began
+				for i, rec := range recs {
+					if rec == nil || rec.Page != set[i] {
+						t.Fatalf("page %d: record %v", i, rec)
+					}
+					for _, or := range rec.Objects {
+						if i+1 < pages && or.Done >= recs[i+1].Start {
+							lateResponses++
+						}
+					}
+					objRecs = append(objRecs, spanOf(i, rec.Objects, func(or *trace.ObjectRecord) *trace.ObjectRecord { return or }))
+					ptrs := unsafe.SliceData(rec.Objects)
+					objPtrs = append(objPtrs, span{i, uintptr(unsafe.Pointer(ptrs)), uintptr(unsafe.Pointer(ptrs)) + uintptr(cap(rec.Objects))*unsafe.Sizeof(ptrs)})
+				}
+				byPage := make([][]*trace.ProxyRecord, pages)
+				for _, pr := range w.prox.Records {
+					if i, ok := pageOf[pr.Obj]; ok {
+						byPage[i] = append(byPage[i], pr)
+						if i+1 < pages && pr.ReqArrived >= recs[i+1].Start {
+							lateRequests++
+						}
+					}
+				}
+				for i, prs := range byPage {
+					if len(prs) != len(recs[i].Objects) {
+						t.Fatalf("page %d: the proxy logged %d of its requests, the browser discovered %d objects", i, len(prs), len(recs[i].Objects))
+					}
+					logs = append(logs, spanOf(i, prs, func(pr *trace.ProxyRecord) *trace.ProxyRecord { return pr }))
+				}
+				// Only HTTP queues requests, which can reach the proxy after
+				// their page was cut off.
+				t.Logf("%d responses landed and %d requests arrived after the next page began", lateResponses, lateRequests)
+				if lateResponses == 0 || mode == ModeHTTP && lateRequests == 0 {
+					t.Fatal("the run must interleave pages: land responses, and on HTTP log requests, of one page while the next loads")
+				}
+				disjoint(t, "object records", objRecs)
+				disjoint(t, "Objects slices", objPtrs)
+				disjoint(t, "proxy log entries", logs)
+				if expect == "all" { // one chunk, carved page after page
+					for i := 1; i < pages; i++ {
+						if objPtrs[i].lo != objPtrs[i-1].hi {
+							t.Fatalf("page %d's Objects slice is not carved right after page %d's from the run's chunk", i, i-1)
+						}
+					}
+				}
+
+				sentinel := new(trace.ObjectRecord)
+				for _, rec := range recs {
+					_ = append(rec.Objects[:cap(rec.Objects)], sentinel)
+				}
+				for i, rec := range recs {
+					if slices.Contains(rec.Objects[:cap(rec.Objects)], sentinel) {
+						t.Fatalf("an append past one page's Objects wrote into page %d's", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// span is the address range [lo, hi) one page's records of a kind lie in.
+type span struct {
+	page   int
+	lo, hi uintptr
+}
+
+// spanOf returns the range the records ptr reads out of xs lie in.
+func spanOf[X any, T any](page int, xs []X, ptr func(X) *T) span {
+	s := span{page: page, lo: ^uintptr(0)}
+	for _, x := range xs {
+		p := uintptr(unsafe.Pointer(ptr(x)))
+		s.lo, s.hi = min(s.lo, p), max(s.hi, p+unsafe.Sizeof(*ptr(x)))
+	}
+	return s
+}
+
+// disjoint fails t when two pages' ranges overlap.
+func disjoint(t *testing.T, what string, spans []span) {
+	t.Helper()
+	spans = slices.DeleteFunc(slices.Clone(spans), func(s span) bool { return s.lo >= s.hi })
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for k := 1; k < len(spans); k++ {
+		if a, b := spans[k-1], spans[k]; b.lo < a.hi {
+			t.Errorf("%s: page %d's [%#x, %#x) overlaps page %d's [%#x, %#x)", what, a.page, a.lo, a.hi, b.page, b.lo, b.hi)
+		}
+	}
+}
+
 // TestLoadPageReusesFetchSlab: on a warm browser, a page that starts
 // after the last one drained takes that page's working record and fetch
 // slab — lending them allocates nothing — and only a page larger than
-// any before it grows the slab.
+// any before it grows the slab; after Expect, whose largest page the
+// first slab is made for, none does.
 func TestLoadPageReusesFetchSlab(t *testing.T) {
 	specs := webpage.Table1()
 	small := webpage.Generate(specs[6], sim.NewRNG(1)) // 119 objects
@@ -115,6 +253,14 @@ func TestLoadPageReusesFetchSlab(t *testing.T) {
 			loadOnce(t, w, b, large)
 			if b.cur != pl || unsafe.SliceData(b.cur.fetches) == slab || len(b.cur.fetches) != len(large.Objects) {
 				t.Fatal("a larger page did not grow the lent slab to its size")
+			}
+			sized := New(w.loop, w.net, w.prox, DefaultConfig(mode), sim.NewRNG(3))
+			sized.Expect([]*webpage.Page{small, large})
+			loadOnce(t, w, sized, small)
+			slab = unsafe.SliceData(sized.cur.fetches)
+			loadOnce(t, w, sized, large)
+			if unsafe.SliceData(sized.cur.fetches) != slab || cap(sized.cur.fetches) != len(large.Objects) {
+				t.Fatal("after Expect, the first fetch slab was not made for the largest page")
 			}
 			// Last: lend is called here without the Load that fills the
 			// record in, which the invariant checker would read.

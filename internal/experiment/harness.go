@@ -245,9 +245,13 @@ func (r *Result) Retransmissions() int {
 	return r.Recorder.Retransmissions()
 }
 
-// ThroughputSeries bins downlink bytes per second from the samples.
+// ThroughputSeries bins downlink bytes per second from the samples. The
+// samples are in time order, so the last one's second is the last bin.
 func (r *Result) ThroughputSeries() *stats.BinSeries {
 	s := stats.NewBinSeries(1.0)
+	if n := len(r.Samples); n > 0 {
+		s.Bins = make([]float64, 0, int(r.Samples[n-1].At.Seconds()/s.Width)+1)
+	}
 	var prev int64
 	for _, smp := range r.Samples {
 		s.Add(smp.At.Seconds(), float64(smp.DownlinkBytes-prev))
@@ -298,12 +302,14 @@ func buildNetwork(loop *sim.Loop, o Options, rng *sim.RNG) (*tcpsim.Network, *rr
 
 // GeneratePages builds the run's page set: deterministic for a given
 // seed, identical across protocol modes so comparisons are paired. The
-// pages are built on one Generator, so what a page's generation needs
-// only while it runs is allocated once for the set.
+// pages are built on one Generator, sized for the largest page any of
+// sites can yield, so what a page's generation needs only while it runs
+// is allocated once for the set.
 func GeneratePages(sites []webpage.SiteSpec, seed uint64) []*webpage.Page {
 	pages := make([]*webpage.Page, len(sites))
 	base := sim.NewRNG(seed)
 	var g webpage.Generator
+	g.Reserve(sites)
 	for i, spec := range sites {
 		pages[i] = g.Generate(spec, base.Fork(uint64(spec.Index)))
 	}
@@ -391,6 +397,7 @@ func run(opts Options, a *runArena, tap func(*tcpsim.Network)) *Result {
 		pages = GeneratePages(opts.Sites, opts.Seed)
 	}
 	order := VisitOrder(len(pages))
+	br.Expect(pages)
 
 	res := &Result{
 		Opts:       opts,

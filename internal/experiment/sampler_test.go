@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"slices"
 	"testing"
 
 	"spdier/internal/browser"
+	"spdier/internal/stats"
 )
 
 // samplerModes and samplerOptions are the two 3G sessions whose
@@ -47,5 +49,25 @@ func TestSamplesMatchFullWalk(t *testing.T) {
 				t.Fatalf("nothing to compare: %d samples with bytes in flight, peak %d connections", busy, peak)
 			}
 		})
+	}
+}
+
+// TestThroughputSeriesSizedOnce: the series is binned into an array made
+// once, for the last sample's second, and holds what binning the samples
+// one Add at a time into an empty series holds, bit for bit.
+func TestThroughputSeriesSizedOnce(t *testing.T) {
+	res := Run(samplerOptions(browser.ModeSPDY))
+	got := res.ThroughputSeries()
+	want := stats.NewBinSeries(1.0)
+	var prev int64
+	for _, smp := range res.Samples {
+		want.Add(smp.At.Seconds(), float64(smp.DownlinkBytes-prev))
+		prev = smp.DownlinkBytes
+	}
+	if len(got.Bins) == 0 || cap(got.Bins) != len(got.Bins) {
+		t.Fatalf("%d bins in an array of %d: want the array made for the last sample's second", len(got.Bins), cap(got.Bins))
+	}
+	if !slices.Equal(got.Bins, want.Bins) {
+		t.Fatal("the series' bins differ from binning the samples one Add at a time")
 	}
 }

@@ -16,9 +16,10 @@ import (
 // derived from the record (one pointer type per step, below), so neither
 // the loop's slots nor the stream assemblers hold a closure for it.
 //
-// The browser fills Obj and Client, then hands the exchange to a
-// Session's or an HTTPConn's ExpectRequest just before it writes the
-// request bytes. Everything else is the proxy's. An exchange serves one
+// The browser fills Obj and Client (and, for a page's object, the log
+// entry reserved for it: LogTo), then hands the exchange to a Session's
+// or an HTTPConn's ExpectRequest just before it writes the request
+// bytes. Everything else is the proxy's. An exchange serves one
 // request; a new request needs a zeroed one.
 type Exchange struct {
 	Obj    *webpage.Object
@@ -60,6 +61,10 @@ type Client interface {
 	Done()
 }
 
+// LogTo has the proxy log e's request in rec, an entry ExpectPage
+// reserved for e's page, instead of one carved when the request arrives.
+func (e *Exchange) LogTo(rec *trace.ProxyRecord) { e.rec = rec }
+
 // The steps, as the handlers that wait for them.
 type (
 	requestArrived  Exchange // the request's last byte is at the proxy
@@ -73,7 +78,7 @@ type (
 // created one inside the other, the second when the first fires.
 func (h *requestArrived) Call() {
 	e := (*Exchange)(h)
-	e.rec = e.p.record(e.Obj)
+	e.rec = e.p.record(e.Obj, e.rec)
 	wait, download := e.p.Origin.Timing(e.Obj)
 	e.download = download
 	e.p.Loop.AfterCall(wait, (*originFirstByte)(e))

@@ -279,7 +279,7 @@ func TestSingleLinkPricesHeadAtEnqueue(t *testing.T) {
 		o    *webpage.Object
 		prio spdy.Priority
 	}{{obj(10, 2_000, webpage.KindImg), 4}, {obj(11, 2_000, webpage.KindHTML), 0}} {
-		e := &Exchange{Obj: c.o, Client: hooks{first: func() { started = append(started, c.o.ID) }}, rec: r.w.prox.record(c.o)}
+		e := &Exchange{Obj: c.o, Client: hooks{first: func() { started = append(started, c.o.ID) }}, rec: r.w.prox.record(c.o, nil)}
 		r.sess.adopt(e, c.prio)
 		r.sess.enqueue(e)
 	}
@@ -534,7 +534,7 @@ func TestMuxPumpAllocations(t *testing.T) {
 				s.addLink(sink)
 				s.links[i].headSize = func(*webpage.Object) int { return 40 }
 			}
-			rec := w.prox.record(o)
+			rec := w.prox.record(o, nil)
 			respond := func() {
 				e := &Exchange{Obj: o, rec: rec}
 				s.adopt(e, 4)

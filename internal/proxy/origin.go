@@ -111,40 +111,39 @@ type Proxy struct {
 	Loop    *sim.Loop
 	Origin  *Origin
 	Records []*trace.ProxyRecord
-	// slab is what is left of the records reserved by ExpectPage; loose
-	// is where the records of requests nobody announced are carved.
-	slab  []trace.ProxyRecord
-	loose tcpsim.Slab[trace.ProxyRecord]
+	// slab is where the log's entries are carved: a page's reserved
+	// together by ExpectPage, a request nobody announced its own.
+	slab tcpsim.Slab[trace.ProxyRecord]
 }
 
-// looseChunk caps the loose records' chunks: a record is 48 bytes and
-// holds a pointer, so 170 are 8,160, 8,168 with the allocator's header,
-// in the 8,192-byte class (TestLooseRecordChunk).
-const looseChunk = 170
+// recordChunk caps the record slab's chunks past a run's reservation: a
+// record is 48 bytes and holds a pointer, so 170 are 8,160, 8,168 with
+// the allocator's header, in the 8,192-byte class (TestLooseRecordChunk).
+const recordChunk = 170
 
 // New creates a proxy host with the given origin model.
 func New(loop *sim.Loop, origin *Origin) *Proxy {
-	return &Proxy{Loop: loop, Origin: origin, loose: tcpsim.NewSlab[trace.ProxyRecord](looseChunk)}
+	return &Proxy{Loop: loop, Origin: origin, slab: tcpsim.NewSlab[trace.ProxyRecord](recordChunk)}
+}
+
+// ExpectRun sizes the log for a run of at most requests requests: their
+// entries come from one chunk, and Records holds them without growing.
+func (p *Proxy) ExpectRun(requests int) {
+	p.slab.Reserve(requests)
+	p.Records = make([]*trace.ProxyRecord, 0, requests)
 }
 
 // ExpectPage reserves log entries for a page of n objects about to be
-// requested: their records come out of one slab. What an earlier page
-// left unused is dropped.
-func (p *Proxy) ExpectPage(n int) {
-	if len(p.slab) < n {
-		p.slab = make([]trace.ProxyRecord, n)
-	}
-}
+// requested, carved together: the page's exchanges are logged in them
+// (Exchange.LogTo), whatever else arrives in between.
+func (p *Proxy) ExpectPage(n int) []trace.ProxyRecord { return p.slab.Take(n) }
 
-// record logs a request for obj arriving now and returns its entry. A
-// request nobody announced (a beacon, a test's) gets one from the loose
-// slab.
-func (p *Proxy) record(obj *webpage.Object) *trace.ProxyRecord {
-	var r *trace.ProxyRecord
-	if len(p.slab) > 0 {
-		r, p.slab = &p.slab[0], p.slab[1:]
-	} else {
-		r = p.loose.New()
+// record logs a request for obj arriving now in r, the entry reserved
+// for it, and returns it. A request nobody announced (a beacon, a
+// test's) has none, and gets one from the slab.
+func (p *Proxy) record(obj *webpage.Object, r *trace.ProxyRecord) *trace.ProxyRecord {
+	if r == nil {
+		r = p.slab.New()
 	}
 	r.Obj, r.ReqArrived = obj, p.Loop.Now()
 	p.Records = append(p.Records, r)

@@ -133,55 +133,65 @@ func TestOriginTimingBounds(t *testing.T) {
 	}
 }
 
-// TestRecordsComeFromThePageSlab: the log entries of an announced page
-// are carved from one allocation; a request beyond it gets one from the
-// loose slab (TestLooseRecordChunk).
+// TestRecordsComeFromThePageSlab: a run's log is sized once — its
+// entries come from one reserved chunk and Records holds them without
+// growing — and an announced page's entries are handed to its own
+// requests, whatever arrives in between; a request nobody announced gets
+// one of its own, not one of a page's.
 func TestRecordsComeFromThePageSlab(t *testing.T) {
 	w := newWorld(1, 10_000_000)
 	o := obj(1, 1000, webpage.KindImg)
-	const page = 8
-	w.prox.Records = make([]*trace.ProxyRecord, 0, 2*page)
-	w.prox.ExpectPage(page)
-	if n := testing.AllocsPerRun(page-1, func() { w.prox.record(o) }); n != 0 {
-		t.Fatalf("logging a request of an announced page allocates %v objects, want 0", n)
+	const page, run = 8, 40
+	if n := testing.AllocsPerRun(1, func() {
+		w.prox.ExpectRun(run)
+		first, second := w.prox.ExpectPage(page), w.prox.ExpectPage(page)
+		for i := range page {
+			w.prox.record(o, &second[i])
+			w.prox.record(o, nil)
+			w.prox.record(o, &first[i])
+		}
+	}); n != 2 {
+		t.Fatalf("a run of %d logged requests allocates %v objects, want 2: the reserved chunk and Records", 3*page, n)
 	}
-	extra := w.prox.record(o)
-	if len(w.prox.Records) != page+1 || extra.Obj != o {
-		t.Fatalf("%d records, want %d", len(w.prox.Records), page+1)
+	if len(w.prox.Records) != 3*page || cap(w.prox.Records) != run {
+		t.Fatalf("%d records in a log of capacity %d, want %d in %d", len(w.prox.Records), cap(w.prox.Records), 3*page, run)
 	}
+	base := unsafe.Pointer(w.prox.Records[2])
 	seen := map[*trace.ProxyRecord]bool{}
-	for _, r := range w.prox.Records {
+	for i, r := range w.prox.Records {
 		if seen[r] || r.Obj != o {
 			t.Fatalf("record %p reused or empty: %+v", r, r)
 		}
 		seen[r] = true
-	}
-	// A second page does not hand out the first one's entries again.
-	w.prox.ExpectPage(2)
-	if r := w.prox.record(o); seen[r] {
-		t.Fatal("an entry of the first page was handed out for the second")
+		// Entries 0–7 are the first page's, 8–15 the second's, 16–23
+		// the unannounced requests', in arrival order.
+		want := [3]int{page + i/3, 2*page + i/3, i / 3}[i%3]
+		if off := uintptr(unsafe.Pointer(r)) - uintptr(base); off != uintptr(want)*unsafe.Sizeof(*r) {
+			t.Fatalf("request %d logged at entry %d of the run's chunk, want %d", i, off/unsafe.Sizeof(*r), want)
+		}
 	}
 }
 
-// TestLooseRecordChunk: the log entries of requests nobody announced
-// are carved from chunks that double up to looseChunk records, the most
-// that fit the allocator's 8,192-byte class with the 8-byte header a
-// pointer-bearing chunk carries; one more must not fit.
+// TestLooseRecordChunk: without a run's reservation, the log entries of
+// requests nobody announced are carved from chunks that double up to
+// recordChunk records, the most that fit the allocator's 8,192-byte
+// class with the 8-byte header a pointer-bearing chunk carries; one more
+// must not fit.
 func TestLooseRecordChunk(t *testing.T) {
 	const class, header = 8192, 8
 	size := unsafe.Sizeof(trace.ProxyRecord{})
-	if full, over := looseChunk*size+header, (looseChunk+1)*size+header; full > class || over <= class {
+	if full, over := recordChunk*size+header, (recordChunk+1)*size+header; full > class || over <= class {
 		t.Errorf("a record is %d bytes: a chunk of %d takes %d, of %d %d; want the first in the %d-byte class and the second past it",
-			size, looseChunk, full, looseChunk+1, over, class)
+			size, recordChunk, full, recordChunk+1, over, class)
 	}
 	w := newWorld(1, 10_000_000)
 	o := obj(1, 1000, webpage.KindImg)
-	const n = 2 * looseChunk
+	const n = 2 * recordChunk
 	w.prox.Records = make([]*trace.ProxyRecord, 0, n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range n {
-		w.prox.record(o)
+		w.prox.record(o, nil)
 	}
 	runtime.ReadMemStats(&after)
 	// Chunks of 1, 2, 4 … 128 hold 255 records, two of 170 the rest.

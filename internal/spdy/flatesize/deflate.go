@@ -392,13 +392,11 @@ func (s *Sizer) deflate() {
 			// lookahead, the last two strings are not inserted into the hash
 			// table.
 			newIndex := s.index + prevLength - 1
-			index := s.index
-			for index++; index < newIndex; index++ {
-				if index < s.maxInsertIndex {
-					s.insertHash(index)
-				}
+			end := min(newIndex, s.maxInsertIndex)
+			for index := s.index + 1; index < end; index++ {
+				s.insertHash(index)
 			}
-			s.index = index
+			s.index = newIndex
 			s.byteAvailable = false
 			s.length = minMatchLength - 1
 			if s.block.tokens == maxFlateBlockTokens {

@@ -7,9 +7,10 @@ package tcpsim
 // twice the size of the one before, from one record up to the cap its
 // owner fits to a size class, as NameArena's are: a run of one
 // connection allocates no more than its record, one of 1,400 a chunk per
-// cap. Chunks never move, so a record's address holds for as long as
-// anything points into its chunk; nothing is given back. The zero value
-// allocates every record alone.
+// cap. An owner that knows how many records a run will take reserves
+// them (Reserve), and they come from one chunk. Chunks never move, so a
+// record's address holds for as long as anything points into its chunk;
+// nothing is given back. The zero value allocates every record alone.
 type Slab[T any] struct {
 	chunk []T
 	limit int
@@ -17,6 +18,11 @@ type Slab[T any] struct {
 
 // NewSlab returns a slab whose chunks grow to at most limit records.
 func NewSlab[T any](limit int) Slab[T] { return Slab[T]{limit: limit} }
+
+// Reserve begins a chunk of exactly n records: the next n that Take and
+// New hand out come from it, and what was left of the chunk before is
+// not handed out. Past it, chunks double from n as before.
+func (s *Slab[T]) Reserve(n int) { s.chunk = make([]T, 0, n) }
 
 // New returns a pointer to a zero T.
 func (s *Slab[T]) New() *T { return &s.Take(1)[0] }

@@ -178,6 +178,45 @@ type Generator struct {
 	ids      []int
 }
 
+// scratchLens is how long a page's scratch slices are: names and ends
+// index its names, objs is its object count (domainOf; kinds and perm
+// hold one fewer), ids its revealer array.
+type scratchLens struct{ names, ends, objs, ids int }
+
+// maxWaves is how many waves can reveal another: the main document's
+// (0) and waves 1–3; the deepest, 4, reveals none.
+const maxWaves = 4
+
+// lens returns the scratch lengths of a page of spec with the given
+// counts, as Generate draws them.
+func lens(spec SiteSpec, nText, nJSCSS, nImg int) scratchLens {
+	total, nDomains := max(1, nText)+nJSCSS+nImg, max(1, round(spec.Domains))
+	return scratchLens{
+		names: 32*nDomains + 12*total + 8 + len(spec.Category),
+		ends:  nDomains + total + 1,
+		objs:  total,
+		ids:   maxWaves * (nJSCSS + 1),
+	}
+}
+
+// Reserve sizes g's scratch once for the largest page any of specs can
+// jitter to (every count at its most, round(1.08·x)), so that building
+// their pages on g grows none of it.
+func (g *Generator) Reserve(specs []SiteSpec) {
+	if len(specs) == 0 {
+		return
+	}
+	most := func(x float64) int { return round(float64(1.08 * x)) } // the conversion keeps the product unfused
+	var m scratchLens
+	for _, spec := range specs {
+		l := lens(spec, most(spec.TextObjs), most(spec.JSCSS), most(spec.ImgsOther))
+		m = scratchLens{max(m.names, l.names), max(m.ends, l.ends), max(m.objs, l.objs), max(m.ids, l.ids)}
+	}
+	g.names, g.ends = make([]byte, m.names), make([]int, m.ends)
+	g.domainOf, g.kinds, g.perm = make([]int, m.objs), make([]Kind, m.objs-1), make([]int, m.objs-1)
+	g.ids = make([]int, m.ids)
+}
+
 // scratch returns s with length n, reusing its array when it holds n.
 // Its elements are whatever an earlier page left: the caller writes each
 // before reading it.
@@ -224,8 +263,9 @@ func (g *Generator) Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	// its own — is written into one buffer and cut out of the one string
 	// made from it at the end, and the objects come from one slab: a page
 	// costs a fixed number of allocations, not a few per object.
-	names := scratch(g.names, 32*nDomains+12*total+8+len(spec.Category))[:0]
-	ends := scratch(g.ends, nDomains+total+1)[:1] // names[ends[i]:ends[i+1]] is the i-th name
+	l := lens(spec, nText, nJSCSS, nImg)
+	names := scratch(g.names, l.names)[:0]
+	ends := scratch(g.ends, l.ends)[:1] // names[ends[i]:ends[i+1]] is the i-th name
 	ends[0] = 0
 
 	// Domains: primary first, then third parties; object assignment is
@@ -315,8 +355,8 @@ func (g *Generator) Generate(spec SiteSpec, rng *sim.RNG) *Page {
 	// revealers[w] collects wave-w JS/CSS ids that can parent wave w+1,
 	// each wave in its own stretch of one array (no wave can hold more
 	// than every script and stylesheet; wave 0 holds the main document).
-	var revealers [4][]int
-	ids := scratch(g.ids, len(revealers)*(nJSCSS+1))
+	var revealers [maxWaves][]int
+	ids := scratch(g.ids, l.ids)
 	for w := range revealers {
 		revealers[w] = ids[w*(nJSCSS+1) : w*(nJSCSS+1) : (w+1)*(nJSCSS+1)]
 	}

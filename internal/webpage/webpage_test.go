@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spdier/internal/sim"
 )
@@ -245,6 +246,33 @@ func TestGenerateAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() { g.Generate(spec, rng) }); n > warmBudget {
 			t.Fatalf("site %d (%d objects): a warm Generator allocates %v objects, want at most %d whatever the count", spec.Index, objects, n, warmBudget)
+		}
+	}
+}
+
+// TestReservedGeneratorDoesNotGrow: a Generator reserved for Table 1
+// holds the scratch of any page its sites can jitter to, so none of its
+// pages, the first included, grows a scratch slice: each is built on the
+// reserved arrays as Reserve left them, over enough seeds to reach each
+// count's extremes, and ends on the same arrays.
+func TestReservedGeneratorDoesNotGrow(t *testing.T) {
+	var sized Generator
+	sized.Reserve(Table1())
+	arrays := func(g *Generator) [6]unsafe.Pointer {
+		return [6]unsafe.Pointer{
+			unsafe.Pointer(unsafe.SliceData(g.names)), unsafe.Pointer(unsafe.SliceData(g.ends)),
+			unsafe.Pointer(unsafe.SliceData(g.domainOf)), unsafe.Pointer(unsafe.SliceData(g.kinds)),
+			unsafe.Pointer(unsafe.SliceData(g.perm)), unsafe.Pointer(unsafe.SliceData(g.ids)),
+		}
+	}
+	want := arrays(&sized)
+	for _, spec := range Table1() {
+		for seed := range uint64(500) {
+			g := sized
+			page := g.Generate(spec, sim.NewRNG(seed))
+			if got := arrays(&g); got != want {
+				t.Fatalf("site %d seed %d (%d objects) grew its scratch: arrays %v, reserved %v", spec.Index, seed, len(page.Objects), got, want)
+			}
 		}
 	}
 }
