@@ -71,9 +71,8 @@ func TestArenaRunOrderPermutation(t *testing.T) {
 }
 
 // arenaBlocks maps every block of memory a holds to its capacity: the
-// loop storage's slot pool, free list, drain scratch and bucket seed
-// arena, each spare bucket array and each class's stack of them, and
-// each spare zlib context (capacity 1).
+// loop storage's slot pool, free list and drain scratch, and each spare
+// zlib context (capacity 1).
 func arenaBlocks(a *runArena) map[unsafe.Pointer]int {
 	blocks := make(map[unsafe.Pointer]int)
 	add := func(v reflect.Value) {
@@ -85,14 +84,6 @@ func arenaBlocks(a *runArena) map[unsafe.Pointer]int {
 	add(st.FieldByName("slots"))
 	add(st.FieldByName("free"))
 	add(st.FieldByName("scratch"))
-	add(st.FieldByName("seeds"))
-	for c, spares := 0, st.FieldByName("spares"); c < spares.Len(); c++ {
-		stack := spares.Index(c)
-		add(stack)
-		for i := 0; i < stack.Len(); i++ {
-			add(stack.Index(i))
-		}
-	}
 	spare := reflect.ValueOf(&a.shelf).Elem().FieldByName("spare")
 	for i := 0; i < spare.Len(); i++ {
 		blocks[spare.Index(i).UnsafePointer()] = 1
@@ -100,27 +91,11 @@ func arenaBlocks(a *runArena) map[unsafe.Pointer]int {
 	return blocks
 }
 
-// bucketBytes is what a's loop storage holds in bucket arrays: the seed
-// arena and every spare.
-func bucketBytes(a *runArena) int {
-	st := reflect.ValueOf(&a.loop).Elem()
-	seeds := st.FieldByName("seeds")
-	entry := int(seeds.Type().Elem().Size())
-	n := seeds.Cap()
-	for c, spares := 0, st.FieldByName("spares"); c < spares.Len(); c++ {
-		for stack, i := spares.Index(c), 0; i < stack.Len(); i++ {
-			n += stack.Index(i).Cap()
-		}
-	}
-	return n * entry
-}
-
-// TestArenaSecondPassAddsNoSpare: forty runs of four arms on one arena,
+// TestArenaSecondPassAddsNoBlock: forty runs of four arms on one arena,
 // then the same forty again. The second pass adds no block and grows
-// none: a class holds as many spare bucket arrays as one run used at
-// once, whichever runs came before, so what the arena holds is bounded
-// by its busiest run, not by the union of the buckets its runs touched.
-func TestArenaSecondPassAddsNoSpare(t *testing.T) {
+// none: the slot pool, the scratch and the shelf hold what the busiest
+// run needed, whichever runs came before.
+func TestArenaSecondPassAddsNoBlock(t *testing.T) {
 	modes := []struct {
 		mode browser.Mode
 		net  NetworkKind
@@ -136,7 +111,7 @@ func TestArenaSecondPassAddsNoSpare(t *testing.T) {
 		}
 	}
 	pass()
-	first, held := arenaBlocks(a), bucketBytes(a)
+	first := arenaBlocks(a)
 	pass()
 	second := arenaBlocks(a)
 	for p, c := range second {
@@ -147,10 +122,6 @@ func TestArenaSecondPassAddsNoSpare(t *testing.T) {
 	if len(second) != len(first) {
 		t.Errorf("the arena holds %d blocks after the second pass, %d after the first", len(second), len(first))
 	}
-	if again := bucketBytes(a); again != held {
-		t.Errorf("the arena's bucket arrays hold %d bytes after the second pass, %d after the first", again, held)
-	}
-	t.Logf("bucket arrays held after forty runs: %d bytes", held)
 }
 
 // spdyArenaOpts is a six-site SPDY session over 3G.
@@ -159,9 +130,10 @@ func spdyArenaOpts(seed uint64) Options {
 }
 
 // TestWarmArenaAllocatesNoContextOrBucket: a run repeated on the arena
-// its first attempt left borrows every zlib context, the bucket seeds,
-// every spare bucket array and the slot and scratch arrays that run
-// used, and grows none of them.
+// its first attempt left borrows every zlib context and the slot and
+// scratch arrays that run used, and grows none of them; the wheel's
+// buckets are lists through the slots, so they need no memory of their
+// own.
 func TestWarmArenaAllocatesNoContextOrBucket(t *testing.T) {
 	r := NewRunner(1)
 	opts := spdyArenaOpts(1)

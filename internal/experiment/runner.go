@@ -65,9 +65,9 @@ func NewRunner(parallel int) *Runner {
 // under it: the event loop's storage and the SPDY sessions' zlib
 // contexts. A run takes them at its start; at its end the arena takes
 // them back, emptied, so the Result reaches none of it and the next run
-// starts where a fresh one does. It keeps as many bucket arrays of each
-// size class, and as many contexts, as its busiest run used at once. A
-// nil arena lends nothing: the one-shot Run allocates afresh.
+// starts where a fresh one does. It keeps as many event slots, and as
+// many contexts, as its busiest run used at once. A nil arena lends
+// nothing: the one-shot Run allocates afresh.
 type runArena struct {
 	loop  sim.Storage
 	shelf spdy.Shelf

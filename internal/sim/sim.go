@@ -77,12 +77,10 @@ var recycleEvents = true
 // must not be toggled while loops are running on other goroutines.
 func SetEventRecycling(on bool) { recycleEvents = on }
 
-// slot.pos states. The wheel only tracks membership: an event's bucket
-// is recomputed from its timestamp on cancel, never stored.
+// slot.pos states other than a bucket index.
 const (
 	posFree     = -1 // slot not queued (fired, stopped, or never used)
 	posInFlight = -2 // detached into the current drain batch
-	posQueued   = 0  // queued in some bucket
 )
 
 // Handler is what the loop fires: one method, no arguments. It is the
@@ -109,8 +107,13 @@ func (f Func) Call() { f() }
 type eventSlot struct {
 	h   Handler
 	at  Time
+	seq uint64
 	gen uint32
-	pos int32 // queue membership (see posFree/posInFlight/posQueued)
+	// pos is the index of the wheel bucket the slot is queued in, or
+	// posFree or posInFlight; next and prev link it into that bucket's
+	// list.
+	pos        int32
+	next, prev int32
 }
 
 // Loop is a discrete-event scheduler. The zero value is not usable; call
@@ -129,39 +132,29 @@ type Loop struct {
 }
 
 // NewLoop returns a scheduler with the clock at zero.
-func NewLoop() *Loop {
-	l := &Loop{}
-	l.w.seed()
-	return l
-}
+func NewLoop() *Loop { return NewLoopOn(&Storage{}) }
 
 // Storage is the memory a released loop leaves for the next one, all
-// emptied: the slot pool and its free list, the buckets' seed arena,
-// the spare bucket arrays by size class (every array the loop grew a
-// bucket into, in use at release or not) and the drain scratch. The
-// zero Storage holds nothing. It is plain memory with no lock: one loop
-// at a time may run on it.
+// emptied: the slot pool, its free list and the drain scratch. The zero
+// Storage holds nothing. It is plain memory with no lock: one loop at a
+// time may run on it.
 type Storage struct {
-	held    bool
 	slots   []eventSlot
 	free    []int32
-	seeds   []bref
-	spares  spareSet
 	scratch []flight
 }
 
 // NewLoopOn is NewLoop on st's memory, which it takes, leaving st
-// empty; on an empty st it is NewLoop. Only capacity carries over: the
-// loop starts with no slot, no free slot and no queued event, so it
-// hands out slot ids and generations, and fires, exactly as a NewLoop
-// does — a bucket's capacity is invisible to append and swap-remove.
+// empty. Only capacity carries over: the loop starts with no slot, no
+// free slot and no queued event, so it hands out slot ids and
+// generations, and fires, exactly as a NewLoop does.
 func NewLoopOn(st *Storage) *Loop {
-	if !st.held {
-		return NewLoop()
-	}
 	l := &Loop{slots: st.slots, free: st.free}
-	l.w = wheel{ovMin: Forever, seeds: st.seeds, spares: st.spares, scratch: st.scratch}
-	l.w.carve()
+	scratch := st.scratch
+	if scratch == nil {
+		scratch = make([]flight, 0, wheelSlots)
+	}
+	l.w.reset(0, scratch)
 	*st = Storage{}
 	return l
 }
@@ -263,9 +256,9 @@ func (l *Loop) AtCall(at Time, h Handler) Timer {
 	s := &l.slots[id]
 	s.h = h
 	s.at = at
-	s.pos = posQueued
+	s.seq = l.seq
 	l.w.count++
-	l.w.place(at, l.seq, id)
+	l.place(id)
 	return Timer{loop: l, id: id, gen: s.gen, epoch: l.epoch}
 }
 
@@ -296,7 +289,7 @@ func (l *Loop) Run(deadline Time) Time {
 func (l *Loop) RunUntilIdle() Time { return l.Run(Forever) }
 
 // Release drops every scheduled callback, the queue structure, and the
-// slot arena in O(levels), not O(slots): the epoch bump makes every
+// slot arena in O(buckets), not O(slots): the epoch bump makes every
 // outstanding Timer inert without walking the arena, and the arena
 // itself is dropped in one pointer swap so the object graph its
 // callbacks close over is immediately collectable. Call it once a
@@ -309,7 +302,7 @@ func (l *Loop) Release() {
 	l.epoch++
 	l.slots = nil
 	l.free = nil
-	l.w = wheel{cur: l.now, ovMin: Forever}
+	l.w.reset(l.now, nil)
 }
 
 // ReleaseTo is Release that hands the loop's memory, emptied, to st
@@ -319,11 +312,7 @@ func (l *Loop) Release() {
 // after its run neither pins nor sees what the next loop on st does.
 func (l *Loop) ReleaseTo(st *Storage) {
 	clear(l.slots)
-	w := &l.w
-	for b := range w.buckets {
-		w.spare(w.buckets[b])
-	}
-	*st = Storage{held: true, slots: l.slots[:0], free: l.free[:0], seeds: w.seeds, spares: w.spares, scratch: w.scratch[:0]}
+	*st = Storage{slots: l.slots[:0], free: l.free[:0], scratch: l.w.scratch[:0]}
 	l.Release()
 }
 

@@ -10,9 +10,9 @@ import (
 // eight plain ones and the eight with bursts) one after another on one
 // Storage, in three orders, each on a loop taken from what the previous
 // loop released: every trace must be the one a fresh NewLoop fires, and
-// the wheel must keep its memory discipline (checkArrays) throughout. A
-// loop reusing the slot pool, the seeds, the spares and the scratch
-// differs from a fresh one only in capacity.
+// the wheel's lists must hold together (checkLists) throughout. A loop
+// reusing the slot pool and the scratch differs from a fresh one only in
+// capacity.
 func TestStorageRunsAsFresh(t *testing.T) {
 	var forward []workload
 	for _, bursts := range []bool{false, true} {
@@ -32,11 +32,10 @@ func TestStorageRunsAsFresh(t *testing.T) {
 	}{{"forward", forward}, {"reversed", reversed}, {"interleaved", interleaved}} {
 		t.Run(o.name, func(t *testing.T) {
 			var st Storage
-			held := make(map[*bref]holder)
 			for _, wl := range o.wls {
 				loop := NewLoopOn(&st)
 				run := runWorkload(loop, wl, func() {
-					if err := checkArrays(&loop.w, held); err != nil {
+					if err := checkLists(loop); err != nil {
 						t.Fatalf("%v on a used storage, at %v: %v", wl, loop.Now(), err)
 					}
 				})
@@ -48,9 +47,6 @@ func TestStorageRunsAsFresh(t *testing.T) {
 					t.Fatalf("%v on a used storage: trace digest %#016x, pinned %#016x", wl, got, want)
 				}
 				loop.ReleaseTo(&st)
-				if err := checkSpares(&st.spares, make(map[*bref]holder)); err != nil {
-					t.Fatalf("after %v: %v", wl, err)
-				}
 			}
 		})
 	}
@@ -69,41 +65,21 @@ func TestReleaseToKeepsNothing(t *testing.T) {
 	loop.Run(50_000)
 	var st Storage
 	loop.ReleaseTo(&st)
-	if loop.slots != nil || loop.free != nil || loop.w.scratch != nil || loop.w.seeds != nil {
-		t.Fatal("the released loop kept its slot pool, free list, scratch or seed arena")
+	if loop.slots != nil || loop.free != nil || loop.w.scratch != nil {
+		t.Fatal("the released loop kept its slot pool, free list or scratch")
 	}
-	for i, b := range loop.w.buckets {
-		if b != nil {
-			t.Fatalf("the released loop kept bucket %d", i)
+	for b, h := range loop.w.head {
+		if h != nilSlot {
+			t.Fatalf("the released loop's bucket %d still lists slot %d", b, h)
 		}
 	}
-	for c, stack := range loop.w.spares {
-		if stack != nil {
-			t.Fatalf("the released loop kept its spares of class %d", c)
-		}
-	}
-	if !st.held || cap(st.slots) == 0 || len(st.slots) != 0 || len(st.free) != 0 {
+	if cap(st.slots) == 0 || len(st.slots) != 0 || len(st.free) != 0 {
 		t.Fatalf("storage holds %d/%d slots, %d free: want an emptied pool", len(st.slots), cap(st.slots), len(st.free))
 	}
 	for i, s := range st.slots[:cap(st.slots)] {
 		if s.h != nil {
 			t.Fatalf("handed-over slot %d still holds its callback", i)
 		}
-	}
-	// The loop had grown buckets still in use at release (100 events a
-	// few µs apart): they join the spares, emptied, each once.
-	if len(st.seeds) != seedEntries {
-		t.Fatalf("storage holds a seed arena of %d entries, want %d", len(st.seeds), seedEntries)
-	}
-	spares := 0
-	for _, stack := range st.spares {
-		spares += len(stack)
-	}
-	if spares == 0 {
-		t.Fatal("the buckets grown at release are not among the storage's spares")
-	}
-	if err := checkSpares(&st.spares, make(map[*bref]holder)); err != nil {
-		t.Fatal(err)
 	}
 	if stale.Pending() || stale.Stop() || loop.Pending() != 0 {
 		t.Fatal("a handle from before ReleaseTo is live")
@@ -131,8 +107,8 @@ func TestReleaseAllocationFree(t *testing.T) {
 
 // TestWarmStorageAllocationFree: a schedule repeated on the storage its
 // previous run released allocates the Loop value and nothing else — no
-// slot, no bucket, no scratch growth — while a fresh loop per run pays
-// the seeded buckets and every growth again.
+// slot and no scratch growth — while a fresh loop per run pays the
+// scratch and every growth of the slot pool again.
 func TestWarmStorageAllocationFree(t *testing.T) {
 	fn := Func(func() {})
 	schedule := func(loop *Loop) {
@@ -143,11 +119,14 @@ func TestWarmStorageAllocationFree(t *testing.T) {
 		loop.RunUntilIdle()
 	}
 	var st Storage // AllocsPerRun's warm-up run fills it
+	var last *Loop // a run's loop outlives the call that made it, so it is a heap object
 	warm := testing.AllocsPerRun(20, func() {
 		loop := NewLoopOn(&st)
 		schedule(loop)
 		loop.ReleaseTo(&st)
+		last = loop
 	})
+	_ = last
 	if warm != 1 {
 		t.Fatalf("a run on warm storage allocates %.1f objects, want 1 (the Loop)", warm)
 	}
@@ -158,38 +137,36 @@ func TestWarmStorageAllocationFree(t *testing.T) {
 	t.Logf("fresh loop: %.0f objects a run; warm storage: %.0f", fresh, warm)
 }
 
-// TestBucketGrowthIsRecycledWithinARun: on a fresh NewLoop, fifty
-// bursts of 64 events, one after another, each in a level-3 or level-4
-// bucket of its own, allocate no more objects than one burst does: each
-// bucket grows into the arrays the bucket before it gave back. (A
-// burst of 64 outgrows the 16-entry seeds of those levels.) Before the
-// spares, where every bucket kept what it grew from a 2-entry seed, one
-// burst cost 21 objects and fifty cost 266; with them, 20 and 20.
-func TestBucketGrowthIsRecycledWithinARun(t *testing.T) {
+// TestCrowdedBucketAllocatesNothing: on a fresh NewLoop, 64 events in
+// one level-3 bucket allocate exactly as many objects as 64 events one
+// to a bucket, and fifty such crowded buckets, one after another, as
+// many as one. A bucket is a list through its events' slots, so however
+// many events crowd it, only the slot pool grows, and each burst reuses
+// the slots the one before it freed.
+func TestCrowdedBucketAllocatesNothing(t *testing.T) {
 	fn := Func(func() {})
-	bursts := func(n int) func() {
-		return func() {
+	bursts := func(n int, at func(i, j int) Time) float64 {
+		return testing.AllocsPerRun(20, func() {
 			loop := NewLoop()
 			for i := 0; i < n; i++ {
-				base, step := Time(i+1)<<18, Time(1)<<12 // a level-3 bucket of its own
-				if i >= 25 {
-					base, step = Time(i-24)<<24, Time(1)<<18 // a level-4 bucket of its own
-				}
 				for j := 0; j < 64; j++ {
-					loop.AtCall(base+Time(j)*step, fn)
+					loop.AtCall(at(i, j), fn)
 				}
 				loop.RunUntilIdle()
 			}
-		}
+		})
 	}
-	none := testing.AllocsPerRun(20, bursts(0))
-	one := testing.AllocsPerRun(20, bursts(1))
-	fifty := testing.AllocsPerRun(20, bursts(50))
-	if one <= none {
-		t.Fatalf("one burst allocates %.0f objects, an idle loop %.0f: the burst grows nothing", one, none)
+	// Burst i fills level 3's slot i+1, 256 µs wide, which splits as it
+	// drains.
+	crowded := func(i, j int) Time { return Time(i+1)<<18 + Time(j)<<12 }
+	// Level 3's slots 1 to 63, then level 4's slot 1.
+	spread := func(_, j int) Time { return Time(j+1) << 18 }
+	one := bursts(1, crowded)
+	if s := bursts(1, spread); one != s {
+		t.Fatalf("64 events in one bucket allocate %.0f objects, 64 one to a bucket %.0f", one, s)
 	}
-	if fifty > one {
-		t.Fatalf("fifty bursts allocate %.0f objects, one burst %.0f: growth is not recycled", fifty, one)
+	if fifty := bursts(50, crowded); fifty != one {
+		t.Fatalf("fifty crowded buckets allocate %.0f objects, one %.0f: the slots are not reused", fifty, one)
 	}
-	t.Logf("idle loop: %.0f objects; one burst: %.0f; fifty: %.0f", none, one, fifty)
+	t.Logf("64 events, crowded or spread, and fifty crowded bursts: %.0f objects", one)
 }

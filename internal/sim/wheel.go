@@ -17,16 +17,17 @@ import (
 // Geometry. Placement is by 64-ary digits of the absolute timestamp: an
 // event lands at level k = the highest digit in which at and cur differ
 // (one Len64 of at XOR cur), in slot (at >> 6k) & 63. Digit placement
-// (rather than classic delta placement) buys two structural invariants:
+// (rather than classic delta placement) means slots never wrap: every
+// occupied slot at level k shares all higher digits with cur and exceeds
+// cur's own digit k, so "next event" is TrailingZeros64 on the lowest
+// non-empty occupancy bitmap — no carry or rotation handling anywhere.
 //
-//   - An event's bucket is a pure function of (at, cur). Cancel
-//     recomputes it and swap-removes after a short scan, so neither the
-//     slot pool nor the buckets carry position indexes, and re-placing
-//     an event never writes to the slot pool at all.
-//   - Slots never wrap: every occupied slot at level k shares all
-//     higher digits with cur and exceeds cur's own digit k, so "next
-//     event" is TrailingZeros64 on the lowest non-empty occupancy
-//     bitmap — no carry or rotation handling anywhere.
+// Buckets. As in Varghese and Lauck's wheel, a bucket is a list threaded
+// through its events' own records: each slot carries next, prev and, in
+// pos, the index of the bucket it is in, and the wheel holds one head
+// index per bucket. Placing appends at the tail and cancelling unlinks,
+// both O(1) with no scan, and the wheel owns no memory that grows with
+// how many events crowd one bucket: only the slot pool grows.
 //
 // A level-k bucket spans exactly one level-k tick (its events share all
 // digits above k), so the lowest bucket of the lowest non-empty level
@@ -46,8 +47,9 @@ import (
 //
 // Firing order. A level-0 slot holds exactly one tick (one exact
 // timestamp), so global (time, seq) order reduces to seq order within a
-// batch. Buckets are unsorted (cancel is swap-remove, a split appends),
-// so the detached batch is sorted by seq, then fired without touching
+// batch. A bucket's list is in placement order, not seq order (a split
+// or a pull appends re-placed events behind ones placed directly), so
+// the detached batch is sorted by seq, then fired without touching
 // the wheel again. That is the batched same-timestamp delivery: no
 // per-event re-sift, and events scheduled for the same tick by the
 // batch's own callbacks join a fresh pass with strictly higher seqs.
@@ -60,15 +62,15 @@ import (
 type wheel struct {
 	cur Time // wheel position: every queued event has at >= cur
 
-	count   int
-	occ     [wheelLevels]uint64
-	ovMin   Time // min at in the overflow bucket; Forever when empty
-	buckets [numBuckets][]bref
-	// seeds is the one allocation every bucket's seed slice is carved
-	// from (seedOf). A bucket holds its seed slice whenever it is empty.
-	seeds []bref
-	// spares are the grown bucket arrays no bucket is using, emptied.
-	spares  spareSet
+	count int
+	// occ has one bit per non-empty bucket: word k for level k, and
+	// word wheelLevels's bit 0 for the overflow bucket.
+	occ   [wheelLevels + 1]uint64
+	ovMin Time // min at in the overflow bucket; Forever when empty
+	// head is each bucket's first slot, nilSlot when it is empty: a
+	// circular doubly linked list through the slots' next and prev, in
+	// placement order, its tail the head's prev.
+	head    [numBuckets]int32
 	scratch []flight
 	// batchPending marks that nextTick already detached the returned
 	// tick's events into scratch, so drainTick starts there instead of
@@ -87,53 +89,9 @@ const (
 	overflowIdx = wheelLevels * wheelSlots
 	numBuckets  = overflowIdx + 1
 
-	// seedSmall and seedWide are the capacities of the buckets' seed
-	// slices, so that first-touch appends allocate nothing: seedWide at
-	// levels 3 and 4 (262 µs and 16.8 ms a slot), where link, ACK and
-	// retransmission timers crowd a bucket before it splits, seedSmall
-	// elsewhere. seedEntries is what all 385 take.
-	seedSmall   = 2
-	seedWide    = 16
-	seedEntries = (wheelLevels-2)*wheelSlots*seedSmall + 2*wheelSlots*seedWide + seedSmall
-
-	// A bucket that outgrows its seed borrows an array of twice its
-	// capacity, growMin at least, from the spares and gives it back
-	// when it empties. So a run holds as many grown arrays as its
-	// buckets use at once, not one per bucket it ever filled. growMin
-	// is above every seed, so capacity alone tells a seed slice from a
-	// grown array.
-	growMin = 2 * seedWide
-
-	// spareClasses bounds the spares' size classes: class c holds
-	// arrays of capacity growMin << c. A bucket grown past the last
-	// class (over a million events) owns its arrays outright.
-	spareClasses = 16
+	// nilSlot is the head of an empty bucket.
+	nilSlot = -1
 )
-
-// spareSet is a wheel's spare bucket arrays binned by capacity, one
-// stack per power-of-two class (spareClass).
-type spareSet [spareClasses][][]bref
-
-// spareClass is the class of a grown array's capacity n, a power of two
-// of at least growMin.
-func spareClass(n int) int { return bits.Len(uint(n)) - bits.Len(growMin) }
-
-// seedCap is the seed capacity of a bucket at level l (wheelLevels for
-// the overflow bucket).
-func seedCap(l int) int {
-	if l == 3 || l == 4 {
-		return seedWide
-	}
-	return seedSmall
-}
-
-// bref is one bucket entry. The (at, seq) key is stored inline so
-// min-scans, splits and overflow pulls never chase the slot pool.
-type bref struct {
-	at  Time
-	seq uint64
-	id  int32
-}
 
 // flight is one detached drain-batch entry; gen makes entries whose
 // timer was stopped by an earlier callback in the same batch inert.
@@ -143,88 +101,17 @@ type flight struct {
 	gen uint32
 }
 
-// seed gives an empty wheel at position 0 a small private capacity in
-// every bucket, carved from one allocation, and a drain scratch, so
-// first-touch appends during a run allocate nothing.
-func (w *wheel) seed() {
-	*w = wheel{ovMin: Forever, seeds: make([]bref, seedEntries), scratch: make([]flight, 0, wheelSlots)}
-	w.carve()
-}
-
-// carve gives every bucket its seed slice.
-func (w *wheel) carve() {
-	for b := range w.buckets {
-		w.buckets[b] = w.seedOf(b)
+// reset empties the wheel at position cur, keeping scratch as its drain
+// scratch.
+func (w *wheel) reset(cur Time, scratch []flight) {
+	*w = wheel{cur: cur, ovMin: Forever, scratch: scratch}
+	for b := range w.head {
+		w.head[b] = nilSlot
 	}
-}
-
-// seedOf is bucket b's seed slice, empty; nil on a wheel with no seeds
-// (a released loop's). The seed arena holds the seeds in bucket order.
-func (w *wheel) seedOf(b int) []bref {
-	if w.seeds == nil {
-		return nil
-	}
-	l := b >> wheelBits
-	off := (b & wheelMask) * seedCap(l)
-	for k := 0; k < l; k++ {
-		off += wheelSlots * seedCap(k)
-	}
-	return w.seeds[off : off : off+seedCap(l)]
-}
-
-// grow returns full bucket b's entries in an array of twice its
-// capacity (growMin at least): a spare of that class if there is one, a
-// new array if not. The old array becomes a spare unless it is a seed
-// slice.
-func (w *wheel) grow(b int) []bref {
-	bk := w.buckets[b]
-	n := max(2*cap(bk), growMin)
-	var nb []bref
-	if c := spareClass(n); c < spareClasses && len(w.spares[c]) > 0 {
-		s := w.spares[c]
-		nb = s[len(s)-1][:len(bk)]
-		w.spares[c] = s[:len(s)-1]
-	} else {
-		nb = make([]bref, len(bk), n)
-	}
-	copy(nb, bk)
-	w.spare(bk)
-	return nb
-}
-
-// spare takes back bk, an array no bucket uses any more: a grown one
-// joins the spares of its class, a seed slice stays in the seeds.
-func (w *wheel) spare(bk []bref) {
-	if cap(bk) <= seedWide {
-		return
-	}
-	if c := spareClass(cap(bk)); c < spareClasses {
-		w.spares[c] = append(w.spares[c], bk[:0])
-	}
-}
-
-// empty marks bucket b, whose entries have all left, empty: it gets its
-// seed slice back, and its grown array, if it had one, goes to the
-// spares. Small enough to inline at the drain sites, where a bucket
-// that never grew takes the first branch.
-func (w *wheel) empty(b int, bk []bref) {
-	if cap(bk) > seedWide {
-		w.unborrow(b, bk)
-		return
-	}
-	w.buckets[b] = bk[:0]
-}
-
-// unborrow is empty's out-of-line half, for a grown bucket.
-//
-//go:noinline
-func (w *wheel) unborrow(b int, bk []bref) {
-	w.spare(bk)
-	w.buckets[b] = w.seedOf(b)
 }
 
 // bucketFor returns the bucket index for timestamp at under the current
-// wheel position: the digit-placement rule shared by place and cancel.
+// wheel position: the digit-placement rule.
 func (w *wheel) bucketFor(at Time) int {
 	x := uint64(at ^ w.cur)
 	if x >= uint64(wheelHorizon) {
@@ -237,51 +124,58 @@ func (w *wheel) bucketFor(at Time) int {
 	return level*wheelSlots + int(uint64(at)>>(uint(level)*wheelBits))&wheelMask
 }
 
-// place files an event into its bucket. Re-placement during splits and
-// overflow pulls comes through here too and touches only bucket memory,
-// never the slot pool.
-func (w *wheel) place(at Time, seq uint64, id int32) {
-	b := w.bucketFor(at)
-	bk := w.buckets[b]
-	if len(bk) == cap(bk) {
-		bk = w.grow(b)
+// detach empties bucket b and returns its list's first slot, whose prev
+// is the last; the list's links are left for the caller to walk.
+func (w *wheel) detach(b int) int32 {
+	id := w.head[b]
+	w.head[b] = nilSlot
+	w.occ[b>>wheelBits] &^= 1 << uint(b&wheelMask)
+	return id
+}
+
+// place files slot id at the tail of its timestamp's bucket. Re-placing
+// during splits and overflow pulls comes through here too: the walk
+// that re-places saves the slot's next first.
+func (l *Loop) place(id int32) {
+	w := &l.w
+	s := &l.slots[id]
+	b := w.bucketFor(s.at)
+	s.pos = int32(b)
+	if b == overflowIdx && s.at < w.ovMin {
+		w.ovMin = s.at
 	}
-	w.buckets[b] = append(bk, bref{at: at, seq: seq, id: id})
-	if b < overflowIdx {
+	h := w.head[b]
+	if h == nilSlot {
+		w.head[b] = id
+		s.next, s.prev = id, id
 		w.occ[b>>wheelBits] |= 1 << uint(b&wheelMask)
-	} else if at < w.ovMin {
-		w.ovMin = at
+		return
+	}
+	hs := &l.slots[h]
+	s.next, s.prev = h, hs.prev
+	l.slots[hs.prev].next = id
+	hs.prev = id
+}
+
+// pull re-files every event of the non-empty overflow bucket: those
+// inside the current window into the wheel, the rest back into the
+// overflow bucket, whose minimum the re-placing recomputes.
+func (l *Loop) pull() {
+	w := &l.w
+	w.ovMin = Forever
+	id := w.detach(overflowIdx)
+	for last := l.slots[id].prev; ; {
+		next := l.slots[id].next
+		l.place(id)
+		if id == last {
+			return
+		}
+		id = next
 	}
 }
 
-// pull re-files every overflow event inside the current window and
-// recomputes the overflow minimum. place never appends to the overflow
-// bucket for an in-window timestamp, so in-place compaction is safe,
-// and the overflow array is not a spare while place may take one.
-func (w *wheel) pull() {
-	ov := w.buckets[overflowIdx]
-	keep := ov[:0]
-	minKeep := Forever
-	for _, e := range ov {
-		if uint64(e.at^w.cur) < uint64(wheelHorizon) {
-			w.place(e.at, e.seq, e.id)
-			continue
-		}
-		keep = append(keep, e)
-		if e.at < minKeep {
-			minKeep = e.at
-		}
-	}
-	if len(keep) == 0 {
-		w.empty(overflowIdx, keep)
-	} else {
-		w.buckets[overflowIdx] = keep
-	}
-	w.ovMin = minKeep
-}
-
-// cancel removes queued slot id from the wheel; the caller frees the
-// slot afterwards.
+// cancel removes queued slot id from the wheel, unlinking it from its
+// bucket's list; the caller frees the slot afterwards.
 func (l *Loop) cancel(id int32) {
 	w := &l.w
 	w.count--
@@ -291,24 +185,18 @@ func (l *Loop) cancel(id int32) {
 		// (against the freed slot) makes its entry inert.
 		return
 	}
-	b := w.bucketFor(s.at)
-	bk := w.buckets[b]
-	last := len(bk) - 1
-	for p := last; ; p-- {
-		if bk[p].id != id {
-			continue
-		}
-		bk[p] = bk[last]
-		w.buckets[b] = bk[:last]
-		break
-	}
-	if last == 0 {
-		w.empty(b, bk)
+	b := int(s.pos)
+	if s.next == id {
+		w.detach(b)
 		if b == overflowIdx {
 			w.ovMin = Forever
-		} else {
-			w.occ[b>>wheelBits] &^= 1 << uint(b&wheelMask)
 		}
+		return
+	}
+	l.slots[s.prev].next = s.next
+	l.slots[s.next].prev = s.prev
+	if w.head[b] == id {
+		w.head[b] = s.next
 	}
 	// A cancelled overflow minimum can leave ovMin stale-low; that only
 	// triggers an early pull, which recomputes it.
@@ -368,12 +256,12 @@ search:
 			t := (w.cur &^ Time(wheelMask)) | Time(bits.TrailingZeros64(w.occ[0]))
 			// The overflow-empty check breaks the Forever tie: with
 			// events queued at t == Forever the ovMin sentinel equals t
-			// without anything to pull.
-			if w.ovMin <= t && len(w.buckets[overflowIdx]) != 0 {
+			// without anything to pull. The higher levels check it too.
+			if w.ovMin <= t && w.occ[wheelLevels] != 0 {
 				if w.ovMin > deadline {
 					return 0, false
 				}
-				w.pull()
+				l.pull()
 				continue search
 			}
 			if t > deadline {
@@ -391,23 +279,24 @@ search:
 			if w.occ[k] == 0 {
 				continue
 			}
-			p := bits.TrailingZeros64(w.occ[k])
-			bIdx := k*wheelSlots + p
-			bk := w.buckets[bIdx]
-			minAt := bk[0].at
-			for j := 1; j < len(bk); j++ {
-				if bk[j].at < minAt {
-					minAt = bk[j].at
+			b := k*wheelSlots + bits.TrailingZeros64(w.occ[k])
+			first := w.head[b]
+			last := l.slots[first].prev
+			minAt := l.slots[first].at
+			for id := first; id != last; {
+				id = l.slots[id].next
+				if at := l.slots[id].at; at < minAt {
+					minAt = at
 				}
 			}
-			if w.ovMin <= minAt {
+			if w.ovMin <= minAt && w.occ[wheelLevels] != 0 {
 				if w.ovMin > deadline {
 					return 0, false
 				}
 				// ovMin lies between cur and an in-window wheel
 				// timestamp, so it shares cur's window and the pull is
 				// guaranteed to file it.
-				w.pull()
+				l.pull()
 				continue search
 			}
 			if minAt > deadline {
@@ -417,22 +306,24 @@ search:
 			// minimum-timestamp events go directly into the drain
 			// batch, later ones re-place at a strictly lower level
 			// (they share digit k and everything above it with the new
-			// cur, so they can never land back in this bucket). The
-			// bucket's array is emptied only after the loop: a spare
-			// it became could be taken by a re-place while bk is read.
-			w.occ[k] &^= 1 << uint(p)
+			// cur, so they can never land back in this bucket).
+			w.detach(b)
 			w.cur = minAt
 			w.scratch = w.scratch[:0]
-			for _, e := range bk {
-				if e.at != minAt {
-					w.place(e.at, e.seq, e.id)
-					continue
+			for id := first; ; {
+				s := &l.slots[id]
+				next := s.next
+				if s.at != minAt {
+					l.place(id)
+				} else {
+					w.scratch = append(w.scratch, flight{seq: s.seq, id: id, gen: s.gen})
+					s.pos = posInFlight
 				}
-				s := &l.slots[e.id]
-				w.scratch = append(w.scratch, flight{seq: e.seq, id: e.id, gen: s.gen})
-				s.pos = posInFlight
+				if id == last {
+					break
+				}
+				id = next
 			}
-			w.empty(bIdx, bk)
 			w.batchPending = true
 			return minAt, true
 		}
@@ -440,11 +331,11 @@ search:
 		// Wheel empty: only the overflow bucket (if anything) remains.
 		// Jump straight to its minimum — this is the one place a
 		// Forever-scheduled event is ever examined.
-		if len(w.buckets[overflowIdx]) == 0 || w.ovMin > deadline {
+		if w.occ[wheelLevels] == 0 || w.ovMin > deadline {
 			return 0, false
 		}
 		w.cur = w.ovMin
-		w.pull()
+		l.pull()
 	}
 }
 
@@ -456,7 +347,6 @@ search:
 func (l *Loop) drainTick(t Time) {
 	w := &l.w
 	slot := int(uint64(t) & wheelMask)
-	bit := uint64(1) << uint(slot)
 	if w.batchPending {
 		// nextTick already detached this tick's events; fire them
 		// without touching the level-0 bucket. A singleton batch — the
@@ -480,34 +370,31 @@ func (l *Loop) drainTick(t Time) {
 		if l.stopped {
 			return // unfired same-tick events stay queued in the bucket
 		}
-		bk := w.buckets[slot] // level-0 bucket index == slot index
-		if len(bk) == 0 {
-			w.occ[0] &^= bit
+		if w.head[slot] == nilSlot { // level-0 bucket index == slot index
 			return
 		}
-		if len(bk) == 1 {
+		id := w.detach(slot)
+		if s := &l.slots[id]; s.next == id {
 			// Singleton tick: no batch to sort and no mid-batch stop to
 			// arbitrate, so fire directly without the scratch detach.
-			e := bk[0]
-			l.inOrder(e.seq)
-			s := &l.slots[e.id]
+			l.inOrder(s.seq)
 			call := s.h
-			w.empty(slot, bk)
-			w.occ[0] &^= bit
 			w.count--
-			l.freeSlot(e.id)
+			l.freeSlot(id)
 			l.fired++
 			call.Call()
 			continue
 		}
 		w.scratch = w.scratch[:0]
-		for _, e := range bk {
-			s := &l.slots[e.id]
-			w.scratch = append(w.scratch, flight{seq: e.seq, id: e.id, gen: s.gen})
+		for last := l.slots[id].prev; ; {
+			s := &l.slots[id]
+			w.scratch = append(w.scratch, flight{seq: s.seq, id: id, gen: s.gen})
 			s.pos = posInFlight
+			if id == last {
+				break
+			}
+			id = s.next
 		}
-		w.empty(slot, bk)
-		w.occ[0] &^= bit
 		if !l.fireBatch() {
 			return
 		}
@@ -553,13 +440,9 @@ func (l *Loop) fireBatch() bool {
 // events the batch's callbacks scheduled for the same tick is
 // irrelevant: the next drain re-sorts by seq.
 func (l *Loop) requeue(rest []flight) {
-	w := &l.w
 	for _, e := range rest {
-		s := &l.slots[e.id]
-		if s.gen != e.gen {
-			continue
+		if l.slots[e.id].gen == e.gen {
+			l.place(e.id)
 		}
-		s.pos = posQueued
-		w.place(s.at, e.seq, e.id)
 	}
 }

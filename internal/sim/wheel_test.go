@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // onWheel runs fn on a fresh NewLoop under the subtest "wheel", the
@@ -133,6 +132,24 @@ func TestWheelForeverNeverCascades(t *testing.T) {
 	})
 }
 
+// TestWheelNearForever fires events in the last wheel window before
+// Forever, Forever itself among them: with the overflow empty, the
+// Forever sentinel of its minimum ties an event at Forever in a higher
+// level, which must not be taken for an overflow event to pull.
+func TestWheelNearForever(t *testing.T) {
+	onWheel(t, func(t *testing.T, loop *Loop) {
+		var fired []Time
+		for _, at := range []Time{Forever, Forever - 1000, Forever - 1<<20} {
+			loop.At(at, func() { fired = append(fired, loop.Now()) })
+		}
+		loop.RunUntilIdle()
+		want := fmt.Sprint([]Time{Forever - 1<<20, Forever - 1000, Forever})
+		if got := fmt.Sprint(fired); got != want {
+			t.Fatalf("fired at %s, want %s", got, want)
+		}
+	})
+}
+
 // TestWheelDeadlineResume runs to a deadline that lands between events,
 // asserts the clock parks exactly there, then resumes and checks nothing
 // was lost or reordered by the pause.
@@ -232,7 +249,7 @@ type workloadRun struct {
 }
 
 // workload names one pseudo-random schedule: its seed, and whether it
-// adds the bursts that work the wheel's spare arrays.
+// adds the bursts that crowd one bucket with 65–128 events.
 type workload struct {
 	seed   uint64
 	bursts bool
@@ -260,7 +277,7 @@ func runScheduleWorkload(loop *Loop, seed uint64) workloadRun {
 // beyond the wheel's window: every other same-instant burst stops the
 // loop in the middle of its batch (runTo resumes it, so the tail is
 // requeued), and every other spread burst is cancelled whole before it
-// is due, emptying a grown bucket. check, if set, runs after every
+// is due, emptying a crowded bucket. check, if set, runs after every
 // callback and every run segment.
 func runWorkload(loop *Loop, wl workload, check func()) workloadRun {
 	rng := NewRNG(wl.seed)
@@ -428,9 +445,9 @@ func traceDigest(trace []traceEvent, fired uint64) uint64 {
 }
 
 // burstDigests pins runWorkload's trace, as workloadDigests does, for
-// the bursts workloads of seeds 1…8. They were recorded on the wheel
-// whose buckets each kept the largest array they grew to, before
-// buckets borrowed their grown arrays from the spares.
+// the bursts workloads of seeds 1…8. They were recorded on a wheel whose
+// buckets were arrays of (time, seq, slot) entries; the wheel of bucket
+// lists fires the same traces.
 var burstDigests = [8]uint64{
 	0xe7e9a502b9a597cd, 0x83fc6bc2a5caa238, 0x3631175c13f579a3, 0x9d7e4ff5bd41daf2,
 	0xa328013bde990a17, 0x3cd4cdd4b08adb2c, 0x12eeee8a57f654c1, 0x7e9c1a6ed949df84,
@@ -443,10 +460,10 @@ var burstDigests = [8]uint64{
 // the (time, seq) contract across every bucket/cascade/cancel path the
 // workload touches. The order check sees an event fired out of order;
 // the accounting below sees the one defect it cannot, a lost event.
-// After every callback and every run segment, checkArrays holds the
-// wheel to its memory discipline: an array shared by two buckets, or by
-// a bucket and a spare, would let one bucket's appends overwrite
-// another's events.
+// After every callback and every run segment, checkLists holds the
+// wheel's lists to their links: a slot linked into two buckets, or a
+// bucket whose occupancy bit is wrong, could lose or misfile an event
+// without tripping the order check.
 func TestSchedulerDifferentialRandom(t *testing.T) {
 	for _, bursts := range []bool{false, true} {
 		for seed := uint64(1); seed <= 8; seed++ {
@@ -456,9 +473,9 @@ func TestSchedulerDifferentialRandom(t *testing.T) {
 				pinned = burstDigests[seed-1]
 			}
 			t.Run(wl.String(), func(t *testing.T) {
-				loop, held := NewLoop(), make(map[*bref]holder)
+				loop := NewLoop()
 				run := runWorkload(loop, wl, func() {
-					if err := checkArrays(&loop.w, held); err != nil {
+					if err := checkLists(loop); err != nil {
 						t.Fatalf("at %v: %v", loop.Now(), err)
 					}
 				})
@@ -478,71 +495,49 @@ func TestSchedulerDifferentialRandom(t *testing.T) {
 	}
 }
 
-// checkArrays checks the wheel's memory discipline: every bucket holds
-// an array no other bucket and no spare holds — its own seed slice,
-// which it holds whenever it is empty, or a grown array of a
-// power-of-two capacity — and every spare is empty, of its class's
-// capacity, and held once. held is scratch for the arrays seen, reused
-// across calls.
-func checkArrays(w *wheel, held map[*bref]holder) error {
-	clear(held)
-	for b := range w.buckets {
-		bk, h := w.buckets[b], holder{bucket: b}
-		switch {
-		case cap(bk) <= seedWide:
-			// Seed slices are disjoint by construction: a bucket is
-			// held to its own.
-			if seed := w.seedOf(b); cap(bk) != cap(seed) || unsafe.SliceData(bk) != unsafe.SliceData(seed) {
-				return fmt.Errorf("%v holds a %d-entry array that is not its seed slice", h, cap(bk))
-			}
+// checkLists checks the wheel's buckets against the slots they thread
+// through: every listed slot's pos names its bucket, which is the bucket
+// of its timestamp, and its next's prev is itself; a bucket's occupancy
+// bit is set exactly when its head is a slot; no overflow event is
+// earlier than the overflow minimum, which is Forever when the bucket is
+// empty; and no more slots are listed than the wheel counts queued
+// (which also bounds the walk of a list that never returns to its head).
+func checkLists(l *Loop) error {
+	w := &l.w
+	if extra := w.occ[wheelLevels] &^ 1; extra != 0 {
+		return fmt.Errorf("occupancy bits %#x set past the overflow bucket", extra)
+	}
+	if w.head[overflowIdx] == nilSlot && w.ovMin != Forever {
+		return fmt.Errorf("the overflow bucket is empty, its minimum %v", w.ovMin)
+	}
+	listed := 0
+	for b, h := range w.head {
+		if occupied := w.occ[b>>wheelBits]&(1<<uint(b&wheelMask)) != 0; occupied != (h != nilSlot) {
+			return fmt.Errorf("bucket %d has head %d but occupancy bit %v", b, h, occupied)
+		}
+		if h == nilSlot {
 			continue
-		case len(bk) == 0:
-			return fmt.Errorf("%v is empty but holds a grown array (capacity %d)", h, cap(bk))
-		case cap(bk)&(cap(bk)-1) != 0:
-			return fmt.Errorf("%v holds an array of capacity %d, not a power of two", h, cap(bk))
 		}
-		if err := hold(held, bk, h); err != nil {
-			return err
-		}
-	}
-	return checkSpares(&w.spares, held)
-}
-
-// checkSpares is checkArrays' half for a spare set, which a Storage
-// holds too; held maps each array seen so far to its holder.
-func checkSpares(spares *spareSet, held map[*bref]holder) error {
-	for c, stack := range spares {
-		for i, a := range stack {
-			h := holder{bucket: -1, class: c, index: i}
-			if len(a) != 0 || cap(a) != growMin<<c {
-				return fmt.Errorf("%v has %d entries, capacity %d: want 0, %d", h, len(a), cap(a), growMin<<c)
+		for id := h; ; {
+			if listed++; listed > w.count {
+				return fmt.Errorf("more slots listed than the %d queued (at bucket %d)", w.count, b)
 			}
-			if err := hold(held, a, h); err != nil {
-				return err
+			s := &l.slots[id]
+			if int(s.pos) != b || w.bucketFor(s.at) != b {
+				return fmt.Errorf("slot %d (at %v) is listed in bucket %d, its pos is %d and its timestamp's bucket %d",
+					id, s.at, b, s.pos, w.bucketFor(s.at))
+			}
+			if b == overflowIdx && s.at < w.ovMin {
+				return fmt.Errorf("overflow slot %d is due at %v, before the overflow minimum %v", id, s.at, w.ovMin)
+			}
+			if back := l.slots[s.next].prev; back != id {
+				return fmt.Errorf("slot %d's next, %d, has prev %d", id, s.next, back)
+			}
+			if id = s.next; id == h {
+				break
 			}
 		}
 	}
-	return nil
-}
-
-// holder names who holds an array: a bucket, or the spare at index of
-// class's stack (bucket -1).
-type holder struct{ bucket, class, index int }
-
-func (h holder) String() string {
-	if h.bucket >= 0 {
-		return fmt.Sprintf("bucket %d", h.bucket)
-	}
-	return fmt.Sprintf("spare %d of class %d", h.index, h.class)
-}
-
-// hold records that h holds a, failing if another holder does.
-func hold(held map[*bref]holder, a []bref, h holder) error {
-	p := unsafe.SliceData(a)
-	if other, ok := held[p]; ok {
-		return fmt.Errorf("%v holds the array %v holds", h, other)
-	}
-	held[p] = h
 	return nil
 }
 
@@ -565,25 +560,26 @@ func mustPanic(t *testing.T, want string, fn func()) {
 func TestOrderCheckCatchesForgedDefects(t *testing.T) {
 	t.Run("misfiled-entry", func(t *testing.T) {
 		loop := NewLoop()
-		loop.At(100, func() {}) // level 1, slot 1 (64–127 ns)
-		loop.At(150, func() {}) // level 1, slot 2 (128–191 ns)
+		early := loop.At(100, func() {}) // level 1, slot 1 (64–127 ns)
+		loop.At(150, func() {})          // level 1, slot 2 (128–191 ns)
 		// Refile the 100 ns entry in slot 3 (192–255 ns): the 150 ns
 		// event fires first, and the min-scan of slot 3 then yields 100.
 		w := &loop.w
-		w.buckets[wheelSlots+3] = append(w.buckets[wheelSlots+3], w.buckets[wheelSlots+1]...)
-		w.buckets[wheelSlots+1] = w.buckets[wheelSlots+1][:0]
+		w.head[wheelSlots+3], w.head[wheelSlots+1] = early.id, nilSlot
+		loop.slots[early.id].pos = wheelSlots + 3
 		w.occ[1] = w.occ[1]&^(1<<1) | 1<<3
 		mustPanic(t, "draining tick 100ns after 150ns", func() { loop.RunUntilIdle() })
 	})
 	t.Run("tick-before-the-last", func(t *testing.T) {
 		loop := NewLoop()
 		loop.At(100, func() {})
-		loop.At(110, func() {})
+		late := loop.At(110, func() {})
 		loop.Run(100) // fires 100 ns; 110 ns re-files in level-0 slot 46
 		// Move it to slot 6: the level-0 tick 70 ns, which the wheel
 		// has already passed.
 		w := &loop.w
-		w.buckets[6], w.buckets[46] = w.buckets[46], w.buckets[6]
+		w.head[6], w.head[46] = late.id, nilSlot
+		loop.slots[late.id].pos = 6
 		w.occ[0] = 1 << 6
 		mustPanic(t, "draining tick 70ns after 100ns", func() { loop.RunUntilIdle() })
 	})

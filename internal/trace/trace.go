@@ -94,11 +94,17 @@ func (r *ProxyRecord) QueueDelay() time.Duration { return r.SendStart.Sub(r.Orig
 func (r *ProxyRecord) Transfer() time.Duration { return r.SendDone.Sub(r.SendStart) }
 
 // RetxBurst is one run of temporally clustered retransmissions and the
-// set of connections it touched (Figure 13's analysis).
+// connections it touched (Figure 13's analysis).
 type RetxBurst struct {
 	Start, End sim.Time
 	Count      int
-	Conns      map[string]int
+	Conns      []ConnRetx // in order of first retransmission
+}
+
+// ConnRetx is one connection's retransmissions within a burst.
+type ConnRetx struct {
+	ID string
+	N  int
 }
 
 // FindRetxBursts clusters the retransmission samples in rec: events
@@ -114,19 +120,29 @@ func FindRetxBursts(rec *tcpsim.Recorder, gap time.Duration) []RetxBurst {
 	sort.Slice(events, func(i, j int) bool { return events[i].At < events[j].At })
 	var bursts []RetxBurst
 	for _, e := range events {
-		if n := len(bursts); n > 0 && e.At.Sub(bursts[n-1].End) <= gap {
-			b := &bursts[n-1]
-			b.End = e.At
-			b.Count++
-			b.Conns[e.ConnID]++
-			continue
+		n := len(bursts)
+		if n == 0 || e.At.Sub(bursts[n-1].End) > gap {
+			bursts = append(bursts, RetxBurst{Start: e.At})
+			n++
 		}
-		bursts = append(bursts, RetxBurst{
-			Start: e.At, End: e.At, Count: 1,
-			Conns: map[string]int{e.ConnID: 1},
-		})
+		b := &bursts[n-1]
+		b.End = e.At
+		b.add(e.ConnID)
 	}
 	return bursts
+}
+
+// add counts one retransmission on connection id into b. A burst
+// touches "a few (usually one)" connections, so a linear lookup will do.
+func (b *RetxBurst) add(id string) {
+	b.Count++
+	for i := range b.Conns {
+		if b.Conns[i].ID == id {
+			b.Conns[i].N++
+			return
+		}
+	}
+	b.Conns = append(b.Conns, ConnRetx{ID: id, N: 1})
 }
 
 // SingleConnBurstFraction reports the fraction of bursts confined to one

@@ -90,7 +90,7 @@ func TestFindRetxBurstsClusters(t *testing.T) {
 	if len(bursts) != 2 {
 		t.Fatalf("bursts %v", bursts)
 	}
-	if bursts[0].Count != 3 || len(bursts[0].Conns) != 1 || bursts[0].Conns["a"] != 3 {
+	if bursts[0].Count != 3 || len(bursts[0].Conns) != 1 || bursts[0].Conns[0] != (ConnRetx{ID: "a", N: 3}) {
 		t.Fatalf("burst 0: %+v", bursts[0])
 	}
 	if bursts[1].Count != 2 || len(bursts[1].Conns) != 2 {
