@@ -94,7 +94,10 @@ func TestManyCancellationsKeepPendingExact(t *testing.T) {
 }
 
 // TestAfterFireAllocationFree is the hot-path guardrail: once the slot
-// pool is warm, scheduling and firing an event must not allocate.
+// pool is warm, scheduling and firing an event must not allocate, nor
+// take a slot it does not give back. AllocsPerRun divides in integers,
+// so a pool that leaked a slot a run, and doubled some ten times over
+// the 1,000 runs, would still read 0: the pool's size is held too.
 func TestAfterFireAllocationFree(t *testing.T) {
 	loop := NewLoop()
 	fn := func() {}
@@ -104,6 +107,7 @@ func TestAfterFireAllocationFree(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
+	slots := len(loop.slots)
 	allocs := testing.AllocsPerRun(1000, func() {
 		loop.After(time.Millisecond, fn)
 		loop.RunUntilIdle()
@@ -111,10 +115,13 @@ func TestAfterFireAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("After+fire allocates %.1f per run, want 0", allocs)
 	}
+	if n := len(loop.slots); n != slots {
+		t.Fatalf("After+fire grew the slot pool from %d to %d over 1,000 runs", slots, n)
+	}
 }
 
 // TestScheduleStopAllocationFree: arming and cancelling (the RTO pattern,
-// once per ACK) must also be allocation-free.
+// once per ACK) must also be allocation-free, and give its slot back.
 func TestScheduleStopAllocationFree(t *testing.T) {
 	loop := NewLoop()
 	fn := func() {}
@@ -123,12 +130,16 @@ func TestScheduleStopAllocationFree(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
+	slots := len(loop.slots)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm := loop.After(time.Millisecond, fn)
 		tm.Stop()
 	})
 	if allocs != 0 {
 		t.Fatalf("After+Stop allocates %.1f per run, want 0", allocs)
+	}
+	if n := len(loop.slots); n != slots {
+		t.Fatalf("After+Stop grew the slot pool from %d to %d over 1,000 runs", slots, n)
 	}
 }
 

@@ -9,36 +9,43 @@ import (
 // (seed 1, page by page in request order: the blocks one SPDY connection
 // compresses in a run) per iteration, on a fresh oracle as
 // browser.openMux and proxy.zlibHead make one per connection, and
-// reports the cost per frame and the bytes allocated per session, most
-// of them the oracle's zlib context.
+// reports the cost per frame, the bytes allocated per session, most of
+// them the oracle's zlib context, and candidates/frame: the earlier
+// positions whose bytes the match finder compared with another's, a
+// count of its work that no clock moves.
 func BenchmarkSizeOracle(b *testing.B) {
 	objs := table1Session(1)
 	b.Run("request", func(b *testing.B) {
-		benchSession(b, len(objs), func() {
+		benchSession(b, len(objs), func() int {
 			o := NewSizeOracle()
 			for _, obj := range objs {
 				sinkSize += o.RequestSize("GET", "http", obj.Domain, obj.Path, chromeUA)
 			}
+			return o.z.Candidates()
 		})
 	})
 	b.Run("response", func(b *testing.B) {
-		benchSession(b, len(objs), func() {
+		benchSession(b, len(objs), func() int {
 			o := NewSizeOracle()
 			for _, obj := range objs {
 				sinkSize += o.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
 			}
+			return o.z.Candidates()
 		})
 	})
 }
 
 var sinkSize int
 
-func benchSession(b *testing.B, frames int, session func()) {
+// benchSession runs session, which returns its oracle's candidate count,
+// b.N times.
+func benchSession(b *testing.B, frames int, session func() int) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	candidates := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		session()
+		candidates = session()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -46,4 +53,5 @@ func benchSession(b *testing.B, frames int, session func()) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/frame")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/frame")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(b.N), "KiB/session")
+	b.ReportMetric(float64(candidates)/float64(frames), "candidates/frame")
 }

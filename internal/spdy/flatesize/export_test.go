@@ -1,0 +1,5 @@
+package flatesize
+
+// CheckEveryQuery is checkEveryQuery, for the tests that size through
+// the packages above this one.
+var CheckEveryQuery = checkEveryQuery

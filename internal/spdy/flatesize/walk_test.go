@@ -84,7 +84,7 @@ func checkWalk(t *testing.T, data []byte, from, to int) {
 		lookahead := s.windowEnd - pos
 		got := walkResult{length: minMatchLength - 1}
 		if prevHead >= max(pos-windowSize, 0) {
-			got.length, got.offset, got.tried, _ = s.findMatch(pos, prevHead, minMatchLength-1, lookahead)
+			got.length, got.offset, got.tried, _ = s.walk(pos, prevHead, lookahead)
 		}
 		if want := stdlibWalk(s, hashes, pos, lookahead); got != want {
 			t.Fatalf("findMatch at %d (%q): %+v, stdlib's walk %+v", pos, s.window[pos:pos+minMatchLength], got, want)

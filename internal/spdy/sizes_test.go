@@ -208,3 +208,32 @@ func TestShelfReusesContexts(t *testing.T) {
 		t.Fatal("a nil shelf lent an oracle without a context")
 	}
 }
+
+// TestSizeOracleCandidates holds the match finder's work on the seed-1
+// Table 1 session, in the earlier positions compared a frame
+// (BenchmarkSizeOracle's candidates/frame), to what it was measured at
+// plus 5%. The level-9 walk compares 252.1 a request and 530.5 a reply:
+// a finder that quietly walked again would fail here, and no size would
+// tell.
+func TestSizeOracleCandidates(t *testing.T) {
+	objs := table1Session(1)
+	requests, replies := NewSizeOracle(), NewSizeOracle()
+	for _, obj := range objs {
+		requests.RequestSize("GET", "http", obj.Domain, obj.Path, chromeUA)
+		replies.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
+	}
+	for _, c := range []struct {
+		what     string
+		o        *SizeOracle
+		measured float64
+	}{
+		{"request", requests, 73.35},
+		{"response", replies, 64.06},
+	} {
+		per := float64(c.o.z.Candidates()) / float64(len(objs))
+		t.Logf("%s: %.2f candidates a frame (measured %.2f)", c.what, per, c.measured)
+		if per > c.measured*1.05 {
+			t.Errorf("%s: %.2f candidates a frame, more than %.2f + 5%%", c.what, per, c.measured)
+		}
+	}
+}
