@@ -28,7 +28,7 @@ func NewSizeOracle() *SizeOracle {
 
 // Shelf lends the zlib contexts of a run's size oracles and takes them
 // back when the run ends, so that a sequence of runs allocates each
-// 266 KiB context once instead of once per session. A nil *Shelf lends
+// 458 KiB context once instead of once per session. A nil *Shelf lends
 // nothing: its oracles allocate their contexts, as NewSizeOracle's do.
 // A Shelf is plain memory with no lock: one run at a time may use it.
 type Shelf struct {
