@@ -11,6 +11,7 @@ package spdier_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -132,7 +133,10 @@ func TestMain(m *testing.M) {
 
 // BenchmarkLoop times the event-loop hot path — schedule with After,
 // fire via RunUntilIdle — on a warm slot pool, and asserts it is
-// allocation-free.
+// allocation-free. The clock does not move within a round, so it times
+// the batch path: each round fires 1,024 events due at one instant (one
+// split, one sort check, fireBatch), where most of a real run's events
+// fire one to a tick. BenchmarkLoopSpread times a real schedule's shape.
 func BenchmarkLoop(b *testing.B) {
 	loop := sim.NewLoop()
 	fn := func() {}
@@ -183,6 +187,126 @@ func BenchmarkLoop(b *testing.B) {
 			b.Fatalf("event-loop hot path regressed >20%%: %.1f ns/event vs baseline %.1f", nsPerEvent, want)
 		}
 	}
+}
+
+// spreadTimers timers keep 112 events pending on average, as a recorded
+// h2/lte run (seed 1) does: a stopped timer not re-armed at once waits,
+// idle, 21 times in 121.
+const spreadTimers = 136
+
+// spreadSchedule drives sim.Loop the way that run does: spreadTimers
+// timers, each re-armed when it fires, with delays drawn to the run's
+// quantiles, and a fire that draws another timer 0.912 times in 1. A
+// drawn timer that is armed is stopped, so that 0.754 are stopped a fire
+// and 43% of the events scheduled are stopped before they fire, and is
+// re-armed at once 79 times in 100; one that is idle is armed. The draws
+// are made up front, so the loop is all that is timed.
+type spreadSchedule struct {
+	loop   *sim.Loop
+	timers [spreadTimers]spreadTimer
+	draws  [4096]spreadDraw
+	next   int
+	// fired counts the fires of this Run, which stops at left; armed,
+	// stopped and pending (Loop.Pending summed at each fire) are totals.
+	fired, left, armed, stopped, pending int
+}
+
+type spreadDraw struct {
+	delay, again time.Duration // the fired timer's next delay; the stopped one's
+	stop         int           // the timer a fire stops, or −1
+	rearm        bool          // whether the stopped timer is re-armed at once
+}
+
+type spreadTimer struct {
+	s     *spreadSchedule
+	t     sim.Timer
+	armed bool
+}
+
+func (t *spreadTimer) arm(d time.Duration) {
+	t.t, t.armed = t.s.loop.AfterCall(d, t), true
+	t.s.armed++
+}
+
+// Call fires t: re-arm it, then stop (and maybe re-arm) or arm the timer
+// the draw names.
+func (t *spreadTimer) Call() {
+	s := t.s
+	d := &s.draws[s.next%len(s.draws)]
+	s.next++
+	s.pending += s.loop.Pending()
+	t.arm(d.delay)
+	if d.stop >= 0 {
+		u := &s.timers[d.stop]
+		if u.armed {
+			u.t.Stop()
+			u.armed = false
+			s.stopped++
+			if d.rearm {
+				u.arm(d.again)
+			}
+		} else {
+			u.arm(d.again)
+		}
+	}
+	if s.fired++; s.fired == s.left {
+		s.loop.Stop()
+	}
+}
+
+// spreadDelay maps u in [0, 1] onto the recorded delays: log-linear
+// between q0 20 µs, q10 0.57 ms, q50 40 ms, q90 200 ms and q100 1 s.
+func spreadDelay(u float64) time.Duration {
+	q := [...]float64{0, 0.1, 0.5, 0.9, 1}
+	d := [...]float64{20e3, 570e3, 40e6, 200e6, 1e9}
+	i := 1
+	for i < len(q)-1 && u > q[i] {
+		i++
+	}
+	return time.Duration(d[i-1] * math.Pow(d[i]/d[i-1], (u-q[i-1])/(q[i]-q[i-1])))
+}
+
+func newSpreadSchedule(rng *sim.RNG) *spreadSchedule {
+	s := &spreadSchedule{loop: sim.NewLoop()}
+	for i := range s.draws {
+		s.draws[i] = spreadDraw{delay: spreadDelay(rng.Float64()), again: spreadDelay(rng.Float64()), stop: -1, rearm: rng.Bool(0.79)}
+		if rng.Bool(0.912) {
+			s.draws[i].stop = rng.Intn(spreadTimers)
+		}
+	}
+	for i := range s.timers {
+		s.timers[i].s = s
+		s.timers[i].arm(spreadDelay(rng.Float64()))
+	}
+	return s
+}
+
+// run fires n events.
+func (s *spreadSchedule) run(n int) {
+	s.fired, s.left = 0, n
+	s.loop.Run(sim.Forever)
+}
+
+// BenchmarkLoopSpread times sim.Loop on the shape of a recorded
+// schedule (spreadSchedule) rather than on BenchmarkLoop's batches, and
+// asserts it is allocation-free. It reports ns/event per fired event and
+// the mix it ran: the share of scheduled events stopped and the mean
+// count pending. No gate reads it; CI does not run it.
+//
+//	go test -run '^$' -bench 'BenchmarkLoopSpread$' .
+func BenchmarkLoopSpread(b *testing.B) {
+	s := newSpreadSchedule(sim.NewRNG(1))
+	s.run(20000) // to the steady state, and the slot pool grown
+	if allocs := testing.AllocsPerRun(20, func() { s.run(1000) }); allocs != 0 {
+		b.Fatalf("1,000 spread events allocate %.1f objects, want 0", allocs)
+	}
+	s.armed, s.stopped, s.pending = 0, 0, 0
+	b.ResetTimer()
+	s.run(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+	b.ReportMetric(float64(s.stopped)/float64(s.armed), "stopped/scheduled")
+	b.ReportMetric(float64(s.pending)/float64(b.N), "pending")
 }
 
 // BenchmarkPageLoadsPerHour measures end-to-end simulation throughput in

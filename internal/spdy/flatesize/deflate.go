@@ -17,11 +17,13 @@
 // stops where the stdlib's walk stops. findMatch gives walk's answer
 // from a search tree per chain, filed when a query visits the chain, for
 // the chains queried often enough to be worth filing. The context is 458
-// KiB, 64% of what the stdlib's layout takes. Everything that only produces
-// bytes — the token slice, the bit buffer, code assignment, Adler-32 — is
-// gone, and levels other than 9 with it. DESIGN.md §6 "Per-request cost
-// (SPDY arm)" has the accounting; FuzzSizeOnlyDeflate holds it to the
-// stdlib.
+// KiB, 64% of what the stdlib's layout takes. A block's Huffman codes
+// are built only where a floor read from its histogram leaves the
+// dynamic code a chance against the fixed one. Everything that only
+// produces bytes — the token slice, the bit buffer, code assignment,
+// Adler-32 — is gone, and levels other than 9 with it. DESIGN.md §6
+// "Per-request cost (SPDY arm)" has the accounting; FuzzSizeOnlyDeflate
+// holds it to the stdlib.
 package flatesize
 
 import (
@@ -183,6 +185,9 @@ func (s *Sizer) BlockSize(p []byte) int {
 // compared an earlier position's bytes with a later one's: the work a
 // block's matches cost, counted rather than timed.
 func (s *Sizer) Candidates() int { return s.candidates }
+
+// Codes returns how many of the stream's blocks had their codes built.
+func (s *Sizer) Codes() int { return s.block.codes }
 
 // storedHeader accounts for a stored block's header: the 3-bit block
 // type, padding to the byte boundary, LEN and NLEN. With no payload it

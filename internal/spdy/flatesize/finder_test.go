@@ -7,13 +7,15 @@ import (
 )
 
 // checkEveryQuery holds every findMatch answer deflate takes, until the
-// returned func is called, to the walk's on the same state: length,
-// offset and ok. The func returns how many queries were checked and at
-// how many the walk spent its whole budget, where a finder that did not
-// fall back to it would have answered from beyond the walk's reach.
+// returned func is called or the test ends, to the walk's on the same
+// state: length, offset and ok. The func returns how many queries were
+// checked and at how many the walk spent its whole budget, where a
+// finder that did not fall back to it would have answered from beyond
+// the walk's reach.
 func checkEveryQuery(t testing.TB) (stop func() (queries, bound int)) {
 	t.Helper()
 	var queries, bound int
+	t.Cleanup(func() { checkQuery = nil })
 	checkQuery = func(s *Sizer, pos, prevHead, lookahead, length, offset int, ok bool) {
 		queries++
 		l, o, tried, k := s.walk(pos, prevHead, lookahead)

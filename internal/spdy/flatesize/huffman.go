@@ -153,7 +153,14 @@ type blockSizer struct {
 	// The run of equal code lengths generateCodegen is gathering.
 	runSize  uint8
 	runCount int
+
+	// The blocks whose codes were built: those dynamicFloor left open.
+	codes int
 }
+
+// checkFloor, when a test sets it, sees every block's dynamic floor and
+// dynamic size, which size then builds for the blocks the floor settles.
+var checkFloor func(floor, dynamic int)
 
 func (w *blockSizer) countLiteral(sym int) {
 	if w.literalFreq[sym] == 0 {
@@ -262,8 +269,13 @@ func (w *blockSizer) endRun() {
 // is small enough to walk whole.
 var codegenSymbols = [codegenCodeCount]uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
 
-// dynamicSize returns the size of dynamically encoded data in bits.
+// dynamicSize builds the block's three Huffman codes and returns the
+// size of dynamically encoded data in bits.
 func (w *blockSizer) dynamicSize(literals, offsets []uint16) int {
+	w.literalEncoding.generate(w.literalFreq[:], literals, 15)
+	w.offsetEncoding.generate(w.offsetFreq[:], offsets, 15)
+	w.generateCodegen(literals, offsets)
+	w.codegenEncoding.generate(w.codegenFreq[:], codegenSymbols[:], 7)
 	numCodegens := len(w.codegenFreq)
 	for numCodegens > 4 && w.codegenFreq[codegenOrder[numCodegens-1]] == 0 {
 		numCodegens--
@@ -277,6 +289,63 @@ func (w *blockSizer) dynamicSize(literals, offsets []uint16) int {
 		w.literalEncoding.bitLength(w.literalFreq[:], literals) +
 		w.offsetEncoding.bitLength(w.offsetFreq[:], offsets) +
 		w.extraBits
+}
+
+// leastCodegens[min(n, 9)] is the least numCodegens for an alphabet of
+// n ≥ 1 used symbols: 1 + the earliest codegenOrder place of a length its
+// code can give, 1 if n ≤ 2, else 1 to n−1 (TestLeastCodegens).
+var leastCodegens = [10]int{18, 18, 18, 16, 14, 12, 10, 8, 6, 5}
+
+// dynamicFloor returns a floor under dynamicSize from the histogram: lengths
+// for the code-length symbols (a bit each) and their 17s' and 18s' extra
+// bits, codes for the rest (DESIGN.md §6, "The dynamic code's floor").
+func (w *blockSizer) dynamicFloor(literals, offsets []uint16) (lengths, codes int) {
+	lengths, literalBits, run := lengthsFloor(w.literalFreq[:], literals, 0)
+	// A run from offset code 0 continues the last literal run.
+	more, offsetBits, run := lengthsFloor(w.offsetFreq[:], offsets, run)
+	lengths += more + runFloor(run)
+	numCodegens := max(leastCodegens[min(len(literals), 9)], leastCodegens[min(len(offsets), 9)])
+	return lengths, 3 + 5 + 5 + 4 + 3*numCodegens + literalBits + offsetBits + w.extraBits
+}
+
+// lengthsFloor walks one alphabet, given the run of adjacent used
+// symbols open before it, and returns the floors of its gaps' and closed
+// runs' code-length symbols and of its code's bits, and the run it leaves
+// open. Up to two symbols, every code is 1 bit long; past that, one at most.
+func lengthsFloor(freq []int32, symbols []uint16, run int) (lengths, bits, open int) {
+	next, most := 0, int32(0)
+	for _, sym := range symbols {
+		if gap := int(sym) - next; gap > 0 {
+			lengths, run = lengths+runFloor(run)+zerosSize(gap), 0
+		}
+		run, next = run+1, int(sym)+1
+		bits, most = bits+int(freq[sym]), max(most, freq[sym])
+	}
+	if len(symbols) > 2 {
+		bits += bits - int(most)
+	}
+	return lengths, bits, run
+}
+
+// runFloor is the fewest code-length symbols for g adjacent used
+// symbols: one each up to 3, past that a length and 16s of up to 6.
+func runFloor(g int) int {
+	if g <= 3 {
+		return g
+	}
+	return 1 + (g+4)/6
+}
+
+// zerosSize is what endRun spends on g zeros at a bit a symbol: 18s of
+// up to 138 with 7 extra bits, then a 17 of 3 to 10 with 3, or 0s.
+func zerosSize(g int) (size int) {
+	for ; g >= 11; g -= min(g, 138) {
+		size += 1 + 7
+	}
+	if g >= 3 {
+		return size + 1 + 3
+	}
+	return size + g
 }
 
 // fixedSize returns the size of data encoded with the fixed tables, in
@@ -312,19 +381,25 @@ func (w *blockSizer) size(stored int) (int, bool) {
 	literals, offsets := w.usedLiterals[:w.numLiterals], w.usedOffsets[:w.numOffsets]
 	slices.Sort(literals)
 	slices.Sort(offsets)
-	w.literalEncoding.generate(w.literalFreq[:], literals, 15)
-	w.offsetEncoding.generate(w.offsetFreq[:], offsets, 15)
 
-	// Figure out smallest code.
-	// Fixed Huffman baseline.
 	size, unspent := w.fixedSize(literals, offsets), fixedOffsetLen
 
-	// Generate codegen and codegenFrequencies, which indicates how to encode
-	// the literalEncoding and the offsetEncoding.
-	w.generateCodegen(literals, offsets)
-	w.codegenEncoding.generate(w.codegenFreq[:], codegenSymbols[:], 7)
-	if dynamicSize := w.dynamicSize(literals, offsets); dynamicSize < size {
-		size, unspent = dynamicSize, int(w.offsetEncoding.lens[0])
+	// writeBlock writes the dynamic code only where it is smaller: a
+	// block whose floor is not is priced without building the codes.
+	lengths, codes := w.dynamicFloor(literals, offsets)
+	if floor := lengths + codes; floor < size || checkFloor != nil {
+		dynamicSize := w.dynamicSize(literals, offsets)
+		if checkFloor != nil {
+			checkFloor(floor, dynamicSize)
+		}
+		if dynamicSize < floor {
+			panic("flatesize: a block's dynamic size is below its floor")
+		} else if floor < size {
+			w.codes++
+		}
+		if dynamicSize < size {
+			size, unspent = dynamicSize, int(w.offsetEncoding.lens[0])
+		}
 	}
 
 	for _, sym := range literals {

@@ -237,3 +237,30 @@ func TestSizeOracleCandidates(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeOracleCodes holds the blocks whose Huffman codes were built on
+// the seed-1 Table 1 session (BenchmarkSizeOracle's codes/frame) to the
+// count measured when the dynamic code's floor landed. Every block was
+// priced with built codes before it, and no size tells a floor that has
+// quietly stopped settling blocks.
+func TestSizeOracleCodes(t *testing.T) {
+	objs := table1Session(1)
+	requests, replies := NewSizeOracle(), NewSizeOracle()
+	for _, obj := range objs {
+		requests.RequestSize("GET", "http", obj.Domain, obj.Path, chromeUA)
+		replies.ResponseSize("200 OK", contentType(obj.Kind), int64(obj.Size))
+	}
+	for _, c := range []struct {
+		what     string
+		o        *SizeOracle
+		measured int
+	}{
+		{"request", requests, 1},
+		{"response", replies, 3},
+	} {
+		t.Logf("%s: codes built for %d of %d blocks (measured %d)", c.what, c.o.z.Codes(), len(objs), c.measured)
+		if n := c.o.z.Codes(); n > c.measured {
+			t.Errorf("%s: codes built for %d blocks, more than the %d measured", c.what, n, c.measured)
+		}
+	}
+}
